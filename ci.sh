@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The canonical pre-PR check (see EXPERIMENTS.md). Fails fast, in the
 # order cheapest-to-diagnose first: formatting, lints, then the tier-1
-# build-and-test gate from ROADMAP.md, then the full workspace suite
-# (integration tests, doctests, every crate).
+# build-and-test gate from ROADMAP.md run over the whole workspace
+# (integration tests, doctests, every crate — a superset of the root
+# package's `cargo test -q`), then the benchmark package's own tests.
 #
 # FIREFLY_JOBS controls the experiment harness's worker-pool width for
 # any sweeps the tests run; the results are bit-identical at any width.
@@ -15,12 +16,15 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1: cargo build --release && cargo test -q"
+echo "== tier-1: cargo build --release && cargo test --workspace -q"
 cargo build --release
-cargo test -q
-
-echo "== cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "== benchmark: cargo test -q --manifest-path benchmark/Cargo.toml"
+# The benchmark is a package of its own that drives the simulator through
+# its public API (snapshot save/load included); its tests fail when that
+# API breaks.
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== fault_sweep --smoke"
 cargo run --release -p firefly-bench --bin fault_sweep -- --smoke

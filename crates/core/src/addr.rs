@@ -7,6 +7,7 @@
 //! here keep byte addresses, word indices and line numbers statically
 //! distinct, as the arithmetic between them is where simulators rot.
 
+use crate::snapshot::{Snap, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -201,16 +202,6 @@ impl PortId {
         PortId(n as u8)
     }
 
-    /// Decodes a snapshot byte, rejecting out-of-range values instead of
-    /// panicking on corrupt input.
-    pub(crate) fn from_snap(n: u8) -> Result<Self, crate::error::Error> {
-        if n < 16 {
-            Ok(PortId(n))
-        } else {
-            Err(crate::error::Error::SnapshotCorrupt(format!("invalid port id {n}")))
-        }
-    }
-
     /// The port's index, usable for indexing per-port tables.
     pub const fn index(self) -> usize {
         self.0 as usize
@@ -219,6 +210,24 @@ impl PortId {
     /// Whether this is the primary (I/O) processor's port.
     pub const fn is_io_processor(self) -> bool {
         self.0 == 0
+    }
+}
+
+crate::snap_struct!(Addr(0));
+crate::snap_struct!(LineId(0));
+
+/// One byte; out-of-range ids are rejected instead of panicking on
+/// corrupt input.
+impl Snap for PortId {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u8(self.0);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, crate::error::Error> {
+        match r.u8()? {
+            n if n < 16 => Ok(PortId(n)),
+            n => Err(crate::error::Error::SnapshotCorrupt(format!("invalid port id {n}"))),
+        }
     }
 }
 

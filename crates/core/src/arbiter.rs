@@ -117,28 +117,15 @@ impl ArbiterKind {
             ArbiterKind::Aging => Some(p * AGING_QUANTUM + p * crate::BUS_CYCLES_PER_OP * 2),
         }
     }
-
-    pub(crate) fn snap_tag(self) -> u8 {
-        match self {
-            ArbiterKind::FixedPriority => 0,
-            ArbiterKind::Fcfs => 1,
-            ArbiterKind::RoundRobin => 2,
-            ArbiterKind::Aging => 3,
-            ArbiterKind::IoFavoring => 4,
-        }
-    }
-
-    pub(crate) fn from_snap_tag(t: u8) -> Result<Self, Error> {
-        Ok(match t {
-            0 => ArbiterKind::FixedPriority,
-            1 => ArbiterKind::Fcfs,
-            2 => ArbiterKind::RoundRobin,
-            3 => ArbiterKind::Aging,
-            4 => ArbiterKind::IoFavoring,
-            t => return Err(Error::SnapshotCorrupt(format!("invalid arbiter kind tag {t}"))),
-        })
-    }
 }
+
+crate::snap_enum!(ArbiterKind {
+    FixedPriority = 0,
+    Fcfs = 1,
+    RoundRobin = 2,
+    Aging = 3,
+    IoFavoring = 4,
+});
 
 /// Whether MBus transactions are serialized or pipelined.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
@@ -169,22 +156,9 @@ impl BusMode {
             BusMode::Split => 2,
         }
     }
-
-    pub(crate) fn snap_tag(self) -> u8 {
-        match self {
-            BusMode::Unified => 0,
-            BusMode::Split => 1,
-        }
-    }
-
-    pub(crate) fn from_snap_tag(t: u8) -> Result<Self, Error> {
-        Ok(match t {
-            0 => BusMode::Unified,
-            1 => BusMode::Split,
-            t => return Err(Error::SnapshotCorrupt(format!("invalid bus mode tag {t}"))),
-        })
-    }
 }
+
+crate::snap_enum!(BusMode { Unified = 0, Split = 1 });
 
 /// An arbitration discipline: picks a winner among raised request lines.
 ///
@@ -271,24 +245,15 @@ impl ArbiterPolicy for RoundRobin {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        match self.last_granted {
-            None => w.bool(false),
-            Some(g) => {
-                w.bool(true);
-                w.usize(g);
-            }
-        }
+        w.put(&self.last_granted);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        self.last_granted = if r.bool()? {
-            let g = r.usize()?;
-            if g >= 16 {
-                return Err(Error::SnapshotCorrupt(format!("round-robin grant point {g}")));
+        self.last_granted = match r.get()? {
+            Some(g) if g >= 16 => {
+                return Err(Error::SnapshotCorrupt(format!("round-robin grant point {g}")))
             }
-            Some(g)
-        } else {
-            None
+            g => g,
         };
         Ok(())
     }
@@ -406,16 +371,22 @@ mod tests {
         }
     }
 
+    fn roundtrip<T: crate::snapshot::Snap>(v: &T) -> Result<T, Error> {
+        let mut w = SnapWriter::new();
+        w.put(v);
+        SnapReader::new(&w.into_bytes()).get()
+    }
+
     #[test]
     fn kind_tags_round_trip() {
         for kind in ArbiterKind::ALL {
-            assert_eq!(ArbiterKind::from_snap_tag(kind.snap_tag()).unwrap(), kind);
+            assert_eq!(roundtrip(&kind).unwrap(), kind);
             assert_eq!(kind.build().kind(), kind);
         }
-        assert!(ArbiterKind::from_snap_tag(99).is_err());
+        assert!(SnapReader::new(&[99]).get::<ArbiterKind>().is_err());
         for mode in [BusMode::Unified, BusMode::Split] {
-            assert_eq!(BusMode::from_snap_tag(mode.snap_tag()).unwrap(), mode);
+            assert_eq!(roundtrip(&mode).unwrap(), mode);
         }
-        assert!(BusMode::from_snap_tag(9).is_err());
+        assert!(SnapReader::new(&[9]).get::<BusMode>().is_err());
     }
 }

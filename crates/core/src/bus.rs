@@ -28,7 +28,7 @@ use crate::arbiter::{ArbiterKind, ArbiterPolicy, BusMode};
 use crate::cache::LineData;
 use crate::error::Error;
 use crate::protocol::BusOp;
-use crate::snapshot::{SnapReader, SnapWriter};
+use crate::snapshot::{Snap, SnapReader, SnapWriter};
 use crate::stats::BusStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -60,49 +60,39 @@ pub enum DataSource {
     Cache(PortId),
 }
 
-impl Payload {
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        match self {
+impl Snap for Payload {
+    fn save(&self, w: &mut SnapWriter) {
+        match *self {
             Payload::None => w.u8(0),
-            Payload::Word { offset, value } => {
-                w.u8(1);
-                w.u8(*offset);
-                w.u32(*value);
-            }
-            Payload::Line(d) => {
-                w.u8(2);
-                d.save(w);
-            }
+            Payload::Word { offset, value } => w.put(&(1u8, offset, value)),
+            Payload::Line(d) => w.put(&(2u8, d)),
         }
     }
 
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
         Ok(match r.u8()? {
             0 => Payload::None,
-            1 => Payload::Word { offset: r.u8()?, value: r.u32()? },
-            2 => Payload::Line(LineData::load(r)?),
+            1 => Payload::Word { offset: r.get()?, value: r.get()? },
+            2 => Payload::Line(r.get()?),
             t => return Err(Error::SnapshotCorrupt(format!("invalid Payload tag {t}"))),
         })
     }
 }
 
-impl DataSource {
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        match self {
+impl Snap for DataSource {
+    fn save(&self, w: &mut SnapWriter) {
+        match *self {
             DataSource::NotApplicable => w.u8(0),
             DataSource::Memory => w.u8(1),
-            DataSource::Cache(p) => {
-                w.u8(2);
-                w.u8(p.index() as u8);
-            }
+            DataSource::Cache(p) => w.put(&(2u8, p)),
         }
     }
 
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
         Ok(match r.u8()? {
             0 => DataSource::NotApplicable,
             1 => DataSource::Memory,
-            2 => DataSource::Cache(PortId::from_snap(r.u8()?)?),
+            2 => DataSource::Cache(r.get()?),
             t => return Err(Error::SnapshotCorrupt(format!("invalid DataSource tag {t}"))),
         })
     }
@@ -125,27 +115,7 @@ pub struct Transaction {
     pub mshared: bool,
 }
 
-impl Transaction {
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.initiator.index() as u8);
-        w.u8(self.op.snap_tag());
-        w.u32(self.line.raw());
-        self.payload.save(w);
-        w.u8(self.cycles_done);
-        w.bool(self.mshared);
-    }
-
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        Ok(Transaction {
-            initiator: PortId::from_snap(r.u8()?)?,
-            op: BusOp::from_snap_tag(r.u8()?)?,
-            line: LineId::from_raw(r.u32()?),
-            payload: Payload::load(r)?,
-            cycles_done: r.u8()?,
-            mshared: r.bool()?,
-        })
-    }
-}
+crate::snap_struct!(Transaction { initiator, op, line, payload, cycles_done, mshared });
 
 /// A completed transaction, as recorded in the bus event log.
 ///
@@ -165,6 +135,8 @@ pub struct TransactionRecord {
     /// Who supplied read data in cycle 4.
     pub source: DataSource,
 }
+
+crate::snap_struct!(TransactionRecord { start_cycle, initiator, op, line, mshared, source });
 
 impl TransactionRecord {
     /// Renders this transaction as a per-cycle signal trace in the style
@@ -537,85 +509,45 @@ impl Bus {
     }
 
     pub(crate) fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.requests.len());
-        for &req in &self.requests {
-            match req {
-                None => w.bool(false),
-                Some(raised) => {
-                    w.bool(true);
-                    w.u64(raised);
-                }
-            }
-        }
-        w.usize(self.slots.len());
-        for txn in &self.slots {
-            txn.save(w);
-        }
+        w.put(&self.requests);
+        w.put(&self.slots);
         self.arbiter.save_state(w);
-        self.stats.save(w);
-        match &self.log {
-            None => w.bool(false),
-            Some(log) => {
-                w.bool(true);
-                w.usize(log.len());
-                for rec in log {
-                    w.u64(rec.start_cycle);
-                    w.u8(rec.initiator.index() as u8);
-                    w.u8(rec.op.snap_tag());
-                    w.u32(rec.line.raw());
-                    w.bool(rec.mshared);
-                    rec.source.save(w);
-                }
-            }
-        }
+        w.put(&self.stats);
+        w.put(&self.log);
     }
 
+    /// Restores a bus saved with [`save`](Bus::save) into one built with
+    /// the same port count, mode and tracing setting.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let ports = r.usize()?;
-        if ports != self.requests.len() {
+        let requests: Vec<Option<u64>> = r.get()?;
+        if requests.len() != self.requests.len() {
             return Err(Error::SnapshotCorrupt(format!(
-                "snapshot has {ports} bus ports, system has {}",
+                "snapshot has {} bus ports, system has {}",
+                requests.len(),
                 self.requests.len()
             )));
         }
-        for req in &mut self.requests {
-            *req = if r.bool()? { Some(r.u64()?) } else { None };
-        }
-        let in_flight = r.usize()?;
-        if in_flight > self.mode.max_in_flight() {
+        self.requests = requests;
+        let slots: Vec<Transaction> = r.get()?;
+        if slots.len() > self.mode.max_in_flight() {
             return Err(Error::SnapshotCorrupt(format!(
-                "snapshot has {in_flight} in-flight transactions, {} mode allows {}",
+                "snapshot has {} in-flight transactions, {} mode allows {}",
+                slots.len(),
                 self.mode.name(),
                 self.mode.max_in_flight()
             )));
         }
         self.slots.clear();
-        for _ in 0..in_flight {
-            self.slots.push(Transaction::load(r)?);
-        }
+        self.slots.extend(slots);
         self.arbiter.load_state(r)?;
-        self.stats = BusStats::load_snap(r)?;
-        let traced = r.bool()?;
-        if traced != self.log.is_some() {
+        self.stats = r.get()?;
+        let log: Option<Vec<TransactionRecord>> = r.get()?;
+        if log.is_some() != self.log.is_some() {
             return Err(Error::SnapshotCorrupt(
                 "snapshot bus-trace setting does not match the configuration".into(),
             ));
         }
-        if let Some(log) = &mut self.log {
-            let n = r.usize()?;
-            log.clear();
-            log.reserve(n);
-            for _ in 0..n {
-                log.push(TransactionRecord {
-                    start_cycle: r.u64()?,
-                    initiator: PortId::from_snap(r.u8()?)?,
-                    op: BusOp::from_snap_tag(r.u8()?)?,
-                    line: LineId::from_raw(r.u32()?),
-                    mshared: r.bool()?,
-                    source: DataSource::load(r)?,
-                });
-            }
-        }
+        self.log = log;
         Ok(())
     }
 }

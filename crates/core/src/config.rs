@@ -14,6 +14,7 @@
 use crate::arbiter::{ArbiterKind, BusMode};
 use crate::error::Error;
 use crate::fault::FaultConfig;
+use crate::snapshot::{Snap, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
 /// The largest line size (in words) the simulator supports.
@@ -384,38 +385,37 @@ impl SystemConfig {
     pub fn memory_modules(&self) -> usize {
         self.memory_bytes.div_ceil(self.variant.module_bytes()) as usize
     }
+}
 
-    pub(crate) fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u8(match self.variant {
-            MachineVariant::MicroVax => 0,
-            MachineVariant::CVax => 1,
-        });
-        w.usize(self.ports);
-        w.usize(self.cache.lines);
-        w.usize(self.cache.line_words);
-        w.u64(self.memory_bytes);
-        w.bool(self.trace_bus);
-        w.usize(self.event_trace);
-        self.faults.save_config(w);
-        w.u8(self.arbiter.snap_tag());
-        w.u8(self.bus_mode.snap_tag());
+crate::snap_enum!(MachineVariant { MicroVax = 0, CVax = 1 });
+
+/// Decoded through [`CacheGeometry::new`], so a corrupt image cannot
+/// build a geometry the simulator would reject.
+impl Snap for CacheGeometry {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put(&(self.lines, self.line_words));
     }
 
-    pub(crate) fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, Error> {
-        let variant = match r.u8()? {
-            0 => MachineVariant::MicroVax,
-            1 => MachineVariant::CVax,
-            t => {
-                return Err(Error::SnapshotCorrupt(format!("invalid machine variant tag {t}")));
-            }
-        };
-        let ports = r.usize()?;
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+        let (lines, line_words) = r.get()?;
+        CacheGeometry::new(lines, line_words)
+            .map_err(|e| Error::SnapshotCorrupt(format!("bad cache geometry: {e}")))
+    }
+}
+
+/// Rejects port counts and memory sizes no machine can have.
+impl Snap for SystemConfig {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put(&(self.variant, self.ports, self.cache, self.memory_bytes));
+        w.put(&(self.trace_bus, self.event_trace, self.faults));
+        w.put(&(self.arbiter, self.bus_mode));
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+        let (variant, ports, cache, memory_bytes): (MachineVariant, usize, _, u64) = r.get()?;
         if !(1..=16).contains(&ports) {
             return Err(Error::SnapshotCorrupt(format!("invalid port count {ports}")));
         }
-        let cache = CacheGeometry::new(r.usize()?, r.usize()?)
-            .map_err(|e| Error::SnapshotCorrupt(format!("bad cache geometry: {e}")))?;
-        let memory_bytes = r.u64()?;
         if memory_bytes == 0 || memory_bytes > variant.max_memory_bytes() {
             return Err(Error::SnapshotCorrupt(format!("invalid memory size {memory_bytes}")));
         }
@@ -424,11 +424,11 @@ impl SystemConfig {
             ports,
             cache,
             memory_bytes,
-            trace_bus: r.bool()?,
-            event_trace: r.usize()?,
-            faults: crate::fault::FaultConfig::load_config(r)?,
-            arbiter: ArbiterKind::from_snap_tag(r.u8()?)?,
-            bus_mode: BusMode::from_snap_tag(r.u8()?)?,
+            trace_bus: r.get()?,
+            event_trace: r.get()?,
+            faults: r.get()?,
+            arbiter: r.get()?,
+            bus_mode: r.get()?,
         })
     }
 }

@@ -24,7 +24,9 @@
 
 use crate::addr::{LineId, PortId};
 use crate::bus::{waveform, DataSource, TransactionRecord};
+use crate::error::Error;
 use crate::protocol::{BusOp, LineState};
+use crate::snapshot::{Snap, SnapReader, SnapWriter};
 use crate::{BUS_CYCLES_PER_OP, BUS_CYCLE_NS};
 use std::collections::VecDeque;
 use std::fmt;
@@ -71,40 +73,19 @@ impl FaultClass {
             FaultClass::Watchdog => "watchdog",
         }
     }
-
-    pub(crate) fn snap_tag(self) -> u8 {
-        match self {
-            FaultClass::MSharedDrop => 0,
-            FaultClass::MSharedSpurious => 1,
-            FaultClass::ArbStall => 2,
-            FaultClass::BusParity => 3,
-            FaultClass::TagFlip => 4,
-            FaultClass::EccCorrected => 5,
-            FaultClass::EccUncorrectable => 6,
-            FaultClass::BusRetry => 7,
-            FaultClass::Watchdog => 8,
-        }
-    }
-
-    pub(crate) fn from_snap_tag(t: u8) -> Result<Self, crate::error::Error> {
-        Ok(match t {
-            0 => FaultClass::MSharedDrop,
-            1 => FaultClass::MSharedSpurious,
-            2 => FaultClass::ArbStall,
-            3 => FaultClass::BusParity,
-            4 => FaultClass::TagFlip,
-            5 => FaultClass::EccCorrected,
-            6 => FaultClass::EccUncorrectable,
-            7 => FaultClass::BusRetry,
-            8 => FaultClass::Watchdog,
-            _ => {
-                return Err(crate::error::Error::SnapshotCorrupt(format!(
-                    "invalid FaultClass tag {t}"
-                )))
-            }
-        })
-    }
 }
+
+crate::snap_enum!(FaultClass {
+    MSharedDrop = 0,
+    MSharedSpurious = 1,
+    ArbStall = 2,
+    BusParity = 3,
+    TagFlip = 4,
+    EccCorrected = 5,
+    EccUncorrectable = 6,
+    BusRetry = 7,
+    Watchdog = 8,
+});
 
 /// What happened, without the cycle stamp. Variants are deliberately
 /// small and `Copy`: a disabled trace costs nothing and an enabled one
@@ -177,87 +158,48 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    pub(crate) fn save(&self, w: &mut crate::snapshot::SnapWriter) {
+/// A tag byte, then the variant's fields in declaration order.
+impl Snap for EventKind {
+    fn save(&self, w: &mut SnapWriter) {
         match *self {
-            EventKind::BusIssued { initiator, op, line } => {
-                w.u8(0);
-                w.u8(initiator.index() as u8);
-                w.u8(op.snap_tag());
-                w.u32(line.raw());
-            }
+            EventKind::BusIssued { initiator, op, line } => w.put(&(0u8, initiator, op, line)),
             EventKind::BusCompleted { initiator, op, line, mshared, source } => {
-                w.u8(1);
-                w.u8(initiator.index() as u8);
-                w.u8(op.snap_tag());
-                w.u32(line.raw());
-                w.bool(mshared);
-                source.save(w);
+                w.put(&(1u8, initiator, op, line));
+                w.put(&(mshared, source));
             }
-            EventKind::MSharedAsserted { line } => {
-                w.u8(2);
-                w.u32(line.raw());
-            }
-            EventKind::Transition { port, line, from, to } => {
-                w.u8(3);
-                w.u8(port.index() as u8);
-                w.u32(line.raw());
-                w.u8(from.snap_tag());
-                w.u8(to.snap_tag());
-            }
-            EventKind::FaultInjected { class } => {
-                w.u8(4);
-                w.u8(class.snap_tag());
-            }
-            EventKind::FaultRecovered { class } => {
-                w.u8(5);
-                w.u8(class.snap_tag());
-            }
-            EventKind::CpuOffline { port } => {
-                w.u8(6);
-                w.u8(port.index() as u8);
-            }
+            EventKind::MSharedAsserted { line } => w.put(&(2u8, line)),
+            EventKind::Transition { port, line, from, to } => w.put(&(3u8, port, line, (from, to))),
+            EventKind::FaultInjected { class } => w.put(&(4u8, class)),
+            EventKind::FaultRecovered { class } => w.put(&(5u8, class)),
+            EventKind::CpuOffline { port } => w.put(&(6u8, port)),
             EventKind::ContextSwitch { cpu, thread, migrated } => {
-                w.u8(7);
-                w.u32(cpu);
-                w.u32(thread);
-                w.bool(migrated);
+                w.put(&(7u8, cpu, thread, migrated))
             }
         }
     }
 
-    pub(crate) fn load(
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<Self, crate::error::Error> {
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
         Ok(match r.u8()? {
-            0 => EventKind::BusIssued {
-                initiator: PortId::from_snap(r.u8()?)?,
-                op: BusOp::from_snap_tag(r.u8()?)?,
-                line: LineId::from_raw(r.u32()?),
-            },
+            0 => EventKind::BusIssued { initiator: r.get()?, op: r.get()?, line: r.get()? },
             1 => EventKind::BusCompleted {
-                initiator: PortId::from_snap(r.u8()?)?,
-                op: BusOp::from_snap_tag(r.u8()?)?,
-                line: LineId::from_raw(r.u32()?),
-                mshared: r.bool()?,
-                source: DataSource::load(r)?,
+                initiator: r.get()?,
+                op: r.get()?,
+                line: r.get()?,
+                mshared: r.get()?,
+                source: r.get()?,
             },
-            2 => EventKind::MSharedAsserted { line: LineId::from_raw(r.u32()?) },
+            2 => EventKind::MSharedAsserted { line: r.get()? },
             3 => EventKind::Transition {
-                port: PortId::from_snap(r.u8()?)?,
-                line: LineId::from_raw(r.u32()?),
-                from: LineState::from_snap_tag(r.u8()?)?,
-                to: LineState::from_snap_tag(r.u8()?)?,
+                port: r.get()?,
+                line: r.get()?,
+                from: r.get()?,
+                to: r.get()?,
             },
-            4 => EventKind::FaultInjected { class: FaultClass::from_snap_tag(r.u8()?)? },
-            5 => EventKind::FaultRecovered { class: FaultClass::from_snap_tag(r.u8()?)? },
-            6 => EventKind::CpuOffline { port: PortId::from_snap(r.u8()?)? },
-            7 => EventKind::ContextSwitch { cpu: r.u32()?, thread: r.u32()?, migrated: r.bool()? },
-            t => {
-                return Err(crate::error::Error::SnapshotCorrupt(format!(
-                    "invalid EventKind tag {t}"
-                )))
-            }
+            4 => EventKind::FaultInjected { class: r.get()? },
+            5 => EventKind::FaultRecovered { class: r.get()? },
+            6 => EventKind::CpuOffline { port: r.get()? },
+            7 => EventKind::ContextSwitch { cpu: r.get()?, thread: r.get()?, migrated: r.get()? },
+            t => return Err(Error::SnapshotCorrupt(format!("invalid EventKind tag {t}"))),
         })
     }
 }
@@ -271,6 +213,8 @@ pub struct Event {
     /// What happened.
     pub kind: EventKind,
 }
+
+crate::snap_struct!(Event { cycle, kind });
 
 /// A component that accepts trace events.
 ///
@@ -311,9 +255,12 @@ pub struct EventRing {
 
 impl EventRing {
     /// Creates a ring holding at most `capacity` events (minimum 1).
+    /// Storage grows on demand past the first few thousand events, so a
+    /// generous bound (or one decoded from a corrupt snapshot) costs
+    /// nothing until events arrive.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        EventRing { buf: VecDeque::with_capacity(capacity), capacity, dropped: 0 }
+        EventRing { buf: VecDeque::with_capacity(capacity.min(4096)), capacity, dropped: 0 }
     }
 
     /// Number of events currently held.
@@ -346,40 +293,31 @@ impl EventRing {
         self.buf.drain(..).collect()
     }
 
-    pub(crate) fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.usize(self.capacity);
-        w.u64(self.dropped);
-        w.usize(self.buf.len());
-        for ev in &self.buf {
-            w.u64(ev.cycle);
-            ev.kind.save(w);
-        }
+    pub(crate) fn save(&self, w: &mut SnapWriter) {
+        w.put(&(self.capacity, self.dropped));
+        w.put(&self.buf);
     }
 
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::error::Error> {
-        let cap = r.usize()?;
+    /// Restores a ring saved with [`save`](EventRing::save) into one
+    /// built with the same capacity.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
+        let cap: usize = r.get()?;
         if cap != self.capacity {
-            return Err(crate::error::Error::SnapshotCorrupt(format!(
+            return Err(Error::SnapshotCorrupt(format!(
                 "event ring capacity {cap} does not match the configuration's {}",
                 self.capacity
             )));
         }
-        self.dropped = r.u64()?;
-        let len = r.usize()?;
-        if len > cap {
-            return Err(crate::error::Error::SnapshotCorrupt(format!(
-                "event ring holds {len} events but its capacity is {cap}"
+        self.dropped = r.get()?;
+        let buf: VecDeque<Event> = r.get()?;
+        if buf.len() > cap {
+            return Err(Error::SnapshotCorrupt(format!(
+                "event ring holds {} events but its capacity is {cap}",
+                buf.len()
             )));
         }
         self.buf.clear();
-        for _ in 0..len {
-            let cycle = r.u64()?;
-            let kind = EventKind::load(r)?;
-            self.buf.push_back(Event { cycle, kind });
-        }
+        self.buf.extend(buf);
         Ok(())
     }
 }

@@ -131,42 +131,21 @@ impl FaultConfig {
             disk_read_error_ppm: rate_ppm,
         }
     }
-
-    /// Serializes the plan for embedding in a snapshot.
-    pub(crate) fn save_config(&self, w: &mut SnapWriter) {
-        w.u64(self.seed);
-        for ppm in [
-            self.mshared_drop_ppm,
-            self.mshared_spurious_ppm,
-            self.arb_stall_ppm,
-            self.bus_parity_ppm,
-            self.ecc_single_ppm,
-            self.ecc_double_ppm,
-            self.tag_flip_ppm,
-            self.dma_timeout_ppm,
-            self.packet_drop_ppm,
-            self.disk_read_error_ppm,
-        ] {
-            w.u32(ppm);
-        }
-    }
-
-    pub(crate) fn load_config(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        Ok(FaultConfig {
-            seed: r.u64()?,
-            mshared_drop_ppm: r.u32()?,
-            mshared_spurious_ppm: r.u32()?,
-            arb_stall_ppm: r.u32()?,
-            bus_parity_ppm: r.u32()?,
-            ecc_single_ppm: r.u32()?,
-            ecc_double_ppm: r.u32()?,
-            tag_flip_ppm: r.u32()?,
-            dma_timeout_ppm: r.u32()?,
-            packet_drop_ppm: r.u32()?,
-            disk_read_error_ppm: r.u32()?,
-        })
-    }
 }
+
+crate::snap_struct!(FaultConfig {
+    seed,
+    mshared_drop_ppm,
+    mshared_spurious_ppm,
+    arb_stall_ppm,
+    bus_parity_ppm,
+    ecc_single_ppm,
+    ecc_double_ppm,
+    tag_flip_ppm,
+    dma_timeout_ppm,
+    packet_drop_ppm,
+    disk_read_error_ppm,
+});
 
 /// Mixes the plan seed with a site identifier so each site gets an
 /// independent stream (SplitMix64 finalizer — the same mixer the RNG's
@@ -246,28 +225,11 @@ impl FaultSite {
         assert!(n > 0, "pick from an empty set");
         self.rng.gen_range(0..n)
     }
-
-    /// Serializes the site's raw generator words for checkpointing.
-    ///
-    /// The stream *position* is part of the machine state: re-seeding on
-    /// restore would replay or skip fault draws and break
-    /// resume-equivalence.
-    pub fn save(&self, w: &mut SnapWriter) {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-    }
-
-    /// Rebuilds a site from state captured by [`save`](FaultSite::save).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SnapshotCorrupt`] on truncation.
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        Ok(FaultSite { rng: SmallRng::from_state(s) })
-    }
 }
+
+// The raw generator words: the stream *position* is machine state, and
+// re-seeding on restore would replay or skip fault draws.
+crate::snap_struct!(FaultSite { rng });
 
 /// The memory-side ECC model: a fault site plus correction bookkeeping.
 ///
@@ -278,14 +240,24 @@ impl FaultSite {
 /// [`Error::EccUncorrectable`] for the system layer to act on.
 #[derive(Clone, Debug)]
 pub struct EccInjector {
-    site: FaultSite,
     single_ppm: u32,
     double_ppm: u32,
+    state: EccState,
+}
+
+/// The injector's mutable state — stream position, counters, and the
+/// addresses of uncorrectable events not yet drained; the rates come
+/// from the plan.
+#[derive(Clone, Debug)]
+struct EccState {
+    site: FaultSite,
     corrected: u64,
     uncorrected: u64,
     scrubs: u64,
-    errors: Vec<Error>,
+    errors: Vec<Addr>,
 }
+
+crate::snap_struct!(EccState { site, corrected, uncorrected, scrubs, errors });
 
 impl EccInjector {
     /// An injector for the plan, or `None` when both ECC rates are zero.
@@ -294,31 +266,34 @@ impl EccInjector {
             return None;
         }
         Some(EccInjector {
-            site: FaultSite::new(cfg.seed, site::ECC),
             single_ppm: cfg.ecc_single_ppm,
             double_ppm: cfg.ecc_double_ppm,
-            corrected: 0,
-            uncorrected: 0,
-            scrubs: 0,
-            errors: Vec::new(),
+            state: EccState {
+                site: FaultSite::new(cfg.seed, site::ECC),
+                corrected: 0,
+                uncorrected: 0,
+                scrubs: 0,
+                errors: Vec::new(),
+            },
         })
     }
 
     /// Filters one word read at `addr` through the ECC model and returns
     /// what the bus actually sees.
     pub fn apply(&mut self, addr: Addr, word: u32) -> u32 {
-        if self.site.fires(self.single_ppm) {
+        let st = &mut self.state;
+        if st.site.fires(self.single_ppm) {
             // Single-bit flip: the ECC logic corrects it before the word
             // leaves the module, and the scrubber rewrites the cell.
-            self.corrected += 1;
-            self.scrubs += 1;
+            st.corrected += 1;
+            st.scrubs += 1;
             return word;
         }
-        if self.site.fires(self.double_ppm) {
-            self.uncorrected += 1;
-            self.errors.push(Error::EccUncorrectable { addr });
-            let b1 = self.site.pick(32) as u32;
-            let b2 = (b1 + 1 + self.site.pick(31) as u32) % 32;
+        if st.site.fires(self.double_ppm) {
+            st.uncorrected += 1;
+            st.errors.push(addr);
+            let b1 = st.site.pick(32) as u32;
+            let b2 = (b1 + 1 + st.site.pick(31) as u32) % 32;
             return word ^ (1 << b1) ^ (1 << b2);
         }
         word
@@ -326,51 +301,34 @@ impl EccInjector {
 
     /// Single-bit events corrected.
     pub fn corrected(&self) -> u64 {
-        self.corrected
+        self.state.corrected
     }
 
     /// Double-bit events detected but not correctable.
     pub fn uncorrected(&self) -> u64 {
-        self.uncorrected
+        self.state.uncorrected
     }
 
     /// Scrubber rewrites performed (one per corrected event).
     pub fn scrubs(&self) -> u64 {
-        self.scrubs
+        self.state.scrubs
     }
 
     /// Takes the accumulated uncorrectable-error records.
     pub fn drain_errors(&mut self) -> Vec<Error> {
-        std::mem::take(&mut self.errors)
+        self.state.errors.drain(..).map(|addr| Error::EccUncorrectable { addr }).collect()
     }
 
-    /// Serializes the mutable state (stream position, counters, pending
-    /// errors); the rates come from the plan at rebuild time.
+    /// Serializes the mutable state; the rates come from the plan at
+    /// rebuild time.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        self.site.save(w);
-        w.u64(self.corrected);
-        w.u64(self.uncorrected);
-        w.u64(self.scrubs);
-        w.usize(self.errors.len());
-        for e in &self.errors {
-            match e {
-                Error::EccUncorrectable { addr } => w.u32(addr.byte()),
-                other => unreachable!("ECC injector only records EccUncorrectable, saw {other:?}"),
-            }
-        }
+        w.put(&self.state);
     }
 
     /// Restores state captured by [`save_state`](EccInjector::save_state)
     /// into an injector freshly built from the same plan.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        self.site = FaultSite::load(r)?;
-        self.corrected = r.u64()?;
-        self.uncorrected = r.u64()?;
-        self.scrubs = r.u64()?;
-        let n = r.usize()?;
-        self.errors = (0..n)
-            .map(|_| Ok(Error::EccUncorrectable { addr: Addr::new(r.u32()?) }))
-            .collect::<Result<_, Error>>()?;
+        self.state = r.get()?;
         Ok(())
     }
 }
@@ -464,9 +422,9 @@ mod tests {
             let _ = live.fires(40_000);
         }
         let mut w = SnapWriter::new();
-        live.save(&mut w);
+        w.put(&live);
         let bytes = w.into_bytes();
-        let mut restored = FaultSite::load(&mut SnapReader::new(&bytes)).unwrap();
+        let mut restored: FaultSite = SnapReader::new(&bytes).get().unwrap();
         for _ in 0..1000 {
             assert_eq!(live.fires(40_000), restored.fires(40_000));
         }

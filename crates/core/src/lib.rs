@@ -93,7 +93,6 @@ pub mod fault;
 pub mod memory;
 pub mod protocol;
 pub mod refsim;
-pub mod sched;
 pub mod snapshot;
 pub mod stats;
 pub mod system;

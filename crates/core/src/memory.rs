@@ -265,36 +265,28 @@ impl Memory {
     }
 
     pub(crate) fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.bytes);
-        w.u64(self.module_bytes);
-        w.u64(self.reads);
-        w.u64(self.writes);
-        w.usize(self.module_traffic.len());
-        for &(r, wr) in &self.module_traffic {
-            w.u64(r);
-            w.u64(wr);
-        }
+        w.put(&(self.bytes, self.module_bytes, self.reads, self.writes));
+        w.put(&self.module_traffic);
         // Sparse image, pages sorted by index so the encoding is canonical
-        // (save → restore → save must be byte-identical).
+        // (save → restore → save must be byte-identical). Each page is
+        // one word batch, byte-identical to the per-word encoding.
         let mut keys: Vec<u32> = self.pages.keys().copied().collect();
         keys.sort_unstable();
         w.usize(keys.len());
         for k in keys {
-            w.u32(k);
-            // Bulk word batch: byte-identical to the per-word encoding.
+            w.put(&k);
             w.u32_words(&self.pages[&k][..]);
         }
-        match &self.ecc {
-            None => w.bool(false),
-            Some(ecc) => {
-                w.bool(true);
-                ecc.save_state(w);
-            }
+        w.bool(self.ecc.is_some());
+        if let Some(ecc) = &self.ecc {
+            ecc.save_state(w);
         }
     }
 
+    /// Restores memory saved with [`save`](Memory::save) into one built
+    /// with the same size, modules and ECC plan.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let (bytes, module_bytes) = (r.u64()?, r.u64()?);
+        let (bytes, module_bytes, reads, writes): (u64, u64, u64, u64) = r.get()?;
         if bytes != self.bytes || module_bytes != self.module_bytes {
             return Err(Error::SnapshotCorrupt(format!(
                 "snapshot memory geometry {bytes}/{module_bytes} does not match \
@@ -302,29 +294,26 @@ impl Memory {
                 self.bytes, self.module_bytes
             )));
         }
-        self.reads = r.u64()?;
-        self.writes = r.u64()?;
-        let modules = r.usize()?;
-        if modules != self.module_traffic.len() {
+        let module_traffic: Vec<(u64, u64)> = r.get()?;
+        if module_traffic.len() != self.module_traffic.len() {
             return Err(Error::SnapshotCorrupt(format!(
-                "snapshot has {modules} memory modules, system has {}",
+                "snapshot has {} memory modules, system has {}",
+                module_traffic.len(),
                 self.module_traffic.len()
             )));
         }
-        for t in &mut self.module_traffic {
-            *t = (r.u64()?, r.u64()?);
-        }
-        let n_pages = r.usize()?;
+        (self.reads, self.writes, self.module_traffic) = (reads, writes, module_traffic);
+        let n_pages: usize = r.get()?;
         self.pages.clear();
         for _ in 0..n_pages {
-            let key = r.u32()?;
+            let key: u32 = r.get()?;
             let mut page = Box::new([0u32; PAGE_WORDS]);
             r.u32_words_into(&mut page[..])?;
             if self.pages.insert(key, page).is_some() {
                 return Err(Error::SnapshotCorrupt(format!("duplicate memory page {key}")));
             }
         }
-        let has_ecc = r.bool()?;
+        let has_ecc: bool = r.get()?;
         if has_ecc != self.ecc.is_some() {
             return Err(Error::SnapshotCorrupt(
                 "snapshot ECC-injector presence does not match the fault plan".into(),

@@ -279,6 +279,8 @@ pub struct SnoopResponse {
     pub absorb: bool,
 }
 
+crate::snap_struct!(SnoopResponse { next, assert_shared, supply, flush_to_memory, absorb });
+
 impl SnoopResponse {
     /// The do-nothing response (line not present, or op irrelevant).
     pub const fn ignore(state: LineState) -> Self {
@@ -436,83 +438,33 @@ pub enum ProtocolKind {
     Tardis,
 }
 
-impl LineState {
-    /// Stable one-byte snapshot tag (declaration order).
-    pub(crate) fn snap_tag(self) -> u8 {
-        match self {
-            LineState::Invalid => 0,
-            LineState::CleanExclusive => 1,
-            LineState::SharedClean => 2,
-            LineState::DirtyExclusive => 3,
-            LineState::SharedDirty => 4,
-        }
-    }
-
-    pub(crate) fn from_snap_tag(t: u8) -> Result<Self, crate::error::Error> {
-        Ok(match t {
-            0 => LineState::Invalid,
-            1 => LineState::CleanExclusive,
-            2 => LineState::SharedClean,
-            3 => LineState::DirtyExclusive,
-            4 => LineState::SharedDirty,
-            _ => {
-                return Err(crate::error::Error::SnapshotCorrupt(format!(
-                    "invalid LineState tag {t}"
-                )))
-            }
-        })
-    }
-}
-
-impl ProcOp {
-    /// Stable one-byte snapshot tag (declaration order).
-    pub(crate) fn snap_tag(self) -> u8 {
-        match self {
-            ProcOp::Read => 0,
-            ProcOp::Write => 1,
-        }
-    }
-
-    pub(crate) fn from_snap_tag(t: u8) -> Result<Self, crate::error::Error> {
-        Ok(match t {
-            0 => ProcOp::Read,
-            1 => ProcOp::Write,
-            _ => {
-                return Err(crate::error::Error::SnapshotCorrupt(format!("invalid ProcOp tag {t}")))
-            }
-        })
-    }
-}
-
-impl BusOp {
-    /// Stable one-byte snapshot tag (declaration order).
-    pub(crate) fn snap_tag(self) -> u8 {
-        match self {
-            BusOp::Read => 0,
-            BusOp::ReadOwned => 1,
-            BusOp::Write => 2,
-            BusOp::WriteBack => 3,
-            BusOp::Update => 4,
-            BusOp::Invalidate => 5,
-            BusOp::Renew => 6,
-        }
-    }
-
-    pub(crate) fn from_snap_tag(t: u8) -> Result<Self, crate::error::Error> {
-        Ok(match t {
-            0 => BusOp::Read,
-            1 => BusOp::ReadOwned,
-            2 => BusOp::Write,
-            3 => BusOp::WriteBack,
-            4 => BusOp::Update,
-            5 => BusOp::Invalidate,
-            6 => BusOp::Renew,
-            _ => {
-                return Err(crate::error::Error::SnapshotCorrupt(format!("invalid BusOp tag {t}")))
-            }
-        })
-    }
-}
+crate::snap_enum!(LineState {
+    Invalid = 0,
+    CleanExclusive = 1,
+    SharedClean = 2,
+    DirtyExclusive = 3,
+    SharedDirty = 4,
+});
+crate::snap_enum!(ProcOp { Read = 0, Write = 1 });
+crate::snap_enum!(BusOp {
+    Read = 0,
+    ReadOwned = 1,
+    Write = 2,
+    WriteBack = 3,
+    Update = 4,
+    Invalidate = 5,
+    Renew = 6,
+});
+// Tags are indices into `ProtocolKind::ALL`.
+crate::snap_enum!(ProtocolKind {
+    Firefly = 0,
+    WriteThrough = 1,
+    WriteOnce = 2,
+    Berkeley = 3,
+    Illinois = 4,
+    Dragon = 5,
+    Tardis = 6,
+});
 
 impl ProtocolKind {
     /// All built-in protocols, in the order used by comparison tables.
@@ -525,17 +477,6 @@ impl ProtocolKind {
         ProtocolKind::Dragon,
         ProtocolKind::Tardis,
     ];
-
-    /// Stable one-byte snapshot tag: the index into [`ProtocolKind::ALL`].
-    pub(crate) fn snap_tag(self) -> u8 {
-        Self::ALL.iter().position(|&k| k == self).expect("ALL covers every kind") as u8
-    }
-
-    pub(crate) fn from_snap_tag(t: u8) -> Result<Self, crate::error::Error> {
-        Self::ALL.get(t as usize).copied().ok_or_else(|| {
-            crate::error::Error::SnapshotCorrupt(format!("invalid ProtocolKind tag {t}"))
-        })
-    }
 
     /// Instantiates the protocol.
     pub fn build(self) -> Box<dyn Protocol> {

@@ -7,8 +7,6 @@
 //! writes that receive MShared from other caches, non-victim writes that
 //! do not receive MShared, and victim writes."
 
-use crate::error::Error;
-use crate::snapshot::{SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
@@ -148,59 +146,28 @@ impl CacheStats {
     }
 }
 
-impl CacheStats {
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.cpu_reads,
-            self.cpu_writes,
-            self.read_hits,
-            self.write_hits,
-            self.read_misses,
-            self.write_misses,
-            self.dma_reads,
-            self.dma_writes,
-            self.bus_reads,
-            self.bus_read_owned,
-            self.wt_shared,
-            self.wt_unshared,
-            self.victim_writes,
-            self.updates_sent,
-            self.invalidates_sent,
-            self.renewals_sent,
-            self.updates_absorbed,
-            self.invalidations_taken,
-            self.supplies,
-            self.probe_stalls,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        Ok(CacheStats {
-            cpu_reads: r.u64()?,
-            cpu_writes: r.u64()?,
-            read_hits: r.u64()?,
-            write_hits: r.u64()?,
-            read_misses: r.u64()?,
-            write_misses: r.u64()?,
-            dma_reads: r.u64()?,
-            dma_writes: r.u64()?,
-            bus_reads: r.u64()?,
-            bus_read_owned: r.u64()?,
-            wt_shared: r.u64()?,
-            wt_unshared: r.u64()?,
-            victim_writes: r.u64()?,
-            updates_sent: r.u64()?,
-            invalidates_sent: r.u64()?,
-            renewals_sent: r.u64()?,
-            updates_absorbed: r.u64()?,
-            invalidations_taken: r.u64()?,
-            supplies: r.u64()?,
-            probe_stalls: r.u64()?,
-        })
-    }
-}
+crate::snap_struct!(CacheStats {
+    cpu_reads,
+    cpu_writes,
+    read_hits,
+    write_hits,
+    read_misses,
+    write_misses,
+    dma_reads,
+    dma_writes,
+    bus_reads,
+    bus_read_owned,
+    wt_shared,
+    wt_unshared,
+    victim_writes,
+    updates_sent,
+    invalidates_sent,
+    renewals_sent,
+    updates_absorbed,
+    invalidations_taken,
+    supplies,
+    probe_stalls,
+});
 
 impl AddAssign for CacheStats {
     fn add_assign(&mut self, o: Self) {
@@ -304,43 +271,22 @@ impl BusStats {
             memory_supplied: self.memory_supplied.saturating_sub(earlier.memory_supplied),
         }
     }
-
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.busy_cycles,
-            self.total_cycles,
-            self.reads,
-            self.read_owned,
-            self.writes,
-            self.write_backs,
-            self.updates,
-            self.invalidates,
-            self.renewals,
-            self.mshared_asserted,
-            self.cache_supplied,
-            self.memory_supplied,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    pub(crate) fn load_snap(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        Ok(BusStats {
-            busy_cycles: r.u64()?,
-            total_cycles: r.u64()?,
-            reads: r.u64()?,
-            read_owned: r.u64()?,
-            writes: r.u64()?,
-            write_backs: r.u64()?,
-            updates: r.u64()?,
-            invalidates: r.u64()?,
-            renewals: r.u64()?,
-            mshared_asserted: r.u64()?,
-            cache_supplied: r.u64()?,
-            memory_supplied: r.u64()?,
-        })
-    }
 }
+
+crate::snap_struct!(BusStats {
+    busy_cycles,
+    total_cycles,
+    reads,
+    read_owned,
+    writes,
+    write_backs,
+    updates,
+    invalidates,
+    renewals,
+    mshared_asserted,
+    cache_supplied,
+    memory_supplied,
+});
 
 /// Fault-injection and recovery counters (see [`crate::fault`]).
 ///
@@ -440,47 +386,24 @@ impl FaultStats {
             cpus_offlined: self.cpus_offlined.saturating_sub(earlier.cpus_offlined),
         }
     }
-
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        for v in [
-            self.mshared_drops,
-            self.mshared_spurious,
-            self.arb_stalls,
-            self.parity_errors,
-            self.bus_retries,
-            self.ecc_corrected,
-            self.ecc_uncorrected,
-            self.scrubs,
-            self.tag_flips,
-            self.dma_timeouts,
-            self.device_retries,
-            self.packets_dropped,
-            self.disk_read_errors,
-            self.cpus_offlined,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        Ok(FaultStats {
-            mshared_drops: r.u64()?,
-            mshared_spurious: r.u64()?,
-            arb_stalls: r.u64()?,
-            parity_errors: r.u64()?,
-            bus_retries: r.u64()?,
-            ecc_corrected: r.u64()?,
-            ecc_uncorrected: r.u64()?,
-            scrubs: r.u64()?,
-            tag_flips: r.u64()?,
-            dma_timeouts: r.u64()?,
-            device_retries: r.u64()?,
-            packets_dropped: r.u64()?,
-            disk_read_errors: r.u64()?,
-            cpus_offlined: r.u64()?,
-        })
-    }
 }
+
+crate::snap_struct!(FaultStats {
+    mshared_drops,
+    mshared_spurious,
+    arb_stalls,
+    parity_errors,
+    bus_retries,
+    ecc_corrected,
+    ecc_uncorrected,
+    scrubs,
+    tag_flips,
+    dma_timeouts,
+    device_retries,
+    packets_dropped,
+    disk_read_errors,
+    cpus_offlined,
+});
 
 impl AddAssign for FaultStats {
     fn add_assign(&mut self, o: Self) {
@@ -670,34 +593,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Serializes the raw fields, including the `u64::MAX` empty-`min`
-    /// sentinel — the public [`min`](Histogram::min) accessor masks it to
-    /// 0 and so cannot be used to rebuild the struct exactly. Public so
-    /// out-of-crate subsystems (the fleet RPC transport) can embed
-    /// histograms in their own snapshot sections.
-    pub fn save(&self, w: &mut SnapWriter) {
-        for c in self.counts {
-            w.u64(c);
-        }
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    /// Rebuilds a histogram from state captured by [`save`](Histogram::save).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SnapshotCorrupt`] on truncation.
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        let mut counts = [0u64; HISTOGRAM_BUCKETS];
-        for c in &mut counts {
-            *c = r.u64()?;
-        }
-        Ok(Histogram { counts, count: r.u64()?, sum: r.u64()?, min: r.u64()?, max: r.u64()? })
-    }
-
     /// One-line summary: `n=… mean=… min=… p50<=… p99<=… max=…`.
     pub fn summary(&self) -> String {
         format!(
@@ -711,6 +606,10 @@ impl Histogram {
         )
     }
 }
+
+// The raw fields, including the `u64::MAX` empty-`min` sentinel: the
+// public `min` accessor masks it to 0 and so cannot rebuild the struct.
+crate::snap_struct!(Histogram { counts, count, sum, min, max });
 
 impl AddAssign for Histogram {
     fn add_assign(&mut self, o: Self) {
@@ -748,21 +647,9 @@ impl LatencyStats {
             self.dma_service.summary()
         )
     }
-
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
-        self.miss_penalty.save(w);
-        self.bus_wait.save(w);
-        self.dma_service.save(w);
-    }
-
-    pub(crate) fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        Ok(LatencyStats {
-            miss_penalty: Histogram::load(r)?,
-            bus_wait: Histogram::load(r)?,
-            dma_service: Histogram::load(r)?,
-        })
-    }
 }
+
+crate::snap_struct!(LatencyStats { miss_penalty, bus_wait, dma_service });
 
 impl AddAssign for LatencyStats {
     fn add_assign(&mut self, o: Self) {
@@ -968,9 +855,9 @@ mod tests {
     fn histogram_snapshot_roundtrip_preserves_empty_sentinel() {
         use crate::snapshot::{SnapReader, SnapWriter};
         let mut w = SnapWriter::new();
-        Histogram::default().save(&mut w);
+        w.put(&Histogram::default());
         let bytes = w.into_bytes();
-        let mut back = Histogram::load(&mut SnapReader::new(&bytes)).unwrap();
+        let mut back: Histogram = SnapReader::new(&bytes).get().unwrap();
         assert_eq!(back, Histogram::default(), "raw min sentinel survives");
         back.record(7);
         assert_eq!(back.min(), 7, "restored empty histogram still tracks min correctly");
@@ -979,9 +866,9 @@ mod tests {
         h.record(0);
         h.record(12345);
         let mut w = SnapWriter::new();
-        h.save(&mut w);
+        w.put(&h);
         let bytes = w.into_bytes();
-        assert_eq!(Histogram::load(&mut SnapReader::new(&bytes)).unwrap(), h);
+        assert_eq!(SnapReader::new(&bytes).get::<Histogram>().unwrap(), h);
     }
 
     #[test]

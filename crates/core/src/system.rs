@@ -27,6 +27,7 @@ use crate::protocol::{
     BusOp, LineState, ProcOp, Protocol, ProtocolKind, SnoopResponse, WriteHitEffect,
     WriteMissPolicy,
 };
+use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotBuilder, SnapshotFile};
 use crate::stats::{BusStats, CacheStats, FaultStats, LatencyStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -47,6 +48,8 @@ pub enum AccessKind {
     Dma,
 }
 
+crate::snap_enum!(AccessKind { Cpu = 0, Dma = 1 });
+
 /// One memory access presented to a port.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct Request {
@@ -59,6 +62,8 @@ pub struct Request {
     /// Processor or DMA semantics.
     pub kind: AccessKind,
 }
+
+crate::snap_struct!(Request { op, addr, value, kind });
 
 impl Request {
     /// A processor read of `addr`.
@@ -153,6 +158,62 @@ struct Pending {
     status: Status,
 }
 
+/// A tag byte, then the variant's field.
+impl Snap for OpPurpose {
+    fn save(&self, w: &mut SnapWriter) {
+        match *self {
+            OpPurpose::VictimWriteBack { victim } => w.put(&(0u8, victim)),
+            OpPurpose::ReadFill { install } => w.put(&(1u8, install)),
+            OpPurpose::ExclusiveFill => w.u8(2),
+            OpPurpose::WriteThroughMiss { allocate } => w.put(&(3u8, allocate)),
+            OpPurpose::WriteHitBus => w.u8(4),
+            OpPurpose::LeaseRenew => w.u8(5),
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+        Ok(match r.u8()? {
+            0 => OpPurpose::VictimWriteBack { victim: r.get()? },
+            1 => OpPurpose::ReadFill { install: r.get()? },
+            2 => OpPurpose::ExclusiveFill,
+            3 => OpPurpose::WriteThroughMiss { allocate: r.get()? },
+            4 => OpPurpose::WriteHitBus,
+            5 => OpPurpose::LeaseRenew,
+            t => return Err(Error::SnapshotCorrupt(format!("invalid bus purpose tag {t}"))),
+        })
+    }
+}
+
+impl Snap for Status {
+    fn save(&self, w: &mut SnapWriter) {
+        match *self {
+            Status::WaitBus(purpose) => w.put(&(0u8, purpose)),
+            Status::Finishing { at } => w.put(&(1u8, at)),
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+        Ok(match r.u8()? {
+            0 => Status::WaitBus(r.get()?),
+            1 => Status::Finishing { at: r.get()? },
+            t => return Err(Error::SnapshotCorrupt(format!("invalid pending status tag {t}"))),
+        })
+    }
+}
+
+crate::snap_struct!(Pending {
+    req,
+    issued,
+    value,
+    hit,
+    bus_ops,
+    probe_stalled,
+    retries,
+    requested,
+    wd_attempts,
+    status,
+});
+
 struct PortCtl {
     cache: Cache,
     pending: Option<Pending>,
@@ -173,6 +234,8 @@ struct TxnCtx {
     /// its fourth cycle.
     fault: bool,
 }
+
+crate::snap_struct!(TxnCtx { start, fault, snoop });
 
 /// The bus- and cache-side fault sites. Memory-side ECC lives inside
 /// [`Memory`]; device faults live in the I/O crate. Present only when
@@ -196,6 +259,70 @@ impl BusFaults {
             tags: (0..ports).map(|i| FaultSite::new(cfg.seed, site::TAG_BASE + i as u64)).collect(),
             cfg,
         }
+    }
+
+    /// The sites' stream positions; the plan comes from the config.
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.arbiter);
+        w.put(&self.mshared);
+        w.put(&self.parity);
+        w.put(&self.tags);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
+        self.arbiter = r.get()?;
+        self.mshared = r.get()?;
+        self.parity = r.get()?;
+        self.tags = sized(r.get()?, self.tags.len(), "tag-site")?;
+        Ok(())
+    }
+}
+
+/// Checks that a decoded per-port (or otherwise machine-sized) table has
+/// the length the restoring machine was built with.
+fn sized<T>(v: Vec<T>, want: usize, what: &str) -> Result<Vec<T>, Error> {
+    if v.len() == want {
+        Ok(v)
+    } else {
+        Err(Error::SnapshotCorrupt(format!(
+            "snapshot {what} table has {} entries, the machine has {want}",
+            v.len()
+        )))
+    }
+}
+
+/// The surfaced fault errors, as a tag byte and the variant's field.
+/// Only the variants the engine emits are representable; a device name
+/// maps back onto the known device set.
+impl Snap for Error {
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Error::BusParity => w.u8(0),
+            Error::EccUncorrectable { addr } => w.put(&(1u8, *addr)),
+            Error::DeviceTimeout { device } => {
+                w.u8(2);
+                w.str(device);
+            }
+            other => {
+                debug_assert!(false, "unexpected fault error {other:?}");
+                w.u8(0);
+            }
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+        Ok(match r.u8()? {
+            0 => Error::BusParity,
+            1 => Error::EccUncorrectable { addr: r.get()? },
+            2 => match r.str()? {
+                "dma" => Error::DeviceTimeout { device: "dma" },
+                "mbus" => Error::DeviceTimeout { device: "mbus" },
+                "rqdx3" => Error::DeviceTimeout { device: "rqdx3" },
+                "deqna" => Error::DeviceTimeout { device: "deqna" },
+                d => return Err(Error::SnapshotCorrupt(format!("unknown device {d:?}"))),
+            },
+            t => return Err(Error::SnapshotCorrupt(format!("invalid fault-error tag {t}"))),
+        })
     }
 }
 
@@ -1224,108 +1351,52 @@ impl MemSystem {
     /// Snapshots are canonical: saving, restoring and saving again
     /// yields byte-identical output.
     pub fn save_snapshot(&self) -> Vec<u8> {
-        let mut b = crate::snapshot::SnapshotBuilder::new();
-
-        let mut w = crate::snapshot::SnapWriter::new();
-        self.cfg.save(&mut w);
-        b.section("config", w.into_bytes());
-
-        let mut w = crate::snapshot::SnapWriter::new();
-        w.u8(self.protocol_kind.snap_tag());
-        w.u64(self.cycle);
-        w.usize(self.txns.len());
-        for ctx in &self.txns {
-            w.u64(ctx.start);
-            w.bool(ctx.fault);
-            w.usize(ctx.snoop.len());
-            for &(p, resp) in &ctx.snoop {
-                w.usize(p);
-                w.u8(resp.next.snap_tag());
-                w.bool(resp.assert_shared);
-                w.bool(resp.supply);
-                w.bool(resp.flush_to_memory);
-                w.bool(resp.absorb);
+        let mut b = SnapshotBuilder::new();
+        let section = |b: &mut SnapshotBuilder, name: &str, save: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            save(&mut w);
+            b.section(name, w.into_bytes());
+        };
+        section(&mut b, "config", &|w| w.put(&self.cfg));
+        section(&mut b, "system", &|w| {
+            w.put(&(self.protocol_kind, self.cycle));
+            w.put(&self.txns);
+            w.put(&self.ipi_pending);
+            w.put(&self.ipi_sent);
+            w.put(&self.offline);
+            w.put(&self.has_offline);
+            w.put(&self.fstats);
+            w.put(&self.fault_errors);
+            w.put(&self.deferred);
+            w.put(&self.purge_queue);
+            w.put(&self.lat);
+            // The budget word is written even when the watchdog is off.
+            w.put(&(self.watchdog.is_some(), self.watchdog.unwrap_or(0)));
+            w.put(&self.wd_trips);
+            w.put(&self.pts);
+            w.put(&self.mem_ts);
+        });
+        section(&mut b, "ports", &|w| {
+            w.usize(self.ports.len());
+            for ctl in &self.ports {
+                ctl.cache.save(w);
+                w.put(&ctl.pending);
             }
-        }
-        w.usize(self.ipi_pending.len());
-        for &b in &self.ipi_pending {
-            w.bool(b);
-        }
-        w.u64(self.ipi_sent);
-        w.usize(self.offline.len());
-        for &b in &self.offline {
-            w.bool(b);
-        }
-        w.bool(self.has_offline);
-        self.fstats.save(&mut w);
-        w.usize(self.fault_errors.len());
-        for e in &self.fault_errors {
-            save_fault_error(e, &mut w);
-        }
-        w.usize(self.deferred.len());
-        for &(at, port) in &self.deferred {
-            w.u64(at);
-            w.u8(port.index() as u8);
-        }
-        w.usize(self.purge_queue.len());
-        for &i in &self.purge_queue {
-            w.usize(i);
-        }
-        self.lat.save(&mut w);
-        w.bool(self.watchdog.is_some());
-        w.u64(self.watchdog.unwrap_or(0));
-        w.u64(self.wd_trips);
-        w.usize(self.pts.len());
-        for &t in &self.pts {
-            w.u64(t);
-        }
-        w.usize(self.mem_ts.len());
-        for (&line, &(wts, rts)) in &self.mem_ts {
-            w.u32(line);
-            w.u64(wts);
-            w.u64(rts);
-        }
-        b.section("system", w.into_bytes());
-
-        let mut w = crate::snapshot::SnapWriter::new();
-        w.usize(self.ports.len());
-        for ctl in &self.ports {
-            ctl.cache.save(&mut w);
-            w.bool(ctl.pending.is_some());
-            if let Some(p) = &ctl.pending {
-                save_pending(p, &mut w);
+        });
+        section(&mut b, "bus", &|w| self.bus.save(w));
+        section(&mut b, "memory", &|w| self.memory.save(w));
+        section(&mut b, "faults", &|w| {
+            w.bool(self.faults.is_some());
+            if let Some(f) = &self.faults {
+                f.save_state(w);
             }
-        }
-        b.section("ports", w.into_bytes());
-
-        let mut w = crate::snapshot::SnapWriter::new();
-        self.bus.save(&mut w);
-        b.section("bus", w.into_bytes());
-
-        let mut w = crate::snapshot::SnapWriter::new();
-        self.memory.save(&mut w);
-        b.section("memory", w.into_bytes());
-
-        let mut w = crate::snapshot::SnapWriter::new();
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.arbiter.save(&mut w);
-            f.mshared.save(&mut w);
-            f.parity.save(&mut w);
-            w.usize(f.tags.len());
-            for t in &f.tags {
-                t.save(&mut w);
+        });
+        section(&mut b, "events", &|w| {
+            w.bool(self.events.is_some());
+            if let Some(ring) = &self.events {
+                ring.save(w);
             }
-        }
-        b.section("faults", w.into_bytes());
-
-        let mut w = crate::snapshot::SnapWriter::new();
-        w.bool(self.events.is_some());
-        if let Some(ring) = &self.events {
-            ring.save(&mut w);
-        }
-        b.section("events", w.into_bytes());
-
+        });
         b.finish()
     }
 
@@ -1341,116 +1412,66 @@ impl MemSystem {
     /// * [`Error::InvalidConfig`] — the embedded configuration is
     ///   inconsistent (should be unreachable for genuine snapshots).
     pub fn restore(bytes: &[u8]) -> Result<Self, Error> {
-        let file = crate::snapshot::SnapshotFile::parse(bytes)?;
+        let file = SnapshotFile::parse(bytes)?;
 
         let mut r = file.section("config")?;
-        let cfg = SystemConfig::load(&mut r)?;
+        let cfg: SystemConfig = r.get()?;
         r.expect_end()?;
+        let ports = cfg.ports();
+        // Each cache slot takes at least 22 + 4·line_words bytes of the
+        // "ports" section (tag byte, tag, line length and data, two
+        // timestamps): refuse a geometry the image cannot hold before
+        // allocating the caches it describes.
+        let slot_bytes = 22 + 4 * cfg.cache().line_words();
+        let slots = ports.saturating_mul(cfg.cache().lines());
+        if slots.saturating_mul(slot_bytes) > file.section("ports")?.remaining() {
+            return Err(Error::SnapshotCorrupt(format!(
+                "{slots} cache slots do not fit the ports section"
+            )));
+        }
 
         let mut r = file.section("system")?;
-        let kind = ProtocolKind::from_snap_tag(r.u8()?)?;
+        let (kind, cycle) = r.get()?;
         let mut sys = MemSystem::new(cfg, kind)?;
-
-        sys.cycle = r.u64()?;
-        let n_txns = r.usize()?;
-        if n_txns > sys.cfg.bus_mode().max_in_flight() {
-            return Err(Error::SnapshotCorrupt(format!("{n_txns} transaction contexts")));
+        sys.cycle = cycle;
+        sys.txns = r.get()?;
+        if sys.txns.len() > sys.cfg.bus_mode().max_in_flight() {
+            return Err(Error::SnapshotCorrupt(format!("{} transaction contexts", sys.txns.len())));
         }
-        sys.txns.clear();
-        for _ in 0..n_txns {
-            let start = r.u64()?;
-            let fault = r.bool()?;
-            let n = r.usize()?;
-            let mut snoop = Vec::with_capacity(n);
-            for _ in 0..n {
-                let p = r.usize()?;
-                if p >= sys.ports.len() {
-                    return Err(Error::SnapshotCorrupt(format!(
-                        "snoop response from bad port {p}"
-                    )));
-                }
-                let resp = SnoopResponse {
-                    next: LineState::from_snap_tag(r.u8()?)?,
-                    assert_shared: r.bool()?,
-                    supply: r.bool()?,
-                    flush_to_memory: r.bool()?,
-                    absorb: r.bool()?,
-                };
-                snoop.push((p, resp));
-            }
-            sys.txns.push_back(TxnCtx { start, snoop, fault });
+        if let Some((p, _)) = sys.txns.iter().flat_map(|t| &t.snoop).find(|(p, _)| *p >= ports) {
+            return Err(Error::SnapshotCorrupt(format!("snoop response from bad port {p}")));
         }
-        let n = r.usize()?;
-        if n != sys.ipi_pending.len() {
-            return Err(Error::SnapshotCorrupt(format!("ipi table size {n}")));
-        }
-        for slot in &mut sys.ipi_pending {
-            *slot = r.bool()?;
-        }
-        sys.ipi_sent = r.u64()?;
-        let n = r.usize()?;
-        if n != sys.offline.len() {
-            return Err(Error::SnapshotCorrupt(format!("offline table size {n}")));
-        }
-        for slot in &mut sys.offline {
-            *slot = r.bool()?;
-        }
-        sys.has_offline = r.bool()?;
-        sys.fstats = FaultStats::load(&mut r)?;
-        let n = r.usize()?;
-        sys.fault_errors.clear();
-        for _ in 0..n {
-            sys.fault_errors.push(load_fault_error(&mut r)?);
-        }
-        let n = r.usize()?;
-        sys.deferred.clear();
-        for _ in 0..n {
-            let at = r.u64()?;
-            sys.deferred.push((at, PortId::from_snap(r.u8()?)?));
-        }
-        let n = r.usize()?;
-        sys.purge_queue.clear();
-        for _ in 0..n {
-            sys.purge_queue.push(r.usize()?);
-        }
-        sys.lat = LatencyStats::load(&mut r)?;
-        let has_wd = r.bool()?;
-        let budget = r.u64()?;
+        sys.ipi_pending = sized(r.get()?, ports, "ipi")?;
+        sys.ipi_sent = r.get()?;
+        sys.offline = sized(r.get()?, ports, "offline")?;
+        sys.has_offline = r.get()?;
+        sys.fstats = r.get()?;
+        sys.fault_errors = r.get()?;
+        sys.deferred = r.get()?;
+        sys.purge_queue = r.get()?;
+        sys.lat = r.get()?;
+        let (has_wd, budget): (bool, u64) = r.get()?;
         sys.watchdog = has_wd.then_some(budget);
-        sys.wd_trips = r.u64()?;
-        let n = r.usize()?;
-        if n != sys.pts.len() {
-            return Err(Error::SnapshotCorrupt(format!("program-timestamp table size {n}")));
-        }
-        for slot in &mut sys.pts {
-            *slot = r.u64()?;
-        }
-        let n = r.usize()?;
-        sys.mem_ts.clear();
-        for _ in 0..n {
-            let line = r.u32()?;
-            let wts = r.u64()?;
-            let rts = r.u64()?;
-            if wts > rts {
-                return Err(Error::SnapshotCorrupt(format!(
-                    "line {line} global timestamps out of order ({wts} > {rts})"
-                )));
-            }
-            sys.mem_ts.insert(line, (wts, rts));
+        sys.wd_trips = r.get()?;
+        sys.pts = sized(r.get()?, ports, "program-timestamp")?;
+        sys.mem_ts = r.get()?;
+        if let Some((line, (wts, rts))) = sys.mem_ts.iter().find(|(_, (w, r))| w > r) {
+            return Err(Error::SnapshotCorrupt(format!(
+                "line {line} global timestamps out of order ({wts} > {rts})"
+            )));
         }
         r.expect_end()?;
 
         let mut r = file.section("ports")?;
-        let n = r.usize()?;
-        if n != sys.ports.len() {
+        let n: usize = r.get()?;
+        if n != ports {
             return Err(Error::SnapshotCorrupt(format!(
-                "snapshot has {n} ports, configuration has {}",
-                sys.ports.len()
+                "snapshot has {n} ports, configuration has {ports}"
             )));
         }
         for ctl in &mut sys.ports {
             ctl.cache.load_state(&mut r)?;
-            ctl.pending = if r.bool()? { Some(load_pending(&mut r)?) } else { None };
+            ctl.pending = r.get()?;
         }
         r.expect_end()?;
 
@@ -1463,29 +1484,18 @@ impl MemSystem {
         r.expect_end()?;
 
         let mut r = file.section("faults")?;
-        let has_faults = r.bool()?;
-        if has_faults != sys.faults.is_some() {
+        if r.get::<bool>()? != sys.faults.is_some() {
             return Err(Error::SnapshotCorrupt(
                 "snapshot fault-plan presence does not match the configuration".to_string(),
             ));
         }
         if let Some(f) = &mut sys.faults {
-            f.arbiter = FaultSite::load(&mut r)?;
-            f.mshared = FaultSite::load(&mut r)?;
-            f.parity = FaultSite::load(&mut r)?;
-            let n = r.usize()?;
-            if n != f.tags.len() {
-                return Err(Error::SnapshotCorrupt(format!("tag-site count {n}")));
-            }
-            for t in &mut f.tags {
-                *t = FaultSite::load(&mut r)?;
-            }
+            f.load_state(&mut r)?;
         }
         r.expect_end()?;
 
         let mut r = file.section("events")?;
-        let has_events = r.bool()?;
-        if has_events != sys.events.is_some() {
+        if r.get::<bool>()? != sys.events.is_some() {
             return Err(Error::SnapshotCorrupt(
                 "snapshot event-trace presence does not match the configuration".to_string(),
             ));
@@ -2001,136 +2011,6 @@ impl MemSystem {
             }
         }
     }
-}
-
-fn save_pending(p: &Pending, w: &mut crate::snapshot::SnapWriter) {
-    w.u8(p.req.op.snap_tag());
-    w.u32(p.req.addr.byte());
-    w.u32(p.req.value);
-    w.u8(match p.req.kind {
-        AccessKind::Cpu => 0,
-        AccessKind::Dma => 1,
-    });
-    w.u64(p.issued);
-    w.u32(p.value);
-    w.bool(p.hit);
-    w.u8(p.bus_ops);
-    w.bool(p.probe_stalled);
-    w.u8(p.retries);
-    w.u64(p.requested);
-    w.u8(p.wd_attempts);
-    match p.status {
-        Status::WaitBus(purpose) => {
-            w.u8(0);
-            match purpose {
-                OpPurpose::VictimWriteBack { victim } => {
-                    w.u8(0);
-                    w.u32(victim.raw());
-                }
-                OpPurpose::ReadFill { install } => {
-                    w.u8(1);
-                    w.bool(install);
-                }
-                OpPurpose::ExclusiveFill => w.u8(2),
-                OpPurpose::WriteThroughMiss { allocate } => {
-                    w.u8(3);
-                    w.bool(allocate);
-                }
-                OpPurpose::WriteHitBus => w.u8(4),
-                OpPurpose::LeaseRenew => w.u8(5),
-            }
-        }
-        Status::Finishing { at } => {
-            w.u8(1);
-            w.u64(at);
-        }
-    }
-}
-
-fn load_pending(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Pending, Error> {
-    let req = Request {
-        op: ProcOp::from_snap_tag(r.u8()?)?,
-        addr: Addr::new(r.u32()?),
-        value: r.u32()?,
-        kind: match r.u8()? {
-            0 => AccessKind::Cpu,
-            1 => AccessKind::Dma,
-            t => return Err(Error::SnapshotCorrupt(format!("invalid access kind tag {t}"))),
-        },
-    };
-    let issued = r.u64()?;
-    let value = r.u32()?;
-    let hit = r.bool()?;
-    let bus_ops = r.u8()?;
-    let probe_stalled = r.bool()?;
-    let retries = r.u8()?;
-    let requested = r.u64()?;
-    let wd_attempts = r.u8()?;
-    let status = match r.u8()? {
-        0 => Status::WaitBus(match r.u8()? {
-            0 => OpPurpose::VictimWriteBack { victim: LineId::from_raw(r.u32()?) },
-            1 => OpPurpose::ReadFill { install: r.bool()? },
-            2 => OpPurpose::ExclusiveFill,
-            3 => OpPurpose::WriteThroughMiss { allocate: r.bool()? },
-            4 => OpPurpose::WriteHitBus,
-            5 => OpPurpose::LeaseRenew,
-            t => return Err(Error::SnapshotCorrupt(format!("invalid bus purpose tag {t}"))),
-        }),
-        1 => Status::Finishing { at: r.u64()? },
-        t => return Err(Error::SnapshotCorrupt(format!("invalid pending status tag {t}"))),
-    };
-    Ok(Pending {
-        req,
-        issued,
-        value,
-        hit,
-        bus_ops,
-        probe_stalled,
-        retries,
-        requested,
-        wd_attempts,
-        status,
-    })
-}
-
-/// Serializes one surfaced fault error. Only the error variants the
-/// engine actually emits are representable.
-fn save_fault_error(e: &Error, w: &mut crate::snapshot::SnapWriter) {
-    match e {
-        Error::BusParity => w.u8(0),
-        Error::EccUncorrectable { addr } => {
-            w.u8(1);
-            w.u32(addr.byte());
-        }
-        Error::DeviceTimeout { device } => {
-            w.u8(2);
-            w.str(device);
-        }
-        other => {
-            debug_assert!(false, "unexpected fault error {other:?}");
-            w.u8(0);
-        }
-    }
-}
-
-fn load_fault_error(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Error, Error> {
-    Ok(match r.u8()? {
-        0 => Error::BusParity,
-        1 => Error::EccUncorrectable { addr: Addr::new(r.u32()?) },
-        2 => {
-            // The variant holds a `&'static str`; map the serialized
-            // name back onto the known device set.
-            let device = r.str()?;
-            match device {
-                "dma" => Error::DeviceTimeout { device: "dma" },
-                "mbus" => Error::DeviceTimeout { device: "mbus" },
-                "rqdx3" => Error::DeviceTimeout { device: "rqdx3" },
-                "deqna" => Error::DeviceTimeout { device: "deqna" },
-                d => return Err(Error::SnapshotCorrupt(format!("unknown device {d:?}"))),
-            }
-        }
-        t => return Err(Error::SnapshotCorrupt(format!("invalid fault-error tag {t}"))),
-    })
 }
 
 impl fmt::Debug for MemSystem {

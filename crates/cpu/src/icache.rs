@@ -86,18 +86,8 @@ impl ICache {
 
     /// Serializes the tag store and counters for a machine checkpoint.
     pub fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.tags.len());
-        for t in &self.tags {
-            match t {
-                Some(tag) => {
-                    w.bool(true);
-                    w.u32(*tag);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.u64(self.hits);
-        w.u64(self.misses);
+        w.put(&self.tags);
+        w.put(&(self.hits, self.misses));
     }
 
     /// Restores state captured by [`ICache::save`] into a cache of the
@@ -108,18 +98,16 @@ impl ICache {
     /// Returns [`Error::SnapshotCorrupt`] if the snapshot's entry count
     /// does not match this cache.
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let n = r.usize()?;
-        if n != self.tags.len() {
+        let tags: Vec<Option<u32>> = r.get()?;
+        if tags.len() != self.tags.len() {
             return Err(Error::SnapshotCorrupt(format!(
-                "snapshot i-cache has {n} entries, cache has {}",
+                "snapshot i-cache has {} entries, cache has {}",
+                tags.len(),
                 self.tags.len()
             )));
         }
-        for t in &mut self.tags {
-            *t = if r.bool()? { Some(r.u32()?) } else { None };
-        }
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
+        self.tags = tags;
+        (self.hits, self.misses) = r.get()?;
         Ok(())
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::config::CpuConfig;
 use crate::icache::ICache;
-use firefly_core::snapshot::{SnapReader, SnapWriter};
+use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
 use firefly_core::system::{MemSystem, Request};
 use firefly_core::{Addr, Error, PortId};
 use firefly_trace::{MemRef, RefKind, RefStream};
@@ -42,6 +42,17 @@ pub struct CpuStats {
     /// Cycles spent with a memory request outstanding.
     pub memory_wait_cycles: u64,
 }
+
+firefly_core::snap_struct!(CpuStats {
+    instructions,
+    ifetches,
+    data_reads,
+    data_writes,
+    icache_hits,
+    wasted_prefetches,
+    cycles,
+    memory_wait_cycles,
+});
 
 impl CpuStats {
     /// References issued to the board cache (including wasted prefetches,
@@ -316,20 +327,20 @@ impl Processor {
     }
 }
 
-fn save_kind(k: RefKind, w: &mut SnapWriter) {
-    w.u8(match k {
-        RefKind::InstrRead => 0,
-        RefKind::DataRead => 1,
-        RefKind::DataWrite => 2,
-    });
-}
+impl Snap for State {
+    fn save(&self, w: &mut SnapWriter) {
+        match *self {
+            State::Computing { cycles_left } => w.put(&(0u8, cycles_left)),
+            State::WaitingMem { kind, is_prefetch } => w.put(&(1u8, kind, is_prefetch)),
+        }
+    }
 
-fn load_kind(r: &mut SnapReader<'_>) -> Result<RefKind, Error> {
-    match r.u8()? {
-        0 => Ok(RefKind::InstrRead),
-        1 => Ok(RefKind::DataRead),
-        2 => Ok(RefKind::DataWrite),
-        t => Err(Error::SnapshotCorrupt(format!("invalid ref kind tag {t}"))),
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+        Ok(match r.u8()? {
+            0 => State::Computing { cycles_left: r.get()? },
+            1 => State::WaitingMem { kind: r.get()?, is_prefetch: r.get()? },
+            t => return Err(Error::SnapshotCorrupt(format!("invalid cpu state tag {t}"))),
+        })
     }
 }
 
@@ -344,52 +355,14 @@ impl Processor {
     /// does not implement
     /// [`RefStream::save_state`].
     pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), Error> {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        match &self.state {
-            State::Computing { cycles_left } => {
-                w.u8(0);
-                w.u64(*cycles_left);
-            }
-            State::WaitingMem { kind, is_prefetch } => {
-                w.u8(1);
-                save_kind(*kind, w);
-                w.bool(*is_prefetch);
-            }
-        }
-        match &self.pending {
-            Some(r) => {
-                w.bool(true);
-                w.u32(r.addr.byte());
-                save_kind(r.kind, w);
-            }
-            None => w.bool(false),
-        }
-        w.f64(self.carry);
-        w.f64(self.refund);
-        w.u32(self.last_addr.byte());
-        w.f64(self.instr_carry);
-        w.f64(self.ema_latency);
-        let s = &self.stats;
-        for c in [
-            s.instructions,
-            s.ifetches,
-            s.data_reads,
-            s.data_writes,
-            s.icache_hits,
-            s.wasted_prefetches,
-            s.cycles,
-            s.memory_wait_cycles,
-        ] {
-            w.u64(c);
-        }
-        match &self.icache {
-            Some(ic) => {
-                w.bool(true);
-                ic.save(w);
-            }
-            None => w.bool(false),
+        w.put(&self.rng);
+        w.put(&self.state);
+        w.put(&self.pending);
+        w.put(&(self.carry, self.refund, self.last_addr));
+        w.put(&(self.instr_carry, self.ema_latency, self.stats));
+        w.bool(self.icache.is_some());
+        if let Some(ic) = &self.icache {
+            ic.save(w);
         }
         self.stream.save_state(w)
     }
@@ -404,38 +377,12 @@ impl Processor {
     /// on-chip-cache presence mismatch, and
     /// [`Error::SnapshotUnsupported`] if the stream cannot restore.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(rng_state);
-        self.state = match r.u8()? {
-            0 => State::Computing { cycles_left: r.u64()? },
-            1 => State::WaitingMem { kind: load_kind(r)?, is_prefetch: r.bool()? },
-            t => return Err(Error::SnapshotCorrupt(format!("invalid cpu state tag {t}"))),
-        };
-        self.pending = if r.bool()? {
-            Some(MemRef { addr: Addr::new(r.u32()?), kind: load_kind(r)? })
-        } else {
-            None
-        };
-        self.carry = r.f64()?;
-        self.refund = r.f64()?;
-        self.last_addr = Addr::new(r.u32()?);
-        self.instr_carry = r.f64()?;
-        self.ema_latency = r.f64()?;
-        self.stats = CpuStats {
-            instructions: r.u64()?,
-            ifetches: r.u64()?,
-            data_reads: r.u64()?,
-            data_writes: r.u64()?,
-            icache_hits: r.u64()?,
-            wasted_prefetches: r.u64()?,
-            cycles: r.u64()?,
-            memory_wait_cycles: r.u64()?,
-        };
-        let has_icache = r.bool()?;
-        match (&mut self.icache, has_icache) {
+        self.rng = r.get()?;
+        self.state = r.get()?;
+        self.pending = r.get()?;
+        (self.carry, self.refund, self.last_addr) = r.get()?;
+        (self.instr_carry, self.ema_latency, self.stats) = r.get()?;
+        match (&mut self.icache, r.get::<bool>()?) {
             (Some(ic), true) => ic.load(r)?,
             (None, false) => {}
             _ => {

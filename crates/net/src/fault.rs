@@ -18,7 +18,7 @@
 //! | partition | frames crossing a boundary dropped during a window     |
 
 use firefly_core::fault::FaultSite;
-use firefly_core::snapshot::{SnapReader, SnapWriter};
+use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
 use firefly_core::Error;
 use serde::{Deserialize, Serialize};
 
@@ -139,68 +139,41 @@ impl NetFaultConfig {
             partitions: [None; MAX_PARTITION_WINDOWS],
         }
     }
+}
 
-    /// Serializes the plan (embedded in segment snapshots as a config
-    /// guard). The partition field leads with a format tag byte:
-    /// `2` (current) is followed by a window count and that many
-    /// windows. The retired single-window format wrote a bool here —
-    /// `0`/`1` — which [`load`](NetFaultConfig::load) still decodes.
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.seed);
-        w.u32(self.drop_ppm);
-        w.u32(self.dup_ppm);
-        w.u32(self.reorder_ppm);
-        w.u64(self.reorder_window);
-        w.u32(self.corrupt_ppm);
-        w.u8(2);
-        let windows: Vec<&PartitionPlan> = self.partitions.iter().flatten().collect();
-        w.usize(windows.len());
-        for p in windows {
-            w.u64(p.from);
-            w.u64(p.until);
-            w.usize(p.boundary);
-        }
+firefly_core::snap_struct!(PartitionPlan { from, until, boundary });
+
+/// The rates, then the partition field, which leads with a format tag
+/// byte: `2` (current) is followed by the list of windows. The retired
+/// single-window format wrote a bool here — `0`/`1`, then one window's
+/// fields — and still decodes.
+impl Snap for NetFaultConfig {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put(&(self.seed, self.drop_ppm, self.dup_ppm, self.reorder_ppm));
+        w.put(&(self.reorder_window, self.corrupt_ppm, 2u8));
+        w.put(&self.partitions.iter().flatten().copied().collect::<Vec<_>>());
     }
 
-    /// Reads a plan written by [`save`](NetFaultConfig::save), or by
-    /// the retired single-window format (tag `0`/`1`, formerly a bool).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SnapshotCorrupt`] on truncation, an unknown
-    /// format tag, or too many windows.
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        let seed = r.u64()?;
-        let drop_ppm = r.u32()?;
-        let dup_ppm = r.u32()?;
-        let reorder_ppm = r.u32()?;
-        let reorder_window = r.u64()?;
-        let corrupt_ppm = r.u32()?;
-        let mut partitions = [None; MAX_PARTITION_WINDOWS];
-        match r.u8()? {
-            0 => {}
-            1 => {
-                partitions[0] =
-                    Some(PartitionPlan { from: r.u64()?, until: r.u64()?, boundary: r.usize()? });
-            }
-            2 => {
-                let count = r.usize()?;
-                if count > MAX_PARTITION_WINDOWS {
-                    return Err(Error::SnapshotCorrupt(format!(
-                        "{count} partition windows exceeds the {MAX_PARTITION_WINDOWS} cap"
-                    )));
-                }
-                for slot in partitions.iter_mut().take(count) {
-                    *slot = Some(PartitionPlan {
-                        from: r.u64()?,
-                        until: r.u64()?,
-                        boundary: r.usize()?,
-                    });
-                }
-            }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
+        let (seed, drop_ppm, dup_ppm, reorder_ppm) = r.get()?;
+        let (reorder_window, corrupt_ppm, tag) = r.get()?;
+        let windows: Vec<PartitionPlan> = match tag {
+            0u8 => Vec::new(),
+            1 => vec![r.get()?],
+            2 => r.get()?,
             tag => {
                 return Err(Error::SnapshotCorrupt(format!("unknown partition format tag {tag}")))
             }
+        };
+        if windows.len() > MAX_PARTITION_WINDOWS {
+            return Err(Error::SnapshotCorrupt(format!(
+                "{} partition windows exceeds the {MAX_PARTITION_WINDOWS} cap",
+                windows.len()
+            )));
+        }
+        let mut partitions = [None; MAX_PARTITION_WINDOWS];
+        for (slot, plan) in partitions.iter_mut().zip(windows) {
+            *slot = Some(plan);
         }
         Ok(NetFaultConfig {
             seed,
@@ -242,19 +215,19 @@ impl NetFaults {
     /// Serializes the mutable stream positions (the plan itself is a
     /// config guard saved separately).
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        self.drop.save(w);
-        self.dup.save(w);
-        self.reorder.save(w);
-        self.corrupt.save(w);
+        w.put(&self.drop);
+        w.put(&self.dup);
+        w.put(&self.reorder);
+        w.put(&self.corrupt);
     }
 
     pub(crate) fn load_state(cfg: &NetFaultConfig, r: &mut SnapReader<'_>) -> Result<Self, Error> {
         Ok(NetFaults {
             cfg: *cfg,
-            drop: FaultSite::load(r)?,
-            dup: FaultSite::load(r)?,
-            reorder: FaultSite::load(r)?,
-            corrupt: FaultSite::load(r)?,
+            drop: r.get()?,
+            dup: r.get()?,
+            reorder: r.get()?,
+            corrupt: r.get()?,
         })
     }
 }
@@ -305,10 +278,10 @@ mod tests {
             .with_partition(PartitionPlan { from: 1, until: 2, boundary: 3 })
             .with_partition(PartitionPlan { from: 5, until: 9, boundary: 3 });
         let mut w = SnapWriter::new();
-        cfg.save(&mut w);
+        w.put(&cfg);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(NetFaultConfig::load(&mut r).unwrap(), cfg);
+        assert_eq!(r.get::<NetFaultConfig>().unwrap(), cfg);
         r.expect_end().unwrap();
     }
 
@@ -339,13 +312,13 @@ mod tests {
         let plan = PartitionPlan { from: 40, until: 90, boundary: 2 };
         let bytes = legacy_bytes(Some(plan));
         let mut r = SnapReader::new(&bytes);
-        let cfg = NetFaultConfig::load(&mut r).unwrap();
+        let cfg = r.get::<NetFaultConfig>().unwrap();
         r.expect_end().unwrap();
         assert_eq!(cfg, NetFaultConfig::lossy(9, 250).with_partition(plan));
 
         let bytes = legacy_bytes(None);
         let mut r = SnapReader::new(&bytes);
-        let cfg = NetFaultConfig::load(&mut r).unwrap();
+        let cfg = r.get::<NetFaultConfig>().unwrap();
         r.expect_end().unwrap();
         assert_eq!(cfg, NetFaultConfig::lossy(9, 250));
     }
@@ -355,6 +328,6 @@ mod tests {
         let mut bytes = legacy_bytes(None);
         *bytes.last_mut().unwrap() = 7;
         let mut r = SnapReader::new(&bytes);
-        assert!(NetFaultConfig::load(&mut r).is_err());
+        assert!(r.get::<NetFaultConfig>().is_err());
     }
 }

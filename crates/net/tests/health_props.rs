@@ -13,7 +13,7 @@
 //! * a hedged call completes at most once, with the canonical result,
 //!   no matter what the wire does to the two copies.
 
-use firefly_core::snapshot::{SnapReader, SnapWriter};
+use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
 use firefly_net::{
     BreakerConfig, BreakerState, CircuitBreaker, EtherSegment, FailureDetector, NetFaultConfig,
     RetryPolicy, RpcClient, RpcServer, SegmentConfig,

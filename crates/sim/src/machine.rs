@@ -445,7 +445,7 @@ impl Firefly {
         }
         let mut b = SnapshotBuilder::new();
         let mut w = SnapWriter::new();
-        w.usize(self.processors.len());
+        w.put(&self.processors.len());
         b.section("machine", w.into_bytes());
         let mut w = SnapWriter::new();
         w.bytes(&self.sys.save_snapshot());
@@ -474,7 +474,7 @@ impl Firefly {
         }
         let file = SnapshotFile::parse(bytes)?;
         let mut r = file.section("machine")?;
-        let cpus = r.usize()?;
+        let cpus: usize = r.get()?;
         if cpus != self.processors.len() {
             return Err(Error::SnapshotCorrupt(format!(
                 "snapshot has {cpus} CPUs, machine has {}",

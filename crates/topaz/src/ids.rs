@@ -21,6 +21,8 @@ macro_rules! id_type {
             }
         }
 
+        firefly_core::snap_struct!($name(0));
+
         impl fmt::Debug for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)

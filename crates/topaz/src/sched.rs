@@ -33,6 +33,8 @@ pub enum MigrationPolicy {
     FreeMigration,
 }
 
+firefly_core::snap_enum!(MigrationPolicy { AvoidMigration = 0, FreeMigration = 1 });
+
 /// The ready queue plus dispatch policy.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -129,28 +131,10 @@ impl Scheduler {
     /// Serializes the ready queue, per-CPU idle counters, and dispatch
     /// statistics for a machine checkpoint.
     pub fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self.policy {
-            MigrationPolicy::AvoidMigration => 0,
-            MigrationPolicy::FreeMigration => 1,
-        });
-        w.u64(self.steal_patience);
-        w.usize(self.ready.len());
-        for &(t, last) in &self.ready {
-            w.u32(t.index() as u32);
-            match last {
-                Some(cpu) => {
-                    w.bool(true);
-                    w.usize(cpu);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.usize(self.idle.len());
-        for &i in &self.idle {
-            w.u64(i);
-        }
-        w.u64(self.dispatches);
-        w.u64(self.migrations);
+        w.put(&(self.policy, self.steal_patience));
+        w.put(&self.ready);
+        w.put(&self.idle);
+        w.put(&(self.dispatches, self.migrations));
     }
 
     /// Restores state captured by [`Scheduler::save`] into a scheduler
@@ -161,42 +145,24 @@ impl Scheduler {
     /// Returns [`Error::SnapshotCorrupt`] if the policy tag is invalid,
     /// the CPU count differs, or a recorded last-CPU is out of range.
     pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let policy = match r.u8()? {
-            0 => MigrationPolicy::AvoidMigration,
-            1 => MigrationPolicy::FreeMigration,
-            t => return Err(Error::SnapshotCorrupt(format!("invalid policy tag {t}"))),
-        };
-        let steal_patience = r.u64()?;
-        let n = r.usize()?;
-        let mut ready = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let t = ThreadId::new(r.u32()?);
-            let last = if r.bool()? {
-                let cpu = r.usize()?;
-                if cpu >= self.idle.len() {
-                    return Err(Error::SnapshotCorrupt(format!("last CPU {cpu} out of range")));
-                }
-                Some(cpu)
-            } else {
-                None
-            };
-            ready.push_back((t, last));
+        let (policy, steal_patience) = r.get()?;
+        let ready: VecDeque<(ThreadId, Option<usize>)> = r.get()?;
+        if let Some(cpu) =
+            ready.iter().filter_map(|&(_, last)| last).find(|&c| c >= self.idle.len())
+        {
+            return Err(Error::SnapshotCorrupt(format!("last CPU {cpu} out of range")));
         }
-        let cpus = r.usize()?;
-        if cpus != self.idle.len() {
+        let idle: Vec<u64> = r.get()?;
+        if idle.len() != self.idle.len() {
             return Err(Error::SnapshotCorrupt(format!(
-                "snapshot has {cpus} CPUs, scheduler has {}",
+                "snapshot has {} CPUs, scheduler has {}",
+                idle.len(),
                 self.idle.len()
             )));
         }
-        for i in &mut self.idle {
-            *i = r.u64()?;
-        }
-        self.policy = policy;
-        self.steal_patience = steal_patience;
-        self.ready = ready;
-        self.dispatches = r.u64()?;
-        self.migrations = r.u64()?;
+        (self.policy, self.steal_patience, self.ready, self.idle) =
+            (policy, steal_patience, ready, idle);
+        (self.dispatches, self.migrations) = r.get()?;
         Ok(())
     }
 }

@@ -97,14 +97,12 @@ impl RefStream for MultiprogramWorkload {
         for p in &self.processes {
             p.save_state(w)?;
         }
-        w.usize(self.current);
-        w.u64(self.refs_in_quantum);
-        w.u64(self.switches);
+        w.put(&(self.current, self.refs_in_quantum, self.switches));
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let n = r.usize()?;
+        let n: usize = r.get()?;
         if n != self.processes.len() {
             return Err(Error::SnapshotCorrupt(format!(
                 "snapshot has {n} processes, stream has {}",
@@ -114,13 +112,11 @@ impl RefStream for MultiprogramWorkload {
         for p in &mut self.processes {
             p.load_state(r)?;
         }
-        let current = r.usize()?;
+        let (current, refs_in_quantum, switches) = r.get()?;
         if current >= self.processes.len() {
             return Err(Error::SnapshotCorrupt(format!("process index {current} out of range")));
         }
-        self.current = current;
-        self.refs_in_quantum = r.u64()?;
-        self.switches = r.u64()?;
+        (self.current, self.refs_in_quantum, self.switches) = (current, refs_in_quantum, switches);
         Ok(())
     }
 }

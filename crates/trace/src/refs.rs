@@ -143,27 +143,8 @@ pub trait RefStream {
     }
 }
 
-/// Writes a [`MemRef`] through the snapshot codec.
-pub(crate) fn save_ref(r: MemRef, w: &mut SnapWriter) {
-    w.u32(r.addr.byte());
-    w.u8(match r.kind {
-        RefKind::InstrRead => 0,
-        RefKind::DataRead => 1,
-        RefKind::DataWrite => 2,
-    });
-}
-
-/// Reads a [`MemRef`] written by [`save_ref`].
-pub(crate) fn load_ref(r: &mut SnapReader<'_>) -> Result<MemRef, Error> {
-    let addr = Addr::new(r.u32()?);
-    let kind = match r.u8()? {
-        0 => RefKind::InstrRead,
-        1 => RefKind::DataRead,
-        2 => RefKind::DataWrite,
-        t => return Err(Error::SnapshotCorrupt(format!("invalid ref kind tag {t}"))),
-    };
-    Ok(MemRef { addr, kind })
-}
+firefly_core::snap_enum!(RefKind { InstrRead = 0, DataRead = 1, DataWrite = 2 });
+firefly_core::snap_struct!(MemRef { addr, kind });
 
 /// Iterator over a bounded prefix of a stream.
 /// Created by [`RefStream::take_refs`].

@@ -350,37 +350,18 @@ impl RefStream for SyntheticWorkload {
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), Error> {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        w.u32(self.body_start);
-        w.u32(self.body_len);
-        w.u32(self.body_pos);
-        w.u32(self.iterations_left);
-        w.usize(self.queue.len());
-        for &r in &self.queue {
-            crate::refs::save_ref(r, w);
-        }
-        w.u64(self.instructions);
+        w.put(&self.rng);
+        w.put(&(self.body_start, self.body_len, self.body_pos, self.iterations_left));
+        w.put(&self.queue);
+        w.put(&self.instructions);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(s);
-        self.body_start = r.u32()?;
-        self.body_len = r.u32()?;
-        self.body_pos = r.u32()?;
-        self.iterations_left = r.u32()?;
-        let n = r.usize()?;
-        self.queue.clear();
-        for _ in 0..n {
-            self.queue.push_back(crate::refs::load_ref(r)?);
-        }
-        self.instructions = r.u64()?;
+        self.rng = r.get()?;
+        (self.body_start, self.body_len, self.body_pos, self.iterations_left) = r.get()?;
+        self.queue = r.get()?;
+        self.instructions = r.get()?;
         Ok(())
     }
 }

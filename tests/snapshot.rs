@@ -294,6 +294,25 @@ fn with_version(image: &[u8], version: u32) -> Vec<u8> {
     bytes
 }
 
+/// Offsets at which the container's structure changes: the start of
+/// each section's name length, name, payload length and payload, and
+/// the CRC trailer.
+fn section_boundaries(image: &[u8]) -> Vec<usize> {
+    let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(image[8..12].try_into().unwrap());
+    let mut at = 12;
+    let mut out = Vec::new();
+    for _ in 0..count {
+        let name = at + 8;
+        let payload_len = name + word(at);
+        let payload = payload_len + 8;
+        out.extend([at, name, payload_len, payload]);
+        at = payload + word(payload_len);
+    }
+    out.push(at);
+    out
+}
+
 /// Pinned regressions: skewed, corrupted, truncated, and garbage images
 /// must come back as structured errors, never panics.
 #[test]
@@ -322,8 +341,17 @@ fn version_skew_and_corruption_are_rejected_with_structured_errors() {
         "bit flip must fail the checksum"
     );
 
-    // Truncations at every prefix length are errors, not panics.
-    for cut in 0..image.len() {
+    // Truncations are errors, not panics. Every prefix fails the CRC
+    // before any field is decoded (`tests/snapshot_fuzz.rs` reaches the
+    // decoders), so cut where the container's own parsing changes: in
+    // the header, around each section boundary, and at a fixed stride.
+    let mut cuts: Vec<usize> = (0..=12).collect();
+    for b in section_boundaries(&image) {
+        cuts.extend([b - 1, b, b + 1]);
+    }
+    cuts.extend((0..image.len()).step_by(997));
+    cuts.retain(|&c| c < image.len());
+    for cut in cuts {
         assert!(
             MemSystem::restore(&image[..cut]).is_err(),
             "truncation to {cut} bytes must be rejected"
