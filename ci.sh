@@ -52,35 +52,38 @@ fi
 echo "== rpc_bandwidth --smoke (§6 4.6 Mb/s claim)"
 cargo run --release -p firefly-bench --bin rpc_bandwidth -- --smoke > /dev/null
 
-echo "== bench: engine_bench --smoke -> BENCH_6.json + schema check"
-cargo run --release -p firefly-bench --bin engine_bench -- --smoke --out BENCH_6.json
-cargo run --release -p firefly-bench --bin bench_check -- BENCH_6.json
+# Smoke-sized BENCH reports go to target/bench/ and are gated there: the
+# committed BENCH_*.json files at the root come from full runs only.
+bench_dir=target/bench
+mkdir -p "$bench_dir"
 
-echo "== bench: fleet --smoke -> BENCH_7.json + schema/gate check"
-cargo run --release -p firefly-bench --bin fleet -- --smoke --out BENCH_7.json
-cargo run --release -p firefly-bench --bin bench_check -- BENCH_7.json
+echo "== bench: engine_bench --smoke -> $bench_dir/BENCH_6.json + schema check"
+cargo run --release -p firefly-bench --bin engine_bench -- --smoke --out "$bench_dir/BENCH_6.json"
+cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_6.json"
 
-echo "== bench: arbiter_sweep --smoke -> BENCH_8.json + schema/gate check"
-cargo run --release -p firefly-bench --bin arbiter_sweep -- --smoke --out BENCH_8.json
-cargo run --release -p firefly-bench --bin bench_check -- BENCH_8.json
+echo "== bench: fleet --smoke -> $bench_dir/BENCH_7.json + schema/gate check"
+cargo run --release -p firefly-bench --bin fleet -- --smoke --out "$bench_dir/BENCH_7.json"
+cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_7.json"
+
+echo "== bench: arbiter_sweep --smoke -> $bench_dir/BENCH_8.json + schema/gate check"
+cargo run --release -p firefly-bench --bin arbiter_sweep -- --smoke --out "$bench_dir/BENCH_8.json"
+cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_8.json"
 
 echo "== arbiter sweep determinism gate (bit-identical across widths)"
-a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin arbiter_sweep -- --smoke --json --out /tmp/bench8-j1.json)"
-b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin arbiter_sweep -- --smoke --json --out /tmp/bench8-j4.json)"
-rm -f /tmp/bench8-j1.json /tmp/bench8-j4.json
+a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin arbiter_sweep -- --smoke --json --out "$bench_dir/bench8-j1.json")"
+b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin arbiter_sweep -- --smoke --json --out "$bench_dir/bench8-j4.json")"
 if [ "$a" != "$b" ]; then
     echo "arbiter_sweep --smoke --json differs between FIREFLY_JOBS=1 and 4" >&2
     exit 1
 fi
 
-echo "== bench: partition --smoke -> BENCH_10.json + schema/gate check"
-cargo run --release -p firefly-bench --bin partition -- --smoke --out BENCH_10.json
-cargo run --release -p firefly-bench --bin bench_check -- BENCH_10.json
+echo "== bench: partition --smoke -> $bench_dir/BENCH_10.json + schema/gate check"
+cargo run --release -p firefly-bench --bin partition -- --smoke --out "$bench_dir/BENCH_10.json"
+cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_10.json"
 
 echo "== partition determinism gate (bit-identical across widths)"
-a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin partition -- --smoke --json --out /tmp/bench10-j1.json)"
-b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin partition -- --smoke --json --out /tmp/bench10-j4.json)"
-rm -f /tmp/bench10-j1.json /tmp/bench10-j4.json
+a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin partition -- --smoke --json --out "$bench_dir/bench10-j1.json")"
+b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin partition -- --smoke --json --out "$bench_dir/bench10-j4.json")"
 if [ "$a" != "$b" ]; then
     echo "partition --smoke --json differs between FIREFLY_JOBS=1 and 4" >&2
     exit 1

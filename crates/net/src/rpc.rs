@@ -535,6 +535,11 @@ impl RpcClient {
         self.nic
     }
 
+    /// The server NICs this client calls, by slot.
+    pub fn servers(&self) -> &[u32] {
+        &self.servers
+    }
+
     /// Cumulative counters.
     pub fn stats(&self) -> RpcClientStats {
         self.stats
@@ -599,6 +604,28 @@ impl RpcClient {
         }
         self.backlog.push_back((payload_bytes, now, priority));
         true
+    }
+
+    /// Whether the backlog holds a call the outstanding cap lets in.
+    fn can_admit(&self) -> bool {
+        !self.backlog.is_empty()
+            && (self.policy.max_outstanding == 0
+                || self.pending.len() < self.policy.max_outstanding)
+    }
+
+    /// The next cycle after `now` at which [`tick`](RpcClient::tick)
+    /// acts, given no frame arrives first: `now + 1` while the backlog
+    /// can admit a call (each cycle tries the enqueue, and a refused
+    /// one is counted), else the earliest timeout or hedge. That timer
+    /// may be stale-low after an ack; waking on it is a scan that finds
+    /// nothing due.
+    #[inline]
+    pub fn next_event(&self, now: u64) -> u64 {
+        if self.can_admit() {
+            now + 1
+        } else {
+            self.next_deadline.max(now + 1)
+        }
     }
 
     /// Lowest sequence number this client could still retransmit;
@@ -896,10 +923,7 @@ impl RpcClient {
                 self.pending.values().map(Pending::wake_at).min().unwrap_or(u64::MAX);
         }
 
-        while !self.backlog.is_empty()
-            && (self.policy.max_outstanding == 0
-                || self.pending.len() < self.policy.max_outstanding)
-        {
+        while self.can_admit() {
             let (payload_bytes, submitted, priority) =
                 *self.backlog.front().expect("backlog non-empty");
             let seq = self.next_seq;
@@ -978,8 +1002,8 @@ impl RpcClient {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::SnapshotCorrupt`] on truncation or a degenerate
-    /// server list.
+    /// Returns [`Error::SnapshotCorrupt`] on truncation, a degenerate
+    /// server list, or a pending call bound to a slot past it.
     pub fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
         let (nic, policy) = r.get()?;
         let servers: Vec<u32> = r.get()?;
@@ -988,6 +1012,9 @@ impl RpcClient {
         }
         let next_seq = r.get()?;
         let pending: BTreeMap<u64, Pending> = r.get()?;
+        if pending.values().any(|p| p.server_slot >= servers.len()) {
+            return Err(Error::SnapshotCorrupt("pending call bound to no server slot".into()));
+        }
         let backlog = r.get()?;
         let epochs = servers.iter().map(|_| r.get()).collect::<Result<_, _>>()?;
         let breakers: Vec<CircuitBreaker> = r.get()?;
@@ -1215,6 +1242,11 @@ impl RpcServer {
         self.nic
     }
 
+    /// Worker threads.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Current incarnation number.
     pub fn epoch(&self) -> u32 {
         self.epoch
@@ -1253,6 +1285,20 @@ impl RpcServer {
             }
         }
         t.max(1)
+    }
+
+    /// The next cycle after `now` at which [`tick`](RpcServer::tick)
+    /// acts, given no frame arrives first: `now + 1` while replies wait
+    /// for TX ring space (each cycle retries the enqueue, and a refused
+    /// one is counted) or a worker is free with work queued; else the
+    /// earliest running job's completion. `u64::MAX` when idle.
+    #[inline]
+    pub fn next_event(&self, now: u64) -> u64 {
+        let free_worker = self.running.iter().any(Option::is_none);
+        if !self.reply_backlog.is_empty() || (free_worker && !self.queue.is_empty()) {
+            return now + 1;
+        }
+        self.running.iter().flatten().map(|job| job.done_at).min().unwrap_or(u64::MAX).max(now + 1)
     }
 
     /// Queues `msg` to a client, spilling to the bounded reply backlog
@@ -1855,6 +1901,21 @@ mod tests {
         q.server.save(&mut w2);
         q.client.save(&mut w2);
         assert_eq!(w1.into_bytes(), w2.into_bytes());
+    }
+
+    #[test]
+    fn pending_call_past_the_server_list_is_rejected() {
+        let mut seg = EtherSegment::new(SegmentConfig::new(3));
+        let mut client = RpcClient::new(1, vec![0, 2], RetryPolicy::budgeted(15_000), 5);
+        client.submit(0, 64);
+        seg.tick();
+        client.tick(seg.cycle(), &mut seg);
+        client.pending.values_mut().next().expect("the call is pending").server_slot = 2;
+        let mut w = SnapWriter::new();
+        client.save(&mut w);
+        let bytes = w.into_bytes();
+        let loaded = RpcClient::load(&mut SnapReader::new(&bytes));
+        assert!(matches!(loaded, Err(Error::SnapshotCorrupt(_))));
     }
 
     /// A raw request frame with an explicit `ack_below` declaration.

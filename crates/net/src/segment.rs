@@ -342,6 +342,44 @@ impl EtherSegment {
         }
     }
 
+    /// The next cycle at which [`tick`](EtherSegment::tick) does more
+    /// than advance the clock: the in-flight frame's completion or, on
+    /// an idle wire, the earliest backoff expiry among online NICs with
+    /// queued frames; and any delayed (reordered) frame's release.
+    /// `u64::MAX` when nothing is pending. Derived from the state alone,
+    /// so skipping to it needs nothing stored.
+    #[inline]
+    pub fn next_event(&self) -> u64 {
+        let wire = match &self.wire {
+            Some((done_at, _)) => *done_at,
+            None => self
+                .nics
+                .iter()
+                .filter(|n| n.online && !n.tx.is_empty())
+                .map(|n| n.backoff_until)
+                .min()
+                .unwrap_or(u64::MAX),
+        };
+        let delayed = self.delayed.iter().map(|&(at, _)| at).min().unwrap_or(u64::MAX);
+        wire.min(delayed).max(self.cycle + 1)
+    }
+
+    /// Advances the clock to `cycle` in one jump. Short of
+    /// [`next_event`](EtherSegment::next_event) a tick only moves the
+    /// clock and, while a frame is in flight, counts a busy wire cycle,
+    /// so this leaves exactly the state ticking there would.
+    pub fn skip_to(&mut self, cycle: u64) {
+        debug_assert!(
+            cycle >= self.cycle && cycle < self.next_event(),
+            "skip from {} to {cycle} crosses a segment event",
+            self.cycle
+        );
+        if self.wire.is_some() {
+            self.stats.wire_busy_cycles += cycle - self.cycle;
+        }
+        self.cycle = cycle;
+    }
+
     /// CSMA/CD contention round on an idle wire.
     fn arbitrate(&mut self, now: u64) {
         let mut contenders: Vec<usize> = Vec::new();

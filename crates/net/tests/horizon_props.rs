@@ -1,0 +1,234 @@
+//! Property tests of the derived horizons the fleet skips by
+//! ([`EtherSegment::next_event`], [`RpcServer::next_event`],
+//! [`RpcClient::next_event`]).
+//!
+//! A skipping fleet is only bit-identical to a ticking one if no horizon
+//! is ever late. For every input:
+//!
+//! * a segment that jumps with `skip_to(next_event() - 1)` and then
+//!   ticks once saves the same bytes as one ticked every cycle, under
+//!   random enqueue schedules, fault plans (drop, duplicate, reorder,
+//!   corrupt, partition windows) and NIC power toggles;
+//! * ticking a server or client at any cycle short of its
+//!   `next_event(now)`, with no frame arriving, changes neither its saved
+//!   bytes nor the segment's (a refused enqueue would count).
+
+use firefly_core::snapshot::SnapWriter;
+use firefly_net::{
+    EtherSegment, Frame, NetFaultConfig, PartitionPlan, RetryPolicy, RpcClient, RpcServer,
+    SegmentConfig,
+};
+use proptest::prelude::*;
+
+/// One scheduled perturbation, applied after `gap` cycles have run.
+#[derive(Copy, Clone, Debug)]
+enum Op {
+    /// Queue a frame `src → dst` with a `len`-byte payload.
+    Enqueue { src: usize, dst: usize, len: usize },
+    /// Flip a NIC's power.
+    Toggle(usize),
+    /// Drain a NIC's RX ring.
+    Drain(usize),
+}
+
+/// Two enqueues for every toggle or drain.
+fn op() -> impl Strategy<Value = Op> {
+    (0..6u8, 0..8usize, 0..8usize, 0..400usize).prop_map(|(kind, a, b, len)| match kind {
+        0 => Op::Toggle(a),
+        1 => Op::Drain(a),
+        _ => Op::Enqueue { src: a, dst: b, len },
+    })
+}
+
+/// A fault rate: zero half the time, else up to 40%.
+fn rate() -> impl Strategy<Value = u32> {
+    (0..800_000u32).prop_map(|r| r.saturating_sub(400_000))
+}
+
+/// Every fault class at its own rate, plus up to two partition windows.
+fn fault_plan() -> impl Strategy<Value = NetFaultConfig> {
+    let windows = proptest::collection::vec((0..40_000u64, 1..40_000u64, 1..8usize), 0..3);
+    (any::<u64>(), (rate(), rate(), rate(), rate()), 1..5_000u64, windows).prop_map(
+        |(seed, (drop_ppm, dup_ppm, reorder_ppm, corrupt_ppm), reorder_window, windows)| {
+            let mut plan = NetFaultConfig {
+                seed,
+                drop_ppm,
+                dup_ppm,
+                reorder_ppm,
+                reorder_window,
+                corrupt_ppm,
+                ..NetFaultConfig::default()
+            };
+            for (from, len, boundary) in windows {
+                plan.add_partition(PartitionPlan { from, until: from + len, boundary });
+            }
+            plan
+        },
+    )
+}
+
+fn segment_bytes(seg: &EtherSegment) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    seg.save(&mut w);
+    w.into_bytes()
+}
+
+fn server_bytes(server: &RpcServer) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    server.save(&mut w);
+    w.into_bytes()
+}
+
+fn client_bytes(client: &RpcClient) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    client.save(&mut w);
+    w.into_bytes()
+}
+
+/// Advances `seg` to `target` by skipping to the cycle before each event
+/// and ticking through the event itself.
+fn skip_until(seg: &mut EtherSegment, target: u64) {
+    while seg.cycle() < target {
+        seg.skip_to((seg.next_event() - 1).min(target));
+        if seg.cycle() < target {
+            seg.tick();
+        }
+    }
+}
+
+/// Checks that ticking `server` and `client` at `at` — each short of its
+/// own horizon — leaves every saved byte alone.
+fn assert_quiet_at(
+    seg: &EtherSegment,
+    server: &RpcServer,
+    client: &RpcClient,
+    now: u64,
+    pick: u64,
+) {
+    let (seg_before, server_before, client_before) =
+        (segment_bytes(seg), server_bytes(server), client_bytes(client));
+    for horizon in [server.next_event(now), client.next_event(now)] {
+        assert!(horizon > now, "a horizon at or before now");
+    }
+    // The first, last and one random cycle strictly between now and the
+    // horizon (none when the horizon is the next cycle).
+    let probe = |horizon: u64| match horizon - now - 1 {
+        0 => Vec::new(),
+        span => vec![now + 1, now + 1 + pick % span, horizon - 1],
+    };
+    for at in probe(server.next_event(now)) {
+        let (mut seg, mut server) = (seg.clone(), server.clone());
+        server.tick(at, &mut seg);
+        assert!(
+            server_bytes(&server) == server_before,
+            "server acted at {at}, before {now}'s horizon"
+        );
+        assert!(segment_bytes(&seg) == seg_before, "server touched the wire at {at}");
+    }
+    for at in probe(client.next_event(now)) {
+        let (mut seg, mut client) = (seg.clone(), client.clone());
+        client.tick(at, &mut seg);
+        assert!(
+            client_bytes(&client) == client_before,
+            "client acted at {at}, before {now}'s horizon"
+        );
+        assert!(segment_bytes(&seg) == seg_before, "client touched the wire at {at}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Skipping to the cycle before each event and ticking it saves the
+    /// same bytes, and receives the same frames, as ticking every cycle.
+    #[test]
+    fn segment_skip_matches_ticking(
+        nics in 2..8usize,
+        tx_ring in 1..6usize,
+        rx_ring in 1..6usize,
+        seed in any::<u64>(),
+        faults in fault_plan(),
+        schedule in proptest::collection::vec((0..6_000u64, op()), 1..60),
+    ) {
+        let cfg = SegmentConfig { nics, tx_ring, rx_ring, seed, faults };
+        let mut ticked = EtherSegment::new(cfg);
+        let mut skipping = EtherSegment::new(cfg);
+        for (gap, op) in schedule {
+            let target = ticked.cycle() + gap;
+            while ticked.cycle() < target {
+                ticked.tick();
+            }
+            skip_until(&mut skipping, target);
+            prop_assert!(segment_bytes(&ticked) == segment_bytes(&skipping), "diverged by {target}");
+            match op {
+                Op::Enqueue { src, dst, len } => {
+                    let frame = Frame::new(src % nics, dst % nics, vec![len as u8; len]);
+                    prop_assert_eq!(ticked.enqueue(frame.clone()), skipping.enqueue(frame));
+                }
+                Op::Toggle(nic) => {
+                    let online = !ticked.is_online(nic % nics);
+                    ticked.set_online(nic % nics, online);
+                    skipping.set_online(nic % nics, online);
+                }
+                Op::Drain(nic) => loop {
+                    let (a, b) = (ticked.recv(nic % nics), skipping.recv(nic % nics));
+                    prop_assert_eq!(&a, &b);
+                    if a.is_none() {
+                        break;
+                    }
+                },
+            }
+        }
+        let end = ticked.cycle() + 50_000;
+        while ticked.cycle() < end {
+            ticked.tick();
+        }
+        skip_until(&mut skipping, end);
+        prop_assert!(segment_bytes(&ticked) == segment_bytes(&skipping), "diverged by {end}");
+    }
+
+    /// A server and a client on a faulty wire, driven by random call
+    /// bursts: after every cycle, ticking either endpoint again at any
+    /// cycle short of its horizon is a no-op.
+    #[test]
+    fn endpoints_are_quiet_before_their_horizons(
+        policy in 0..3u8,
+        timeout in 500..20_000u64,
+        threads in 1..4usize,
+        service in 50..6_000u64,
+        tx_ring in 1..4usize,
+        seed in any::<u64>(),
+        faults in fault_plan(),
+        bursts in proptest::collection::vec((0..15_000u64, 0..6usize, 1..600u32), 1..12),
+        picks in proptest::collection::vec(any::<u64>(), 16),
+    ) {
+        let policy = match policy {
+            0 => RetryPolicy::naive(timeout),
+            1 => RetryPolicy::budgeted(timeout),
+            _ => RetryPolicy::resilient(timeout),
+        };
+        let cfg = SegmentConfig { nics: 3, tx_ring, rx_ring: 4, seed, faults };
+        let mut seg = EtherSegment::new(cfg);
+        let mut server = RpcServer::new(0, threads, service, seed);
+        server.set_queue_cap(4);
+        let mut client = RpcClient::new(1, vec![0, 2], policy, seed);
+        let mut checks = 0usize;
+        for (gap, calls, bytes) in bursts {
+            let end = seg.cycle() + gap.max(1);
+            while seg.cycle() < end {
+                seg.tick();
+                let now = seg.cycle();
+                server.tick(now, &mut seg);
+                client.tick(now, &mut seg);
+                if now.is_multiple_of(97) {
+                    let pick = picks[checks % picks.len()];
+                    assert_quiet_at(&seg, &server, &client, now, pick);
+                    checks += 1;
+                }
+            }
+            for _ in 0..calls {
+                client.submit(seg.cycle(), bytes);
+            }
+        }
+    }
+}

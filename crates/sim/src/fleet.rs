@@ -430,6 +430,17 @@ impl FleetConfig {
         cfg
     }
 
+    /// The segment a fleet of this shape attaches to: one NIC per
+    /// machine, servers first.
+    fn segment_config(&self) -> SegmentConfig {
+        let mut seg = SegmentConfig::new(self.servers + self.clients);
+        seg.tx_ring = self.tx_ring;
+        seg.rx_ring = self.rx_ring;
+        seg.seed = self.seed;
+        seg.faults = self.faults;
+        seg
+    }
+
     fn validate(&self) {
         assert!(self.servers >= 1, "fleet needs at least one server");
         assert!(self.clients >= 1, "fleet needs at least one client");
@@ -513,6 +524,13 @@ impl ClientHost {
             self.next_arrival += sample_interarrival(&mut self.arrivals, cfg.arrivals_per_mcycle);
         }
         self.rpc.tick(now, seg);
+    }
+
+    /// The next cycle after `now` at which [`tick`](ClientHost::tick)
+    /// acts, given no frame arrives first: the next arrival or the
+    /// endpoint's own next event.
+    fn next_event(&self, now: u64) -> u64 {
+        self.rpc.next_event(now).min(self.next_arrival)
     }
 }
 
@@ -605,12 +623,7 @@ impl Fleet {
     /// arrival rate, empty or inverted payload range).
     pub fn new(cfg: FleetConfig) -> Self {
         cfg.validate();
-        let mut seg_cfg = SegmentConfig::new(cfg.servers + cfg.clients);
-        seg_cfg.tx_ring = cfg.tx_ring;
-        seg_cfg.rx_ring = cfg.rx_ring;
-        seg_cfg.seed = cfg.seed;
-        seg_cfg.faults = cfg.faults;
-        let segment = EtherSegment::new(seg_cfg);
+        let segment = EtherSegment::new(cfg.segment_config());
         let servers: Vec<RpcServer> = (0..cfg.servers)
             .map(|i| {
                 let seed = cfg.seed ^ 0xa076_1d64_78bd_642f_u64.wrapping_mul(i as u64 + 1);
@@ -646,7 +659,8 @@ impl Fleet {
     }
 
     /// Advances the fleet one cycle: wire first, then servers, then
-    /// clients — a fixed order so runs are deterministic.
+    /// clients — a fixed order so runs are deterministic. This is the
+    /// reference that [`run_until`](Fleet::run_until)'s skips must match.
     pub fn step(&mut self) {
         self.segment.tick();
         let now = self.segment.cycle();
@@ -664,17 +678,56 @@ impl Fleet {
 
     /// Runs `cycles` additional cycles.
     pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
-        }
+        self.run_until(self.cycle + cycles);
     }
 
     /// Runs until the fleet cycle reaches `target` (no-op if already
-    /// there).
+    /// there). Bit-identical to calling [`step`](Fleet::step) until
+    /// then, but after each step the clock jumps straight to the cycle
+    /// before the fleet's next event: every step short of it would only
+    /// advance the clock.
     pub fn run_until(&mut self, target: u64) {
         while self.cycle < target {
             self.step();
+            let idle_until = (self.next_event() - 1).min(target);
+            if idle_until > self.cycle {
+                self.segment.skip_to(idle_until);
+                self.cycle = idle_until;
+            }
         }
+    }
+
+    /// The next cycle at which [`step`](Fleet::step) does more than
+    /// advance the clock: the earliest of the segment's next event and
+    /// each live endpoint's, or the next cycle for a live endpoint with
+    /// frames waiting in its RX ring (a step drains every live ring, so
+    /// this guards only a state no step leaves, such as a crafted
+    /// image's). Partition and slowdown edges are no wake-ups: they are
+    /// read only at frame delivery and at job start, which are events
+    /// already. Breakers and failure detectors are lazy in `now` and
+    /// consulted only inside those actions.
+    fn next_event(&self) -> u64 {
+        let now = self.cycle;
+        let received = |nic: usize| self.segment.rx_queued(nic) > 0;
+        let servers = (self.servers.iter().enumerate())
+            .filter(|&(i, _)| self.server_online[i])
+            .map(|(i, s)| if received(i) { now + 1 } else { s.next_event(now) });
+        let clients = (self.clients.iter()).map(|c| {
+            if received(c.rpc.nic() as usize) {
+                now + 1
+            } else {
+                c.next_event(now)
+            }
+        });
+        let mut events = servers.chain(clients);
+        let mut at = self.segment.next_event();
+        while at > now + 1 {
+            match events.next() {
+                Some(event) => at = at.min(event),
+                None => break,
+            }
+        }
+        at
     }
 
     /// Crashes server `i` mid-run: its NIC goes offline (rings dropped,
@@ -967,8 +1020,10 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`Error::SnapshotCorrupt`] if the container is damaged,
-    /// a section is missing or trailing, or the embedded config does
-    /// not match this fleet's.
+    /// a section is missing or trailing, the embedded config does not
+    /// match this fleet's, or a nested section belongs to another fleet
+    /// shape (segment config, server NIC or thread count, client NIC or
+    /// server list).
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), Error> {
         let file = SnapshotFile::parse(bytes)?;
         let mut meta = file.section("fleet/meta")?;
@@ -986,17 +1041,33 @@ impl Fleet {
         let mut seg = file.section("fleet/segment")?;
         let segment = EtherSegment::load(&mut seg)?;
         seg.expect_end()?;
+        // Each nested section must be this fleet's own: a foreign one
+        // can be self-consistent yet index past this fleet's NICs.
+        if *segment.config() != self.cfg.segment_config() {
+            return Err(Error::SnapshotCorrupt("fleet segment config mismatch".into()));
+        }
         let mut servers = Vec::with_capacity(self.cfg.servers);
         for i in 0..self.cfg.servers {
             let mut r = file.section(&format!("fleet/server{i}"))?;
-            servers.push(RpcServer::load(&mut r)?);
+            let server = RpcServer::load(&mut r)?;
             r.expect_end()?;
+            if server.nic() as usize != i || server.threads() != self.cfg.server_threads {
+                return Err(Error::SnapshotCorrupt(format!("fleet/server{i} is not server {i}")));
+            }
+            servers.push(server);
         }
+        let server_nics = 0..self.cfg.servers as u32;
         let mut clients = Vec::with_capacity(self.cfg.clients);
         for i in 0..self.cfg.clients {
             let mut r = file.section(&format!("fleet/client{i}"))?;
-            clients.push(r.get()?);
+            let client: ClientHost = r.get()?;
             r.expect_end()?;
+            if client.rpc.nic() as usize != self.cfg.servers + i
+                || !client.rpc.servers().iter().copied().eq(server_nics.clone())
+            {
+                return Err(Error::SnapshotCorrupt(format!("fleet/client{i} is not client {i}")));
+            }
+            clients.push(client);
         }
         self.segment = segment;
         self.servers = servers;
@@ -1557,6 +1628,80 @@ mod tests {
         assert!(other.load_snapshot(&snap).is_err());
         // The failed load must leave the target untouched.
         assert_eq!(other.cycle(), 0);
+    }
+
+    /// A `serving(2, 6)` image with section `name` replaced by section
+    /// `donor_name` of a fleet built from `donor`, container CRC
+    /// rebuilt, loaded into a fresh `serving(2, 6)` fleet.
+    fn load_transplant(name: &str, donor: FleetConfig, donor_name: &str) -> Result<(), Error> {
+        let cfg = FleetConfig::serving(2, 6, 3);
+        let mut host = Fleet::new(cfg);
+        host.run(60_000);
+        let mut donor = Fleet::new(donor);
+        donor.run(60_000);
+        let (image, donor_image) = (host.save_snapshot(), donor.save_snapshot());
+        let (file, donor_file) = (SnapshotFile::parse(&image)?, SnapshotFile::parse(&donor_image)?);
+        let mut b = SnapshotBuilder::new();
+        for (section, _) in file.sections() {
+            let mut r = if section == name {
+                donor_file.section(donor_name)?
+            } else {
+                file.section(section)?
+            };
+            b.section(section, (0..r.remaining()).map(|_| r.u8()).collect::<Result<_, _>>()?);
+        }
+        let mut fleet = Fleet::new(cfg);
+        let loaded = fleet.load_snapshot(&b.finish());
+        assert_eq!(fleet.cycle(), 0, "a rejected image must leave the fleet unchanged");
+        loaded
+    }
+
+    fn assert_corrupt(loaded: Result<(), Error>) {
+        assert!(matches!(loaded, Err(Error::SnapshotCorrupt(_))), "loaded {loaded:?}");
+    }
+
+    #[test]
+    fn foreign_segment_section_is_rejected() {
+        assert_corrupt(load_transplant(
+            "fleet/segment",
+            FleetConfig::serving(1, 1, 3),
+            "fleet/segment",
+        ));
+    }
+
+    #[test]
+    fn server_section_in_another_slot_is_rejected() {
+        assert_corrupt(load_transplant(
+            "fleet/server1",
+            FleetConfig::serving(2, 6, 3),
+            "fleet/server0",
+        ));
+    }
+
+    #[test]
+    fn server_with_another_thread_count_is_rejected() {
+        let donor = FleetConfig { server_threads: 2, ..FleetConfig::serving(2, 6, 3) };
+        assert_corrupt(load_transplant("fleet/server0", donor, "fleet/server0"));
+    }
+
+    #[test]
+    fn client_section_in_another_slot_is_rejected() {
+        assert_corrupt(load_transplant(
+            "fleet/client1",
+            FleetConfig::serving(2, 6, 3),
+            "fleet/client0",
+        ));
+    }
+
+    #[test]
+    fn client_of_another_server_tier_is_rejected() {
+        // Client 0 of three servers sits at NIC 3, as client 1 of two
+        // does, but calls a server this fleet does not have.
+        assert_corrupt(load_transplant(
+            "fleet/client1",
+            FleetConfig::serving(3, 5, 3),
+            "fleet/client0",
+        ));
     }
 
     #[test]
