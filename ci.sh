@@ -10,6 +10,19 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Fails unless bench bin $1 prints the same `--smoke --json` bytes at
+# FIREFLY_JOBS=1 and 4. With a second argument, each width writes its
+# report to "$2-j<width>.json".
+same_across_widths() {
+    local bin="$1" out="${2:-}" j1 j4
+    j1="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin "$bin" -- --smoke --json ${out:+--out "$out-j1.json"})"
+    j4="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin "$bin" -- --smoke --json ${out:+--out "$out-j4.json"})"
+    if [ "$j1" != "$j4" ]; then
+        echo "$bin --smoke --json differs between FIREFLY_JOBS=1 and 4" >&2
+        exit 1
+    fi
+}
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -42,12 +55,7 @@ echo "== soak --smoke (chaos kill/restore + resume equivalence)"
 cargo run --release -p firefly-bench --bin soak -- --smoke
 
 echo "== checkpoint/resume equivalence gate (deterministic across widths)"
-a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin soak -- --smoke --json)"
-b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin soak -- --smoke --json)"
-if [ "$a" != "$b" ]; then
-    echo "soak --smoke --json differs between FIREFLY_JOBS=1 and 4" >&2
-    exit 1
-fi
+same_across_widths soak
 
 echo "== rpc_bandwidth --smoke (§6 4.6 Mb/s claim)"
 cargo run --release -p firefly-bench --bin rpc_bandwidth -- --smoke > /dev/null
@@ -70,24 +78,14 @@ cargo run --release -p firefly-bench --bin arbiter_sweep -- --smoke --out "$benc
 cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_8.json"
 
 echo "== arbiter sweep determinism gate (bit-identical across widths)"
-a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin arbiter_sweep -- --smoke --json --out "$bench_dir/bench8-j1.json")"
-b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin arbiter_sweep -- --smoke --json --out "$bench_dir/bench8-j4.json")"
-if [ "$a" != "$b" ]; then
-    echo "arbiter_sweep --smoke --json differs between FIREFLY_JOBS=1 and 4" >&2
-    exit 1
-fi
+same_across_widths arbiter_sweep "$bench_dir/bench8"
 
 echo "== bench: partition --smoke -> $bench_dir/BENCH_10.json + schema/gate check"
 cargo run --release -p firefly-bench --bin partition -- --smoke --out "$bench_dir/BENCH_10.json"
 cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_10.json"
 
 echo "== partition determinism gate (bit-identical across widths)"
-a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin partition -- --smoke --json --out "$bench_dir/bench10-j1.json")"
-b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin partition -- --smoke --json --out "$bench_dir/bench10-j4.json")"
-if [ "$a" != "$b" ]; then
-    echo "partition --smoke --json differs between FIREFLY_JOBS=1 and 4" >&2
-    exit 1
-fi
+same_across_widths partition "$bench_dir/bench10"
 
 echo "== trace smoke: protocol_compare --smoke --trace + trace_check"
 trace_file="$(mktemp /tmp/firefly-trace.XXXXXX.json)"

@@ -6,69 +6,181 @@
 //! method can distinguish three categories of MBus write: Non-victim
 //! writes that receive MShared from other caches, non-victim writes that
 //! do not receive MShared, and victim writes."
+//!
+//! Every `u64` counter struct in the workspace that is snapshotted,
+//! subtracted or summed is declared through
+//! [`counters!`](crate::counters), which lists each field once.
 
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
-/// Per-cache event counters.
+/// Declares a struct of cumulative `u64` counters, listing each field
+/// once, and derives everything that walks the fields from that one
+/// list:
+///
+/// * the `pub struct` itself, deriving `Copy, Clone, PartialEq, Eq,
+///   Debug, Default, Serialize, Deserialize`;
+/// * [`Snap`](crate::snapshot::Snap) through
+///   [`snap_struct!`](crate::snap_struct), in declaration order;
+/// * `AddAssign` and `iter::Sum`, field by field;
+/// * `delta(&self, earlier)`, the increments since an earlier reading,
+///   saturating to zero per field rather than wrapping.
+///
+/// `delta` `debug_assert`s that `earlier` really is earlier. An optional
+/// `[guard = …]` after the name picks one monotone reading to compare —
+/// a field or a method call on the struct; without one, every field is
+/// compared.
 ///
 /// # Examples
 ///
 /// ```
-/// use firefly_core::stats::CacheStats;
+/// firefly_core::counters! {
+///     /// Doors and windows opened.
+///     pub struct Openings [guard = total()] {
+///         /// Doors opened.
+///         pub doors: u64,
+///         /// Windows opened.
+///         pub windows: u64,
+///     }
+/// }
 ///
-/// let mut s = CacheStats::default();
-/// s.cpu_reads = 90;
-/// s.read_misses = 9;
-/// s.cpu_writes = 10;
-/// s.write_misses = 1;
-/// assert!((s.miss_rate() - 0.1).abs() < 1e-12);
+/// impl Openings {
+///     fn total(&self) -> u64 {
+///         self.doors + self.windows
+///     }
+/// }
+///
+/// let early = Openings { doors: 1, windows: 2 };
+/// let mut late = early;
+/// late += Openings { doors: 3, windows: 0 };
+/// assert_eq!(late.delta(&early), Openings { doors: 3, windows: 0 });
+/// assert_eq!([early, late].into_iter().sum::<Openings>().doors, 5);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Processor-issued reads (instruction and data).
-    pub cpu_reads: u64,
-    /// Processor-issued writes.
-    pub cpu_writes: u64,
-    /// Reads that hit.
-    pub read_hits: u64,
-    /// Writes that hit.
-    pub write_hits: u64,
-    /// Reads that missed.
-    pub read_misses: u64,
-    /// Writes that missed.
-    pub write_misses: u64,
-    /// DMA references routed through this cache (I/O processor only).
-    pub dma_reads: u64,
-    /// DMA writes routed through this cache.
-    pub dma_writes: u64,
-    /// MBus read (fill) transactions issued.
-    pub bus_reads: u64,
-    /// MBus read-owned transactions issued (invalidation protocols).
-    pub bus_read_owned: u64,
-    /// Non-victim MBus writes that received `MShared` — writes to data
-    /// actually shared at that moment.
-    pub wt_shared: u64,
-    /// Non-victim MBus writes that did not receive `MShared` — the "last
-    /// sharer" write-throughs after which the cache reverts to write-back.
-    pub wt_unshared: u64,
-    /// Victim (write-back) MBus writes.
-    pub victim_writes: u64,
-    /// Dragon update transactions issued.
-    pub updates_sent: u64,
-    /// Invalidation transactions issued.
-    pub invalidates_sent: u64,
-    /// Tardis lease-renewal transactions issued.
-    pub renewals_sent: u64,
-    /// Foreign write/update payloads absorbed into a local copy.
-    pub updates_absorbed: u64,
-    /// Local copies killed by snooped invalidating traffic.
-    pub invalidations_taken: u64,
-    /// Transactions for which this cache supplied the data.
-    pub supplies: u64,
-    /// CPU accesses delayed one tick by a snoop probe to the tag store
-    /// (the SP term of the paper's model).
-    pub probe_stalls: u64,
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident $([guard = $($guard:tt)+])? {
+            $($(#[$field_meta:meta])* pub $field:ident: u64,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Copy, Clone, PartialEq, Eq, Debug, Default, ::serde::Serialize, ::serde::Deserialize)]
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: u64,)*
+        }
+
+        $crate::snap_struct!($name { $($field),* });
+
+        impl ::core::ops::AddAssign for $name {
+            fn add_assign(&mut self, o: Self) {
+                $(self.$field += o.$field;)*
+            }
+        }
+
+        impl ::core::iter::Sum for $name {
+            fn sum<I: ::core::iter::Iterator<Item = Self>>(iter: I) -> Self {
+                iter.fold(Self::default(), |mut total, s| {
+                    total += s;
+                    total
+                })
+            }
+        }
+
+        impl $name {
+            /// The counter increments since `earlier` (for measurement
+            /// windows).
+            ///
+            /// Saturates to zero per field in release builds if the
+            /// snapshots are misordered, rather than wrapping.
+            ///
+            /// # Panics
+            ///
+            /// Panics (in debug builds) if `earlier` is not actually
+            /// earlier.
+            #[must_use]
+            pub fn delta(&self, earlier: &Self) -> Self {
+                debug_assert!(
+                    $crate::counters!(@ordered self, earlier, [$($($guard)+)?] $($field)*),
+                    concat!(
+                        stringify!($name),
+                        "::delta against a later snapshot (misordered snapshots): {:?} < {:?}"
+                    ),
+                    self,
+                    earlier
+                );
+                $name { $($field: self.$field.saturating_sub(earlier.$field),)* }
+            }
+        }
+    };
+    (@ordered $now:ident, $then:ident, [$($guard:tt)+] $($field:ident)*) => {
+        $now.$($guard)+ >= $then.$($guard)+
+    };
+    (@ordered $now:ident, $then:ident, [] $($field:ident)*) => {
+        true $(&& $now.$field >= $then.$field)*
+    };
+}
+
+counters! {
+    /// Per-cache event counters.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use firefly_core::stats::CacheStats;
+    ///
+    /// let mut s = CacheStats::default();
+    /// s.cpu_reads = 90;
+    /// s.read_misses = 9;
+    /// s.cpu_writes = 10;
+    /// s.write_misses = 1;
+    /// assert!((s.miss_rate() - 0.1).abs() < 1e-12);
+    /// ```
+    pub struct CacheStats [guard = cpu_refs()] {
+        /// Processor-issued reads (instruction and data).
+        pub cpu_reads: u64,
+        /// Processor-issued writes.
+        pub cpu_writes: u64,
+        /// Reads that hit.
+        pub read_hits: u64,
+        /// Writes that hit.
+        pub write_hits: u64,
+        /// Reads that missed.
+        pub read_misses: u64,
+        /// Writes that missed.
+        pub write_misses: u64,
+        /// DMA references routed through this cache (I/O processor only).
+        pub dma_reads: u64,
+        /// DMA writes routed through this cache.
+        pub dma_writes: u64,
+        /// MBus read (fill) transactions issued.
+        pub bus_reads: u64,
+        /// MBus read-owned transactions issued (invalidation protocols).
+        pub bus_read_owned: u64,
+        /// Non-victim MBus writes that received `MShared` — writes to data
+        /// actually shared at that moment.
+        pub wt_shared: u64,
+        /// Non-victim MBus writes that did not receive `MShared` — the "last
+        /// sharer" write-throughs after which the cache reverts to write-back.
+        pub wt_unshared: u64,
+        /// Victim (write-back) MBus writes.
+        pub victim_writes: u64,
+        /// Dragon update transactions issued.
+        pub updates_sent: u64,
+        /// Invalidation transactions issued.
+        pub invalidates_sent: u64,
+        /// Tardis lease-renewal transactions issued.
+        pub renewals_sent: u64,
+        /// Foreign write/update payloads absorbed into a local copy.
+        pub updates_absorbed: u64,
+        /// Local copies killed by snooped invalidating traffic.
+        pub invalidations_taken: u64,
+        /// Transactions for which this cache supplied the data.
+        pub supplies: u64,
+        /// CPU accesses delayed one tick by a snoop probe to the tag store
+        /// (the SP term of the paper's model).
+        pub probe_stalls: u64,
+    }
 }
 
 impl CacheStats {
@@ -108,119 +220,36 @@ impl CacheStats {
             + self.invalidates_sent
             + self.renewals_sent
     }
-
-    /// The counter increments since `earlier` (for measurement windows).
-    ///
-    /// Saturates to zero per field in release builds if the snapshots
-    /// are misordered, rather than wrapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `earlier` is not actually earlier.
-    pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
-        debug_assert!(self.cpu_refs() >= earlier.cpu_refs(), "delta against a later snapshot");
-        CacheStats {
-            cpu_reads: self.cpu_reads.saturating_sub(earlier.cpu_reads),
-            cpu_writes: self.cpu_writes.saturating_sub(earlier.cpu_writes),
-            read_hits: self.read_hits.saturating_sub(earlier.read_hits),
-            write_hits: self.write_hits.saturating_sub(earlier.write_hits),
-            read_misses: self.read_misses.saturating_sub(earlier.read_misses),
-            write_misses: self.write_misses.saturating_sub(earlier.write_misses),
-            dma_reads: self.dma_reads.saturating_sub(earlier.dma_reads),
-            dma_writes: self.dma_writes.saturating_sub(earlier.dma_writes),
-            bus_reads: self.bus_reads.saturating_sub(earlier.bus_reads),
-            bus_read_owned: self.bus_read_owned.saturating_sub(earlier.bus_read_owned),
-            wt_shared: self.wt_shared.saturating_sub(earlier.wt_shared),
-            wt_unshared: self.wt_unshared.saturating_sub(earlier.wt_unshared),
-            victim_writes: self.victim_writes.saturating_sub(earlier.victim_writes),
-            updates_sent: self.updates_sent.saturating_sub(earlier.updates_sent),
-            invalidates_sent: self.invalidates_sent.saturating_sub(earlier.invalidates_sent),
-            renewals_sent: self.renewals_sent.saturating_sub(earlier.renewals_sent),
-            updates_absorbed: self.updates_absorbed.saturating_sub(earlier.updates_absorbed),
-            invalidations_taken: self
-                .invalidations_taken
-                .saturating_sub(earlier.invalidations_taken),
-            supplies: self.supplies.saturating_sub(earlier.supplies),
-            probe_stalls: self.probe_stalls.saturating_sub(earlier.probe_stalls),
-        }
-    }
 }
 
-crate::snap_struct!(CacheStats {
-    cpu_reads,
-    cpu_writes,
-    read_hits,
-    write_hits,
-    read_misses,
-    write_misses,
-    dma_reads,
-    dma_writes,
-    bus_reads,
-    bus_read_owned,
-    wt_shared,
-    wt_unshared,
-    victim_writes,
-    updates_sent,
-    invalidates_sent,
-    renewals_sent,
-    updates_absorbed,
-    invalidations_taken,
-    supplies,
-    probe_stalls,
-});
-
-impl AddAssign for CacheStats {
-    fn add_assign(&mut self, o: Self) {
-        self.cpu_reads += o.cpu_reads;
-        self.cpu_writes += o.cpu_writes;
-        self.read_hits += o.read_hits;
-        self.write_hits += o.write_hits;
-        self.read_misses += o.read_misses;
-        self.write_misses += o.write_misses;
-        self.dma_reads += o.dma_reads;
-        self.dma_writes += o.dma_writes;
-        self.bus_reads += o.bus_reads;
-        self.bus_read_owned += o.bus_read_owned;
-        self.wt_shared += o.wt_shared;
-        self.wt_unshared += o.wt_unshared;
-        self.victim_writes += o.victim_writes;
-        self.updates_sent += o.updates_sent;
-        self.invalidates_sent += o.invalidates_sent;
-        self.renewals_sent += o.renewals_sent;
-        self.updates_absorbed += o.updates_absorbed;
-        self.invalidations_taken += o.invalidations_taken;
-        self.supplies += o.supplies;
-        self.probe_stalls += o.probe_stalls;
+counters! {
+    /// MBus-level counters.
+    pub struct BusStats [guard = total_cycles] {
+        /// Cycles during which a transaction occupied the bus.
+        pub busy_cycles: u64,
+        /// Total cycles elapsed.
+        pub total_cycles: u64,
+        /// MRead transactions.
+        pub reads: u64,
+        /// Read-owned transactions.
+        pub read_owned: u64,
+        /// Write-through MWrite transactions.
+        pub writes: u64,
+        /// Victim MWrite transactions.
+        pub write_backs: u64,
+        /// Dragon update transactions.
+        pub updates: u64,
+        /// Invalidate transactions.
+        pub invalidates: u64,
+        /// Tardis lease-renewal transactions.
+        pub renewals: u64,
+        /// Transactions during which `MShared` was asserted.
+        pub mshared_asserted: u64,
+        /// Read data supplied cache-to-cache (memory inhibited).
+        pub cache_supplied: u64,
+        /// Read data supplied by main memory.
+        pub memory_supplied: u64,
     }
-}
-
-/// MBus-level counters.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct BusStats {
-    /// Cycles during which a transaction occupied the bus.
-    pub busy_cycles: u64,
-    /// Total cycles elapsed.
-    pub total_cycles: u64,
-    /// MRead transactions.
-    pub reads: u64,
-    /// Read-owned transactions.
-    pub read_owned: u64,
-    /// Write-through MWrite transactions.
-    pub writes: u64,
-    /// Victim MWrite transactions.
-    pub write_backs: u64,
-    /// Dragon update transactions.
-    pub updates: u64,
-    /// Invalidate transactions.
-    pub invalidates: u64,
-    /// Tardis lease-renewal transactions.
-    pub renewals: u64,
-    /// Transactions during which `MShared` was asserted.
-    pub mshared_asserted: u64,
-    /// Read data supplied cache-to-cache (memory inhibited).
-    pub cache_supplied: u64,
-    /// Read data supplied by main memory.
-    pub memory_supplied: u64,
 }
 
 impl BusStats {
@@ -245,95 +274,55 @@ impl BusStats {
             self.busy_cycles as f64 / self.total_cycles as f64
         }
     }
-
-    /// The counter increments since `earlier`.
-    ///
-    /// Saturates to zero per field in release builds if the snapshots
-    /// are misordered, rather than wrapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `earlier` is not actually earlier.
-    pub fn delta(&self, earlier: &BusStats) -> BusStats {
-        debug_assert!(self.total_cycles >= earlier.total_cycles, "delta against a later snapshot");
-        BusStats {
-            busy_cycles: self.busy_cycles.saturating_sub(earlier.busy_cycles),
-            total_cycles: self.total_cycles.saturating_sub(earlier.total_cycles),
-            reads: self.reads.saturating_sub(earlier.reads),
-            read_owned: self.read_owned.saturating_sub(earlier.read_owned),
-            writes: self.writes.saturating_sub(earlier.writes),
-            write_backs: self.write_backs.saturating_sub(earlier.write_backs),
-            updates: self.updates.saturating_sub(earlier.updates),
-            invalidates: self.invalidates.saturating_sub(earlier.invalidates),
-            renewals: self.renewals.saturating_sub(earlier.renewals),
-            mshared_asserted: self.mshared_asserted.saturating_sub(earlier.mshared_asserted),
-            cache_supplied: self.cache_supplied.saturating_sub(earlier.cache_supplied),
-            memory_supplied: self.memory_supplied.saturating_sub(earlier.memory_supplied),
-        }
-    }
 }
 
-crate::snap_struct!(BusStats {
-    busy_cycles,
-    total_cycles,
-    reads,
-    read_owned,
-    writes,
-    write_backs,
-    updates,
-    invalidates,
-    renewals,
-    mshared_asserted,
-    cache_supplied,
-    memory_supplied,
-});
-
-/// Fault-injection and recovery counters (see [`crate::fault`]).
-///
-/// Each counter pairs an injected fault class with the recovery action
-/// that absorbed it, so a sweep can report *corrected / retried /
-/// uncorrected* totals the way the real machine's error logs would.
-///
-/// # Examples
-///
-/// ```
-/// use firefly_core::stats::FaultStats;
-///
-/// let mut f = FaultStats { ecc_corrected: 3, ..Default::default() };
-/// f += FaultStats { ecc_corrected: 2, bus_retries: 1, ..Default::default() };
-/// assert_eq!(f.ecc_corrected, 5);
-/// assert_eq!(f.total_injected(), 5, "retries are recoveries, not injections");
-/// ```
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct FaultStats {
-    /// `MShared` assertions lost on the wired-OR (detected, retried).
-    pub mshared_drops: u64,
-    /// Spurious `MShared` assertions (conservatively honored).
-    pub mshared_spurious: u64,
-    /// Arbitration grants withheld for a cycle.
-    pub arb_stalls: u64,
-    /// Data-cycle parity errors on MBus transfers.
-    pub parity_errors: u64,
-    /// MBus transactions aborted and reissued (parity or `MShared` drop).
-    pub bus_retries: u64,
-    /// Single-bit memory ECC events corrected in flight.
-    pub ecc_corrected: u64,
-    /// Double-bit memory ECC events (detected, not correctable).
-    pub ecc_uncorrected: u64,
-    /// Scrubber rewrites after corrected ECC events.
-    pub scrubs: u64,
-    /// Cache tag-parity hits recovered by invalidate-and-refetch.
-    pub tag_flips: u64,
-    /// DMA word transfers that timed out and backed off.
-    pub dma_timeouts: u64,
-    /// Device-level retries (DMA backoffs plus disk re-seeks).
-    pub device_retries: u64,
-    /// DEQNA receive packets dropped on the wire.
-    pub packets_dropped: u64,
-    /// RQDX3 soft read errors recovered by re-seeking.
-    pub disk_read_errors: u64,
-    /// Processors offlined after uncorrectable faults.
-    pub cpus_offlined: u64,
+counters! {
+    /// Fault-injection and recovery counters (see [`crate::fault`]).
+    ///
+    /// Each counter pairs an injected fault class with the recovery action
+    /// that absorbed it, so a sweep can report *corrected / retried /
+    /// uncorrected* totals the way the real machine's error logs would.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use firefly_core::stats::FaultStats;
+    ///
+    /// let mut f = FaultStats { ecc_corrected: 3, ..Default::default() };
+    /// f += FaultStats { ecc_corrected: 2, bus_retries: 1, ..Default::default() };
+    /// assert_eq!(f.ecc_corrected, 5);
+    /// assert_eq!(f.total_injected(), 5, "retries are recoveries, not injections");
+    /// ```
+    pub struct FaultStats [guard = total_injected()] {
+        /// `MShared` assertions lost on the wired-OR (detected, retried).
+        pub mshared_drops: u64,
+        /// Spurious `MShared` assertions (conservatively honored).
+        pub mshared_spurious: u64,
+        /// Arbitration grants withheld for a cycle.
+        pub arb_stalls: u64,
+        /// Data-cycle parity errors on MBus transfers.
+        pub parity_errors: u64,
+        /// MBus transactions aborted and reissued (parity or `MShared` drop).
+        pub bus_retries: u64,
+        /// Single-bit memory ECC events corrected in flight.
+        pub ecc_corrected: u64,
+        /// Double-bit memory ECC events (detected, not correctable).
+        pub ecc_uncorrected: u64,
+        /// Scrubber rewrites after corrected ECC events.
+        pub scrubs: u64,
+        /// Cache tag-parity hits recovered by invalidate-and-refetch.
+        pub tag_flips: u64,
+        /// DMA word transfers that timed out and backed off.
+        pub dma_timeouts: u64,
+        /// Device-level retries (DMA backoffs plus disk re-seeks).
+        pub device_retries: u64,
+        /// DEQNA receive packets dropped on the wire.
+        pub packets_dropped: u64,
+        /// RQDX3 soft read errors recovered by re-seeking.
+        pub disk_read_errors: u64,
+        /// Processors offlined after uncorrectable faults.
+        pub cpus_offlined: u64,
+    }
 }
 
 impl FaultStats {
@@ -355,99 +344,33 @@ impl FaultStats {
     pub fn total_recovered(&self) -> u64 {
         self.total_injected() - self.ecc_uncorrected - self.packets_dropped
     }
-
-    /// The counter increments since `earlier`.
-    ///
-    /// Saturates to zero per field in release builds if the snapshots
-    /// are misordered, rather than wrapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `earlier` is not actually earlier.
-    pub fn delta(&self, earlier: &FaultStats) -> FaultStats {
-        debug_assert!(
-            self.total_injected() >= earlier.total_injected(),
-            "delta against a later snapshot"
-        );
-        FaultStats {
-            mshared_drops: self.mshared_drops.saturating_sub(earlier.mshared_drops),
-            mshared_spurious: self.mshared_spurious.saturating_sub(earlier.mshared_spurious),
-            arb_stalls: self.arb_stalls.saturating_sub(earlier.arb_stalls),
-            parity_errors: self.parity_errors.saturating_sub(earlier.parity_errors),
-            bus_retries: self.bus_retries.saturating_sub(earlier.bus_retries),
-            ecc_corrected: self.ecc_corrected.saturating_sub(earlier.ecc_corrected),
-            ecc_uncorrected: self.ecc_uncorrected.saturating_sub(earlier.ecc_uncorrected),
-            scrubs: self.scrubs.saturating_sub(earlier.scrubs),
-            tag_flips: self.tag_flips.saturating_sub(earlier.tag_flips),
-            dma_timeouts: self.dma_timeouts.saturating_sub(earlier.dma_timeouts),
-            device_retries: self.device_retries.saturating_sub(earlier.device_retries),
-            packets_dropped: self.packets_dropped.saturating_sub(earlier.packets_dropped),
-            disk_read_errors: self.disk_read_errors.saturating_sub(earlier.disk_read_errors),
-            cpus_offlined: self.cpus_offlined.saturating_sub(earlier.cpus_offlined),
-        }
-    }
 }
 
-crate::snap_struct!(FaultStats {
-    mshared_drops,
-    mshared_spurious,
-    arb_stalls,
-    parity_errors,
-    bus_retries,
-    ecc_corrected,
-    ecc_uncorrected,
-    scrubs,
-    tag_flips,
-    dma_timeouts,
-    device_retries,
-    packets_dropped,
-    disk_read_errors,
-    cpus_offlined,
-});
-
-impl AddAssign for FaultStats {
-    fn add_assign(&mut self, o: Self) {
-        self.mshared_drops += o.mshared_drops;
-        self.mshared_spurious += o.mshared_spurious;
-        self.arb_stalls += o.arb_stalls;
-        self.parity_errors += o.parity_errors;
-        self.bus_retries += o.bus_retries;
-        self.ecc_corrected += o.ecc_corrected;
-        self.ecc_uncorrected += o.ecc_uncorrected;
-        self.scrubs += o.scrubs;
-        self.tag_flips += o.tag_flips;
-        self.dma_timeouts += o.dma_timeouts;
-        self.device_retries += o.device_retries;
-        self.packets_dropped += o.packets_dropped;
-        self.disk_read_errors += o.disk_read_errors;
-        self.cpus_offlined += o.cpus_offlined;
+counters! {
+    /// Host-side performance counters for one simulation job: how fast the
+    /// *simulator itself* ran, as opposed to what the simulated machine did.
+    ///
+    /// The experiment harness (`firefly-sim`'s `harness` module) fills one
+    /// of these per job so parallel sweeps can report their own speedup —
+    /// the ROADMAP's "fast as the hardware allows" made measurable.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use firefly_core::stats::HostCounters;
+    ///
+    /// let h = HostCounters { wall_ns: 2_000_000_000, instructions: 500_000, sim_cycles: 100_000 };
+    /// assert!((h.instructions_per_sec() - 250_000.0).abs() < 1e-9);
+    /// assert!((h.sim_cycles_per_sec() - 50_000.0).abs() < 1e-9);
+    /// ```
+    pub struct HostCounters {
+        /// Host wall-clock nanoseconds the job took.
+        pub wall_ns: u64,
+        /// Simulated instructions retired during the job (all CPUs).
+        pub instructions: u64,
+        /// Simulated bus cycles stepped during the job.
+        pub sim_cycles: u64,
     }
-}
-
-/// Host-side performance counters for one simulation job: how fast the
-/// *simulator itself* ran, as opposed to what the simulated machine did.
-///
-/// The experiment harness (`firefly-sim`'s `harness` module) fills one
-/// of these per job so parallel sweeps can report their own speedup —
-/// the ROADMAP's "fast as the hardware allows" made measurable.
-///
-/// # Examples
-///
-/// ```
-/// use firefly_core::stats::HostCounters;
-///
-/// let h = HostCounters { wall_ns: 2_000_000_000, instructions: 500_000, sim_cycles: 100_000 };
-/// assert!((h.instructions_per_sec() - 250_000.0).abs() < 1e-9);
-/// assert!((h.sim_cycles_per_sec() - 50_000.0).abs() < 1e-9);
-/// ```
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct HostCounters {
-    /// Host wall-clock nanoseconds the job took.
-    pub wall_ns: u64,
-    /// Simulated instructions retired during the job (all CPUs).
-    pub instructions: u64,
-    /// Simulated bus cycles stepped during the job.
-    pub sim_cycles: u64,
 }
 
 impl HostCounters {
@@ -467,14 +390,6 @@ impl HostCounters {
         } else {
             self.sim_cycles as f64 / (self.wall_ns as f64 * 1e-9)
         }
-    }
-}
-
-impl AddAssign for HostCounters {
-    fn add_assign(&mut self, o: Self) {
-        self.wall_ns += o.wall_ns;
-        self.instructions += o.instructions;
-        self.sim_cycles += o.sim_cycles;
     }
 }
 

@@ -19,40 +19,29 @@ use firefly_core::{Addr, Error, PortId};
 use firefly_trace::{MemRef, RefKind, RefStream};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Counters kept by each processor.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct CpuStats {
-    /// Instructions executed (counted at instruction fetches).
-    pub instructions: u64,
-    /// Real instruction fetches issued to the memory system.
-    pub ifetches: u64,
-    /// Data reads issued.
-    pub data_reads: u64,
-    /// Data writes issued.
-    pub data_writes: u64,
-    /// Instruction fetches satisfied by the on-chip cache (CVAX).
-    pub icache_hits: u64,
-    /// Wasted (mispath) prefetch references issued.
-    pub wasted_prefetches: u64,
-    /// Cycles this processor has been ticked.
-    pub cycles: u64,
-    /// Cycles spent with a memory request outstanding.
-    pub memory_wait_cycles: u64,
+firefly_core::counters! {
+    /// Counters kept by each processor.
+    pub struct CpuStats {
+        /// Instructions executed (counted at instruction fetches).
+        pub instructions: u64,
+        /// Real instruction fetches issued to the memory system.
+        pub ifetches: u64,
+        /// Data reads issued.
+        pub data_reads: u64,
+        /// Data writes issued.
+        pub data_writes: u64,
+        /// Instruction fetches satisfied by the on-chip cache (CVAX).
+        pub icache_hits: u64,
+        /// Wasted (mispath) prefetch references issued.
+        pub wasted_prefetches: u64,
+        /// Cycles this processor has been ticked.
+        pub cycles: u64,
+        /// Cycles spent with a memory request outstanding.
+        pub memory_wait_cycles: u64,
+    }
 }
-
-firefly_core::snap_struct!(CpuStats {
-    instructions,
-    ifetches,
-    data_reads,
-    data_writes,
-    icache_hits,
-    wasted_prefetches,
-    cycles,
-    memory_wait_cycles,
-});
 
 impl CpuStats {
     /// References issued to the board cache (including wasted prefetches,
@@ -430,30 +419,28 @@ pub fn drive(processors: &mut [Processor], sys: &mut MemSystem, cycles: u64) {
     }
 }
 
-/// Host-side counters from one [`drive_events`] call: how the engine
-/// spent the run, for performance reporting (`BENCH_6.json`). These are
-/// measurements *of* the simulator, not simulated state — they are not
-/// part of any snapshot and never affect results.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct EngineStats {
-    /// Idle skips that landed exactly on a wake-up cycle (rather than
-    /// on the run horizon).
-    pub events_fired: u64,
-    /// Idle spans jumped in one step.
-    pub idle_skips: u64,
-    /// Total cycles covered by those jumps.
-    pub cycles_skipped: u64,
-    /// Canonical ticked iterations executed (non-idle cycles).
-    pub ticked_iterations: u64,
+firefly_core::counters! {
+    /// Host-side counters from one [`drive_events`] call: how the engine
+    /// spent the run, for performance reporting (`BENCH_6.json`). These are
+    /// measurements *of* the simulator, not simulated state — they are not
+    /// part of any snapshot and never affect results.
+    pub struct EngineStats {
+        /// Idle skips that landed exactly on a wake-up cycle (rather than
+        /// on the run horizon).
+        pub events_fired: u64,
+        /// Idle spans jumped in one step.
+        pub idle_skips: u64,
+        /// Total cycles covered by those jumps.
+        pub cycles_skipped: u64,
+        /// Canonical ticked iterations executed (non-idle cycles).
+        pub ticked_iterations: u64,
+    }
 }
 
 impl EngineStats {
-    /// Folds another run's counters into this one.
+    /// Folds another run's counters into this one: `*self += other`.
     pub fn absorb(&mut self, other: EngineStats) {
-        self.events_fired += other.events_fired;
-        self.idle_skips += other.idle_skips;
-        self.cycles_skipped += other.cycles_skipped;
-        self.ticked_iterations += other.ticked_iterations;
+        *self += other;
     }
 }
 
@@ -873,7 +860,7 @@ mod tests {
                         .expect("dma port free");
                 }
                 if event {
-                    stats.absorb(drive_events(&mut cpus, &mut sys, 1_000));
+                    stats += drive_events(&mut cpus, &mut sys, 1_000);
                 } else {
                     drive(&mut cpus, &mut sys, 1_000);
                 }

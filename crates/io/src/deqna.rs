@@ -37,52 +37,24 @@ impl Packet {
     }
 }
 
-/// DEQNA statistics.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct DeqnaStats {
-    /// Packets transmitted.
-    pub tx_packets: u64,
-    /// Bytes transmitted.
-    pub tx_bytes: u64,
-    /// Packets received into memory.
-    pub rx_packets: u64,
-    /// Bytes received.
-    pub rx_bytes: u64,
-    /// Interprocessor kicks received.
-    pub kicks: u64,
-    /// Receive packets dropped for want of a posted buffer.
-    pub rx_dropped: u64,
-    /// Zero-length (runt) frames rejected at the wire: there is nothing
-    /// to DMA, so accepting one would wedge the receive engine.
-    pub rx_runts: u64,
-}
-
-impl DeqnaStats {
-    /// Counter movement since `earlier`: `self - earlier`, field by
-    /// field. Counters only ever grow, so a snapshot taken *after*
-    /// `self` is a caller bug — `debug_assert`ed here — while release
-    /// builds saturate to zero rather than wrapping to 2^64.
-    #[must_use]
-    pub fn delta(&self, earlier: &DeqnaStats) -> DeqnaStats {
-        debug_assert!(
-            self.tx_packets >= earlier.tx_packets
-                && self.tx_bytes >= earlier.tx_bytes
-                && self.rx_packets >= earlier.rx_packets
-                && self.rx_bytes >= earlier.rx_bytes
-                && self.kicks >= earlier.kicks
-                && self.rx_dropped >= earlier.rx_dropped
-                && self.rx_runts >= earlier.rx_runts,
-            "DeqnaStats::delta called with misordered snapshots: {self:?} < {earlier:?}"
-        );
-        DeqnaStats {
-            tx_packets: self.tx_packets.saturating_sub(earlier.tx_packets),
-            tx_bytes: self.tx_bytes.saturating_sub(earlier.tx_bytes),
-            rx_packets: self.rx_packets.saturating_sub(earlier.rx_packets),
-            rx_bytes: self.rx_bytes.saturating_sub(earlier.rx_bytes),
-            kicks: self.kicks.saturating_sub(earlier.kicks),
-            rx_dropped: self.rx_dropped.saturating_sub(earlier.rx_dropped),
-            rx_runts: self.rx_runts.saturating_sub(earlier.rx_runts),
-        }
+firefly_core::counters! {
+    /// DEQNA statistics.
+    pub struct DeqnaStats {
+        /// Packets transmitted.
+        pub tx_packets: u64,
+        /// Bytes transmitted.
+        pub tx_bytes: u64,
+        /// Packets received into memory.
+        pub rx_packets: u64,
+        /// Bytes received.
+        pub rx_bytes: u64,
+        /// Interprocessor kicks received.
+        pub kicks: u64,
+        /// Receive packets dropped for want of a posted buffer.
+        pub rx_dropped: u64,
+        /// Zero-length (runt) frames rejected at the wire: there is nothing
+        /// to DMA, so accepting one would wedge the receive engine.
+        pub rx_runts: u64,
     }
 }
 

@@ -201,21 +201,20 @@ firefly_core::snap_struct!(BreakerConfig {
     jitter_ppm,
 });
 
-/// Cumulative breaker counters.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize)]
-pub struct BreakerStats {
-    /// Times the breaker tripped open (from closed or half-open).
-    pub opened: u64,
-    /// Requests rejected while open — each one a timeout's worth of
-    /// retry budget *not* burned on an unreachable server.
-    pub fast_fails: u64,
-    /// Half-open probes admitted.
-    pub probes: u64,
-    /// Times the breaker closed from half-open.
-    pub closed: u64,
+firefly_core::counters! {
+    /// Cumulative breaker counters.
+    pub struct BreakerStats {
+        /// Times the breaker tripped open (from closed or half-open).
+        pub opened: u64,
+        /// Requests rejected while open — each one a timeout's worth of
+        /// retry budget *not* burned on an unreachable server.
+        pub fast_fails: u64,
+        /// Half-open probes admitted.
+        pub probes: u64,
+        /// Times the breaker closed from half-open.
+        pub closed: u64,
+    }
 }
-
-firefly_core::snap_struct!(BreakerStats { opened, fast_fails, probes, closed });
 
 /// One closed → open → half-open circuit breaker.
 ///

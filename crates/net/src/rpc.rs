@@ -366,70 +366,51 @@ firefly_core::snap_struct!(RetryPolicy {
     breaker,
 });
 
-/// Client-side cumulative counters.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct RpcClientStats {
-    /// Calls submitted by the load generator.
-    pub submitted: u64,
-    /// Submissions shed because the backlog was full.
-    pub shed: u64,
-    /// Calls acknowledged (first reply accepted).
-    pub acked: u64,
-    /// Payload bytes of acknowledged calls.
-    pub acked_payload_bytes: u64,
-    /// Acknowledgements that arrived within the timeliness SLA
-    /// ([`TIMELY_SLA_TIMEOUTS`] × the policy timeout after submission).
-    pub acked_timely: u64,
-    /// Payload bytes of timely acknowledgements — the numerator for
-    /// *useful* goodput: a reply that arrives long after the caller
-    /// needed it drains backlog but serves nobody.
-    pub acked_timely_bytes: u64,
-    /// Calls abandoned after exhausting the retry budget.
-    pub failed: u64,
-    /// Timeout expirations observed.
-    pub timeouts: u64,
-    /// Retransmissions placed on the wire.
-    pub retries: u64,
-    /// Replies for calls no longer pending (late or duplicate).
-    pub dup_replies: u64,
-    /// Transmit attempts rejected by a full TX ring.
-    pub tx_ring_full: u64,
-    /// Retransmissions deferred because the local TX ring still held
-    /// undelivered frames (backoff disciplines only).
-    pub retries_deferred: u64,
-    /// Frames that failed to decode at the client.
-    pub decode_rejects: u64,
-    /// Calls failed fast by open circuit breakers (no wire traffic, no
-    /// timeout paid) — the partition fast path.
-    pub fast_failed: u64,
-    /// Calls terminated by an explicit server `Shed` reply.
-    pub shed_replies: u64,
-    /// Calls bounced by a server epoch mismatch and re-issued under a
-    /// fresh sequence number.
-    pub rebinds: u64,
-    /// Hedge copies placed on the wire.
-    pub hedges: u64,
+firefly_core::counters! {
+    /// Client-side cumulative counters.
+    pub struct RpcClientStats {
+        /// Calls submitted by the load generator.
+        pub submitted: u64,
+        /// Submissions shed because the backlog was full.
+        pub shed: u64,
+        /// Calls acknowledged (first reply accepted).
+        pub acked: u64,
+        /// Payload bytes of acknowledged calls.
+        pub acked_payload_bytes: u64,
+        /// Acknowledgements that arrived within the timeliness SLA
+        /// ([`TIMELY_SLA_TIMEOUTS`] × the policy timeout after submission).
+        pub acked_timely: u64,
+        /// Payload bytes of timely acknowledgements — the numerator for
+        /// *useful* goodput: a reply that arrives long after the caller
+        /// needed it drains backlog but serves nobody.
+        pub acked_timely_bytes: u64,
+        /// Calls abandoned after exhausting the retry budget.
+        pub failed: u64,
+        /// Timeout expirations observed.
+        pub timeouts: u64,
+        /// Retransmissions placed on the wire.
+        pub retries: u64,
+        /// Replies for calls no longer pending (late or duplicate).
+        pub dup_replies: u64,
+        /// Transmit attempts rejected by a full TX ring.
+        pub tx_ring_full: u64,
+        /// Retransmissions deferred because the local TX ring still held
+        /// undelivered frames (backoff disciplines only).
+        pub retries_deferred: u64,
+        /// Frames that failed to decode at the client.
+        pub decode_rejects: u64,
+        /// Calls failed fast by open circuit breakers (no wire traffic, no
+        /// timeout paid) — the partition fast path.
+        pub fast_failed: u64,
+        /// Calls terminated by an explicit server `Shed` reply.
+        pub shed_replies: u64,
+        /// Calls bounced by a server epoch mismatch and re-issued under a
+        /// fresh sequence number.
+        pub rebinds: u64,
+        /// Hedge copies placed on the wire.
+        pub hedges: u64,
+    }
 }
-
-firefly_core::snap_struct!(RpcClientStats {
-    submitted,
-    shed,
-    acked,
-    acked_payload_bytes,
-    acked_timely,
-    acked_timely_bytes,
-    failed,
-    timeouts,
-    retries,
-    dup_replies,
-    tx_ring_full,
-    retries_deferred,
-    decode_rejects,
-    fast_failed,
-    shed_replies,
-    rebinds,
-    hedges,
-});
 
 /// One in-flight call.
 #[derive(Clone, Debug)]
@@ -1056,50 +1037,36 @@ impl Snap for RpcClient {
     }
 }
 
-/// Server-side cumulative counters.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct RpcServerStats {
-    /// Request frames received (including duplicates).
-    pub received: u64,
-    /// Requests executed (first-time work).
-    pub executed: u64,
-    /// Duplicate requests answered from the reply cache (no re-execute).
-    pub dup_cache_hits: u64,
-    /// Duplicate requests already queued or running (dropped).
-    pub dup_in_progress: u64,
-    /// Requests shed because the service queue was full.
-    pub shed: u64,
-    /// Replies placed on the wire.
-    pub replies_sent: u64,
-    /// Replies dropped because the reply backlog overflowed.
-    pub replies_dropped: u64,
-    /// Frames that failed to decode at the server.
-    pub decode_rejects: u64,
-    /// Transmit attempts rejected by a full TX ring.
-    pub tx_ring_full: u64,
-    /// Requests rejected with an explicit brownout `Shed` reply.
-    pub shed_replied: u64,
-    /// Stale-epoch requests answered with `Rebind` (never executed).
-    pub rebinds_sent: u64,
-    /// Reply-cache evictions refused because the entry was still inside
-    /// some client's retransmission window (at-most-once protection).
-    pub evictions_refused: u64,
+firefly_core::counters! {
+    /// Server-side cumulative counters.
+    pub struct RpcServerStats {
+        /// Request frames received (including duplicates).
+        pub received: u64,
+        /// Requests executed (first-time work).
+        pub executed: u64,
+        /// Duplicate requests answered from the reply cache (no re-execute).
+        pub dup_cache_hits: u64,
+        /// Duplicate requests already queued or running (dropped).
+        pub dup_in_progress: u64,
+        /// Requests shed because the service queue was full.
+        pub shed: u64,
+        /// Replies placed on the wire.
+        pub replies_sent: u64,
+        /// Replies dropped because the reply backlog overflowed.
+        pub replies_dropped: u64,
+        /// Frames that failed to decode at the server.
+        pub decode_rejects: u64,
+        /// Transmit attempts rejected by a full TX ring.
+        pub tx_ring_full: u64,
+        /// Requests rejected with an explicit brownout `Shed` reply.
+        pub shed_replied: u64,
+        /// Stale-epoch requests answered with `Rebind` (never executed).
+        pub rebinds_sent: u64,
+        /// Reply-cache evictions refused because the entry was still inside
+        /// some client's retransmission window (at-most-once protection).
+        pub evictions_refused: u64,
+    }
 }
-
-firefly_core::snap_struct!(RpcServerStats {
-    received,
-    executed,
-    dup_cache_hits,
-    dup_in_progress,
-    shed,
-    replies_sent,
-    replies_dropped,
-    decode_rejects,
-    tx_ring_full,
-    shed_replied,
-    rebinds_sent,
-    evictions_refused,
-});
 
 /// A queued or running request.
 #[derive(Clone, Debug)]

@@ -119,58 +119,41 @@ impl SegmentConfig {
 
 firefly_core::snap_struct!(SegmentConfig { nics, tx_ring, rx_ring, seed, faults });
 
-/// Segment-wide counters (all cumulative).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct SegmentStats {
-    /// Frames accepted into a TX ring.
-    pub tx_enqueued: u64,
-    /// Enqueue attempts rejected (ring full or NIC offline).
-    pub tx_rejected: u64,
-    /// Frames that finished transmission on the wire.
-    pub frames_sent: u64,
-    /// Payload bytes carried by sent frames.
-    pub bytes_sent: u64,
-    /// Frames delivered into an RX ring.
-    pub frames_delivered: u64,
-    /// Collision events (one per contention round with ≥2 ready NICs).
-    pub collisions: u64,
-    /// Cycles the wire spent carrying a frame.
-    pub wire_busy_cycles: u64,
-    /// Frames dropped by the fault plan's drop class.
-    pub fault_drops: u64,
-    /// Extra deliveries injected by the duplicate class.
-    pub fault_dups: u64,
-    /// Frames delayed by the reorder class.
-    pub fault_reorders: u64,
-    /// Frames whose payload the corrupt class bit-flipped.
-    pub fault_corrupts: u64,
-    /// Frames rejected by the receiving NIC's CRC check.
-    pub crc_rejects: u64,
-    /// Frames dropped because the partition severed the path.
-    pub partition_drops: u64,
-    /// Frames dropped because the destination RX ring was full.
-    pub rx_overflows: u64,
-    /// Frames dropped because the destination NIC was offline.
-    pub offline_drops: u64,
+firefly_core::counters! {
+    /// Segment-wide counters (all cumulative).
+    pub struct SegmentStats {
+        /// Frames accepted into a TX ring.
+        pub tx_enqueued: u64,
+        /// Enqueue attempts rejected (ring full or NIC offline).
+        pub tx_rejected: u64,
+        /// Frames that finished transmission on the wire.
+        pub frames_sent: u64,
+        /// Payload bytes carried by sent frames.
+        pub bytes_sent: u64,
+        /// Frames delivered into an RX ring.
+        pub frames_delivered: u64,
+        /// Collision events (one per contention round with ≥2 ready NICs).
+        pub collisions: u64,
+        /// Cycles the wire spent carrying a frame.
+        pub wire_busy_cycles: u64,
+        /// Frames dropped by the fault plan's drop class.
+        pub fault_drops: u64,
+        /// Extra deliveries injected by the duplicate class.
+        pub fault_dups: u64,
+        /// Frames delayed by the reorder class.
+        pub fault_reorders: u64,
+        /// Frames whose payload the corrupt class bit-flipped.
+        pub fault_corrupts: u64,
+        /// Frames rejected by the receiving NIC's CRC check.
+        pub crc_rejects: u64,
+        /// Frames dropped because the partition severed the path.
+        pub partition_drops: u64,
+        /// Frames dropped because the destination RX ring was full.
+        pub rx_overflows: u64,
+        /// Frames dropped because the destination NIC was offline.
+        pub offline_drops: u64,
+    }
 }
-
-firefly_core::snap_struct!(SegmentStats {
-    tx_enqueued,
-    tx_rejected,
-    frames_sent,
-    bytes_sent,
-    frames_delivered,
-    collisions,
-    wire_busy_cycles,
-    fault_drops,
-    fault_dups,
-    fault_reorders,
-    fault_corrupts,
-    crc_rejects,
-    partition_drops,
-    rx_overflows,
-    offline_drops,
-});
 
 /// One station's attachment point: bounded rings plus backoff state.
 #[derive(Clone, Debug)]

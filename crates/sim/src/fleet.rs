@@ -841,7 +841,7 @@ impl Fleet {
     /// the goodput numerator. Sampled at window edges by the scenario
     /// runners.
     pub fn acked_payload_bytes(&self) -> u64 {
-        self.clients.iter().map(|c| c.rpc.stats().acked_payload_bytes).sum()
+        self.client_totals().acked_payload_bytes
     }
 
     /// Acknowledged payload bytes that met the timeliness SLA
@@ -849,7 +849,12 @@ impl Fleet {
     /// timeouts). The *useful*-goodput numerator: late acks drain
     /// backlog but serve nobody.
     pub fn acked_timely_bytes(&self) -> u64 {
-        self.clients.iter().map(|c| c.rpc.stats().acked_timely_bytes).sum()
+        self.client_totals().acked_timely_bytes
+    }
+
+    /// Client counters summed over every client.
+    fn client_totals(&self) -> RpcClientStats {
+        self.clients.iter().map(|c| c.rpc.stats()).sum()
     }
 
     /// Merged acknowledged-call latency histogram across all clients.
@@ -901,71 +906,33 @@ impl Fleet {
 
     /// Aggregate counters and latency quantiles for the whole run.
     pub fn report(&self) -> FleetReport {
-        let mut acked = 0;
-        let mut failed = 0;
-        let mut shed = 0;
-        let mut retries = 0;
-        let mut timeouts = 0;
-        let mut fast_failed = 0;
-        let mut shed_replies = 0;
-        let mut rebinds = 0;
-        let mut hedges = 0;
-        let mut acked_payload_bytes = 0;
-        let mut acked_timely = 0;
-        for c in &self.clients {
-            let s = c.rpc.stats();
-            acked += s.acked;
-            failed += s.failed;
-            shed += s.shed;
-            retries += s.retries;
-            timeouts += s.timeouts;
-            fast_failed += s.fast_failed;
-            shed_replies += s.shed_replies;
-            rebinds += s.rebinds;
-            hedges += s.hedges;
-            acked_payload_bytes += s.acked_payload_bytes;
-            acked_timely += s.acked_timely;
-        }
-        let mut server_executed = 0;
-        let mut server_dup_cache_hits = 0;
-        let mut server_shed = 0;
-        let mut server_shed_replied = 0;
-        let mut server_rebinds_sent = 0;
-        let mut server_evictions_refused = 0;
-        for s in &self.servers {
-            let st = s.stats();
-            server_executed += st.executed;
-            server_dup_cache_hits += st.dup_cache_hits;
-            server_shed += st.shed;
-            server_shed_replied += st.shed_replied;
-            server_rebinds_sent += st.rebinds_sent;
-            server_evictions_refused += st.evictions_refused;
-        }
+        let c = self.client_totals();
+        let s: RpcServerStats = self.servers.iter().map(RpcServer::stats).sum();
         let seg = self.segment.stats();
         let lat = self.latency();
         FleetReport {
             cycle: self.cycle,
-            acked,
-            failed,
-            shed,
-            retries,
-            timeouts,
-            fast_failed,
-            shed_replies,
-            rebinds,
-            hedges,
-            acked_payload_bytes,
-            acked_timely,
-            goodput_mbps: goodput_mbps(acked_payload_bytes, self.cycle),
+            acked: c.acked,
+            failed: c.failed,
+            shed: c.shed,
+            retries: c.retries,
+            timeouts: c.timeouts,
+            fast_failed: c.fast_failed,
+            shed_replies: c.shed_replies,
+            rebinds: c.rebinds,
+            hedges: c.hedges,
+            acked_payload_bytes: c.acked_payload_bytes,
+            acked_timely: c.acked_timely,
+            goodput_mbps: goodput_mbps(c.acked_payload_bytes, self.cycle),
             p50: lat.quantile(0.50),
             p99: lat.quantile(0.99),
             p999: lat.quantile(0.999),
-            server_executed,
-            server_dup_cache_hits,
-            server_shed,
-            server_shed_replied,
-            server_rebinds_sent,
-            server_evictions_refused,
+            server_executed: s.executed,
+            server_dup_cache_hits: s.dup_cache_hits,
+            server_shed: s.shed,
+            server_shed_replied: s.shed_replied,
+            server_rebinds_sent: s.rebinds_sent,
+            server_evictions_refused: s.evictions_refused,
             collisions: seg.collisions,
             frames_sent: seg.frames_sent,
             crc_rejects: seg.crc_rejects,
@@ -1021,9 +988,10 @@ impl Fleet {
     ///
     /// Returns [`Error::SnapshotCorrupt`] if the container is damaged,
     /// a section is missing or trailing, the embedded config does not
-    /// match this fleet's, or a nested section belongs to another fleet
+    /// match this fleet's, a nested section belongs to another fleet
     /// shape (segment config, server NIC or thread count, client NIC or
-    /// server list).
+    /// server list), or the meta section disagrees with the segment
+    /// (cycle, server liveness, an offline client NIC).
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), Error> {
         let file = SnapshotFile::parse(bytes)?;
         let mut meta = file.section("fleet/meta")?;
@@ -1045,6 +1013,21 @@ impl Fleet {
         // can be self-consistent yet index past this fleet's NICs.
         if *segment.config() != self.cfg.segment_config() {
             return Err(Error::SnapshotCorrupt("fleet segment config mismatch".into()));
+        }
+        // Only `kill_server` and `revive_server` toggle a NIC, and they
+        // keep it in step with `server_online`: client NICs never go
+        // offline.
+        if cycle != segment.cycle() {
+            return Err(Error::SnapshotCorrupt("fleet cycle disagrees with its segment".into()));
+        }
+        if let Some(i) = (0..self.cfg.servers).find(|&i| server_online[i] != segment.is_online(i)) {
+            return Err(Error::SnapshotCorrupt(format!(
+                "fleet server{i} liveness disagrees with its NIC"
+            )));
+        }
+        let mut client_nics = self.cfg.servers..self.cfg.servers + self.cfg.clients;
+        if let Some(nic) = client_nics.find(|&nic| !segment.is_online(nic)) {
+            return Err(Error::SnapshotCorrupt(format!("fleet client NIC {nic} is offline")));
         }
         let mut servers = Vec::with_capacity(self.cfg.servers);
         for i in 0..self.cfg.servers {
@@ -1166,6 +1149,54 @@ pub fn run_retry_storm(seed: u64, naive: bool) -> StormOutcome {
     }
 }
 
+/// Goodput after a fleet event (a kill, a heal, a revive), from
+/// [`post_event_windows`].
+struct PostEvent {
+    /// Goodput of each window, Mb/s, in order.
+    windows_mbps: Vec<f64>,
+    /// Cycles from the event until a window first reached the threshold
+    /// (`None` = never).
+    recovery_cycles: Option<u64>,
+    /// Goodput over the second half of the span measured as one wide
+    /// window: the individual 200k-cycle windows hold only a few dozen
+    /// calls each and are too noisy for a gate.
+    settled_mbps: f64,
+}
+
+/// Runs `fleet` from its current cycle (the event) to `end` in
+/// `window`-cycle steps, sampling the goodput numerator `bytes` at each
+/// window edge, and finds the first window at or above `threshold_mbps`.
+fn post_event_windows(
+    fleet: &mut Fleet,
+    bytes: fn(&Fleet) -> u64,
+    window: u64,
+    end: u64,
+    threshold_mbps: f64,
+) -> PostEvent {
+    let mid = fleet.cycle() + (end - fleet.cycle()) / 2;
+    let mut windows_mbps = Vec::new();
+    let mut prev = bytes(fleet);
+    let mut mid_bytes = prev;
+    let mut t = fleet.cycle();
+    while t < end {
+        t += window;
+        fleet.run_until(t);
+        let cur = bytes(fleet);
+        windows_mbps.push(goodput_mbps(cur - prev, window));
+        prev = cur;
+        if t == mid {
+            mid_bytes = cur;
+        }
+    }
+    let recovery_cycles =
+        windows_mbps.iter().position(|&g| g >= threshold_mbps).map(|i| (i as u64 + 1) * window);
+    PostEvent {
+        windows_mbps,
+        recovery_cycles,
+        settled_mbps: goodput_mbps(prev - mid_bytes, end - mid),
+    }
+}
+
 /// Outcome of one machine-crash run: goodput before the kill, the
 /// post-kill window trajectory, and how long the fleet took to get back
 /// to 80% of baseline on N−1 servers.
@@ -1206,37 +1237,21 @@ pub fn run_crash_failover(seed: u64) -> CrashOutcome {
     let b1 = fleet.acked_payload_bytes();
     let baseline_mbps = goodput_mbps(b1 - b0, crash::KILL_AT - crash::BASE_FROM);
     fleet.kill_server(crash::VICTIM);
-    let span = crash::END - crash::KILL_AT;
-    let mid = crash::KILL_AT + span / 2;
-    let mut windows_mbps = Vec::new();
-    let mut prev = b1;
-    let mut mid_bytes = b1;
-    let mut t = crash::KILL_AT;
-    while t < crash::END {
-        t += crash::WINDOW;
-        fleet.run_until(t);
-        let cur = fleet.acked_payload_bytes();
-        windows_mbps.push(goodput_mbps(cur - prev, crash::WINDOW));
-        prev = cur;
-        if t == mid {
-            mid_bytes = cur;
-        }
-    }
-    let recovery_cycles = windows_mbps
-        .iter()
-        .position(|&g| g >= 0.8 * baseline_mbps)
-        .map(|i| (i as u64 + 1) * crash::WINDOW);
-    // Steady-state degraded goodput: the second half of the post-kill
-    // span measured as one wide window (individual 200k-cycle windows
-    // only hold a few dozen calls and are too noisy for a gate).
-    let degraded_mbps = goodput_mbps(prev - mid_bytes, crash::END - mid);
+    let after = post_event_windows(
+        &mut fleet,
+        Fleet::acked_payload_bytes,
+        crash::WINDOW,
+        crash::END,
+        0.8 * baseline_mbps,
+    );
+    let degraded_mbps = after.settled_mbps;
     let report = fleet.report();
     CrashOutcome {
         baseline_mbps,
         degraded_mbps,
         degraded_fraction: if baseline_mbps > 0.0 { degraded_mbps / baseline_mbps } else { 0.0 },
-        recovery_cycles,
-        windows_mbps,
+        recovery_cycles: after.recovery_cycles,
+        windows_mbps: after.windows_mbps,
         acked: report.acked,
         failed: report.failed,
         retries: report.retries,
@@ -1309,17 +1324,9 @@ pub struct PartitionOutcome {
     pub oracle_violations: usize,
 }
 
-/// Sums `(timeouts, retries, fast_failed)` over the minority-side
-/// clients.
-fn minority_totals(fleet: &Fleet) -> (u64, u64, u64) {
-    let mut t = (0, 0, 0);
-    for c in partition::MINORITY_FROM..fleet.config().clients {
-        let s = fleet.client_stats(c);
-        t.0 += s.timeouts;
-        t.1 += s.retries;
-        t.2 += s.fast_failed;
-    }
-    t
+/// Client counters summed over the minority-side clients.
+fn minority_totals(fleet: &Fleet) -> RpcClientStats {
+    (partition::MINORITY_FROM..fleet.config().clients).map(|c| fleet.client_stats(c)).sum()
 }
 
 fn run_partition_scenario(cfg: FleetConfig, severed_windows: usize) -> PartitionOutcome {
@@ -1331,38 +1338,22 @@ fn run_partition_scenario(cfg: FleetConfig, severed_windows: usize) -> Partition
     fleet.run_until(partition::SPLIT_FROM);
     let b1 = fleet.acked_timely_bytes();
     let baseline_mbps = goodput_mbps(b1 - b0, partition::SPLIT_FROM - partition::BASE_FROM);
-    let (t0, r0, f0) = minority_totals(&fleet);
+    let minority_at_split = minority_totals(&fleet);
     let mid_split = partition::SPLIT_FROM + (partition::SPLIT_UNTIL - partition::SPLIT_FROM) / 2;
     fleet.run_until(mid_split);
     let minority_open_breakers_mid_split: usize =
         (partition::MINORITY_FROM..clients).map(|c| fleet.open_breakers(c)).sum();
     fleet.run_until(partition::SPLIT_UNTIL);
     let s1 = fleet.acked_timely_bytes();
-    let (t1, r1, f1) = minority_totals(&fleet);
-    let span = partition::END - partition::SPLIT_UNTIL;
-    let mid_heal = partition::SPLIT_UNTIL + span / 2;
-    let mut windows_mbps = Vec::new();
-    let mut prev = s1;
-    let mut mid_bytes = s1;
-    let mut t = partition::SPLIT_UNTIL;
-    while t < partition::END {
-        t += partition::WINDOW;
-        fleet.run_until(t);
-        let cur = fleet.acked_timely_bytes();
-        windows_mbps.push(goodput_mbps(cur - prev, partition::WINDOW));
-        prev = cur;
-        if t == mid_heal {
-            mid_bytes = cur;
-        }
-    }
-    let recovery_cycles = windows_mbps
-        .iter()
-        .position(|&g| g >= 0.9 * baseline_mbps)
-        .map(|i| (i as u64 + 1) * partition::WINDOW);
-    // Steady-state recovered goodput over the second half of the
-    // post-heal span, wide enough to be gate-worthy (the 200k-cycle
-    // windows individually hold only a few dozen calls).
-    let recovered_mbps = goodput_mbps(prev - mid_bytes, partition::END - mid_heal);
+    let minority_split = minority_totals(&fleet).delta(&minority_at_split);
+    let after = post_event_windows(
+        &mut fleet,
+        Fleet::acked_timely_bytes,
+        partition::WINDOW,
+        partition::END,
+        0.9 * baseline_mbps,
+    );
+    let recovered_mbps = after.settled_mbps;
     let report = fleet.report();
     PartitionOutcome {
         resilient,
@@ -1371,11 +1362,11 @@ fn run_partition_scenario(cfg: FleetConfig, severed_windows: usize) -> Partition
         split_mbps: goodput_mbps(s1 - b1, partition::SPLIT_UNTIL - partition::SPLIT_FROM),
         recovered_mbps,
         recovery_fraction: if baseline_mbps > 0.0 { recovered_mbps / baseline_mbps } else { 0.0 },
-        recovery_cycles,
-        windows_mbps,
-        minority_split_timeouts: t1 - t0,
-        minority_split_retries: r1 - r0,
-        minority_split_fast_fails: f1 - f0,
+        recovery_cycles: after.recovery_cycles,
+        windows_mbps: after.windows_mbps,
+        minority_split_timeouts: minority_split.timeouts,
+        minority_split_retries: minority_split.retries,
+        minority_split_fast_fails: minority_split.fast_failed,
         minority_open_breakers_mid_split,
         minority_open_breakers_at_end: (partition::MINORITY_FROM..clients)
             .map(|c| fleet.open_breakers(c))
@@ -1463,35 +1454,22 @@ pub fn run_rejoin(seed: u64) -> RejoinOutcome {
     let outage_mbps = goodput_mbps(o1 - b1, rejoin::REVIVE_AT - rejoin::KILL_AT);
     fleet.revive_server(rejoin::VICTIM);
     let victim_executed_at_revive = fleet.server_stats(rejoin::VICTIM).executed;
-    let span = rejoin::END - rejoin::REVIVE_AT;
-    let mid = rejoin::REVIVE_AT + span / 2;
-    let mut windows_mbps = Vec::new();
-    let mut prev = o1;
-    let mut mid_bytes = o1;
-    let mut t = rejoin::REVIVE_AT;
-    while t < rejoin::END {
-        t += rejoin::WINDOW;
-        fleet.run_until(t);
-        let cur = fleet.acked_payload_bytes();
-        windows_mbps.push(goodput_mbps(cur - prev, rejoin::WINDOW));
-        prev = cur;
-        if t == mid {
-            mid_bytes = cur;
-        }
-    }
-    let recovery_cycles = windows_mbps
-        .iter()
-        .position(|&g| g >= 0.9 * baseline_mbps)
-        .map(|i| (i as u64 + 1) * rejoin::WINDOW);
-    let recovered_mbps = goodput_mbps(prev - mid_bytes, rejoin::END - mid);
+    let after = post_event_windows(
+        &mut fleet,
+        Fleet::acked_payload_bytes,
+        rejoin::WINDOW,
+        rejoin::END,
+        0.9 * baseline_mbps,
+    );
+    let recovered_mbps = after.settled_mbps;
     let report = fleet.report();
     RejoinOutcome {
         baseline_mbps,
         outage_mbps,
         recovered_mbps,
         recovery_fraction: if baseline_mbps > 0.0 { recovered_mbps / baseline_mbps } else { 0.0 },
-        recovery_cycles,
-        windows_mbps,
+        recovery_cycles: after.recovery_cycles,
+        windows_mbps: after.windows_mbps,
         victim_epoch: fleet.server_epoch(rejoin::VICTIM),
         victim_executed_after_revive: fleet.server_stats(rejoin::VICTIM).executed
             - victim_executed_at_revive,
@@ -1702,6 +1680,39 @@ mod tests {
             FleetConfig::serving(3, 5, 3),
             "fleet/client0",
         ));
+    }
+
+    /// A `serving(2, 6)` image saved after `tamper` breaks one of the
+    /// meta/segment invariants, loaded into a fresh `serving(2, 6)` fleet.
+    fn load_tampered(tamper: impl FnOnce(&mut Fleet)) -> Result<(), Error> {
+        let cfg = FleetConfig::serving(2, 6, 3);
+        let mut host = Fleet::new(cfg);
+        host.run(60_000);
+        tamper(&mut host);
+        let mut fleet = Fleet::new(cfg);
+        let loaded = fleet.load_snapshot(&host.save_snapshot());
+        assert_eq!(fleet.cycle(), 0, "a rejected image must leave the fleet unchanged");
+        loaded
+    }
+
+    #[test]
+    fn meta_cycle_off_the_segment_clock_is_rejected() {
+        assert_corrupt(load_tampered(|f| f.cycle += 1));
+    }
+
+    #[test]
+    fn server_marked_dead_with_a_live_nic_is_rejected() {
+        assert_corrupt(load_tampered(|f| f.server_online[1] = false));
+    }
+
+    #[test]
+    fn server_marked_live_with_a_dead_nic_is_rejected() {
+        assert_corrupt(load_tampered(|f| f.segment.set_online(0, false)));
+    }
+
+    #[test]
+    fn offline_client_nic_is_rejected() {
+        assert_corrupt(load_tampered(|f| f.segment.set_online(2, false)));
     }
 
     #[test]

@@ -567,13 +567,7 @@ impl HarnessRun {
     /// of per-job wall time — CPU time, roughly — not the elapsed time;
     /// compare with [`HarnessRun::wall_ns`] for the speedup).
     pub fn total_host(&self) -> HostCounters {
-        let mut total = HostCounters::default();
-        for j in &self.jobs {
-            let mut h = j.host;
-            std::mem::swap(&mut total, &mut h);
-            total += h;
-        }
-        total
+        self.jobs.iter().map(|j| j.host).sum()
     }
 
     /// A one-line human summary of the harness's own performance.

@@ -374,11 +374,7 @@ impl Firefly {
         match &mut self.io {
             None => match self.engine {
                 EngineMode::EventDriven => {
-                    self.engine_stats.absorb(drive_events(
-                        &mut self.processors,
-                        &mut self.sys,
-                        cycles,
-                    ));
+                    self.engine_stats += drive_events(&mut self.processors, &mut self.sys, cycles);
                 }
                 EngineMode::Ticked => drive(&mut self.processors, &mut self.sys, cycles),
             },
