@@ -93,4 +93,10 @@ trap 'rm -f "$trace_file"' EXIT
 cargo run --release -p firefly-bench --bin protocol_compare -- --smoke --trace "$trace_file"
 cargo run --release -p firefly-bench --bin trace_check -- "$trace_file"
 
+echo "== trace examples: protocol_trace, trace_timeline"
+# Both render Figure 4 and the event timeline from the event ring; run
+# them so the rendering paths execute in CI, not just compile.
+cargo run --release -q --example protocol_trace > /dev/null
+cargo run --release -q --example trace_timeline > /dev/null
+
 echo "ci.sh: all checks passed"

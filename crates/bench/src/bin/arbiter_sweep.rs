@@ -27,6 +27,7 @@
 //! timed busy-bus point goes to `--out`. Exits nonzero when either gate
 //! misses.
 
+use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_core::protocol::ProtocolKind;
 use firefly_core::{ArbiterKind, BusMode, BUS_CYCLES_PER_OP};
@@ -300,26 +301,8 @@ fn busy_bus_point(cycles: u64, seed: u64) -> BusyBusPoint {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    // Developer shortcut: time only the busy-bus engine gate, skipping
-    // the grid and the split point (undocumented; used when tuning the
-    // event engine).
-    let busy_only = args.iter().any(|a| a == "--busy-only");
-    let mut seed = 0x8a8b_u64;
-    let mut out = String::from("BENCH_8.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            seed = parse_seed(it.next().expect("--seed takes a value"));
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = parse_seed(v);
-        } else if a == "--out" {
-            out = it.next().expect("--out takes a path").clone();
-        } else if let Some(v) = a.strip_prefix("--out=") {
-            out = v.to_string();
-        }
-    }
+    let BenchArgs { smoke, seed, out } = cli::parse(0x8a8b_u64);
+    let out = out.unwrap_or_else(|| String::from("BENCH_8.json"));
 
     let grid_cycles: u64 = if smoke { 60_000 } else { 250_000 };
     let gate_cycles: u64 = if smoke { 120_000 } else { 500_000 };
@@ -327,21 +310,6 @@ fn main() {
     // estimator's noise shrinks with run length, and at 2M cycles one
     // measurement round is still only ~1.5 s.
     let busy_cycles: u64 = 2_000_000;
-
-    if busy_only {
-        let b = busy_bus_point(busy_cycles, seed ^ 0xb);
-        println!(
-            "busy-only: load {:.2}, ticked {:.1} ms vs event {:.1} ms -> {:.3}x \
-             ({} skips, {} ticked)",
-            b.bus_load,
-            b.ticked_wall_ns as f64 / 1e6,
-            b.event_wall_ns as f64 / 1e6,
-            b.speedup,
-            b.idle_skips,
-            b.ticked_iterations,
-        );
-        return;
-    }
 
     // Unified mode across every protocol, split mode on the paper's own
     // protocol — each discipline everywhere.
@@ -443,11 +411,4 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let v = v.trim();
-    let parsed =
-        if let Some(hex) = v.strip_prefix("0x") { u64::from_str_radix(hex, 16) } else { v.parse() };
-    parsed.unwrap_or_else(|_| panic!("--seed wants an integer, got {v:?}"))
 }

@@ -24,6 +24,7 @@
 //! `BENCH_6.json`), `--json` (echo the document to stdout). Exits
 //! nonzero when the headline speedup misses the ≥10× target.
 
+use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_core::protocol::ProtocolKind;
 use firefly_cpu::CpuConfig;
@@ -156,22 +157,8 @@ fn soak_point(seed: u64, restores: u64) -> SoakPoint {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut seed = 0x6e61_6368_u64;
-    let mut out = String::from("BENCH_6.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            seed = parse_seed(it.next().expect("--seed takes a value"));
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = parse_seed(v);
-        } else if a == "--out" {
-            out = it.next().expect("--out takes a path").clone();
-        } else if let Some(v) = a.strip_prefix("--out=") {
-            out = v.to_string();
-        }
-    }
+    let BenchArgs { smoke, seed, out } = cli::parse(0x6e61_6368_u64);
+    let out = out.unwrap_or_else(|| String::from("BENCH_6.json"));
 
     let cycles: u64 = if smoke { 1_500_000 } else { 10_000_000 };
     let idle_cpus: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
@@ -244,11 +231,4 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let v = v.trim();
-    let parsed =
-        if let Some(hex) = v.strip_prefix("0x") { u64::from_str_radix(hex, 16) } else { v.parse() };
-    parsed.unwrap_or_else(|_| panic!("--seed wants an integer, got {v:?}"))
 }

@@ -19,6 +19,7 @@
 //! run under the correctable plan — the fault-injected/recovered events
 //! land in the Chrome trace alongside the bus transactions they hit.
 
+use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::{report, tracing};
 use firefly_core::fault::FaultConfig;
 use firefly_core::protocol::ProtocolKind;
@@ -90,18 +91,7 @@ fn run_cell(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut seed = 0x00f1_f0fa_u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            let v = it.next().expect("--seed takes a value");
-            seed = parse_seed(v);
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = parse_seed(v);
-        }
-    }
+    let BenchArgs { smoke, seed, .. } = cli::parse(0x00f1_f0fa_u64);
 
     let (warmup, window) = if smoke { (2_000, 6_000) } else { (20_000, 60_000) };
     let rates: &[u32] = if smoke { &[0, 50_000] } else { &[0, 1_000, 10_000, 50_000] };
@@ -232,11 +222,4 @@ fn main() {
          {CPUS}-CPU machine sheds it and degrades to the survivors rather than crashing,\n\
          the multiprocessor counterpart of the paper's parity-protected MBus and memory."
     );
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let v = v.trim();
-    let parsed =
-        if let Some(hex) = v.strip_prefix("0x") { u64::from_str_radix(hex, 16) } else { v.parse() };
-    parsed.unwrap_or_else(|_| panic!("--seed wants an integer, got {v:?}"))
 }

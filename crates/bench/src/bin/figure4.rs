@@ -7,17 +7,21 @@
 //! experiment harness's worker pool, showing how each one schedules the
 //! identical request sequence on the bus.
 
+use firefly_core::bus::{waveform, TransactionRecord};
 use firefly_core::config::SystemConfig;
+use firefly_core::events::bus_records;
 use firefly_core::protocol::ProtocolKind;
 use firefly_core::system::{MemSystem, Request};
 use firefly_core::{Addr, PortId};
 use firefly_sim::harness::run_jobs;
 
 /// Runs the Figure-4 scenario — fill, cache-to-cache read,
-/// write-through, dirty victimization — under `kind` with bus tracing
-/// on.
-fn traced_scenario(kind: ProtocolKind) -> Result<MemSystem, firefly_core::Error> {
-    let cfg = SystemConfig::microvax(2).with_bus_trace(true);
+/// write-through, dirty victimization — under `kind` with event tracing
+/// on, returning the system and its completed bus transactions.
+fn traced_scenario(
+    kind: ProtocolKind,
+) -> Result<(MemSystem, Vec<TransactionRecord>), firefly_core::Error> {
+    let cfg = SystemConfig::microvax(2).with_event_trace(1 << 12);
     let mut sys = MemSystem::new(cfg, kind)?;
     let a = Addr::new(0x1000);
 
@@ -36,7 +40,8 @@ fn traced_scenario(kind: ProtocolKind) -> Result<MemSystem, firefly_core::Error>
         PortId::new(0),
         Request::read(Addr::from_word_index(b.word_index() + 4096)),
     )?;
-    Ok(sys)
+    let records = bus_records(&sys.events());
+    Ok((sys, records))
 }
 
 fn main() -> Result<(), firefly_core::Error> {
@@ -44,14 +49,14 @@ fn main() -> Result<(), firefly_core::Error> {
     println!("scenario: P0 fills a line; P1 reads it (cache-to-cache supply);");
     println!("P0 writes it (write-through); P0 victimizes a dirty line.\n");
 
-    let runs = run_jobs(&ProtocolKind::ALL, |&kind| traced_scenario(kind).map(|sys| (kind, sys)));
+    let runs = run_jobs(&ProtocolKind::ALL, |&kind| traced_scenario(kind).map(|run| (kind, run)));
 
-    let (_, sys) = runs
+    let (_, (sys, records)) = runs
         .iter()
         .flatten()
         .find(|(k, _)| *k == ProtocolKind::Firefly)
         .expect("ALL contains Firefly");
-    for rec in sys.bus_log() {
+    for rec in records {
         println!("{}", rec.timing_diagram());
     }
 
@@ -59,16 +64,15 @@ fn main() -> Result<(), firefly_core::Error> {
         "the same transactions as a waveform (A=address, W/R=data, *=MShared):
 "
     );
-    println!("{}", firefly_core::bus::waveform(sys.bus_log()));
+    println!("{}", waveform(records));
     println!("bus statistics: {:?}", sys.bus_stats());
 
     println!("\nthe same scenario under every protocol (bus transactions it costs):\n");
     println!("  {:<14} {:>12} {:>12}", "protocol", "transactions", "bus cycles");
     for run in &runs {
-        let (kind, sys) = run.as_ref().map_err(Clone::clone)?;
-        let log = sys.bus_log();
-        let cycles: u64 = log.len() as u64 * 4;
-        println!("  {:<14} {:>12} {:>12}", kind.name(), log.len(), cycles);
+        let (kind, (_, records)) = run.as_ref().map_err(Clone::clone)?;
+        let cycles: u64 = records.len() as u64 * 4;
+        println!("  {:<14} {:>12} {:>12}", kind.name(), records.len(), cycles);
     }
     println!(
         "\nreading: update protocols resolve the shared write in one word-sized\n\

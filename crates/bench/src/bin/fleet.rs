@@ -20,6 +20,7 @@
 //! Flags: `--smoke` (CI sizing), `--seed N`, `--out PATH` (default
 //! `BENCH_7.json`), `--json`. Exits nonzero if any gate fails.
 
+use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_sim::fleet::{
     goodput_mbps, run_crash_failover, run_retry_storm, CrashOutcome, Fleet, FleetConfig,
@@ -103,22 +104,8 @@ fn saturation_point(seed: u64, arrivals: u64, cycles: u64) -> SaturationPoint {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut seed = 0x000f_1ee7_u64;
-    let mut out = String::from("BENCH_7.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            seed = parse_seed(it.next().expect("--seed takes a value"));
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = parse_seed(v);
-        } else if a == "--out" {
-            out = it.next().expect("--out takes a path").clone();
-        } else if let Some(v) = a.strip_prefix("--out=") {
-            out = v.to_string();
-        }
-    }
+    let BenchArgs { smoke, seed, out } = cli::parse(0x000f_1ee7_u64);
+    let out = out.unwrap_or_else(|| String::from("BENCH_7.json"));
 
     let t0 = Instant::now();
     let sat_cycles: u64 = if smoke { 800_000 } else { 4_000_000 };
@@ -221,11 +208,4 @@ fn main() {
         eprintln!("fleet: a degradation gate failed (see {out})");
         std::process::exit(1);
     }
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let v = v.trim();
-    let parsed =
-        if let Some(hex) = v.strip_prefix("0x") { u64::from_str_radix(hex, 16) } else { v.parse() };
-    parsed.unwrap_or_else(|_| panic!("--seed wants an integer, got {v:?}"))
 }

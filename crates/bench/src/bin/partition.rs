@@ -28,6 +28,7 @@
 //! deterministic slice — no wall clock — for the jobs-width identity
 //! gate). Exits nonzero if any gate fails.
 
+use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_sim::fleet::{
     run_brownout, run_flapping_partition, run_partition_heal, run_rejoin, BrownoutOutcome,
@@ -93,22 +94,8 @@ struct BenchReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut seed = 0x000f_1ee7_u64;
-    let mut out = String::from("BENCH_10.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            seed = parse_seed(it.next().expect("--seed takes a value"));
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = parse_seed(v);
-        } else if a == "--out" {
-            out = it.next().expect("--out takes a path").clone();
-        } else if let Some(v) = a.strip_prefix("--out=") {
-            out = v.to_string();
-        }
-    }
+    let BenchArgs { smoke, seed, out } = cli::parse(0x000f_1ee7_u64);
+    let out = out.unwrap_or_else(|| String::from("BENCH_10.json"));
 
     let t0 = Instant::now();
     let jobs = [
@@ -275,11 +262,4 @@ fn main() {
         eprintln!("partition: a self-healing gate failed (see {out})");
         std::process::exit(1);
     }
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let v = v.trim();
-    let parsed =
-        if let Some(hex) = v.strip_prefix("0x") { u64::from_str_radix(hex, 16) } else { v.parse() };
-    parsed.unwrap_or_else(|_| panic!("--seed wants an integer, got {v:?}"))
 }

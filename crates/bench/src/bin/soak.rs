@@ -32,6 +32,7 @@
 //! process exit nonzero. Flags: `--seed N`, `--smoke` (CI sizing),
 //! `--json`.
 
+use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_core::check::CoherenceChecker;
 use firefly_core::config::SystemConfig;
@@ -357,18 +358,7 @@ fn fleet_cell(seed: u64, total_cycles: u64) -> FleetCell {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut seed = 0x50a4_f1ef_u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            let v = it.next().expect("--seed takes a value");
-            seed = parse_seed(v);
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = parse_seed(v);
-        }
-    }
+    let BenchArgs { smoke, seed, .. } = cli::parse(0x50a4_f1ef_u64);
 
     let accesses: u64 = if smoke { 2_500 } else { 60_000 };
     let (warm, run) = if smoke { (10_000, 10_000) } else { (120_000, 150_000) };
@@ -463,11 +453,4 @@ fn main() {
          every quiescent checkpoint passed the full coherence battery against the\n\
          write-serialization oracle; and no server kill ever broke at-most-once."
     );
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let v = v.trim();
-    let parsed =
-        if let Some(hex) = v.strip_prefix("0x") { u64::from_str_radix(hex, 16) } else { v.parse() };
-    parsed.unwrap_or_else(|_| panic!("--seed wants an integer, got {v:?}"))
 }

@@ -63,6 +63,96 @@ pub mod report {
     }
 }
 
+/// The command line the seeded bench binaries (`arbiter_sweep`,
+/// `engine_bench`, `fault_sweep`, `fleet`, `partition`, `soak`) share.
+pub mod cli {
+    /// `--smoke`, `--seed` and `--out`, as read by [`parse`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct BenchArgs {
+        /// `--smoke`: CI sizing.
+        pub smoke: bool,
+        /// `--seed N` / `--seed=N`, decimal or `0x` hex; the binary's
+        /// default when absent.
+        pub seed: u64,
+        /// `--out PATH` / `--out=PATH`, when given.
+        pub out: Option<String>,
+    }
+
+    /// Reads the shared flags from the process arguments. Every other
+    /// argument (`--json`, `--trace`) is left to its own reader.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `--seed` or `--out` is missing its value or the seed
+    /// is not an integer — flag misuse should fail loudly.
+    pub fn parse(default_seed: u64) -> BenchArgs {
+        parse_from(std::env::args().skip(1).collect(), default_seed)
+    }
+
+    fn parse_from(args: Vec<String>, default_seed: u64) -> BenchArgs {
+        let mut parsed =
+            BenchArgs { smoke: args.iter().any(|a| a == "--smoke"), seed: default_seed, out: None };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if a == "--seed" {
+                parsed.seed = parse_seed(it.next().expect("--seed takes a value"));
+            } else if let Some(v) = a.strip_prefix("--seed=") {
+                parsed.seed = parse_seed(v);
+            } else if a == "--out" {
+                parsed.out = Some(it.next().expect("--out takes a path").clone());
+            } else if let Some(v) = a.strip_prefix("--out=") {
+                parsed.out = Some(v.to_string());
+            }
+        }
+        parsed
+    }
+
+    fn parse_seed(v: &str) -> u64 {
+        let v = v.trim();
+        let parsed = if let Some(hex) = v.strip_prefix("0x") {
+            u64::from_str_radix(hex, 16)
+        } else {
+            v.parse()
+        };
+        parsed.unwrap_or_else(|_| panic!("--seed wants an integer, got {v:?}"))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn argv(args: &[&str]) -> Vec<String> {
+            args.iter().map(|s| s.to_string()).collect()
+        }
+
+        #[test]
+        fn defaults_apply_when_flags_are_absent() {
+            let want = BenchArgs { smoke: false, seed: 7, out: None };
+            assert_eq!(parse_from(argv(&["--json"]), 7), want);
+        }
+
+        #[test]
+        fn both_spellings_and_hex_seeds_parse() {
+            let want = BenchArgs { smoke: true, seed: 0x2a, out: Some("b.json".into()) };
+            let spaced = argv(&["--smoke", "--seed", "42", "--out", "b.json"]);
+            assert_eq!(parse_from(spaced, 7), want);
+            assert_eq!(parse_from(argv(&["--out=b.json", "--seed=0x2a", "--smoke"]), 7), want);
+        }
+
+        #[test]
+        #[should_panic(expected = "--seed wants an integer")]
+        fn a_bad_seed_is_rejected() {
+            let _ = parse_from(argv(&["--seed", "banana"]), 7);
+        }
+
+        #[test]
+        #[should_panic(expected = "--out takes a path")]
+        fn a_missing_out_path_is_rejected() {
+            let _ = parse_from(argv(&["--out"]), 7);
+        }
+    }
+}
+
 /// Shared `--trace` support for the experiment binaries.
 ///
 /// Any binary that accepts the flag runs its experiment as usual, then

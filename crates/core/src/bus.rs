@@ -19,9 +19,10 @@
 //! pluggable ([`crate::arbiter`]) and the bus can optionally pipeline
 //! two transactions at a two-cycle offset ([`BusMode::Split`]).
 //!
-//! This module owns the *mechanics*: requests, grants, phases, the event
-//! log that the Figure 4 reproduction prints. Protocol glue (snooping and
-//! state changes) lives in [`crate::system`].
+//! This module owns the *mechanics*: requests, grants, phases, and the
+//! [`TransactionRecord`] the Figure 4 reproduction prints (rebuilt from
+//! `BusCompleted` events by [`crate::events::bus_records`]). Protocol
+//! glue (snooping and state changes) lives in [`crate::system`].
 
 use crate::addr::{LineId, PortId};
 use crate::arbiter::{ArbiterKind, ArbiterPolicy, BusMode};
@@ -117,7 +118,8 @@ pub struct Transaction {
 
 crate::snap_struct!(Transaction { initiator, op, line, payload, cycles_done, mshared });
 
-/// A completed transaction, as recorded in the bus event log.
+/// A completed transaction, as carried by a `BusCompleted` event (see
+/// [`crate::events::bus_records`]).
 ///
 /// Contains everything needed to draw the Figure 4 timing diagram.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -135,8 +137,6 @@ pub struct TransactionRecord {
     /// Who supplied read data in cycle 4.
     pub source: DataSource,
 }
-
-crate::snap_struct!(TransactionRecord { start_cycle, initiator, op, line, mshared, source });
 
 impl TransactionRecord {
     /// Renders this transaction as a per-cycle signal trace in the style
@@ -194,7 +194,7 @@ pub fn waveform(records: &[TransactionRecord]) -> String {
     if records.is_empty() {
         return String::from("(no transactions)\n");
     }
-    // The log is normally in start order, but callers may pass merged or
+    // Records are normally in start order, but callers may pass merged or
     // reordered records (e.g. reconstructed from an event stream), so the
     // window must span the min..max rather than trusting records[0].
     let start = records.iter().map(|r| r.start_cycle).min().expect("nonempty");
@@ -242,8 +242,7 @@ pub fn waveform(records: &[TransactionRecord]) -> String {
 pub const SPLIT_OFFSET_CYCLES: u64 = 2;
 
 /// The MBus: request lines, a pluggable arbitration policy, one (or, in
-/// split mode, two pipelined) transaction(s) at a time, statistics, and
-/// an optional event log.
+/// split mode, two pipelined) transaction(s) at a time, and statistics.
 ///
 /// # Examples
 ///
@@ -252,7 +251,7 @@ pub const SPLIT_OFFSET_CYCLES: u64 = 2;
 /// use firefly_core::protocol::BusOp;
 /// use firefly_core::{LineId, PortId};
 ///
-/// let mut bus = Bus::new(4, false);
+/// let mut bus = Bus::new(4);
 /// bus.request(PortId::new(2), 0);
 /// bus.request(PortId::new(1), 0);
 /// // Default fixed priority: the lower port wins arbitration.
@@ -268,27 +267,24 @@ pub struct Bus {
     mode: BusMode,
     arbiter: Box<dyn ArbiterPolicy>,
     stats: BusStats,
-    log: Option<Vec<TransactionRecord>>,
 }
 
 impl Bus {
-    /// Creates a bus with `ports` request lines; `trace` enables the
-    /// event log. Uses the paper's fixed-priority arbiter and the
-    /// unified (serialized) bus.
-    pub fn new(ports: usize, trace: bool) -> Self {
-        Bus::with_config(ports, trace, ArbiterKind::FixedPriority, BusMode::Unified)
+    /// Creates a bus with `ports` request lines, the paper's
+    /// fixed-priority arbiter and the unified (serialized) bus.
+    pub fn new(ports: usize) -> Self {
+        Bus::with_config(ports, ArbiterKind::FixedPriority, BusMode::Unified)
     }
 
     /// Creates a bus with an explicit arbitration policy and transaction
     /// mode.
-    pub fn with_config(ports: usize, trace: bool, arbiter: ArbiterKind, mode: BusMode) -> Self {
+    pub fn with_config(ports: usize, arbiter: ArbiterKind, mode: BusMode) -> Self {
         Bus {
             requests: vec![None; ports],
             slots: Vec::with_capacity(mode.max_in_flight()),
             mode,
             arbiter: arbiter.build(),
             stats: BusStats::default(),
-            log: if trace { Some(Vec::new()) } else { None },
         }
     }
 
@@ -472,22 +468,12 @@ impl Bus {
         }
     }
 
-    /// Records a completed transaction in the statistics and event log.
-    pub fn record_completion(&mut self, txn: &Transaction, start_cycle: u64, source: DataSource) {
+    /// Counts where a completed transaction's read data came from.
+    pub fn record_completion(&mut self, source: DataSource) {
         match source {
             DataSource::Cache(_) => self.stats.cache_supplied += 1,
             DataSource::Memory => self.stats.memory_supplied += 1,
             DataSource::NotApplicable => {}
-        }
-        if let Some(log) = &mut self.log {
-            log.push(TransactionRecord {
-                start_cycle,
-                initiator: txn.initiator,
-                op: txn.op,
-                line: txn.line,
-                mshared: txn.mshared,
-                source,
-            });
         }
     }
 
@@ -496,28 +482,15 @@ impl Bus {
         &self.stats
     }
 
-    /// The event log (empty slice when tracing is disabled).
-    pub fn log(&self) -> &[TransactionRecord] {
-        self.log.as_deref().unwrap_or(&[])
-    }
-
-    /// Clears the event log (tracing setting unchanged).
-    pub fn clear_log(&mut self) {
-        if let Some(log) = &mut self.log {
-            log.clear();
-        }
-    }
-
     pub(crate) fn save(&self, w: &mut SnapWriter) {
         w.put(&self.requests);
         w.put(&self.slots);
         self.arbiter.save_state(w);
         w.put(&self.stats);
-        w.put(&self.log);
     }
 
     /// Restores a bus saved with [`save`](Bus::save) into one built with
-    /// the same port count, mode and tracing setting.
+    /// the same port count and mode.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
         let requests: Vec<Option<u64>> = r.get()?;
         if requests.len() != self.requests.len() {
@@ -541,13 +514,6 @@ impl Bus {
         self.slots.extend(slots);
         self.arbiter.load_state(r)?;
         self.stats = r.get()?;
-        let log: Option<Vec<TransactionRecord>> = r.get()?;
-        if log.is_some() != self.log.is_some() {
-            return Err(Error::SnapshotCorrupt(
-                "snapshot bus-trace setting does not match the configuration".into(),
-            ));
-        }
-        self.log = log;
         Ok(())
     }
 }
@@ -568,7 +534,7 @@ mod tests {
 
     #[test]
     fn fixed_priority_arbitration() {
-        let mut bus = Bus::new(8, false);
+        let mut bus = Bus::new(8);
         assert_eq!(bus.arbitrate(0), None);
         bus.request(PortId::new(5), 0);
         bus.request(PortId::new(3), 2);
@@ -578,7 +544,7 @@ mod tests {
 
     #[test]
     fn fcfs_bus_grants_oldest_request() {
-        let mut bus = Bus::with_config(8, false, ArbiterKind::Fcfs, BusMode::Unified);
+        let mut bus = Bus::with_config(8, ArbiterKind::Fcfs, BusMode::Unified);
         bus.request(PortId::new(5), 0);
         bus.request(PortId::new(3), 2);
         assert_eq!(bus.arbitrate(3), Some(PortId::new(5)));
@@ -589,7 +555,7 @@ mod tests {
 
     #[test]
     fn split_mode_pipelines_at_two_cycle_offset() {
-        let mut bus = Bus::with_config(4, false, ArbiterKind::FixedPriority, BusMode::Split);
+        let mut bus = Bus::with_config(4, ArbiterKind::FixedPriority, BusMode::Split);
         bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None);
         assert!(!bus.can_grant(), "younger slot must wait out the address/data phases");
         assert!(bus.tick().is_none());
@@ -614,7 +580,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already busy")]
     fn split_mode_rejects_grant_before_offset() {
-        let mut bus = Bus::with_config(4, false, ArbiterKind::FixedPriority, BusMode::Split);
+        let mut bus = Bus::with_config(4, ArbiterKind::FixedPriority, BusMode::Split);
         bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None);
         bus.tick();
         bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None);
@@ -622,7 +588,7 @@ mod tests {
 
     #[test]
     fn transaction_takes_exactly_four_cycles() {
-        let mut bus = Bus::new(2, false);
+        let mut bus = Bus::new(2);
         bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(9), Payload::None);
         assert!(bus.tick().is_none());
         assert!(bus.tick().is_none());
@@ -635,14 +601,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already busy")]
     fn one_transaction_at_a_time() {
-        let mut bus = Bus::new(2, false);
+        let mut bus = Bus::new(2);
         bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None);
         bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None);
     }
 
     #[test]
     fn begin_clears_request_line() {
-        let mut bus = Bus::new(2, false);
+        let mut bus = Bus::new(2);
         bus.request(PortId::new(1), 0);
         bus.begin(
             PortId::new(1),
@@ -655,7 +621,7 @@ mod tests {
 
     #[test]
     fn stats_count_op_kinds() {
-        let mut bus = Bus::new(2, false);
+        let mut bus = Bus::new(2);
         for (op, _) in [(BusOp::Read, ()), (BusOp::Write, ()), (BusOp::WriteBack, ())] {
             bus.begin(PortId::new(0), op, LineId::from_raw(1), Payload::None);
             while bus.tick().is_none() {}
@@ -667,29 +633,30 @@ mod tests {
     }
 
     #[test]
-    fn log_records_when_enabled() {
-        let mut bus = Bus::new(2, true);
+    fn timing_diagram_shows_a_cache_supplied_read() {
+        let mut bus = Bus::new(2);
         bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(4), Payload::None);
         bus.set_mshared(true);
         let mut txn = None;
         while txn.is_none() {
             txn = bus.tick();
         }
-        bus.record_completion(&txn.unwrap(), 10, DataSource::Cache(PortId::new(0)));
-        let log = bus.log();
-        assert_eq!(log.len(), 1);
-        assert!(log[0].mshared);
-        assert_eq!(log[0].source, DataSource::Cache(PortId::new(0)));
-        let diagram = log[0].timing_diagram();
+        let txn = txn.unwrap();
+        bus.record_completion(DataSource::Cache(PortId::new(0)));
+        assert_eq!(bus.stats().cache_supplied, 1);
+        let rec = TransactionRecord {
+            start_cycle: 10,
+            initiator: txn.initiator,
+            op: txn.op,
+            line: txn.line,
+            mshared: txn.mshared,
+            source: DataSource::Cache(PortId::new(0)),
+        };
+        let diagram = rec.timing_diagram();
         assert!(diagram.contains("MRead"));
+        assert!(diagram.contains("(cycles 10..13)"));
         assert!(diagram.contains("MShared ASSERTED"));
         assert!(diagram.contains("memory inhibited"));
-    }
-
-    #[test]
-    fn log_disabled_is_empty() {
-        let bus = Bus::new(2, false);
-        assert!(bus.log().is_empty());
     }
 
     #[test]

@@ -202,7 +202,6 @@ pub struct SystemConfig {
     ports: usize,
     cache: CacheGeometry,
     memory_bytes: u64,
-    trace_bus: bool,
     event_trace: usize,
     faults: FaultConfig,
     arbiter: ArbiterKind,
@@ -222,7 +221,6 @@ impl SystemConfig {
             ports,
             cache: CacheGeometry::microvax(),
             memory_bytes: 16 << 20,
-            trace_bus: false,
             event_trace: 0,
             faults: FaultConfig::default(),
             arbiter: ArbiterKind::FixedPriority,
@@ -242,7 +240,6 @@ impl SystemConfig {
             ports,
             cache: CacheGeometry::cvax(),
             memory_bytes: 128 << 20,
-            trace_bus: false,
             event_trace: 0,
             faults: FaultConfig::default(),
             arbiter: ArbiterKind::FixedPriority,
@@ -292,14 +289,6 @@ impl SystemConfig {
         }
         self.memory_bytes = bytes;
         Ok(self)
-    }
-
-    /// Enables recording of per-cycle bus events (for timing diagrams).
-    ///
-    /// Off by default: the event log grows with every transaction.
-    pub fn with_bus_trace(mut self, on: bool) -> Self {
-        self.trace_bus = on;
-        self
     }
 
     /// Enables structured event tracing (see [`crate::events`]) into a
@@ -356,11 +345,6 @@ impl SystemConfig {
         self.memory_bytes
     }
 
-    /// Whether bus-event tracing is enabled.
-    pub const fn trace_bus(&self) -> bool {
-        self.trace_bus
-    }
-
     /// Event-ring capacity for structured tracing (0 = disabled).
     pub const fn event_trace(&self) -> usize {
         self.event_trace
@@ -407,7 +391,7 @@ impl Snap for CacheGeometry {
 impl Snap for SystemConfig {
     fn save(&self, w: &mut SnapWriter) {
         w.put(&(self.variant, self.ports, self.cache, self.memory_bytes));
-        w.put(&(self.trace_bus, self.event_trace, self.faults));
+        w.put(&(self.event_trace, self.faults));
         w.put(&(self.arbiter, self.bus_mode));
     }
 
@@ -424,7 +408,6 @@ impl Snap for SystemConfig {
             ports,
             cache,
             memory_bytes,
-            trace_bus: r.get()?,
             event_trace: r.get()?,
             faults: r.get()?,
             arbiter: r.get()?,

@@ -12,13 +12,18 @@
 //! recorded as a compact [`Event`] with the MBus cycle at which it
 //! happened.
 //!
-//! Events flow through the [`EventSink`] trait into a bounded
-//! [`EventRing`]; when tracing is disabled the system holds no ring at
-//! all and every emit point is a single branch on `Option::is_some`,
-//! so the hot path is unchanged (verified by `benches/machine.rs`).
+//! The bounded [`EventRing`] is the simulator's only trace mechanism,
+//! for the machine and the fleet alike. A machine holds one only when
+//! tracing is enabled: otherwise every emit point is a single branch on
+//! `Option::is_some`, so the hot path is unchanged (verified by
+//! `benches/machine.rs`). A fleet (`firefly_sim::Fleet`) always holds
+//! one and emits its server crashes and revivals into it, stamped on
+//! the same 100 ns cycle grid.
 //!
-//! Two exporters turn a captured stream into something a human can
-//! read: [`chrome_trace`] produces Chrome trace-event JSON loadable in
+//! The Figure 4 timing diagrams come from the `BusCompleted` events:
+//! [`bus_records`] turns them back into [`TransactionRecord`]s. Two
+//! exporters turn a captured stream into something a human can read:
+//! [`chrome_trace`] produces Chrome trace-event JSON loadable in
 //! Perfetto or `chrome://tracing`, and [`timeline`] produces a text
 //! timeline that embeds the MBus waveform from [`crate::bus::waveform`].
 
@@ -156,6 +161,19 @@ pub enum EventKind {
         /// Whether the thread last ran on a different CPU.
         migrated: bool,
     },
+    /// A fleet server crashed: its NIC went offline and it stopped
+    /// executing.
+    ServerCrashed {
+        /// The server's index (and NIC).
+        server: u32,
+    },
+    /// A crashed fleet server restarted cold under a fresh epoch.
+    ServerRevived {
+        /// The server's index (and NIC).
+        server: u32,
+        /// The epoch it restarted under.
+        epoch: u32,
+    },
 }
 
 /// A tag byte, then the variant's fields in declaration order.
@@ -175,6 +193,8 @@ impl Snap for EventKind {
             EventKind::ContextSwitch { cpu, thread, migrated } => {
                 w.put(&(7u8, cpu, thread, migrated))
             }
+            EventKind::ServerCrashed { server } => w.put(&(8u8, server)),
+            EventKind::ServerRevived { server, epoch } => w.put(&(9u8, server, epoch)),
         }
     }
 
@@ -199,6 +219,8 @@ impl Snap for EventKind {
             5 => EventKind::FaultRecovered { class: r.get()? },
             6 => EventKind::CpuOffline { port: r.get()? },
             7 => EventKind::ContextSwitch { cpu: r.get()?, thread: r.get()?, migrated: r.get()? },
+            8 => EventKind::ServerCrashed { server: r.get()? },
+            9 => EventKind::ServerRevived { server: r.get()?, epoch: r.get()? },
             t => return Err(Error::SnapshotCorrupt(format!("invalid EventKind tag {t}"))),
         })
     }
@@ -215,33 +237,6 @@ pub struct Event {
 }
 
 crate::snap_struct!(Event { cycle, kind });
-
-/// A component that accepts trace events.
-///
-/// The simulator core emits through a concrete [`EventRing`] (kept in
-/// an `Option` so the disabled path is branch-only), but external
-/// components — exporters, live monitors, tests — can implement this
-/// trait to receive events themselves.
-pub trait EventSink {
-    /// Records one event.
-    fn emit(&mut self, event: Event);
-    /// Whether emitting is worthwhile; emit points may skip expensive
-    /// argument construction when this is false.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// A sink that drops everything: the explicit form of "tracing off".
-#[derive(Copy, Clone, Default, Debug)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _event: Event) {}
-    fn enabled(&self) -> bool {
-        false
-    }
-}
 
 /// A bounded ring buffer of events. When full, the oldest event is
 /// dropped and counted, so a long run keeps its *tail* — usually the
@@ -293,14 +288,29 @@ impl EventRing {
         self.buf.drain(..).collect()
     }
 
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
+    /// Records one event, dropping (and counting) the oldest when full.
+    pub fn emit(&mut self, event: Event) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(event);
+    }
+
+    /// Writes the capacity, the drop count and the held events.
+    pub fn save(&self, w: &mut SnapWriter) {
         w.put(&(self.capacity, self.dropped));
         w.put(&self.buf);
     }
 
     /// Restores a ring saved with [`save`](EventRing::save) into one
     /// built with the same capacity.
-    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SnapshotCorrupt`] if the saved capacity differs
+    /// from this ring's or the saved events overflow it.
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
         let cap: usize = r.get()?;
         if cap != self.capacity {
             return Err(Error::SnapshotCorrupt(format!(
@@ -319,16 +329,6 @@ impl EventRing {
         self.buf.clear();
         self.buf.extend(buf);
         Ok(())
-    }
-}
-
-impl EventSink for EventRing {
-    fn emit(&mut self, event: Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event);
     }
 }
 
@@ -518,20 +518,40 @@ pub fn chrome_trace(events: &[Event]) -> String {
                 None,
                 &[("migrated", format!("{migrated}"))],
             ),
+            EventKind::ServerCrashed { server } => push_chrome_event(
+                &mut out,
+                &mut first,
+                "server crashed",
+                "fleet",
+                "i",
+                e.cycle,
+                u64::from(server),
+                None,
+                &[],
+            ),
+            EventKind::ServerRevived { server, epoch } => push_chrome_event(
+                &mut out,
+                &mut first,
+                "server revived",
+                "fleet",
+                "i",
+                e.cycle,
+                u64::from(server),
+                None,
+                &[("epoch", format!("{epoch}"))],
+            ),
         }
     }
     out.push_str("]}");
     out
 }
 
-/// Renders an event stream as a human-readable timeline.
-///
-/// The header reuses the MBus waveform renderer from
-/// [`crate::bus::waveform`] — reconstructed from the `BusCompleted`
-/// events — followed by one line per event in emission order.
-pub fn timeline(events: &[Event]) -> String {
-    let mut out = String::new();
-    let records: Vec<TransactionRecord> = events
+/// The completed bus transactions in an event stream, in emission
+/// order: one [`TransactionRecord`] per `BusCompleted` event, stamped
+/// with its start cycle. This is what the Figure 4 timing diagrams and
+/// [`waveform`] draw.
+pub fn bus_records(events: &[Event]) -> Vec<TransactionRecord> {
+    events
         .iter()
         .filter_map(|e| match e.kind {
             EventKind::BusCompleted { initiator, op, line, mshared, source } => {
@@ -546,7 +566,18 @@ pub fn timeline(events: &[Event]) -> String {
             }
             _ => None,
         })
-        .collect();
+        .collect()
+}
+
+/// Renders an event stream as a human-readable timeline.
+///
+/// The header reuses the MBus waveform renderer from
+/// [`crate::bus::waveform`] — reconstructed from the `BusCompleted`
+/// events by [`bus_records`] — followed by one line per event in
+/// emission order.
+pub fn timeline(events: &[Event]) -> String {
+    let mut out = String::new();
+    let records = bus_records(events);
     if !records.is_empty() {
         out.push_str("MBus waveform (from BusCompleted events):\n");
         out.push_str(&waveform(&records));
@@ -613,6 +644,16 @@ pub fn timeline(events: &[Event]) -> String {
                 let _ = fmt::Write::write_fmt(
                     &mut out,
                     format_args!("sched  CPU{cpu} dispatches thread {thread}{tag}"),
+                );
+            }
+            EventKind::ServerCrashed { server } => {
+                let _ =
+                    fmt::Write::write_fmt(&mut out, format_args!("fleet  server {server} crashed"));
+            }
+            EventKind::ServerRevived { server, epoch } => {
+                let _ = fmt::Write::write_fmt(
+                    &mut out,
+                    format_args!("fleet  server {server} revived (epoch {epoch})"),
                 );
             }
         }
@@ -801,18 +842,11 @@ mod tests {
         assert_eq!(r.dropped(), 1);
     }
 
-    #[test]
-    fn null_sink_reports_disabled() {
-        let mut n = NullSink;
-        assert!(!n.enabled());
-        n.emit(ev(0, EventKind::CpuOffline { port: PortId::new(0) }));
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_for_every_variant() {
+    /// One event of every kind, in tag order.
+    fn every_variant() -> Vec<Event> {
         let p = PortId::new(1);
         let line = LineId::from_raw(0x40);
-        let events = vec![
+        vec![
             ev(0, EventKind::BusIssued { initiator: p, op: BusOp::Read, line }),
             ev(
                 0,
@@ -838,12 +872,41 @@ mod tests {
             ev(5, EventKind::FaultRecovered { class: FaultClass::BusRetry }),
             ev(6, EventKind::CpuOffline { port: p }),
             ev(7, EventKind::ContextSwitch { cpu: 1, thread: 3, migrated: true }),
-        ];
+            ev(8, EventKind::ServerCrashed { server: 1 }),
+            ev(9, EventKind::ServerRevived { server: 1, epoch: 1 }),
+        ]
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_snap_under_its_tag() {
+        for (tag, e) in every_variant().into_iter().enumerate() {
+            let mut w = SnapWriter::new();
+            w.put(&e.kind);
+            let bytes = w.into_bytes();
+            assert_eq!(usize::from(bytes[0]), tag, "{e:?}");
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(r.get::<EventKind>().unwrap(), e.kind);
+            r.expect_end().unwrap();
+        }
+    }
+
+    #[test]
+    fn chrome_trace_is_valid_json_for_every_variant() {
+        let events = every_variant();
         let json = chrome_trace(&events);
         validate_json(&json).expect("exporter output must parse");
         assert!(json.contains("\"ph\":\"X\""), "bus transactions are duration spans");
         assert!(json.contains("\"dur\":0.4"), "4 bus cycles = 0.4 us");
         assert!(json.contains("I->SC"));
+        assert!(json.contains("\"cat\":\"fleet\""), "fleet events are drawn");
+    }
+
+    #[test]
+    fn timeline_names_fleet_events() {
+        let text = timeline(&every_variant()[8..]);
+        assert!(text.contains("fleet  server 1 crashed"));
+        assert!(text.contains("fleet  server 1 revived (epoch 1)"));
+        assert!(!text.contains("MBus waveform"), "no bus transactions, no waveform");
     }
 
     #[test]

@@ -70,7 +70,10 @@ use std::fmt;
 /// became a tagged window list, RPC clients gained circuit breakers, a
 /// failure detector, per-server epochs and hedging state, and RPC
 /// servers gained an epoch, brownout watermark and ack-below ledger.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Version 5 dropped the bus log: the config section lost its bus-trace
+/// flag, the bus section its optional transaction log, and the fleet's
+/// meta section saves its event ring in place of the string trace.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// The four magic bytes at the start of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FFSN";

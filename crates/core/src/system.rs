@@ -16,11 +16,11 @@
 //! the paper's performance model, §5.2).
 
 use crate::addr::{Addr, LineId, PortId};
-use crate::bus::{Bus, DataSource, Payload, Transaction, TransactionRecord};
+use crate::bus::{Bus, DataSource, Payload, Transaction};
 use crate::cache::{Cache, LineData};
 use crate::config::SystemConfig;
 use crate::error::Error;
-use crate::events::{Event, EventKind, EventRing, EventSink, FaultClass};
+use crate::events::{Event, EventKind, EventRing, FaultClass};
 use crate::fault::{site, EccInjector, FaultConfig, FaultSite};
 use crate::memory::Memory;
 use crate::protocol::{
@@ -431,7 +431,7 @@ impl MemSystem {
         let mut memory = Memory::with_modules(cfg.memory_bytes(), cfg.variant().module_bytes());
         memory.install_ecc(EccInjector::from_config(&fault_cfg));
         Ok(MemSystem {
-            bus: Bus::with_config(cfg.ports(), cfg.trace_bus(), cfg.arbiter(), cfg.bus_mode()),
+            bus: Bus::with_config(cfg.ports(), cfg.arbiter(), cfg.bus_mode()),
             memory,
             protocol: tables,
             protocol_kind: kind,
@@ -1129,16 +1129,6 @@ impl MemSystem {
         self.bus.stats()
     }
 
-    /// The bus event log (requires [`SystemConfig::with_bus_trace`]).
-    pub fn bus_log(&self) -> &[TransactionRecord] {
-        self.bus.log()
-    }
-
-    /// Clears the bus event log.
-    pub fn clear_bus_log(&mut self) {
-        self.bus.clear_log();
-    }
-
     /// Whether structured event tracing is enabled
     /// (see [`SystemConfig::with_event_trace`]).
     pub fn events_enabled(&self) -> bool {
@@ -1773,7 +1763,7 @@ impl MemSystem {
         } else {
             (None, DataSource::NotApplicable)
         };
-        self.bus.record_completion(&txn, ctx.start, source);
+        self.bus.record_completion(source);
         // Stamped with the start cycle so exporters render the full
         // four-cycle Figure 4 span.
         emit_into(

@@ -2,12 +2,13 @@
 //! bandwidth arithmetic.
 
 use firefly_core::config::SystemConfig;
+use firefly_core::events::bus_records;
 use firefly_core::protocol::ProtocolKind;
 use firefly_core::system::{MemSystem, Request};
 use firefly_core::{Addr, PortId, BUS_CYCLES_PER_OP, BUS_CYCLE_NS};
 
 fn traced(ports: usize) -> MemSystem {
-    MemSystem::new(SystemConfig::microvax(ports).with_bus_trace(true), ProtocolKind::Firefly)
+    MemSystem::new(SystemConfig::microvax(ports).with_event_trace(1 << 12), ProtocolKind::Firefly)
         .unwrap()
 }
 
@@ -23,7 +24,7 @@ fn transactions_are_four_cycles_and_pack() {
     for _ in 0..40 {
         sys.step();
     }
-    let log = sys.bus_log();
+    let log = bus_records(&sys.events());
     assert_eq!(log.len(), 2);
     assert_eq!(
         log[1].start_cycle,
@@ -78,13 +79,13 @@ fn mshared_reflects_pre_transaction_state() {
     let a = Addr::new(0x3000);
     // P1 holds the line; P0 and P2 miss on it "simultaneously".
     sys.run_to_completion(PortId::new(1), Request::read(a)).unwrap();
-    sys.clear_bus_log();
+    sys.take_events();
     sys.begin(PortId::new(0), Request::read(a)).unwrap();
     sys.begin(PortId::new(2), Request::read(a)).unwrap();
     for _ in 0..40 {
         sys.step();
     }
-    let log = sys.bus_log();
+    let log = bus_records(&sys.events());
     assert_eq!(log.len(), 2);
     assert!(log[0].mshared, "P1 asserts MShared for the first fill");
     assert!(log[1].mshared, "two holders assert for the second");

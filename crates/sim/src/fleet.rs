@@ -42,6 +42,7 @@
 //!   doomed calls in one round trip where silent queue drops burn the
 //!   full timeout ladder.
 
+use firefly_core::events::{Event, EventKind, EventRing};
 use firefly_core::snapshot::{SnapWriter, SnapshotBuilder, SnapshotFile};
 use firefly_core::stats::Histogram;
 use firefly_core::Error;
@@ -230,8 +231,6 @@ pub struct FleetConfig {
     /// controller starts shedding the lowest-priority requests with
     /// explicit `Shed` replies (0 = off, the legacy silent-drop path).
     pub brownout_watermark: usize,
-    /// Maximum retained trace events (later events are counted, dropped).
-    pub trace_limit: usize,
 }
 
 impl FleetConfig {
@@ -256,7 +255,6 @@ impl FleetConfig {
             faults: NetFaultConfig::default(),
             slowdown: None,
             brownout_watermark: 0,
-            trace_limit: 4_096,
         }
     }
 
@@ -596,9 +594,12 @@ pub struct FleetReport {
     pub wire_utilization: f64,
     /// Servers still online.
     pub online_servers: usize,
-    /// Trace events dropped past the retention limit.
-    pub trace_dropped: u64,
 }
+
+/// How many events a fleet's [`EventRing`] retains. A run emits only a
+/// few (one per server crash or revival), so nothing is dropped in
+/// practice; past the bound the ring keeps the newest.
+pub const EVENT_CAPACITY: usize = 4_096;
 
 /// N simulated Fireflies on one Ethernet segment: a server tier, a
 /// client tier, and the wire between them.
@@ -610,8 +611,7 @@ pub struct Fleet {
     server_online: Vec<bool>,
     clients: Vec<ClientHost>,
     cycle: u64,
-    trace: Vec<String>,
-    trace_dropped: u64,
+    events: EventRing,
 }
 
 impl Fleet {
@@ -643,8 +643,7 @@ impl Fleet {
             servers,
             clients,
             cycle: 0,
-            trace: Vec::new(),
-            trace_dropped: 0,
+            events: EventRing::new(EVENT_CAPACITY),
         }
     }
 
@@ -738,8 +737,7 @@ impl Fleet {
         if self.server_online[i] {
             self.server_online[i] = false;
             self.segment.set_online(i, false);
-            let event = format!("cycle {}: server {i} crashed", self.cycle);
-            self.trace_push(event);
+            self.emit(EventKind::ServerCrashed { server: i as u32 });
         }
     }
 
@@ -757,12 +755,8 @@ impl Fleet {
             self.servers[i].restart();
             self.segment.set_online(i, true);
             self.server_online[i] = true;
-            let event = format!(
-                "cycle {}: server {i} revived (epoch {})",
-                self.cycle,
-                self.servers[i].epoch()
-            );
-            self.trace_push(event);
+            let epoch = self.servers[i].epoch();
+            self.emit(EventKind::ServerRevived { server: i as u32, epoch });
         }
     }
 
@@ -809,17 +803,14 @@ impl Fleet {
         self.server_online.iter().filter(|&&b| b).count()
     }
 
-    fn trace_push(&mut self, event: String) {
-        if self.trace.len() < self.cfg.trace_limit {
-            self.trace.push(event);
-        } else {
-            self.trace_dropped += 1;
-        }
+    fn emit(&mut self, kind: EventKind) {
+        self.events.emit(Event { cycle: self.cycle, kind });
     }
 
-    /// Retained trace events (kills, restores), oldest first.
-    pub fn trace(&self) -> &[String] {
-        &self.trace
+    /// Retained events (server crashes and revivals), oldest first. The
+    /// ring holds the newest [`EVENT_CAPACITY`] of them.
+    pub fn events(&self) -> Vec<Event> {
+        self.events.snapshot()
     }
 
     /// Wire-level counters.
@@ -943,7 +934,6 @@ impl Fleet {
                 seg.wire_busy_cycles as f64 / self.cycle as f64
             },
             online_servers: self.online_servers(),
-            trace_dropped: self.trace_dropped,
         }
     }
 
@@ -954,15 +944,14 @@ impl Fleet {
     }
 
     /// Serializes the entire fleet — wire, every machine, every RNG
-    /// stream, the trace — into one FFSN container nesting per-machine
-    /// sections.
+    /// stream, the event ring — into one FFSN container nesting
+    /// per-machine sections.
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut b = SnapshotBuilder::new();
         let mut meta = SnapWriter::new();
         meta.put(&(self.cfg.to_json(), self.cycle));
         meta.put(&self.server_online);
-        meta.put(&self.trace_dropped);
-        meta.put(&self.trace);
+        self.events.save(&mut meta);
         b.section("fleet/meta", meta.into_bytes());
         let mut seg = SnapWriter::new();
         self.segment.save(&mut seg);
@@ -1003,8 +992,8 @@ impl Fleet {
         if server_online.len() != self.cfg.servers {
             return Err(Error::SnapshotCorrupt("fleet server count mismatch".into()));
         }
-        let trace_dropped = meta.get()?;
-        let trace = meta.get()?;
+        let mut events = EventRing::new(EVENT_CAPACITY);
+        events.load_state(&mut meta)?;
         meta.expect_end()?;
         let mut seg = file.section("fleet/segment")?;
         let segment = EtherSegment::load(&mut seg)?;
@@ -1057,8 +1046,7 @@ impl Fleet {
         self.server_online = server_online;
         self.clients = clients;
         self.cycle = cycle;
-        self.trace = trace;
-        self.trace_dropped = trace_dropped;
+        self.events = events;
         Ok(())
     }
 }
@@ -1593,7 +1581,7 @@ mod tests {
         resumed.run(120_000);
 
         assert_eq!(original.stats_json(), resumed.stats_json());
-        assert_eq!(original.trace(), resumed.trace());
+        assert_eq!(original.events(), resumed.events());
         assert_eq!(original.save_snapshot(), resumed.save_snapshot());
     }
 
@@ -1727,8 +1715,8 @@ mod tests {
         let after = fleet.report().acked;
         assert!(after > before, "fleet wedged after a kill: {before} → {after}");
         assert!(fleet.check_at_most_once().is_empty());
-        assert_eq!(fleet.trace().len(), 1);
-        assert!(fleet.trace()[0].contains("server 1 crashed"));
+        let crash = Event { cycle: 150_000, kind: EventKind::ServerCrashed { server: 1 } };
+        assert_eq!(fleet.events(), [crash]);
     }
 
     #[test]
@@ -1819,11 +1807,16 @@ mod tests {
             "revived server executed nothing new"
         );
         assert!(fleet.check_at_most_once().is_empty());
-        assert_eq!(fleet.trace().len(), 2);
-        assert!(fleet.trace()[1].contains("server 0 revived (epoch 1)"));
+        let events = fleet.events();
+        assert_eq!(events.len(), 2);
+        assert!(matches!(events[0].kind, EventKind::ServerCrashed { server: 0 }));
+        assert_eq!(
+            events[1],
+            Event { cycle: 350_000, kind: EventKind::ServerRevived { server: 0, epoch: 1 } }
+        );
         // Reviving an online server is a no-op.
         fleet.revive_server(0);
-        assert_eq!(fleet.trace().len(), 2);
+        assert_eq!(fleet.events().len(), 2);
     }
 
     #[test]

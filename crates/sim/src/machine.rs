@@ -96,7 +96,6 @@ pub struct FireflyBuilder {
     workload: Workload,
     io: bool,
     seed: u64,
-    trace_bus: bool,
     trace_events: usize,
     faults: FaultConfig,
     engine: EngineMode,
@@ -123,7 +122,6 @@ impl FireflyBuilder {
             workload: Workload::default(),
             io: false,
             seed: 0xf1ef1e,
-            trace_bus: false,
             trace_events: 0,
             faults: FaultConfig::default(),
             engine: EngineMode::default(),
@@ -190,12 +188,6 @@ impl FireflyBuilder {
         self
     }
 
-    /// Enables the bus event log (Figure 4 traces).
-    pub fn trace_bus(mut self) -> Self {
-        self.trace_bus = true;
-        self
-    }
-
     /// Enables structured event tracing (see [`firefly_core::events`])
     /// into a ring of at most `capacity` events. Zero — the default —
     /// keeps tracing off and the hot path untouched.
@@ -253,7 +245,6 @@ impl FireflyBuilder {
             MachineVariant::CVax => SystemConfig::cvax(ports),
         }
         .with_memory_mb(self.memory_mb)
-        .with_bus_trace(self.trace_bus)
         .with_event_trace(self.trace_events)
         .with_faults(self.faults)
         .with_arbiter(self.arbiter)

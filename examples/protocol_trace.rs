@@ -7,6 +7,7 @@
 //! ```
 
 use firefly::core::config::SystemConfig;
+use firefly::core::events::bus_records;
 use firefly::core::protocol::{transition_table, ProtocolKind};
 use firefly::core::system::{MemSystem, Request};
 use firefly::core::{Addr, LineId, PortId};
@@ -16,7 +17,7 @@ fn main() -> Result<(), firefly::core::Error> {
     println!("{}", transition_table(ProtocolKind::Firefly.build().as_ref()));
 
     println!("=== the same transitions, live on a two-processor system ===\n");
-    let cfg = SystemConfig::microvax(2).with_bus_trace(true);
+    let cfg = SystemConfig::microvax(2).with_event_trace(1 << 12);
     let mut sys = MemSystem::new(cfg, ProtocolKind::Firefly)?;
     let a = Addr::new(0x1000);
     let line = LineId::containing(a, 1);
@@ -50,7 +51,7 @@ fn main() -> Result<(), firefly::core::Error> {
     show(&sys, "P0 writes again (silent: Dirty)");
 
     println!("\n=== Figure 4: MBus timing of the transactions above ===\n");
-    for rec in sys.bus_log() {
+    for rec in bus_records(&sys.events()) {
         println!("{}", rec.timing_diagram());
     }
     Ok(())

@@ -2,11 +2,16 @@
 //! captured stream, the content guarantees the exporters rely on, and
 //! the zero-impact contract of the disabled path.
 
-use firefly::core::events::{chrome_trace, timeline, validate_json, EventKind};
+use firefly::core::config::SystemConfig;
+use firefly::core::events::{bus_records, chrome_trace, timeline, validate_json, EventKind};
 use firefly::core::fault::FaultConfig;
-use firefly::core::PortId;
+use firefly::core::protocol::ProtocolKind;
+use firefly::core::system::{MemSystem, Request};
+use firefly::core::{Addr, CacheGeometry, PortId};
 use firefly::sim::harness::run_jobs_with;
 use firefly::sim::FireflyBuilder;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn traced_run(cycles: u64, faults: Option<FaultConfig>) -> Vec<firefly::core::events::Event> {
     let mut b = FireflyBuilder::microvax(3).seed(0xabcd).trace_events(1 << 18);
@@ -27,6 +32,52 @@ fn trace_is_byte_identical_across_runs() {
     assert_eq!(a, b, "event streams replay exactly");
     assert_eq!(chrome_trace(&a), chrome_trace(&b));
     assert_eq!(timeline(&a), timeline(&b));
+}
+
+/// `bus_records` is the Figure 4 record of every bus transaction: on a
+/// fault-free system run to quiescence under contention, it holds one
+/// record per transaction the bus counted, in start order.
+#[test]
+fn bus_records_cover_every_transaction() {
+    let cpus = 4;
+    for kind in ProtocolKind::ALL {
+        let cfg = SystemConfig::microvax(cpus)
+            .with_cache(CacheGeometry::new(32, 2).unwrap())
+            .with_event_trace(1 << 16);
+        let mut sys = MemSystem::new(cfg, kind).unwrap();
+        let mut rng = SmallRng::seed_from_u64(0xb05 ^ kind as u64);
+        let mut request = move || {
+            let addr = Addr::from_word_index(rng.gen_range(0..96));
+            if rng.gen_bool(0.4) {
+                Request::write(addr, rng.gen())
+            } else {
+                Request::read(addr)
+            }
+        };
+        for p in 0..cpus {
+            sys.begin(PortId::new(p), request()).unwrap();
+        }
+        for _ in 0..4_000 {
+            sys.step();
+            for p in 0..cpus {
+                if sys.poll(PortId::new(p)).is_some() {
+                    sys.begin(PortId::new(p), request()).unwrap();
+                }
+            }
+        }
+        while !sys.is_quiescent() {
+            sys.step();
+        }
+        let events = sys.events();
+        assert_eq!(sys.events_dropped(), 0, "{kind:?}: the ring must hold the whole run");
+        let records = bus_records(&events);
+        assert!(records.len() > 100, "{kind:?}: the stream must contend for the bus");
+        assert_eq!(records.len() as u64, sys.bus_stats().ops(), "{kind:?}");
+        assert!(
+            records.windows(2).all(|w| w[0].start_cycle <= w[1].start_cycle),
+            "{kind:?}: records are in start order"
+        );
+    }
 }
 
 /// Capturing events inside harness jobs is independent of the worker

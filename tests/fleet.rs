@@ -131,7 +131,7 @@ fn fleet_snapshot_resumes_bit_identically() {
     original.run_until(target);
     resumed.run_until(target);
     assert_eq!(original.stats_json(), resumed.stats_json(), "stats diverged after restore");
-    assert_eq!(original.trace(), resumed.trace(), "event traces diverged after restore");
+    assert_eq!(original.events(), resumed.events(), "event traces diverged after restore");
     assert_eq!(
         original.save_snapshot(),
         resumed.save_snapshot(),

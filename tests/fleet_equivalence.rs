@@ -50,7 +50,7 @@ fn tick_until(fleet: &mut Fleet, target: u64) {
 fn assert_same(a: &Fleet, b: &Fleet, what: &str) {
     assert_eq!(a.cycle(), b.cycle(), "{what}: cycles differ");
     assert_eq!(a.stats_json(), b.stats_json(), "{what}: stats JSON diverged");
-    assert_eq!(a.trace(), b.trace(), "{what}: traces diverged");
+    assert_eq!(a.events(), b.events(), "{what}: events diverged");
     assert!(a.save_snapshot() == b.save_snapshot(), "{what}: snapshot bytes diverged");
 }
 

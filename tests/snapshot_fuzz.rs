@@ -12,7 +12,7 @@
 
 use firefly::core::fault::FaultConfig;
 use firefly::core::snapshot::{SnapWriter, SnapshotBuilder, SnapshotFile, SNAPSHOT_MAGIC};
-use firefly::core::Error;
+use firefly::core::{CacheGeometry, Error};
 use firefly::net::{RetryPolicy, RpcClient};
 use firefly::sim::fleet::partition;
 use firefly::sim::{Firefly, FireflyBuilder, Fleet, FleetConfig};
@@ -204,10 +204,15 @@ fn huge_configured_sizes_are_corrupt_not_an_abort() {
     let memsys = &secs.iter().find(|(n, _)| n == "memsys").unwrap().1;
     // The config section starts with the variant byte, then the port
     // count, the cache's line count and words per line, the memory
-    // size, the bus-trace flag and the event-ring capacity.
-    for (at, value) in [(9, 1u64 << 40), (34, 1 << 60)] {
+    // size and the event-ring capacity. Each patched word must first
+    // hold the configured value, so a stale offset fails here instead
+    // of corrupting some other field.
+    let lines = CacheGeometry::microvax().lines() as u64;
+    for (at, configured, value) in [(9, lines, 1u64 << 40), (33, 16, 1 << 60)] {
         let mut inner = sections(&memsys[8..]);
-        inner[0].1[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let word = &mut inner[0].1[at..at + 8];
+        assert_eq!(u64::from_le_bytes(word.try_into().unwrap()), configured, "config word at {at}");
+        word.copy_from_slice(&value.to_le_bytes());
         let mut w = SnapWriter::new();
         w.bytes(&rebuild(&inner));
         let mut patched = secs.clone();
