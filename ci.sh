@@ -23,41 +23,67 @@ same_across_widths() {
     fi
 }
 
-echo "== cargo fmt --check"
+# Each step starts with `step NAME`. On exit, pass or fail, the script
+# prints every step's wall seconds (bash SECONDS: whole-second
+# resolution) as a table, the failing step last.
+step_times=()
+step_name=""
+step_start=$SECONDS
+finish_step() {
+    if [ -n "$step_name" ]; then
+        step_times+=("$(printf '%6d  %s' $((SECONDS - step_start)) "$step_name")")
+    fi
+    step_name=""
+}
+step() {
+    finish_step
+    step_name="$1"
+    step_start=$SECONDS
+    echo "== $1"
+}
+report_steps() {
+    finish_step
+    echo "== wall seconds per step"
+    printf '%s\n' "${step_times[@]}"
+    printf '%6d  total\n' "$SECONDS"
+}
+trap report_steps EXIT
+
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings"
+step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1: cargo build --release && cargo test --workspace -q"
+step "tier-1: cargo build --release && cargo test --workspace -q"
 cargo build --release
 cargo test --workspace -q
 
-echo "== benchmark: cargo test -q --manifest-path benchmark/Cargo.toml"
+step "benchmark: cargo test -q --manifest-path benchmark/Cargo.toml"
 # The benchmark is a package of its own that drives the simulator through
 # its public API (snapshot save/load included); its tests fail when that
 # API breaks.
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "== fault_sweep --smoke"
+step "fault_sweep --smoke"
 cargo run --release -p firefly-bench --bin fault_sweep -- --smoke
 
-echo "== model_check --smoke"
+step "model_check --smoke"
 cargo run --release -p firefly-bench --bin model_check -- --smoke
 
-echo "== model_check --protocol tardis --smoke (two-word lease-expiry space)"
+step "model_check --protocol tardis --smoke (two-word lease-expiry space)"
 # A Tardis-only run defaults to two tracked words, reaching the lease
 # renewal paths (and the renewal-dependent timestamp mutants) that the
 # all-protocol single-word smoke cannot.
 cargo run --release -p firefly-bench --bin model_check -- --protocol tardis --smoke
 
-echo "== soak --smoke (chaos kill/restore + resume equivalence)"
+step "soak --smoke (chaos kill/restore + resume equivalence)"
 cargo run --release -p firefly-bench --bin soak -- --smoke
 
-echo "== checkpoint/resume equivalence gate (deterministic across widths)"
+step "checkpoint/resume equivalence gate (deterministic across widths)"
 same_across_widths soak
 
-echo "== rpc_bandwidth --smoke (§6 4.6 Mb/s claim)"
+step "rpc_bandwidth --smoke (§6 4.6 Mb/s claim)"
 cargo run --release -p firefly-bench --bin rpc_bandwidth -- --smoke > /dev/null
 
 # Smoke-sized BENCH reports go to target/bench/ and are gated there: the
@@ -65,35 +91,35 @@ cargo run --release -p firefly-bench --bin rpc_bandwidth -- --smoke > /dev/null
 bench_dir=target/bench
 mkdir -p "$bench_dir"
 
-echo "== bench: engine_bench --smoke -> $bench_dir/BENCH_6.json + schema check"
+step "bench: engine_bench --smoke -> $bench_dir/BENCH_6.json + schema check"
 cargo run --release -p firefly-bench --bin engine_bench -- --smoke --out "$bench_dir/BENCH_6.json"
 cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_6.json"
 
-echo "== bench: fleet --smoke -> $bench_dir/BENCH_7.json + schema/gate check"
+step "bench: fleet --smoke -> $bench_dir/BENCH_7.json + schema/gate check"
 cargo run --release -p firefly-bench --bin fleet -- --smoke --out "$bench_dir/BENCH_7.json"
 cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_7.json"
 
-echo "== bench: arbiter_sweep --smoke -> $bench_dir/BENCH_8.json + schema/gate check"
+step "bench: arbiter_sweep --smoke -> $bench_dir/BENCH_8.json + schema/gate check"
 cargo run --release -p firefly-bench --bin arbiter_sweep -- --smoke --out "$bench_dir/BENCH_8.json"
 cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_8.json"
 
-echo "== arbiter sweep determinism gate (bit-identical across widths)"
+step "arbiter sweep determinism gate (bit-identical across widths)"
 same_across_widths arbiter_sweep "$bench_dir/bench8"
 
-echo "== bench: partition --smoke -> $bench_dir/BENCH_10.json + schema/gate check"
+step "bench: partition --smoke -> $bench_dir/BENCH_10.json + schema/gate check"
 cargo run --release -p firefly-bench --bin partition -- --smoke --out "$bench_dir/BENCH_10.json"
 cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_10.json"
 
-echo "== partition determinism gate (bit-identical across widths)"
+step "partition determinism gate (bit-identical across widths)"
 same_across_widths partition "$bench_dir/bench10"
 
-echo "== trace smoke: protocol_compare --smoke --trace + trace_check"
+step "trace smoke: protocol_compare --smoke --trace + trace_check"
 trace_file="$(mktemp /tmp/firefly-trace.XXXXXX.json)"
-trap 'rm -f "$trace_file"' EXIT
+trap 'rm -f "$trace_file"; report_steps' EXIT
 cargo run --release -p firefly-bench --bin protocol_compare -- --smoke --trace "$trace_file"
 cargo run --release -p firefly-bench --bin trace_check -- "$trace_file"
 
-echo "== trace examples: protocol_trace, trace_timeline"
+step "trace examples: protocol_trace, trace_timeline"
 # Both render Figure 4 and the event timeline from the event ring; run
 # them so the rendering paths execute in CI, not just compile.
 cargo run --release -q --example protocol_trace > /dev/null

@@ -75,7 +75,10 @@ pub const REPLY_PAYLOAD_BYTES: usize = 94;
 
 /// How long a sender waits before re-attempting a transmit that was
 /// rejected by a full TX ring (pure backpressure, consumes no retry
-/// budget).
+/// budget). A rejected attempt builds no frame (see
+/// [`EtherSegment::enqueue_with`]): it costs a ring-length check and a
+/// counter bump, so this paces the retries' wire pressure, not their
+/// host cost.
 pub const TX_RETRY_CYCLES: u64 = 32;
 
 /// One RPC message. Requests are padded to their declared payload size
@@ -222,6 +225,14 @@ impl RpcMsg {
             bytes.resize(pad, 0);
         }
         bytes
+    }
+
+    /// The frame carrying this message from NIC `src` to NIC `dst`.
+    /// Senders build it inside [`EtherSegment::enqueue_with`], so a
+    /// refused send encodes and checksums nothing unless it keeps the
+    /// frame (a reply spilled to the server's backlog).
+    fn frame(&self, src: u32, dst: u32) -> Frame {
+        Frame::new(src as usize, dst as usize, self.encode())
     }
 
     /// Parses a message, ignoring wire padding. `None` on garbage (the
@@ -596,10 +607,12 @@ impl RpcClient {
 
     /// The next cycle after `now` at which [`tick`](RpcClient::tick)
     /// acts, given no frame arrives first: `now + 1` while the backlog
-    /// can admit a call (each cycle tries the enqueue, and a refused
-    /// one is counted), else the earliest timeout or hedge. That timer
-    /// may be stale-low after an ack; waking on it is a scan that finds
-    /// nothing due.
+    /// can admit a call, else the earliest timeout or hedge. While the
+    /// TX ring is full, each of those cycles tries the enqueue and has
+    /// it refused and counted; the refusal builds no frame, so the
+    /// per-cycle cost is a ring check, not an encode and a CRC. The
+    /// timer may be stale-low after an ack; waking on it is a scan that
+    /// finds nothing due.
     #[inline]
     pub fn next_event(&self, now: u64) -> u64 {
         if self.can_admit() {
@@ -709,7 +722,7 @@ impl RpcClient {
             epoch: self.epochs[slot],
             ack_below: self.ack_below(),
         };
-        if seg.enqueue(Frame::new(self.nic as usize, server as usize, msg.encode())) {
+        if seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, server)) {
             self.stats.hedges += 1;
         } else {
             self.stats.tx_ring_full += 1;
@@ -872,8 +885,7 @@ impl RpcClient {
                     epoch: self.epochs[slot],
                     ack_below: self.ack_below(),
                 };
-                let frame = Frame::new(self.nic as usize, server as usize, msg.encode());
-                if seg.enqueue(frame) {
+                if seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, server)) {
                     let t = self.next_timeout(attempt);
                     let submitted = self.pending[&seq].submitted;
                     let at = self.arm_at(submitted, now, t);
@@ -929,8 +941,7 @@ impl RpcClient {
                 epoch: self.epochs[server_slot],
                 ack_below: self.ack_below(),
             };
-            let frame = Frame::new(self.nic as usize, server as usize, msg.encode());
-            if seg.enqueue(frame) {
+            if seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, server)) {
                 self.backlog.pop_front();
                 self.next_seq += 1;
                 let t = self.next_timeout(1);
@@ -984,17 +995,22 @@ impl RpcClient {
     /// # Errors
     ///
     /// Returns [`Error::SnapshotCorrupt`] on truncation, a degenerate
-    /// server list, or a pending call bound to a slot past it.
+    /// server list, a pending call bound to a slot past it, or a
+    /// pending call at or past `next_seq` (admission would reuse its
+    /// sequence number and overwrite it).
     pub fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
         let (nic, policy) = r.get()?;
         let servers: Vec<u32> = r.get()?;
         if servers.is_empty() {
             return Err(Error::SnapshotCorrupt("client with no servers".into()));
         }
-        let next_seq = r.get()?;
+        let next_seq: u64 = r.get()?;
         let pending: BTreeMap<u64, Pending> = r.get()?;
         if pending.values().any(|p| p.server_slot >= servers.len()) {
             return Err(Error::SnapshotCorrupt("pending call bound to no server slot".into()));
+        }
+        if pending.last_key_value().is_some_and(|(&seq, _)| seq >= next_seq) {
+            return Err(Error::SnapshotCorrupt("pending call at or past next_seq".into()));
         }
         let backlog = r.get()?;
         let epochs = servers.iter().map(|_| r.get()).collect::<Result<_, _>>()?;
@@ -1256,9 +1272,10 @@ impl RpcServer {
 
     /// The next cycle after `now` at which [`tick`](RpcServer::tick)
     /// acts, given no frame arrives first: `now + 1` while replies wait
-    /// for TX ring space (each cycle retries the enqueue, and a refused
-    /// one is counted) or a worker is free with work queued; else the
-    /// earliest running job's completion. `u64::MAX` when idle.
+    /// for TX ring space (each cycle retries the enqueue; a refused one
+    /// is counted and leaves the backlog's head frame where it is) or a
+    /// worker is free with work queued; else the earliest running job's
+    /// completion. `u64::MAX` when idle.
     #[inline]
     pub fn next_event(&self, now: u64) -> u64 {
         let free_worker = self.running.iter().any(Option::is_none);
@@ -1271,12 +1288,11 @@ impl RpcServer {
     /// Queues `msg` to a client, spilling to the bounded reply backlog
     /// when the TX ring is full.
     fn send_to_client(&mut self, client: u32, msg: RpcMsg, seg: &mut EtherSegment) {
-        let frame = Frame::new(self.nic as usize, client as usize, msg.encode());
-        if seg.enqueue(frame.clone()) {
+        if seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, client)) {
             self.stats.replies_sent += 1;
         } else if self.reply_backlog.len() < REPLY_BACKLOG_CAP {
             self.stats.tx_ring_full += 1;
-            self.reply_backlog.push_back(frame);
+            self.reply_backlog.push_back(msg.frame(self.nic, client));
         } else {
             self.stats.replies_dropped += 1;
         }
@@ -1337,13 +1353,14 @@ impl RpcServer {
     /// One cycle of server work: flush the reply backlog, absorb and
     /// dedup requests, complete finished jobs, start queued ones.
     pub fn tick(&mut self, now: u64, seg: &mut EtherSegment) {
-        while let Some(frame) = self.reply_backlog.front() {
-            if seg.enqueue(frame.clone()) {
-                self.reply_backlog.pop_front();
-                self.stats.replies_sent += 1;
-            } else {
+        // The ring takes the backlog's head by move; a refusal leaves it
+        // in place.
+        while !self.reply_backlog.is_empty() {
+            let backlog = &mut self.reply_backlog;
+            if !seg.enqueue_with(self.nic as usize, || backlog.pop_front().expect("non-empty")) {
                 break;
             }
+            self.stats.replies_sent += 1;
         }
 
         while let Some(frame) = seg.recv(self.nic as usize) {
@@ -1885,6 +1902,32 @@ mod tests {
         assert!(matches!(loaded, Err(Error::SnapshotCorrupt(_))));
     }
 
+    #[test]
+    fn pending_call_at_or_past_next_seq_is_rejected() {
+        let mut seg = EtherSegment::new(SegmentConfig::new(3));
+        let mut client = RpcClient::new(1, vec![0, 2], RetryPolicy::budgeted(15_000), 5);
+        client.submit(0, 64);
+        seg.tick();
+        client.tick(seg.cycle(), &mut seg);
+        assert_eq!(client.next_seq, 1);
+        let save = |client: &RpcClient| {
+            let mut w = SnapWriter::new();
+            client.save(&mut w);
+            RpcClient::load(&mut SnapReader::new(&w.into_bytes()))
+        };
+        assert!(save(&client).is_ok(), "a pending seq below next_seq loads");
+        // At: rewind next_seq onto the pending call (seq 0).
+        let mut at = client.clone();
+        at.next_seq = 0;
+        // Past: re-key the pending call beyond next_seq.
+        let mut past = client.clone();
+        let call = past.pending.remove(&0).expect("seq 0 is pending");
+        past.pending.insert(5, call);
+        for bad in [at, past] {
+            assert!(matches!(save(&bad), Err(Error::SnapshotCorrupt(_))));
+        }
+    }
+
     /// A raw request frame with an explicit `ack_below` declaration.
     fn raw_request(client: u32, seq: u64, ack_below: u64) -> Frame {
         let msg = RpcMsg::Request {
@@ -1898,6 +1941,31 @@ mod tests {
             ack_below,
         };
         Frame::new(client as usize, 0, msg.encode())
+    }
+
+    #[test]
+    fn reply_backlog_flush_moves_its_frame_and_a_refusal_leaves_it() {
+        let mut cfg = SegmentConfig::new(2);
+        cfg.tx_ring = 1;
+        let mut seg = EtherSegment::new(cfg);
+        let mut s = RpcServer::new(0, 1, 10, 1);
+        assert!(seg.enqueue(Frame::new(0, 1, vec![0; 8])), "fills the server's TX ring");
+        let reply = RpcMsg::Reply { client: 1, seq: 0, server: 0, result: 9, epoch: 0 };
+        s.reply_backlog.push_back(reply.frame(0, 1));
+        let payload = s.reply_backlog[0].payload.as_ptr();
+        s.tick(0, &mut seg);
+        assert_eq!(seg.stats().tx_rejected, 1, "the full ring refused the flush");
+        assert_eq!(s.reply_backlog[0].payload.as_ptr(), payload, "refused frame left in place");
+        seg.tick(); // The filler frame leaves the ring for the wire.
+        s.tick(seg.cycle(), &mut seg);
+        assert_eq!((s.reply_backlogged(), s.stats().replies_sent), (0, 1));
+        while seg.rx_queued(1) < 2 {
+            seg.tick();
+        }
+        seg.recv(1).expect("the filler frame");
+        let delivered = seg.recv(1).expect("the reply");
+        assert_eq!(RpcMsg::decode(&delivered.payload), Some(reply));
+        assert_eq!(delivered.payload.as_ptr(), payload, "the frame was moved, never cloned");
     }
 
     #[test]

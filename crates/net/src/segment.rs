@@ -271,14 +271,28 @@ impl EtherSegment {
 
     /// Queues a frame on its source NIC's TX ring. Returns `false`
     /// (counted) when the ring is full or the NIC is offline — the
-    /// caller's backpressure signal.
+    /// caller's backpressure signal. A caller that has not built its
+    /// frame yet should use [`enqueue_with`](EtherSegment::enqueue_with).
     pub fn enqueue(&mut self, frame: Frame) -> bool {
-        assert!(frame.src < self.cfg.nics && frame.dst < self.cfg.nics, "NIC index out of range");
-        let nic = &mut self.nics[frame.src];
+        self.enqueue_with(frame.src, || frame)
+    }
+
+    /// Queues the frame `build` returns on NIC `src`'s TX ring, calling
+    /// `build` only if the ring takes it. A refusal (ring full or NIC
+    /// offline) counts `tx_rejected` and costs nothing else: no payload
+    /// is encoded or checksummed and no frame is built or cloned, so a
+    /// sender may re-poll a full ring every cycle cheaply. `build` may
+    /// move a frame out of the caller's own queue, which then stays
+    /// untouched on refusal. Returns whether the frame was queued.
+    pub fn enqueue_with(&mut self, src: usize, build: impl FnOnce() -> Frame) -> bool {
+        let nic = &mut self.nics[src];
         if !nic.online || nic.tx.len() >= self.cfg.tx_ring {
             self.stats.tx_rejected += 1;
             return false;
         }
+        let frame = build();
+        assert_eq!(frame.src, src, "frame built for another NIC's ring");
+        assert!(frame.dst < self.cfg.nics, "NIC index out of range");
         nic.tx.push_back(frame);
         self.stats.tx_enqueued += 1;
         true
@@ -554,6 +568,28 @@ mod tests {
         assert!(seg.enqueue(Frame::new(0, 1, vec![0; 8])));
         assert!(!seg.enqueue(Frame::new(0, 1, vec![0; 8])), "third enqueue must backpressure");
         assert_eq!(seg.stats().tx_rejected, 1);
+    }
+
+    #[test]
+    fn a_refused_enqueue_builds_nothing_and_an_accepted_frame_is_moved() {
+        let mut cfg = SegmentConfig::new(3);
+        cfg.tx_ring = 1;
+        let mut seg = EtherSegment::new(cfg);
+        let frame = Frame::new(0, 1, vec![3; 64]);
+        let payload = frame.payload.as_ptr();
+        assert!(seg.enqueue_with(0, || frame));
+        assert_eq!(seg.nics[0].tx[0].payload.as_ptr(), payload, "the ring holds the frame built");
+        seg.set_online(2, false);
+        let mut built = 0;
+        for src in [0, 2] {
+            let queued = seg.enqueue_with(src, || {
+                built += 1;
+                Frame::new(src, 1, vec![0; 8])
+            });
+            assert!(!queued, "full ring and offline NIC both refuse");
+        }
+        assert_eq!(built, 0, "a refusal never calls the builder");
+        assert_eq!((seg.stats().tx_enqueued, seg.stats().tx_rejected), (1, 2));
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! * ticking a server or client at any cycle short of its
 //!   `next_event(now)`, with no frame arriving, changes neither its saved
 //!   bytes nor the segment's (a refused enqueue would count).
+//!
+//! It also checks the lazy send path the endpoints use: feeding a
+//! segment through [`EtherSegment::enqueue_with`] accepts and refuses
+//! exactly when an eager [`EtherSegment::enqueue`] of the built frame
+//! does (source online with TX ring space), calls the builder only on
+//! acceptance, and leaves the same counters and ring contents.
 
 use firefly_core::snapshot::SnapWriter;
 use firefly_net::{
@@ -185,6 +191,62 @@ proptest! {
         }
         skip_until(&mut skipping, end);
         prop_assert!(segment_bytes(&ticked) == segment_bytes(&skipping), "diverged by {end}");
+    }
+
+    /// The same random enqueues, ticks, drains and NIC power toggles,
+    /// fed eagerly (frame built first) to one segment and lazily to a
+    /// twin: every enqueue has the same outcome, the one the ring-space
+    /// rule predicts, and the twins save the same bytes throughout.
+    #[test]
+    fn lazy_enqueue_matches_eager(
+        nics in 2..8usize,
+        tx_ring in 1..6usize,
+        seed in any::<u64>(),
+        faults in fault_plan(),
+        schedule in proptest::collection::vec((0..3_000u64, op()), 1..80),
+    ) {
+        let cfg = SegmentConfig { nics, tx_ring, rx_ring: 4, seed, faults };
+        let mut eager = EtherSegment::new(cfg);
+        let mut lazy = EtherSegment::new(cfg);
+        let mut built = 0u64;
+        for (gap, op) in schedule {
+            for _ in 0..gap {
+                eager.tick();
+                lazy.tick();
+            }
+            match op {
+                Op::Enqueue { src, dst, len } => {
+                    let (src, dst) = (src % nics, dst % nics);
+                    let room = eager.is_online(src) && eager.tx_queued(src) < tx_ring;
+                    let before = eager.stats();
+                    let took = eager.enqueue(Frame::new(src, dst, vec![len as u8; len]));
+                    let lazy_took = lazy.enqueue_with(src, || {
+                        built += 1;
+                        Frame::new(src, dst, vec![len as u8; len])
+                    });
+                    prop_assert_eq!(took, room);
+                    prop_assert_eq!(lazy_took, room);
+                    let after = eager.stats();
+                    prop_assert_eq!(after.tx_enqueued - before.tx_enqueued, u64::from(room));
+                    prop_assert_eq!(after.tx_rejected - before.tx_rejected, u64::from(!room));
+                }
+                Op::Toggle(nic) => {
+                    let online = !eager.is_online(nic % nics);
+                    eager.set_online(nic % nics, online);
+                    lazy.set_online(nic % nics, online);
+                }
+                Op::Drain(nic) => loop {
+                    let (a, b) = (eager.recv(nic % nics), lazy.recv(nic % nics));
+                    prop_assert_eq!(&a, &b);
+                    if a.is_none() {
+                        break;
+                    }
+                },
+            }
+            prop_assert_eq!(built, eager.stats().tx_enqueued, "built exactly the accepted frames");
+            prop_assert_eq!(eager.stats(), lazy.stats());
+            prop_assert!(segment_bytes(&eager) == segment_bytes(&lazy), "rings diverged");
+        }
     }
 
     /// A server and a client on a faulty wire, driven by random call
