@@ -86,29 +86,26 @@ same_across_widths soak
 step "rpc_bandwidth --smoke (§6 4.6 Mb/s claim)"
 cargo run --release -p firefly-bench --bin rpc_bandwidth -- --smoke > /dev/null
 
-# Smoke-sized BENCH reports go to target/bench/ and are gated there: the
+# Smoke-sized BENCH reports go to target/bench/. Each bench bin validates
+# its report as it writes it and exits 1 when one of its gates fails; the
 # committed BENCH_*.json files at the root come from full runs only.
 bench_dir=target/bench
 mkdir -p "$bench_dir"
 
-step "bench: engine_bench --smoke -> $bench_dir/BENCH_6.json + schema check"
+step "bench: engine_bench --smoke -> $bench_dir/BENCH_6.json"
 cargo run --release -p firefly-bench --bin engine_bench -- --smoke --out "$bench_dir/BENCH_6.json"
-cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_6.json"
 
-step "bench: fleet --smoke -> $bench_dir/BENCH_7.json + schema/gate check"
+step "bench: fleet --smoke -> $bench_dir/BENCH_7.json"
 cargo run --release -p firefly-bench --bin fleet -- --smoke --out "$bench_dir/BENCH_7.json"
-cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_7.json"
 
-step "bench: arbiter_sweep --smoke -> $bench_dir/BENCH_8.json + schema/gate check"
+step "bench: arbiter_sweep --smoke -> $bench_dir/BENCH_8.json"
 cargo run --release -p firefly-bench --bin arbiter_sweep -- --smoke --out "$bench_dir/BENCH_8.json"
-cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_8.json"
 
 step "arbiter sweep determinism gate (bit-identical across widths)"
 same_across_widths arbiter_sweep "$bench_dir/bench8"
 
-step "bench: partition --smoke -> $bench_dir/BENCH_10.json + schema/gate check"
+step "bench: partition --smoke -> $bench_dir/BENCH_10.json"
 cargo run --release -p firefly-bench --bin partition -- --smoke --out "$bench_dir/BENCH_10.json"
-cargo run --release -p firefly-bench --bin bench_check -- "$bench_dir/BENCH_10.json"
 
 step "partition determinism gate (bit-identical across widths)"
 same_across_widths partition "$bench_dir/bench10"

@@ -347,8 +347,7 @@ fn main() {
         busy_bus_target: BUSY_BUS_TARGET,
         pass,
     };
-    let json = doc.to_json();
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    report::write(&out, &doc);
 
     if report::json_requested() {
         // Deterministic fields only: CI compares this string across

@@ -188,8 +188,7 @@ fn main() {
         soak,
         pass,
     };
-    let json = doc.to_json();
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    let json = report::write(&out, &doc);
 
     if report::json_requested() {
         println!("{json}");

@@ -8,23 +8,23 @@
 //!    past the wire's capacity. The knee is where the outstanding-call
 //!    cap starts shedding.
 //! 2. **Retry storm** — the same seeded service-tier slowdown under the
-//!    naive and the budgeted retry disciplines. The gate: naive retries
-//!    must collapse (post-heal goodput < 50% of baseline — timeout
-//!    amplification outliving its trigger) while the budgeted policy
-//!    recovers (≥ 90% of baseline).
-//! 3. **Machine crash** — one of three servers dies mid-run; the gate is
-//!    graceful N→N−1 degradation (steady post-kill goodput ≥ 80% of
-//!    baseline), a measured recovery time, and a clean at-most-once
-//!    oracle.
+//!    naive and the budgeted retry disciplines. The gate
+//!    (`fleet::storm::gate`): naive retries must collapse — timeout
+//!    amplification outliving its trigger — while the budgeted policy
+//!    recovers.
+//! 3. **Machine crash** — one of three servers dies mid-run; the gate
+//!    (`fleet::crash::gate`) is graceful N→N−1 degradation, a measured
+//!    recovery time, and a clean at-most-once oracle.
 //!
 //! Flags: `--smoke` (CI sizing), `--seed N`, `--out PATH` (default
-//! `BENCH_7.json`), `--json`. Exits nonzero if any gate fails.
+//! `BENCH_7.json`), `--json`. Names each failed gate condition on
+//! stderr and exits nonzero if there is one.
 
 use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_sim::fleet::{
-    goodput_mbps, run_crash_failover, run_retry_storm, CrashOutcome, Fleet, FleetConfig,
-    StormOutcome,
+    crash, goodput_mbps, run_crash_failover, run_retry_storm, storm, CrashOutcome, Fleet,
+    FleetConfig, StormOutcome,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -66,9 +66,6 @@ struct BenchReport {
     storm_naive: StormOutcome,
     storm_budgeted: StormOutcome,
     crash: CrashOutcome,
-    /// Cycles from the kill until goodput regained 80% of baseline
-    /// (`-1` = never, kept numeric for `bench_check`).
-    crash_recovery_cycles: i64,
     pass: bool,
 }
 
@@ -119,14 +116,11 @@ fn main() {
     let crash_outcome = run_crash_failover(seed);
     let wall_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
 
-    let storm_gate = storm_naive.recovery_fraction < 0.5
-        && storm_budgeted.recovery_fraction >= 0.9
-        && storm_naive.oracle_violations == 0
-        && storm_budgeted.oracle_violations == 0;
-    let crash_gate = crash_outcome.degraded_fraction >= 0.8
-        && crash_outcome.recovery_cycles.is_some()
-        && crash_outcome.oracle_violations == 0;
-    let pass = storm_gate && crash_gate;
+    let gates = [
+        ("storm", storm::gate(&storm_naive, &storm_budgeted)),
+        ("crash", crash::gate(&crash_outcome)),
+    ];
+    let pass = gates.iter().all(|(_, failures)| failures.is_empty());
 
     let doc = BenchReport {
         bench: "BENCH_7".to_string(),
@@ -134,14 +128,12 @@ fn main() {
         smoke,
         wall_ns,
         saturation,
-        crash_recovery_cycles: crash_outcome.recovery_cycles.map_or(-1, |c| c as i64),
         storm_naive,
         storm_budgeted,
         crash: crash_outcome,
         pass,
     };
-    let json = doc.to_json();
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    let json = report::write(&out, &doc);
 
     if report::json_requested() {
         println!("{json}");
@@ -196,16 +188,8 @@ fn main() {
             c.recovery_cycles.map_or_else(|| "never".to_string(), |v| v.to_string()),
             c.failed
         );
-        println!(
-            "\n  gates: storm {} crash {} -> {}",
-            storm_gate,
-            crash_gate,
-            if pass { "pass" } else { "FAIL" }
-        );
+        println!("\n  gates: {}", if pass { "pass" } else { "FAIL (see stderr)" });
         println!("  wrote {out}");
     }
-    if !pass {
-        eprintln!("fleet: a degradation gate failed (see {out})");
-        std::process::exit(1);
-    }
+    report::exit_on_failures("fleet", &gates);
 }

@@ -5,34 +5,37 @@
 //! determinism witness:
 //!
 //! 1. **Partition heal, resilient vs budgeted** — the minority clients
-//!    lose every server for 1.2 Mcycles. Gates: with circuit breakers
-//!    the minority trips all nine (client, server) breakers mid-split
-//!    and fails fast instead of burning timeouts; split-side goodput
-//!    beats plain budgeted retries by ≥1.5×; post-heal timely goodput
-//!    recovers to ≥85% of baseline and every breaker re-closes.
-//! 2. **Flapping partition** — three sever/heal rounds. Gates: the
-//!    breakers trip every round, none sticks open at the end, and the
-//!    fleet still heals to ≥85%.
+//!    lose every server for 1.2 Mcycles. Gates
+//!    (`fleet::partition::heal_gate`): with circuit breakers the
+//!    minority trips all nine (client, server) breakers mid-split and
+//!    fails fast instead of burning timeouts; split-side goodput beats
+//!    plain budgeted retries; post-heal timely goodput recovers and
+//!    every breaker re-closes.
+//! 2. **Flapping partition** — three sever/heal rounds. Gates
+//!    (`fleet::partition::flapping_gate`): the breakers trip every
+//!    round, none sticks open at the end, and the fleet still heals.
 //! 3. **Kill + revive** — a dead server rejoins under a fresh epoch.
-//!    Gates: stale requests bounce with `Rebind` (never execute), the
-//!    victim serves again, and full-fleet goodput recovers to ≥85%.
+//!    Gates (`fleet::rejoin::gate`): stale requests bounce with
+//!    `Rebind` (never execute), the victim serves again, and full-fleet
+//!    goodput recovers.
 //! 4. **Brownout shedding on/off** — the same seeded overload with and
-//!    without the server admission controller. Gates: explicit `Shed`
-//!    replies beat silent queue drops on timely goodput, abandon no
-//!    calls, and at least halve the p99.
+//!    without the server admission controller. Gates
+//!    (`fleet::brownout::gate`): explicit `Shed` replies beat silent
+//!    queue drops on timely goodput, abandon no calls, and cut the p99.
 //!
-//! Every scenario must keep the at-most-once oracle clean.
+//! Every gate also requires a clean at-most-once oracle.
 //!
 //! Flags: `--smoke` (recorded; the grid is already CI-sized), `--seed
 //! N`, `--out PATH` (default `BENCH_10.json`), `--json` (prints the
 //! deterministic slice — no wall clock — for the jobs-width identity
-//! gate). Exits nonzero if any gate fails.
+//! gate). Names each failed gate condition on stderr and exits nonzero
+//! if there is one.
 
 use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_sim::fleet::{
-    run_brownout, run_flapping_partition, run_partition_heal, run_rejoin, BrownoutOutcome,
-    PartitionOutcome, RejoinOutcome,
+    brownout, partition, rejoin, run_brownout, run_flapping_partition, run_partition_heal,
+    run_rejoin, BrownoutOutcome, PartitionOutcome, RejoinOutcome,
 };
 use firefly_sim::harness::run_jobs;
 use serde::Serialize;
@@ -66,13 +69,6 @@ struct DeterministicReport {
     rejoin: RejoinOutcome,
     brownout_shed: BrownoutOutcome,
     brownout_silent: BrownoutOutcome,
-    /// Cycles from the heal until timely goodput regained 90% of
-    /// baseline under the resilient policy (`-1` = never, kept numeric
-    /// for `bench_check`).
-    heal_recovery_cycles: i64,
-    /// Ditto for the kill-and-revive scenario, measured from the
-    /// revive.
-    rejoin_recovery_cycles: i64,
 }
 
 /// The full document written to `--out`.
@@ -88,8 +84,6 @@ struct BenchReport {
     rejoin: RejoinOutcome,
     brownout_shed: BrownoutOutcome,
     brownout_silent: BrownoutOutcome,
-    heal_recovery_cycles: i64,
-    rejoin_recovery_cycles: i64,
     pass: bool,
 }
 
@@ -140,35 +134,14 @@ fn main() {
         _ => unreachable!(),
     };
 
-    let oracle_clean = partition_resilient.oracle_violations == 0
-        && partition_budgeted.oracle_violations == 0
-        && flapping.oracle_violations == 0
-        && rejoin.oracle_violations == 0
-        && brownout_shed.oracle_violations == 0
-        && brownout_silent.oracle_violations == 0;
-    let partition_gate = partition_resilient.recovery_fraction >= 0.85
-        && partition_resilient.recovery_cycles.is_some()
-        && partition_resilient.split_mbps > 1.5 * partition_budgeted.split_mbps
-        && partition_resilient.minority_open_breakers_mid_split == 9
-        && partition_resilient.minority_open_breakers_at_end == 0
-        && partition_resilient.minority_split_fast_fails >= 20
-        && partition_budgeted.minority_split_fast_fails == 0;
-    let flapping_gate = flapping.recovery_fraction >= 0.85
-        && flapping.minority_breaker_opens >= flapping.severed_windows as u64
-        && flapping.minority_open_breakers_at_end == 0;
-    let rejoin_gate = rejoin.victim_epoch == 1
-        && rejoin.victim_executed_after_revive > 0
-        && rejoin.rebinds >= 1
-        && rejoin.recovery_fraction >= 0.85;
-    let brownout_gate = brownout_shed.goodput_mbps > brownout_silent.goodput_mbps
-        && brownout_shed.failed == 0
-        && brownout_shed.server_shed_replied > 0
-        && brownout_silent.server_shed_silent > 0
-        && 2 * brownout_shed.p99 < brownout_silent.p99;
-    let pass = oracle_clean && partition_gate && flapping_gate && rejoin_gate && brownout_gate;
+    let gates = [
+        ("partition", partition::heal_gate(&partition_resilient, &partition_budgeted)),
+        ("flapping", partition::flapping_gate(&flapping)),
+        ("rejoin", rejoin::gate(&rejoin)),
+        ("brownout", brownout::gate(&brownout_shed, &brownout_silent)),
+    ];
+    let pass = gates.iter().all(|(_, failures)| failures.is_empty());
 
-    let heal_recovery_cycles = partition_resilient.recovery_cycles.map_or(-1, |c| c as i64);
-    let rejoin_recovery_cycles = rejoin.recovery_cycles.map_or(-1, |c| c as i64);
     let deterministic = DeterministicReport {
         bench: "BENCH_10".to_string(),
         seed,
@@ -179,8 +152,6 @@ fn main() {
         rejoin,
         brownout_shed,
         brownout_silent,
-        heal_recovery_cycles,
-        rejoin_recovery_cycles,
     };
     let doc = BenchReport {
         bench: deterministic.bench.clone(),
@@ -193,12 +164,9 @@ fn main() {
         rejoin: deterministic.rejoin.clone(),
         brownout_shed: deterministic.brownout_shed.clone(),
         brownout_silent: deterministic.brownout_silent.clone(),
-        heal_recovery_cycles,
-        rejoin_recovery_cycles,
         pass,
     };
-    let json = doc.to_json();
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    report::write(&out, &doc);
 
     if report::json_requested() {
         println!("{}", deterministic.to_json());
@@ -251,15 +219,8 @@ fn main() {
                 b.p99,
             );
         }
-        println!(
-            "\n  gates: oracle {oracle_clean} partition {partition_gate} flapping \
-             {flapping_gate} rejoin {rejoin_gate} brownout {brownout_gate} -> {}",
-            if pass { "pass" } else { "FAIL" }
-        );
+        println!("\n  gates: {}", if pass { "pass" } else { "FAIL (see stderr)" });
         println!("  wrote {out}");
     }
-    if !pass {
-        eprintln!("partition: a self-healing gate failed (see {out})");
-        std::process::exit(1);
-    }
+    report::exit_on_failures("partition", &gates);
 }

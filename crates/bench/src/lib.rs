@@ -61,6 +61,40 @@ pub mod report {
     pub fn emit_json<T: serde::Serialize + ?Sized>(value: &T) {
         println!("{}", value.to_json());
     }
+
+    /// Writes `doc` as one line of JSON to `path` and returns the JSON.
+    /// This is the one writer of the `BENCH_N.json` reports: the schema
+    /// is the report struct's `Serialize` derive, and the document is
+    /// validated before it is written, so a report on disk parses.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the JSON does not validate or `path` cannot be
+    /// written.
+    pub fn write<T: serde::Serialize + ?Sized>(path: &str, doc: &T) -> String {
+        let json = doc.to_json();
+        if let Err(e) = firefly_core::events::validate_json(&json) {
+            panic!("{path}: report is not valid JSON: {e}");
+        }
+        std::fs::write(path, format!("{json}\n"))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        json
+    }
+
+    /// Names every failed condition of each `(name, failures)` gate on
+    /// stderr and exits with status 1 if there was one.
+    pub fn exit_on_failures(bin: &str, gates: &[(&str, Vec<&str>)]) {
+        let mut failed = false;
+        for (name, failures) in gates {
+            for condition in failures {
+                eprintln!("{bin}: {name} gate failed: {condition}");
+                failed = true;
+            }
+        }
+        if failed {
+            std::process::exit(1);
+        }
+    }
 }
 
 /// The command line the seeded bench binaries (`arbiter_sweep`,

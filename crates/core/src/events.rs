@@ -714,29 +714,49 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
     }
 }
 
+/// An RFC 8259 number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
     let start = *pos;
+    let bad = || format!("bad number at byte {start}");
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let mut saw_digit = false;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'0'..=b'9' => {
-                saw_digit = true;
-                *pos += 1;
-            }
-            b'.' | b'e' | b'E' | b'+' | b'-' => *pos += 1,
-            _ => break,
+    match b.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(b, pos);
+        }
+        _ => return Err(bad()),
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(b, pos) == 0 {
+            return Err(bad());
         }
     }
-    if saw_digit {
-        Ok(())
-    } else {
-        Err(format!("bad number at byte {start}"))
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(b, pos) == 0 {
+            return Err(bad());
+        }
     }
+    Ok(())
 }
 
+/// Consumes a run of ASCII digits and returns its length.
+fn digits(b: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    *pos - start
+}
+
+/// An RFC 8259 string: the escapes `\" \\ \/ \b \f \n \r \t \uXXXX`, and
+/// no raw byte below 0x20.
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
@@ -746,9 +766,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
                 *pos += 1;
                 return Ok(());
             }
-            b'\\' => {
-                *pos += 2;
-            }
+            b'\\' => match b.get(*pos + 1) {
+                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
+                Some(b'u')
+                    if b.get(*pos + 2..*pos + 6)
+                        .is_some_and(|hex| hex.iter().all(u8::is_ascii_hexdigit)) =>
+                {
+                    *pos += 6
+                }
+                _ => return Err(format!("bad escape at byte {}", *pos)),
+            },
+            0x00..=0x1f => return Err(format!("raw control byte in string at byte {}", *pos)),
             _ => *pos += 1,
         }
     }
@@ -945,6 +973,14 @@ mod tests {
         assert!(validate_json("[1,]").is_err());
         assert!(validate_json("{\"a\":1} trailing").is_err());
         assert!(validate_json("{'a':1}").is_err());
+        // RFC 8259 numbers and escapes, and no raw control bytes.
+        for bad in ["1.2.3", "[1e]", "01", "[1-2]", "[1.]", "\"\\q\"", "\"a\u{1}b\""] {
+            assert!(validate_json(bad).is_err(), "accepted {bad:?}");
+        }
+        // The forms the vendored serializer emits.
+        for good in ["1e-7", "1e16", "-0.0", "\"\\u0001\""] {
+            validate_json(good).unwrap_or_else(|e| panic!("rejected {good:?}: {e}"));
+        }
     }
 
     #[test]

@@ -54,10 +54,19 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::collections::BTreeSet;
 
-/// Cycle windows and knobs for the retry-storm scenario. The windows are
-/// public so tests, the soak harness and the bench bin measure the same
-/// phases.
+/// The names of the `(name, holds)` gate conditions that do not hold,
+/// in order. Each scenario module's `gate` is built on this; its pass
+/// is an empty list.
+fn failures(conditions: &[(&'static str, bool)]) -> Vec<&'static str> {
+    conditions.iter().filter(|&&(_, holds)| !holds).map(|&(name, _)| name).collect()
+}
+
+/// Cycle windows, knobs and the pass/fail gate for the retry-storm
+/// scenario. They are public so tests, the soak harness and the bench
+/// bin measure the same phases and judge them by the same conditions.
 pub mod storm {
+    use super::{failures, StormOutcome};
+
     /// Baseline goodput window starts here (after warm-up).
     pub const BASE_FROM: u64 = 400_000;
     /// Baseline window ends where the slowdown begins.
@@ -77,10 +86,37 @@ pub mod storm {
     /// healthy fleet's p99 round trip, so neither discipline retries
     /// spuriously at baseline.
     pub const TIMEOUT: u64 = 40_000;
+
+    /// Gate: the naive discipline's post-heal recovery fraction stays
+    /// below this — the collapse outlives its trigger.
+    pub const NAIVE_RECOVERY_MAX: f64 = 0.5;
+    /// Gate: the budgeted discipline recovers at least this fraction of
+    /// baseline.
+    pub const BUDGETED_RECOVERY_MIN: f64 = 0.9;
+
+    /// The retry-storm gate over the naive and budgeted runs of one
+    /// seed: the names of the conditions that do not hold.
+    pub fn gate(naive: &StormOutcome, budgeted: &StormOutcome) -> Vec<&'static str> {
+        failures(&[
+            (
+                "naive.recovery_fraction < NAIVE_RECOVERY_MAX",
+                naive.recovery_fraction < NAIVE_RECOVERY_MAX,
+            ),
+            (
+                "budgeted.recovery_fraction >= BUDGETED_RECOVERY_MIN",
+                budgeted.recovery_fraction >= BUDGETED_RECOVERY_MIN,
+            ),
+            ("naive.oracle_violations == 0", naive.oracle_violations == 0),
+            ("budgeted.oracle_violations == 0", budgeted.oracle_violations == 0),
+        ])
+    }
 }
 
-/// Cycle windows and knobs for the machine-crash failover scenario.
+/// Cycle windows, knobs and the gate for the machine-crash failover
+/// scenario.
 pub mod crash {
+    use super::{failures, CrashOutcome};
+
     /// Baseline goodput window starts here (after warm-up).
     pub const BASE_FROM: u64 = 400_000;
     /// The victim server is killed at this cycle.
@@ -94,9 +130,23 @@ pub mod crash {
     pub const TIMEOUT: u64 = 60_000;
     /// NIC index of the server that crashes.
     pub const VICTIM: usize = 0;
+
+    /// Gate: steady post-kill goodput on N−1 servers holds at least
+    /// this fraction of baseline.
+    pub const DEGRADED_MIN: f64 = 0.8;
+
+    /// The machine-crash gate: the names of the conditions that do not
+    /// hold.
+    pub fn gate(o: &CrashOutcome) -> Vec<&'static str> {
+        failures(&[
+            ("degraded_fraction >= DEGRADED_MIN", o.degraded_fraction >= DEGRADED_MIN),
+            ("recovery_cycles.is_some()", o.recovery_cycles.is_some()),
+            ("oracle_violations == 0", o.oracle_violations == 0),
+        ])
+    }
 }
 
-/// Cycle windows and knobs for the network-partition scenarios
+/// Cycle windows, knobs and gates for the network-partition scenarios
 /// ([`run_partition_heal`], [`run_flapping_partition`]).
 ///
 /// Topology: three servers (NICs 0–2) and six clients (NICs 3–8). The
@@ -105,6 +155,8 @@ pub mod crash {
 /// 6–8) on a side with **no servers** while the majority side keeps
 /// serving undisturbed.
 pub mod partition {
+    use super::{failures, PartitionOutcome};
+
     /// Baseline goodput window starts here (after warm-up).
     pub const BASE_FROM: u64 = 400_000;
     /// The wire splits at this cycle.
@@ -128,11 +180,74 @@ pub mod partition {
     pub const FLAP_SEVERED: u64 = 250_000;
     /// Healed gap between consecutive severed windows.
     pub const FLAP_HEALED: u64 = 150_000;
+
+    /// Gate: post-heal timely goodput reaches at least this fraction of
+    /// baseline, after a single split and after flapping.
+    pub const RECOVERY_MIN: f64 = 0.85;
+    /// Gate: resilient split-side goodput exceeds this multiple of the
+    /// budgeted policy's.
+    pub const SPLIT_GAIN_MIN: f64 = 1.5;
+    /// Gate: every minority breaker (3 clients × 3 servers) is open
+    /// mid-split under the resilient policy.
+    pub const MINORITY_BREAKERS: usize = 9;
+    /// Gate: the resilient minority fails at least this many calls fast
+    /// during the split.
+    pub const MINORITY_FAST_FAILS_MIN: u64 = 20;
+
+    /// The partition-heal gate over the resilient and budgeted runs of
+    /// one seed: the names of the conditions that do not hold.
+    pub fn heal_gate(
+        resilient: &PartitionOutcome,
+        budgeted: &PartitionOutcome,
+    ) -> Vec<&'static str> {
+        failures(&[
+            (
+                "resilient.recovery_fraction >= RECOVERY_MIN",
+                resilient.recovery_fraction >= RECOVERY_MIN,
+            ),
+            ("resilient.recovery_cycles.is_some()", resilient.recovery_cycles.is_some()),
+            (
+                "resilient.split_mbps > SPLIT_GAIN_MIN * budgeted.split_mbps",
+                resilient.split_mbps > SPLIT_GAIN_MIN * budgeted.split_mbps,
+            ),
+            (
+                "resilient.minority_open_breakers_mid_split == MINORITY_BREAKERS",
+                resilient.minority_open_breakers_mid_split == MINORITY_BREAKERS,
+            ),
+            (
+                "resilient.minority_open_breakers_at_end == 0",
+                resilient.minority_open_breakers_at_end == 0,
+            ),
+            (
+                "resilient.minority_split_fast_fails >= MINORITY_FAST_FAILS_MIN",
+                resilient.minority_split_fast_fails >= MINORITY_FAST_FAILS_MIN,
+            ),
+            ("budgeted.minority_split_fast_fails == 0", budgeted.minority_split_fast_fails == 0),
+            ("resilient.oracle_violations == 0", resilient.oracle_violations == 0),
+            ("budgeted.oracle_violations == 0", budgeted.oracle_violations == 0),
+        ])
+    }
+
+    /// The flapping-partition gate: the names of the conditions that do
+    /// not hold.
+    pub fn flapping_gate(o: &PartitionOutcome) -> Vec<&'static str> {
+        failures(&[
+            ("recovery_fraction >= RECOVERY_MIN", o.recovery_fraction >= RECOVERY_MIN),
+            (
+                "minority_breaker_opens >= severed_windows",
+                o.minority_breaker_opens >= o.severed_windows as u64,
+            ),
+            ("minority_open_breakers_at_end == 0", o.minority_open_breakers_at_end == 0),
+            ("oracle_violations == 0", o.oracle_violations == 0),
+        ])
+    }
 }
 
-/// Cycle windows and knobs for the kill-then-revive scenario
+/// Cycle windows, knobs and the gate for the kill-then-revive scenario
 /// ([`run_rejoin`]).
 pub mod rejoin {
+    use super::{failures, RejoinOutcome};
+
     /// Baseline goodput window starts here (after warm-up).
     pub const BASE_FROM: u64 = 400_000;
     /// The victim server is killed at this cycle.
@@ -147,9 +262,29 @@ pub mod rejoin {
     pub const TIMEOUT: u64 = 60_000;
     /// NIC index of the server that dies and rejoins.
     pub const VICTIM: usize = 0;
+
+    /// Gate: the revived victim's epoch (one restart).
+    pub const VICTIM_EPOCH: u32 = 1;
+    /// Gate: at least this many stale calls bounce with `Rebind`.
+    pub const REBINDS_MIN: u64 = 1;
+    /// Gate: post-revive goodput reaches at least this fraction of
+    /// baseline.
+    pub const RECOVERY_MIN: f64 = 0.85;
+
+    /// The kill-then-revive gate: the names of the conditions that do
+    /// not hold.
+    pub fn gate(o: &RejoinOutcome) -> Vec<&'static str> {
+        failures(&[
+            ("victim_epoch == VICTIM_EPOCH", o.victim_epoch == VICTIM_EPOCH),
+            ("victim_executed_after_revive > 0", o.victim_executed_after_revive > 0),
+            ("rebinds >= REBINDS_MIN", o.rebinds >= REBINDS_MIN),
+            ("recovery_fraction >= RECOVERY_MIN", o.recovery_fraction >= RECOVERY_MIN),
+            ("oracle_violations == 0", o.oracle_violations == 0),
+        ])
+    }
 }
 
-/// Cycle windows and knobs for the overload-shedding scenario
+/// Cycle windows, knobs and the gate for the overload-shedding scenario
 /// ([`run_brownout`]).
 ///
 /// The workload is service-bound on purpose: two servers of three
@@ -158,6 +293,8 @@ pub mod rejoin {
 /// where the brownout admission controller lives — rather than on the
 /// wire or at the client outstanding-call cap.
 pub mod brownout {
+    use super::{failures, BrownoutOutcome};
+
     /// Goodput measurement starts here (after warm-up).
     pub const BASE_FROM: u64 = 400_000;
     /// End of the scenario.
@@ -175,6 +312,24 @@ pub mod brownout {
     /// Per-client offered load, calls per million cycles — ~20% over
     /// the two-server service capacity, sustained for the whole run.
     pub const ARRIVALS_PER_MCYCLE: u64 = 40;
+
+    /// Gate: explicit shedding divides the silent-drop p99 by more than
+    /// this factor.
+    pub const P99_FACTOR: u64 = 2;
+
+    /// The brownout gate over the shedding and silent-drop runs of one
+    /// seed: the names of the conditions that do not hold.
+    pub fn gate(shed: &BrownoutOutcome, silent: &BrownoutOutcome) -> Vec<&'static str> {
+        failures(&[
+            ("shed.goodput_mbps > silent.goodput_mbps", shed.goodput_mbps > silent.goodput_mbps),
+            ("shed.failed == 0", shed.failed == 0),
+            ("shed.server_shed_replied > 0", shed.server_shed_replied > 0),
+            ("silent.server_shed_silent > 0", silent.server_shed_silent > 0),
+            ("P99_FACTOR * shed.p99 < silent.p99", P99_FACTOR * shed.p99 < silent.p99),
+            ("shed.oracle_violations == 0", shed.oracle_violations == 0),
+            ("silent.oracle_violations == 0", silent.oracle_violations == 0),
+        ])
+    }
 }
 
 /// A timed service-tier slowdown: every server's service times are
@@ -1054,7 +1209,7 @@ impl Fleet {
 /// Outcome of one retry-storm run: goodput in the baseline, slowdown
 /// and post-heal recovery windows, plus the counters that explain the
 /// mechanism.
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, Default, PartialEq, Debug, Serialize)]
 pub struct StormOutcome {
     /// True for the naive discipline, false for the budgeted one.
     pub naive: bool,
@@ -1188,7 +1343,7 @@ fn post_event_windows(
 /// Outcome of one machine-crash run: goodput before the kill, the
 /// post-kill window trajectory, and how long the fleet took to get back
 /// to 80% of baseline on N−1 servers.
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, Default, PartialEq, Debug, Serialize)]
 pub struct CrashOutcome {
     /// Goodput over the pre-kill baseline window, Mb/s.
     pub baseline_mbps: f64,
@@ -1252,7 +1407,7 @@ pub fn run_crash_failover(seed: u64) -> CrashOutcome {
 /// Outcome of one partition run (single split or flapping): baseline
 /// versus split goodput, what the stranded minority paid, and how fast
 /// the fleet got back to baseline after the heal.
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, Default, PartialEq, Debug, Serialize)]
 pub struct PartitionOutcome {
     /// True under the circuit-breaker policy, false for plain budgeted
     /// retries.
@@ -1391,7 +1546,7 @@ pub fn run_flapping_partition(seed: u64) -> PartitionOutcome {
 /// Outcome of one kill-then-revive run: goodput through the outage and
 /// after the rejoin, plus the evidence that the revived machine really
 /// rejoined (fresh epoch, stale requests bounced, new work executed).
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, Default, PartialEq, Debug, Serialize)]
 pub struct RejoinOutcome {
     /// Goodput over the pre-kill baseline window (3 servers), Mb/s.
     pub baseline_mbps: f64,
@@ -1473,7 +1628,7 @@ pub fn run_rejoin(seed: u64) -> RejoinOutcome {
 
 /// Outcome of one overload run with the brownout admission controller
 /// on or off: what explicit shed replies buy over silent queue drops.
-#[derive(Clone, PartialEq, Debug, Serialize)]
+#[derive(Clone, Default, PartialEq, Debug, Serialize)]
 pub struct BrownoutOutcome {
     /// True with the admission controller on.
     pub shedding: bool,
@@ -1854,6 +2009,231 @@ mod tests {
             let o = run_brownout(0x000f_1ee7, shedding);
             println!("--- shedding={shedding}: {}", o.to_json());
         }
+    }
+
+    /// One gate boundary case: an edit to a passing pair of outcomes
+    /// and the one failure the gate must then name (`None`: it must
+    /// still pass).
+    type Case<T> = (fn(&mut T, &mut T), Option<&'static str>);
+
+    /// Applies each case to a fresh copy of the passing pair `base` and
+    /// checks that `gate` names exactly the expected failure.
+    fn check_gate<T: Clone>(
+        base: (T, T),
+        gate: impl Fn(&T, &T) -> Vec<&'static str>,
+        cases: &[Case<T>],
+    ) {
+        assert_eq!(gate(&base.0, &base.1), Vec::<&str>::new(), "the base pair must pass");
+        for (i, &(edit, want)) in cases.iter().enumerate() {
+            let (mut a, mut b) = base.clone();
+            edit(&mut a, &mut b);
+            assert_eq!(gate(&a, &b), Vec::from_iter(want), "case {i}");
+        }
+    }
+
+    /// Each gated field moved just across its threshold, then onto it:
+    /// a strict comparison fails on the threshold, an inclusive one
+    /// passes. A condition dropped from a gate fails its cases here.
+    #[test]
+    fn gates_name_each_failure_at_its_boundary() {
+        let naive = StormOutcome { naive: true, ..Default::default() };
+        let budgeted = StormOutcome { recovery_fraction: 1.0, ..Default::default() };
+        check_gate(
+            (naive, budgeted),
+            storm::gate,
+            &[
+                (
+                    |n, _| n.recovery_fraction = storm::NAIVE_RECOVERY_MAX.next_up(),
+                    Some("naive.recovery_fraction < NAIVE_RECOVERY_MAX"),
+                ),
+                (
+                    |n, _| n.recovery_fraction = storm::NAIVE_RECOVERY_MAX,
+                    Some("naive.recovery_fraction < NAIVE_RECOVERY_MAX"),
+                ),
+                (
+                    |_, b| b.recovery_fraction = storm::BUDGETED_RECOVERY_MIN.next_down(),
+                    Some("budgeted.recovery_fraction >= BUDGETED_RECOVERY_MIN"),
+                ),
+                (|_, b| b.recovery_fraction = storm::BUDGETED_RECOVERY_MIN, None),
+                (|n, _| n.oracle_violations = 1, Some("naive.oracle_violations == 0")),
+                (|_, b| b.oracle_violations = 1, Some("budgeted.oracle_violations == 0")),
+            ],
+        );
+
+        let crash =
+            CrashOutcome { degraded_fraction: 1.0, recovery_cycles: Some(1), ..Default::default() };
+        check_gate(
+            (crash.clone(), crash),
+            |o, _| crash::gate(o),
+            &[
+                (
+                    |o, _| o.degraded_fraction = crash::DEGRADED_MIN.next_down(),
+                    Some("degraded_fraction >= DEGRADED_MIN"),
+                ),
+                (|o, _| o.degraded_fraction = crash::DEGRADED_MIN, None),
+                (|o, _| o.recovery_cycles = None, Some("recovery_cycles.is_some()")),
+                (|o, _| o.oracle_violations = 1, Some("oracle_violations == 0")),
+            ],
+        );
+
+        let resilient = PartitionOutcome {
+            resilient: true,
+            recovery_fraction: 1.0,
+            recovery_cycles: Some(1),
+            split_mbps: 2.0,
+            minority_open_breakers_mid_split: partition::MINORITY_BREAKERS,
+            minority_split_fast_fails: 2 * partition::MINORITY_FAST_FAILS_MIN,
+            ..Default::default()
+        };
+        let budgeted = PartitionOutcome { split_mbps: 1.0, ..Default::default() };
+        check_gate(
+            (resilient, budgeted),
+            partition::heal_gate,
+            &[
+                (
+                    |r, _| r.recovery_fraction = partition::RECOVERY_MIN.next_down(),
+                    Some("resilient.recovery_fraction >= RECOVERY_MIN"),
+                ),
+                (|r, _| r.recovery_fraction = partition::RECOVERY_MIN, None),
+                (|r, _| r.recovery_cycles = None, Some("resilient.recovery_cycles.is_some()")),
+                (
+                    |r, _| r.split_mbps = partition::SPLIT_GAIN_MIN.next_down(),
+                    Some("resilient.split_mbps > SPLIT_GAIN_MIN * budgeted.split_mbps"),
+                ),
+                (
+                    |r, _| r.split_mbps = partition::SPLIT_GAIN_MIN,
+                    Some("resilient.split_mbps > SPLIT_GAIN_MIN * budgeted.split_mbps"),
+                ),
+                (
+                    |r, _| r.minority_open_breakers_mid_split = partition::MINORITY_BREAKERS - 1,
+                    Some("resilient.minority_open_breakers_mid_split == MINORITY_BREAKERS"),
+                ),
+                (
+                    |r, _| r.minority_open_breakers_mid_split = partition::MINORITY_BREAKERS + 1,
+                    Some("resilient.minority_open_breakers_mid_split == MINORITY_BREAKERS"),
+                ),
+                (
+                    |r, _| r.minority_open_breakers_at_end = 1,
+                    Some("resilient.minority_open_breakers_at_end == 0"),
+                ),
+                (
+                    |r, _| r.minority_split_fast_fails = partition::MINORITY_FAST_FAILS_MIN - 1,
+                    Some("resilient.minority_split_fast_fails >= MINORITY_FAST_FAILS_MIN"),
+                ),
+                (|r, _| r.minority_split_fast_fails = partition::MINORITY_FAST_FAILS_MIN, None),
+                (
+                    |_, b| b.minority_split_fast_fails = 1,
+                    Some("budgeted.minority_split_fast_fails == 0"),
+                ),
+                (|r, _| r.oracle_violations = 1, Some("resilient.oracle_violations == 0")),
+                (|_, b| b.oracle_violations = 1, Some("budgeted.oracle_violations == 0")),
+            ],
+        );
+
+        let flapping = PartitionOutcome {
+            resilient: true,
+            severed_windows: partition::FLAPS,
+            recovery_fraction: 1.0,
+            minority_breaker_opens: 2 * partition::FLAPS as u64,
+            ..Default::default()
+        };
+        check_gate(
+            (flapping.clone(), flapping),
+            |o, _| partition::flapping_gate(o),
+            &[
+                (
+                    |o, _| o.recovery_fraction = partition::RECOVERY_MIN.next_down(),
+                    Some("recovery_fraction >= RECOVERY_MIN"),
+                ),
+                (|o, _| o.recovery_fraction = partition::RECOVERY_MIN, None),
+                (
+                    |o, _| o.minority_breaker_opens = o.severed_windows as u64 - 1,
+                    Some("minority_breaker_opens >= severed_windows"),
+                ),
+                (|o, _| o.minority_breaker_opens = o.severed_windows as u64, None),
+                (
+                    |o, _| o.minority_open_breakers_at_end = 1,
+                    Some("minority_open_breakers_at_end == 0"),
+                ),
+                (|o, _| o.oracle_violations = 1, Some("oracle_violations == 0")),
+            ],
+        );
+
+        let rejoined = RejoinOutcome {
+            recovery_fraction: 1.0,
+            victim_epoch: rejoin::VICTIM_EPOCH,
+            victim_executed_after_revive: 1,
+            rebinds: 2 * rejoin::REBINDS_MIN,
+            ..Default::default()
+        };
+        check_gate(
+            (rejoined.clone(), rejoined),
+            |o, _| rejoin::gate(o),
+            &[
+                (
+                    |o, _| o.victim_epoch = rejoin::VICTIM_EPOCH - 1,
+                    Some("victim_epoch == VICTIM_EPOCH"),
+                ),
+                (
+                    |o, _| o.victim_epoch = rejoin::VICTIM_EPOCH + 1,
+                    Some("victim_epoch == VICTIM_EPOCH"),
+                ),
+                (
+                    |o, _| o.victim_executed_after_revive = 0,
+                    Some("victim_executed_after_revive > 0"),
+                ),
+                (|o, _| o.rebinds = rejoin::REBINDS_MIN - 1, Some("rebinds >= REBINDS_MIN")),
+                (|o, _| o.rebinds = rejoin::REBINDS_MIN, None),
+                (
+                    |o, _| o.recovery_fraction = rejoin::RECOVERY_MIN.next_down(),
+                    Some("recovery_fraction >= RECOVERY_MIN"),
+                ),
+                (|o, _| o.recovery_fraction = rejoin::RECOVERY_MIN, None),
+                (|o, _| o.oracle_violations = 1, Some("oracle_violations == 0")),
+            ],
+        );
+
+        let shed = BrownoutOutcome {
+            shedding: true,
+            goodput_mbps: 2.0,
+            server_shed_replied: 1,
+            p99: 1_000,
+            ..Default::default()
+        };
+        let silent = BrownoutOutcome {
+            goodput_mbps: 1.0,
+            server_shed_silent: 1,
+            p99: 3 * brownout::P99_FACTOR * 1_000,
+            ..Default::default()
+        };
+        check_gate(
+            (shed, silent),
+            brownout::gate,
+            &[
+                (
+                    |s, q| s.goodput_mbps = q.goodput_mbps.next_down(),
+                    Some("shed.goodput_mbps > silent.goodput_mbps"),
+                ),
+                (
+                    |s, q| s.goodput_mbps = q.goodput_mbps,
+                    Some("shed.goodput_mbps > silent.goodput_mbps"),
+                ),
+                (|s, _| s.failed = 1, Some("shed.failed == 0")),
+                (|s, _| s.server_shed_replied = 0, Some("shed.server_shed_replied > 0")),
+                (|_, q| q.server_shed_silent = 0, Some("silent.server_shed_silent > 0")),
+                (
+                    |s, q| q.p99 = brownout::P99_FACTOR * s.p99 - 1,
+                    Some("P99_FACTOR * shed.p99 < silent.p99"),
+                ),
+                (
+                    |s, q| q.p99 = brownout::P99_FACTOR * s.p99,
+                    Some("P99_FACTOR * shed.p99 < silent.p99"),
+                ),
+                (|s, q| q.p99 = brownout::P99_FACTOR * s.p99 + 1, None),
+                (|s, _| s.oracle_violations = 1, Some("shed.oracle_violations == 0")),
+                (|_, q| q.oracle_violations = 1, Some("silent.oracle_violations == 0")),
+            ],
+        );
     }
 
     #[test]

@@ -183,23 +183,27 @@ fn rejoin_after_crash_skips_bit_identically() {
     );
 }
 
-/// The scenario runners, which now run through the skipping engine, are
-/// still a pure function of the seed at one worker and at four. The
-/// naive storm's runner has its own width check in `tests/fleet.rs`.
+/// The scenario runners, which run through the skipping engine, are a
+/// pure function of the seed at one worker and at four: every runner at
+/// the bench seed, and the budgeted storm at a second seed.
 #[test]
 fn scenario_runners_are_bit_identical_across_worker_counts() {
-    let jobs: Vec<u8> = (0..8).collect();
+    let jobs: Vec<u8> = (0..10).collect();
     let run = |workers: usize| -> Vec<String> {
         run_jobs_with(workers, &jobs, |&job| match job {
-            0 => run_retry_storm(SEED, false).to_json(),
-            1 => run_crash_failover(SEED).to_json(),
-            2 => run_partition_heal(SEED, true).to_json(),
-            3 => run_partition_heal(SEED, false).to_json(),
-            4 => run_flapping_partition(SEED).to_json(),
-            5 => run_rejoin(SEED).to_json(),
-            6 => run_brownout(SEED, true).to_json(),
+            0 => run_retry_storm(SEED, true).to_json(),
+            1 => run_retry_storm(SEED, false).to_json(),
+            2 => run_retry_storm(13, false).to_json(),
+            3 => run_crash_failover(SEED).to_json(),
+            4 => run_partition_heal(SEED, true).to_json(),
+            5 => run_partition_heal(SEED, false).to_json(),
+            6 => run_flapping_partition(SEED).to_json(),
+            7 => run_rejoin(SEED).to_json(),
+            8 => run_brownout(SEED, true).to_json(),
             _ => run_brownout(SEED, false).to_json(),
         })
     };
-    assert_eq!(run(1), run(4), "scenario outcomes diverged between 1 and 4 workers");
+    // The two widths run side by side: the naive storm dominates each.
+    let runs = run_jobs_with(2, &[1, 4], |&workers| run(workers));
+    assert_eq!(runs[0], runs[1], "scenario outcomes diverged between 1 and 4 workers");
 }
