@@ -116,6 +116,11 @@ trap 'rm -f "$trace_file"; report_steps' EXIT
 cargo run --release -p firefly-bench --bin protocol_compare -- --smoke --trace "$trace_file"
 cargo run --release -p firefly-bench --bin trace_check -- "$trace_file"
 
+step "protocol_compare determinism gate (bit-identical across widths)"
+# One job per reference stream (six sharing levels, four CPU counts),
+# each replaying its stream under all seven protocols.
+same_across_widths protocol_compare
+
 step "trace examples: protocol_trace, trace_timeline"
 # Both render Figure 4 and the event timeline from the event ring; run
 # them so the rendering paths execute in CI, not just compile.

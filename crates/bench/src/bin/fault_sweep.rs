@@ -6,7 +6,7 @@
 //! that any card can glitch, and the QBus devices time out and retry.
 //! This sweep injects a *correctable-only* plan — bus parity, dropped
 //! and spurious `MShared`, arbitration stalls, single-bit ECC, tag
-//! parity — at increasing rates across all six protocols and reports
+//! parity — at increasing rates across all seven protocols and reports
 //! what the recovery paths absorbed: corrections, scrubs, bus retries,
 //! and the throughput cost relative to the fault-free baseline. A
 //! second section turns on double-bit ECC (uncorrectable) and shows the

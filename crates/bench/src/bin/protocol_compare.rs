@@ -1,4 +1,4 @@
-//! Ablation A: the six coherence protocols under varying degrees of
+//! Ablation A: the seven coherence protocols under varying degrees of
 //! sharing — the §5.1 design space, quantified with the Archibald & Baer
 //! reference-level methodology.
 //!
@@ -7,15 +7,18 @@
 //! re-miss traffic, and the update protocols (Firefly, Dragon) keep bus
 //! operations per reference lowest.
 //!
-//! Every (protocol, sharing) and (protocol, NP) cell is an independent
-//! reference-level simulation, so both grids fan out across the
-//! experiment harness's worker pool. Pass `--json` for the grids as
-//! JSON, `--smoke` for CI-sized grids, and `--trace <file>` to also
-//! capture one cycle-level Firefly run as Chrome trace-event JSON.
+//! As in Archibald & Baer's trace-driven study, one reference stream is
+//! replayed under every protocol: each job generates the stream for one
+//! sharing level (or one processor count) once and applies every
+//! reference to seven reference-level simulators in lockstep, one per
+//! protocol. The six sharing levels and four processor counts fan out
+//! across the experiment harness's worker pool. Pass `--json` for the
+//! grids as JSON, `--smoke` for CI-sized grids, and `--trace <file>` to
+//! also capture one cycle-level Firefly run as Chrome trace-event JSON.
 
 use firefly_bench::{report, tracing};
 use firefly_core::protocol::ProtocolKind;
-use firefly_core::refsim::{CostModel, RefSim};
+use firefly_core::refsim::{CostModel, RefSim, RefSimStats};
 use firefly_core::CacheGeometry;
 use firefly_sim::harness::run_jobs;
 use firefly_trace::{LocalityParams, RefStream, SyntheticWorkload};
@@ -46,31 +49,40 @@ struct Grids {
     performance: Vec<PerformanceCell>,
 }
 
-fn run(kind: ProtocolKind, cpus: usize, sharing: f64, refs: usize) -> (f64, f64, f64) {
+/// Replays one synthetic stream (`cpus` processors, shared fraction
+/// `sharing`, seed 7) under every protocol of [`ProtocolKind::ALL`] in
+/// lockstep, and returns each protocol's counts over the measure window:
+/// `refs` round-robin rounds after `refs / 4` warm-up rounds.
+fn replay(cpus: usize, sharing: f64, refs: usize) -> [RefSimStats; ProtocolKind::ALL.len()] {
     let params = LocalityParams {
         shared_fraction: sharing,
         shared_words: 512,
         ..LocalityParams::paper_calibrated()
     };
     let mut fleet = SyntheticWorkload::fleet(cpus, params, 7);
-    let mut sim = RefSim::new(cpus, CacheGeometry::microvax(), kind);
-    // Interleave round-robin, warm then measure.
-    for _ in 0..refs / 4 {
-        for (cpu, w) in fleet.iter_mut().enumerate() {
-            let r = w.next_ref();
-            sim.access(cpu, r.kind.proc_op(), r.addr);
+    let mut sims = ProtocolKind::ALL.map(|k| RefSim::new(cpus, CacheGeometry::microvax(), k));
+    let mut rounds = |sims: &mut [RefSim], n: usize| {
+        for _ in 0..n {
+            for (cpu, w) in fleet.iter_mut().enumerate() {
+                let r = w.next_ref();
+                for sim in sims.iter_mut() {
+                    sim.access(cpu, r.kind.proc_op(), r.addr);
+                }
+            }
         }
-    }
-    let warm = *sim.stats();
-    for _ in 0..refs {
-        for (cpu, w) in fleet.iter_mut().enumerate() {
-            let r = w.next_ref();
-            sim.access(cpu, r.kind.proc_op(), r.addr);
-        }
-    }
-    let d_refs = (sim.stats().refs() - warm.refs()) as f64;
-    let d_ops = (sim.stats().bus_ops() - warm.bus_ops()) as f64;
-    let d_miss = (sim.stats().misses() - warm.misses()) as f64;
+    };
+    rounds(&mut sims, refs / 4);
+    let warm = sims.each_ref().map(|s| *s.stats());
+    rounds(&mut sims, refs);
+    std::array::from_fn(|p| sims[p].stats().delta(&warm[p]))
+}
+
+/// One protocol's measured figures at `cpus` processors: bus operations
+/// per reference, miss rate, and the bus load that traffic would induce.
+fn figures(d: &RefSimStats, cpus: usize) -> (f64, f64, f64) {
+    let d_refs = d.refs() as f64;
+    let d_ops = d.bus_ops() as f64;
+    let d_miss = d.misses() as f64;
     let bus_per_ref = d_ops / d_refs;
     // The bus load this traffic would induce with `cpus` processors:
     // the self-consistent fixed point of the §5.2 queue model
@@ -87,10 +99,11 @@ fn run(kind: ProtocolKind, cpus: usize, sharing: f64, refs: usize) -> (f64, f64,
 
 /// Total system performance at `cpus` via the self-consistent load
 /// (Archibald & Baer's figure of merit, computed with the paper's
-/// queue model). One reference-level run supplies both the fixed-point
-/// load and the bus-ops-per-instruction it recomputes TPI from.
-fn total_performance(kind: ProtocolKind, cpus: usize, sharing: f64, refs: usize) -> (f64, f64) {
-    let (bpr, _, load) = run(kind, cpus, sharing, refs);
+/// queue model). One protocol's measure-window counts supply both the
+/// fixed-point load and the bus-ops-per-instruction it recomputes TPI
+/// from.
+fn total_performance(d: &RefSimStats, cpus: usize) -> (f64, f64) {
+    let (bpr, _, load) = figures(d, cpus);
     let model = CostModel::default();
     let opi = bpr * model.refs_per_instruction;
     let tpi = model.base_tpi + opi * model.ticks_per_bus_op / (1.0 - load.min(0.94)) + 0.852 * load;
@@ -110,31 +123,44 @@ fn main() {
         tracing::capture(&opts, 4, ProtocolKind::Firefly, None, if smoke { 8_000 } else { 50_000 });
     }
 
-    // Both grids are embarrassingly parallel: every cell owns its fleet
-    // and its reference simulator.
-    let sharing_grid: Vec<(f64, ProtocolKind)> = sharing_levels
+    // One job per stream: each owns its fleet and its seven reference
+    // simulators.
+    let sharing_rows = run_jobs(&sharing_levels, |&sharing| replay(4, sharing, sharing_refs));
+    let sharing_cells: Vec<SharingCell> = sharing_levels
         .iter()
-        .flat_map(|&s| ProtocolKind::ALL.into_iter().map(move |k| (s, k)))
+        .zip(&sharing_rows)
+        .flat_map(|(&sharing, row)| {
+            ProtocolKind::ALL.into_iter().zip(row).map(move |(kind, d)| {
+                let (bpr, miss, load) = figures(d, 4);
+                SharingCell {
+                    protocol: kind,
+                    sharing,
+                    bus_ops_per_ref: bpr,
+                    miss_rate: miss,
+                    est_bus_load: load,
+                }
+            })
+        })
         .collect();
-    let sharing_cells = run_jobs(&sharing_grid, |&(sharing, kind)| {
-        let (bpr, miss, load) = run(kind, 4, sharing, sharing_refs);
-        SharingCell {
-            protocol: kind,
-            sharing,
-            bus_ops_per_ref: bpr,
-            miss_rate: miss,
-            est_bus_load: load,
-        }
-    });
 
-    let perf_grid: Vec<(ProtocolKind, usize)> = ProtocolKind::ALL
+    // The rows come back per processor count; the grid is reported per
+    // protocol, so transpose.
+    let perf_rows = run_jobs(&counts, |&n| replay(n, 0.10, perf_refs));
+    let perf_cells: Vec<PerformanceCell> = ProtocolKind::ALL
         .into_iter()
-        .flat_map(|k| counts.into_iter().map(move |n| (k, n)))
+        .enumerate()
+        .flat_map(|(p, kind)| {
+            counts.iter().zip(&perf_rows).map(move |(&n, row)| {
+                let (load, tp) = total_performance(&row[p], n);
+                PerformanceCell {
+                    protocol: kind,
+                    cpus: n,
+                    est_bus_load: load,
+                    total_performance: tp,
+                }
+            })
+        })
         .collect();
-    let perf_cells = run_jobs(&perf_grid, |&(kind, n)| {
-        let (load, tp) = total_performance(kind, n, 0.10, perf_refs);
-        PerformanceCell { protocol: kind, cpus: n, est_bus_load: load, total_performance: tp }
-    });
 
     if report::json_requested() {
         report::emit_json(&Grids { sharing: sharing_cells, performance: perf_cells });

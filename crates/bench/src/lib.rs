@@ -13,7 +13,7 @@
 //! | `figure3` | Figure 3 — the protocol state machine |
 //! | `figure4` | Figure 4 — MBus timing diagrams from a traced run |
 //! | `scaling` | §5.2 — model vs cycle simulation, the 9-CPU knee |
-//! | `protocol_compare` | Ablation A — six protocols across sharing levels |
+//! | `protocol_compare` | Ablation A — seven protocols across sharing levels |
 //! | `migration_ablation` | Ablation B — AvoidMigration vs FreeMigration |
 //! | `cache_sweep` | Ablation C — cache size and line size |
 //! | `prefetch_ablation` | Ablation D — prefetch off/chip/perfect |

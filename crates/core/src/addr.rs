@@ -131,7 +131,7 @@ impl LineId {
     /// Panics if `line_words` is not a power of two.
     pub fn containing(addr: Addr, line_words: usize) -> Self {
         assert!(line_words.is_power_of_two(), "line_words must be a power of two");
-        LineId(addr.word_index() / line_words as u32)
+        LineId(addr.word_index() >> line_words.trailing_zeros())
     }
 
     /// Constructs a line id from its raw number.
@@ -153,10 +153,11 @@ impl LineId {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `addr` does not fall inside this line.
+    /// Panics (in debug builds) if `addr` does not fall inside this line,
+    /// or if `line_words` is not a power of two (the offset is a mask).
     pub fn word_offset(self, addr: Addr, line_words: usize) -> usize {
         debug_assert_eq!(LineId::containing(addr, line_words), self);
-        (addr.word_index() as usize) % line_words
+        addr.word_index() as usize & (line_words - 1)
     }
 }
 

@@ -90,18 +90,22 @@ impl CacheGeometry {
     }
 
     /// The cache set index for a line (direct mapped: line id modulo lines).
+    ///
+    /// `lines` is a power of two (`new` and the snapshot decoder enforce
+    /// it), so the modulo is a mask; the same holds for the divisions in
+    /// [`tag_of`](Self::tag_of) and [`line_from`](Self::line_from).
     pub fn index_of(&self, line: crate::LineId) -> usize {
-        (line.raw() as usize) % self.lines
+        line.raw() as usize & (self.lines - 1)
     }
 
     /// The tag stored for a line (the line id divided by the line count).
     pub fn tag_of(&self, line: crate::LineId) -> u32 {
-        line.raw() / self.lines as u32
+        line.raw() >> self.lines.trailing_zeros()
     }
 
     /// Reconstructs a line id from an index and tag.
     pub fn line_from(&self, index: usize, tag: u32) -> crate::LineId {
-        crate::LineId::from_raw(tag * self.lines as u32 + index as u32)
+        crate::LineId::from_raw((tag << self.lines.trailing_zeros()) | index as u32)
     }
 }
 
@@ -450,6 +454,45 @@ mod tests {
             let idx = g.index_of(line);
             let tag = g.tag_of(line);
             assert_eq!(g.line_from(idx, tag), line);
+        }
+    }
+
+    /// Pins the shift/mask index arithmetic to the division it replaced,
+    /// over every valid geometry, on pseudo-random line ids and addresses
+    /// plus the edges (0, the geometry's own boundaries, `u32::MAX`).
+    #[test]
+    fn shift_mask_forms_match_division() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            // splitmix64
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u32
+        };
+        for lines in (0..=14).map(|k| 1usize << k) {
+            for line_words in (0..=4).map(|k| 1usize << k) {
+                let g = CacheGeometry::new(lines, line_words).unwrap();
+                let (l, w) = (lines as u32, line_words as u32);
+                let edges = [0, 1, l - 1, l, l + 1, u32::MAX - 1, u32::MAX];
+                for raw in edges.into_iter().chain((0..256).map(|_| next())) {
+                    let line = LineId::from_raw(raw);
+                    assert_eq!(g.index_of(line), (raw % l) as usize, "{g:?} {raw:#x}");
+                    assert_eq!(g.tag_of(line), raw / l, "{g:?} {raw:#x}");
+                    assert_eq!(g.line_from(g.index_of(line), g.tag_of(line)), line);
+
+                    let addr = crate::Addr::new(raw);
+                    let word = addr.word_index();
+                    let containing = LineId::containing(addr, line_words);
+                    assert_eq!(containing.raw(), word / w, "{g:?} {raw:#x}");
+                    assert_eq!(
+                        containing.word_offset(addr, line_words),
+                        (word % w) as usize,
+                        "{g:?} {raw:#x}"
+                    );
+                }
+            }
         }
     }
 

@@ -50,7 +50,7 @@ pub use write_through::WriteThrough;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The state of one cache line, unified across all six protocols.
+/// The state of one cache line, unified across all seven protocols.
 ///
 /// Each protocol uses a subset. In Firefly terms (Figure 3), the states
 /// correspond to the `Valid`/`Dirty`/`Shared` tag bits:
