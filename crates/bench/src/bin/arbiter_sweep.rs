@@ -17,8 +17,9 @@
 //! 3. **Busy-bus engine gate** — the PR-6 regression point: the
 //!    paper-mix 4-CPU machine, where the bus is busy most cycles, timed
 //!    on the ticked vs the event engine. The event engine must be at
-//!    least 1.0× (it used to be ~0.7× before busy spans were run as a
-//!    straight ticked micro-loop inside `drive_events`).
+//!    least 1.0× (it was ~0.7× when `drive_events` probed every
+//!    processor for an idle span each cycle; it now ticks only the
+//!    processors due in a cycle).
 //!
 //! Flags: `--smoke` (CI sizing), `--seed N`, `--out PATH` (default
 //! `BENCH_8.json`), `--json`. The `--json` document carries **only

@@ -418,18 +418,6 @@ impl Bus {
         None
     }
 
-    /// Guaranteed-busy cycles left: how many more [`tick`](Bus::tick)
-    /// calls the bus will spend with a transaction on the wires, given
-    /// no new grants. Zero when idle.
-    #[inline]
-    pub fn busy_remaining(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|t| crate::BUS_CYCLES_PER_OP - u64::from(t.cycles_done))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Accounts one elapsed bus cycle (busy or idle).
     pub fn count_cycle(&mut self) {
         self.stats.total_cycles += 1;
@@ -568,13 +556,11 @@ mod tests {
         assert!(bus.tick().is_none());
         let first = bus.tick().expect("oldest completes after its 4 cycles");
         assert_eq!(first.initiator, PortId::new(0));
-        assert_eq!(bus.busy_remaining(), 2);
         assert!(bus.tick().is_none());
         let second = bus.tick().expect("pipelined follower completes 2 cycles later");
         assert_eq!(second.initiator, PortId::new(1));
         assert_eq!(bus.stats().busy_cycles, 6, "6 busy cycles for 2 overlapped 4-cycle ops");
         assert!(!bus.is_busy());
-        assert_eq!(bus.busy_remaining(), 0);
     }
 
     #[test]

@@ -341,6 +341,11 @@ pub struct MemSystem {
     /// bus's in-flight slots: start cycle, snoop responses collected at
     /// the probe cycle, and whether a fault doomed the transaction.
     txns: std::collections::VecDeque<TxnCtx>,
+    /// One bit per port, set when the port's access enters its local
+    /// completion countdown ([`Status::Finishing`]) or the port goes
+    /// offline; drained by [`take_notified`](MemSystem::take_notified).
+    /// Derived state: never snapshotted.
+    notified: Vec<u64>,
     /// Pending interprocessor-interrupt lines, one per port ("The MBus
     /// also provides facilities for system initialization and
     /// interprocessor interrupts", §5).
@@ -455,6 +460,7 @@ impl MemSystem {
             },
             lat: LatencyStats::default(),
             pts: vec![0; cfg.ports()],
+            notified: vec![0; cfg.ports().div_ceil(64)],
             mem_ts: std::collections::BTreeMap::new(),
             cfg,
             cycle: 0,
@@ -842,17 +848,25 @@ impl MemSystem {
                 .all(|c| !matches!(c.pending, Some(Pending { status: Status::WaitBus(_), .. })))
     }
 
-    /// How many further [`step`](MemSystem::step) calls are guaranteed
-    /// to have a transaction on the wires, assuming no new grants: the
-    /// cycles left in the longest-running in-flight transaction. Zero
-    /// when the bus is idle.
+    /// Takes one port from the set of ports whose access entered its
+    /// local completion countdown, or that went offline, since the set
+    /// was last drained; `None` when the set is empty.
     ///
-    /// The event-driven engine uses this to run a straight ticked
-    /// micro-loop across a busy span instead of round-tripping its event
-    /// heap every bus cycle.
+    /// The event-driven engine drains the set after every
+    /// [`step`](MemSystem::step), so a processor waiting on the bus
+    /// sleeps until its completion cycle is known instead of polling.
+    /// Ports nobody drains stay in the set: it holds at most one entry
+    /// per port.
     #[inline]
-    pub fn busy_cycles_remaining(&self) -> u64 {
-        self.bus.busy_remaining()
+    pub fn take_notified(&mut self) -> Option<PortId> {
+        for (w, word) in self.notified.iter_mut().enumerate() {
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(PortId::new(w * 64 + bit));
+            }
+        }
+        None
     }
 
     /// The cycle at which `port`'s pending access completes locally, if
@@ -1187,7 +1201,7 @@ impl MemSystem {
 
     /// Iterates over the resident lines of `port`'s cache.
     pub fn resident_lines(&self, port: PortId) -> Vec<(LineId, LineState, LineData)> {
-        self.ports[port.index()].cache.iter_resident().map(|(l, s, d)| (l, s, *d)).collect()
+        self.ports[port.index()].cache.iter_resident().collect()
     }
 
     /// Number of ports.
@@ -1212,6 +1226,7 @@ impl MemSystem {
             self.offline[port.index()] = true;
             self.has_offline = true;
             self.fstats.cpus_offlined += 1;
+            self.notify(port.index());
             emit_into(&mut self.events, self.cycle, EventKind::CpuOffline { port });
             // The port leaves the coherence domain: written-back owners
             // keep their data reachable, everything else is dropped (in
@@ -1234,7 +1249,7 @@ impl MemSystem {
             .cache
             .iter_resident()
             .filter(|(_, s, _)| s.is_owner())
-            .map(|(l, _, d)| (l, *d))
+            .map(|(l, _, d)| (l, d))
             .collect();
         for (line, data) in dirty {
             self.memory.write_line(line, &data);
@@ -1316,7 +1331,7 @@ impl MemSystem {
                 .cache
                 .iter_resident()
                 .filter(|(_, s, _)| s.is_owner())
-                .map(|(l, _, d)| (l, *d))
+                .map(|(l, _, d)| (l, d))
                 .collect();
             for (line, data) in dirty {
                 self.memory.write_line(line, &data);
@@ -1515,6 +1530,11 @@ impl MemSystem {
         let p = self.ports[port].pending.as_mut().expect("finish without pending");
         let at = (p.issued + hit_cycles).max(self.cycle + extra);
         p.status = Status::Finishing { at };
+        self.notify(port);
+    }
+
+    fn notify(&mut self, port: usize) {
+        self.notified[port / 64] |= 1 << (port % 64);
     }
 
     /// Orders a write by `port` into the timestamp history of `line`:

@@ -46,8 +46,9 @@ impl Default for Workload {
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default, serde::Serialize)]
 pub enum EngineMode {
     /// The discrete-event engine
-    /// ([`firefly_cpu::processor::drive_events`]): idle spans are
-    /// skipped in one jump instead of ticked. The default.
+    /// ([`firefly_cpu::processor::drive_events`]): each cycle ticks only
+    /// the processors with something to do, and idle spans are skipped
+    /// in one jump. The default.
     #[default]
     EventDriven,
     /// The original cycle-by-cycle engine
