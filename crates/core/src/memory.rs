@@ -305,13 +305,25 @@ impl Memory {
         (self.reads, self.writes, self.module_traffic) = (reads, writes, module_traffic);
         let n_pages: usize = r.get()?;
         self.pages.clear();
+        // Pages must be in strictly increasing order, as `save` writes
+        // them, so that an accepted image re-saves to the same bytes;
+        // and each must start inside installed memory.
+        let mut prev = None;
         for _ in 0..n_pages {
             let key: u32 = r.get()?;
+            if let Some(p) = prev.filter(|&p| key <= p) {
+                return Err(Error::SnapshotCorrupt(format!("memory page {key} follows page {p}")));
+            }
+            if u64::from(key) * (PAGE_WORDS as u64 * 4) >= self.bytes {
+                return Err(Error::SnapshotCorrupt(format!(
+                    "memory page {key} lies past the {}-byte capacity",
+                    self.bytes
+                )));
+            }
             let mut page = Box::new([0u32; PAGE_WORDS]);
             r.u32_words_into(&mut page[..])?;
-            if self.pages.insert(key, page).is_some() {
-                return Err(Error::SnapshotCorrupt(format!("duplicate memory page {key}")));
-            }
+            self.pages.insert(key, page);
+            prev = Some(key);
         }
         let has_ecc: bool = r.get()?;
         if has_ecc != self.ecc.is_some() {
@@ -430,6 +442,51 @@ mod tests {
         assert_eq!(m.ecc_uncorrected(), 1);
         assert_eq!(m.drain_ecc_errors().len(), 1);
         assert_eq!(m.peek_word(Addr::new(0x40)), 0x1234, "the stored cell is untouched");
+    }
+
+    /// A hand-built image of a 1 MB memory holding the given pages in
+    /// the given order, page `k` filled with the word `k`.
+    fn image(pages: &[u32]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put(&(1u64 << 20, 4u64 << 20, 0u64, 0u64));
+        w.put(&vec![(0u64, 0u64)]);
+        w.usize(pages.len());
+        for &k in pages {
+            w.put(&k);
+            w.u32_words(&[k; PAGE_WORDS]);
+        }
+        w.bool(false);
+        w.into_bytes()
+    }
+
+    fn load(img: &[u8]) -> Result<Memory, Error> {
+        let mut m = Memory::new(1 << 20);
+        let mut r = SnapReader::new(img);
+        m.load_state(&mut r)?;
+        r.expect_end()?;
+        Ok(m)
+    }
+
+    #[test]
+    fn ordered_pages_load_and_resave_identically() {
+        let img = image(&[3, 5, 255]);
+        let m = load(&img).unwrap();
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.peek_word(Addr::new(5 * 4096)), 5);
+        let mut w = SnapWriter::new();
+        m.save(&mut w);
+        assert_eq!(w.into_bytes(), img);
+    }
+
+    #[test]
+    fn out_of_order_repeated_or_out_of_range_pages_are_corrupt() {
+        // 1 MB holds pages 0..=255.
+        for pages in [&[5, 3][..], &[3, 3], &[256], &[3, 10_000]] {
+            assert!(
+                matches!(load(&image(pages)), Err(Error::SnapshotCorrupt(_))),
+                "pages {pages:?} must be rejected"
+            );
+        }
     }
 
     #[test]
