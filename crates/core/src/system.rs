@@ -1417,8 +1417,19 @@ impl MemSystem {
     /// * [`Error::InvalidConfig`] — the embedded configuration is
     ///   inconsistent (should be unreachable for genuine snapshots).
     pub fn restore(bytes: &[u8]) -> Result<Self, Error> {
-        let file = SnapshotFile::parse(bytes)?;
+        Self::restore_file(&SnapshotFile::parse(bytes)?)
+    }
 
+    /// Reconstructs a memory system from an already-parsed
+    /// [`save_snapshot`](MemSystem::save_snapshot) image, such as one
+    /// nested in a machine checkpoint and reached with
+    /// [`SnapshotFile::nested`].
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](MemSystem::restore), less the container checks
+    /// that parsing made.
+    pub fn restore_file(file: &SnapshotFile<'_>) -> Result<Self, Error> {
         let mut r = file.section("config")?;
         let cfg: SystemConfig = r.get()?;
         r.expect_end()?;

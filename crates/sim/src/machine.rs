@@ -435,9 +435,7 @@ impl Firefly {
         let mut w = SnapWriter::new();
         w.put(&self.processors.len());
         b.section("machine", w.into_bytes());
-        let mut w = SnapWriter::new();
-        w.bytes(&self.sys.save_snapshot());
-        b.section("memsys", w.into_bytes());
+        b.image("memsys", self.sys.save_snapshot());
         for (i, p) in self.processors.iter().enumerate() {
             let mut w = SnapWriter::new();
             p.save_state(&mut w)?;
@@ -470,9 +468,7 @@ impl Firefly {
             )));
         }
         r.expect_end()?;
-        let mut r = file.section("memsys")?;
-        let sys = MemSystem::restore(r.bytes()?)?;
-        r.expect_end()?;
+        let sys = MemSystem::restore_file(&file.nested("memsys")?)?;
         // The memory system is fully validated above; processor loads
         // mutate in place, so on a processor-level error the machine
         // must be discarded (rebuild and retry, as the harness does).
