@@ -15,7 +15,9 @@ use std::fmt::Write as _;
 const PREVIEW_BYTES: usize = 16;
 
 /// Renders a snapshot image as text: header, section table, and a short
-/// hex preview of each payload.
+/// hex preview of each payload. A section holding a nested image (a
+/// machine's `memsys`) also lists that image's sections, indented
+/// under it.
 ///
 /// The output is stable for a given image (no timestamps, no
 /// addresses), so two dumps can be diffed to localize which section of
@@ -43,8 +45,14 @@ pub fn dump_snapshot(bytes: &[u8]) -> Result<String, Error> {
     let mut out = String::new();
     let magic = String::from_utf8_lossy(&SNAPSHOT_MAGIC).into_owned();
     let _ = writeln!(out, "snapshot {magic} v{SNAPSHOT_VERSION}: {} bytes", bytes.len());
+    dump_sections(&mut out, &file, "");
+    Ok(out)
+}
+
+/// Appends `file`'s section table, each line after `indent`.
+fn dump_sections(out: &mut String, file: &SnapshotFile<'_>, indent: &str) {
     for (name, len) in file.sections() {
-        let _ = writeln!(out, "section {name}: {len} bytes");
+        let _ = writeln!(out, "{indent}section {name}: {len} bytes");
         if let Ok(mut r) = file.section(name) {
             let shown = len.min(PREVIEW_BYTES);
             let mut hex = String::with_capacity(shown * 3);
@@ -53,10 +61,12 @@ pub fn dump_snapshot(bytes: &[u8]) -> Result<String, Error> {
                 let _ = write!(hex, "{b:02x} ");
             }
             let ellipsis = if len > shown { "…" } else { "" };
-            let _ = writeln!(out, "  {}{ellipsis}", hex.trim_end());
+            let _ = writeln!(out, "{indent}  {}{ellipsis}", hex.trim_end());
+        }
+        if let Ok(inner) = file.nested(name) {
+            dump_sections(out, &inner, &format!("{indent}    "));
         }
     }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -370,3 +370,22 @@ fn version_skew_and_corruption_are_rejected_with_structured_errors() {
     let mut wrong_shape = FireflyBuilder::microvax(3).build();
     assert!(wrong_shape.load_snapshot(&snap).is_err(), "CPU-count mismatch must be rejected");
 }
+
+/// The debug dump of a machine image lists the memory system's nested
+/// image section by section, indented under `memsys` and before the
+/// processors.
+#[test]
+fn dump_lists_the_nested_memory_system_under_memsys() {
+    let mut m = FireflyBuilder::microvax(2).seed(9).trace_events(32).build();
+    m.run(2_000);
+    let text = firefly::trace::snapdump::dump_snapshot(&m.save_snapshot().unwrap()).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let at = |prefix: &str| lines.iter().position(|l| l.starts_with(prefix));
+    let memsys = at("section memsys:").expect("memsys listed");
+    let cpu0 = at("section cpu0:").expect("cpu0 listed");
+    for inner in ["config", "memory", "events"] {
+        let line =
+            at(&format!("    section {inner}:")).unwrap_or_else(|| panic!("{inner}:\n{text}"));
+        assert!(memsys < line && line < cpu0, "{inner} is not under memsys:\n{text}");
+    }
+}
