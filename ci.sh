@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The canonical pre-PR check (see EXPERIMENTS.md). Fails fast, in the
-# order cheapest-to-diagnose first: formatting, lints, then the tier-1
-# build-and-test gate from ROADMAP.md run over the whole workspace
-# (integration tests, doctests, every crate — a superset of the root
-# package's `cargo test -q`), then the benchmark package's own tests.
+# order cheapest-to-diagnose first: formatting, lints, doc links, then
+# the tier-1 build-and-test gate from ROADMAP.md run over the whole
+# workspace (integration tests, doctests, every crate — a superset of the
+# root package's `cargo test -q`), then the benchmark package's own tests.
 #
 # FIREFLY_JOBS controls the experiment harness's worker-pool width for
 # any sweeps the tests run; the results are bit-identical at any width.
@@ -54,6 +54,11 @@ cargo fmt --check
 
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "rustdoc: RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+# Every doc link must resolve: a link left dangling by a renamed or
+# deleted item fails here rather than rotting in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 step "tier-1: cargo build --release && cargo test --workspace -q"
 cargo build --release

@@ -464,7 +464,7 @@ impl Clock {
 /// traces, histograms, snapshots), but a cycle costs only the
 /// processors that do something in it.
 ///
-/// Each driven processor has a [`Clock`]: the cycle its counters are
+/// Each driven processor has a clock: the cycle its counters are
 /// settled to, and its wake cycle — the first cycle whose tick is more
 /// than counter bookkeeping. A computing processor wakes when its
 /// compute gap ends, a processor with a known local completion wakes at

@@ -150,8 +150,9 @@ pub mod crash {
 /// ([`run_partition_heal`], [`run_flapping_partition`]).
 ///
 /// Topology: three servers (NICs 0–2) and six clients (NICs 3–8). The
-/// partition [`BOUNDARY`] is 6, so the split strands the last three
-/// clients (fleet client indices [`MINORITY_FROM`]`..clients`, NICs
+/// partition [`BOUNDARY`](partition::BOUNDARY) is 6, so the split strands
+/// the last three clients (fleet client indices
+/// [`MINORITY_FROM`](partition::MINORITY_FROM)`..clients`, NICs
 /// 6–8) on a side with **no servers** while the majority side keeps
 /// serving undisturbed.
 pub mod partition {
