@@ -2,30 +2,21 @@
 //! Firefly protocol — plus the same table for every baseline protocol,
 //! which is what makes the §5.1 design discussion concrete.
 //!
-//! The six tables are independent, so they render on the experiment
-//! harness's worker pool and print in protocol order.
+//! Prints the Firefly table first, then the six baselines in protocol
+//! order.
 
 use firefly_core::protocol::{transition_table, ProtocolKind};
-use firefly_sim::harness::run_jobs;
 
 fn main() {
-    let tables =
-        run_jobs(&ProtocolKind::ALL, |kind| (*kind, transition_table(kind.build().as_ref())));
-
     println!("Figure 3: Cache Line States (Firefly protocol)\n");
-    let firefly =
-        tables.iter().find(|(k, _)| *k == ProtocolKind::Firefly).expect("ALL contains Firefly");
-    println!("{}", firefly.1);
+    println!("{}", transition_table(&ProtocolKind::Firefly.table()));
     println!("legend: I=Invalid V=Valid(clean,excl) S=Shared(clean) D=Dirty(excl) SD=Shared-Dirty");
     println!(
         "        sh=asserts MShared  sup=supplies data  fl=flushes to memory  abs=absorbs data\n"
     );
 
     println!("the baselines of the §5.1 discussion:\n");
-    for (kind, table) in &tables {
-        if *kind == ProtocolKind::Firefly {
-            continue;
-        }
-        println!("{table}");
+    for kind in ProtocolKind::ALL.into_iter().filter(|&k| k != ProtocolKind::Firefly) {
+        println!("{}", transition_table(&kind.table()));
     }
 }
