@@ -37,7 +37,7 @@ use firefly_bench::report;
 use firefly_core::protocol::ProtocolKind;
 use firefly_mc::explore::{counterexample, explore, McConfig};
 use firefly_mc::litmus::{builtin_suite, run};
-use firefly_mc::mutate::{mutant_tables, mutation_smoke};
+use firefly_mc::mutate::{mutant_table, mutation_smoke};
 use serde::Serialize;
 
 /// One litmus test's result under one protocol.
@@ -153,7 +153,7 @@ fn main() {
         if let Some(v) = &rep.violation {
             failed = true;
             eprintln!("{}: VIOLATION after {:?}: {}", kind.name(), v.path, v.message);
-            let ce = counterexample(&cfg, None, v);
+            let ce = counterexample(&cfg, cfg.table(), v);
             eprintln!("{}", ce.timeline());
         }
 
@@ -186,10 +186,8 @@ fn main() {
             // path must replay to the same violation under the mutant.
             if let Some(o) = outcomes.iter().find(|o| o.caught) {
                 let v = o.violation.as_ref().expect("caught mutant carries a violation");
-                let mutation = o.mutation;
-                let cfg_ref = &cfg;
-                let factory = move || mutant_tables(cfg_ref, mutation);
-                if firefly_mc::replay_violation(&cfg, Some(&factory), &v.path).is_none() {
+                let table = mutant_table(&cfg, o.mutation);
+                if firefly_mc::replay_violation(&cfg, table, &v.path).is_none() {
                     failed = true;
                     eprintln!("{}: counterexample did not replay: {}", kind.name(), o.mutation);
                 }

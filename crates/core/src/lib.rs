@@ -101,7 +101,7 @@ pub use addr::{Addr, LineId, PortId};
 pub use arbiter::{ArbiterKind, BusMode};
 pub use config::{CacheGeometry, MachineVariant, SystemConfig};
 pub use error::Error;
-pub use protocol::{LineState, Protocol, ProtocolKind};
+pub use protocol::{LineState, ProtocolKind, ProtocolTable};
 
 /// One MBus cycle is 100 ns (Figure 4 of the paper).
 pub const BUS_CYCLE_NS: u64 = 100;

@@ -29,130 +29,101 @@
 //!   inhibited." A dirty snooped line is additionally flushed so memory
 //!   becomes current (keeping the protocol free of a shared-dirty state).
 
-use super::{BusOp, LineState, Protocol, SnoopResponse, WriteHitEffect, WriteMissPolicy};
+use super::{
+    protocol_table, BusOp, LineState, ProtocolKind, ProtocolTable, SnoopResponse, WriteHitEffect,
+    WriteMissPolicy,
+};
 
-/// The Firefly conditional write-through protocol.
-///
-/// # Examples
-///
-/// ```
-/// use firefly_core::protocol::{BusOp, Firefly, LineState, Protocol, WriteHitEffect};
-///
-/// let p = Firefly;
-/// // A write hit on an exclusive clean line is silent and dirties it:
-/// assert_eq!(
-///     p.write_hit(LineState::CleanExclusive),
-///     WriteHitEffect::Silent(LineState::DirtyExclusive),
-/// );
-/// // A write hit on a shared line writes through:
-/// assert_eq!(p.write_hit(LineState::SharedClean), WriteHitEffect::Bus(BusOp::Write));
-/// // ...and reverts to write-back if nobody asserted MShared:
-/// assert_eq!(
-///     p.after_write_bus(LineState::SharedClean, BusOp::Write, false),
-///     LineState::CleanExclusive,
-/// );
-/// ```
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct Firefly;
+/// The Firefly conditional write-through protocol's table.
+pub(super) const TABLE: ProtocolTable = protocol_table! {
+    kind: ProtocolKind::Firefly,
+    // The four states of Figure 3: no shared-dirty state exists because
+    // writes to shared lines write through (leaving them clean) and
+    // snooped dirty lines flush to memory as they are supplied.
+    states: &[
+        LineState::Invalid,
+        LineState::CleanExclusive,
+        LineState::SharedClean,
+        LineState::DirtyExclusive,
+    ],
+    read_fill: read_fill,
+    // The longword write-miss optimization. The cache layer falls back
+    // to fill-then-write when the write does not cover a whole line.
+    write_miss: WriteMissPolicy::WriteThrough { allocate: true },
+    write_hit: write_hit,
+    after_write: after_write,
+    snoop: snoop,
+};
 
-impl Protocol for Firefly {
-    fn name(&self) -> &'static str {
-        "Firefly"
+const fn read_fill(shared: bool) -> LineState {
+    // "When the read is done, the Shared tag is set to the value of
+    // MShared returned by other caches."
+    if shared {
+        LineState::SharedClean
+    } else {
+        LineState::CleanExclusive
     }
+}
 
-    fn states(&self) -> &'static [LineState] {
-        // The four states of Figure 3: no shared-dirty state exists because
-        // writes to shared lines write through (leaving them clean) and
-        // snooped dirty lines flush to memory as they are supplied.
-        &[
-            LineState::Invalid,
-            LineState::CleanExclusive,
-            LineState::SharedClean,
-            LineState::DirtyExclusive,
-        ]
-    }
-
-    fn read_fill_state(&self, shared: bool) -> LineState {
-        // "When the read is done, the Shared tag is set to the value of
-        // MShared returned by other caches."
-        if shared {
-            LineState::SharedClean
-        } else {
-            LineState::CleanExclusive
+const fn write_hit(state: LineState) -> Option<WriteHitEffect> {
+    match state {
+        // "A CPU write that hits in a nonshared line requires no MBus
+        // traffic. The line is marked dirty..."
+        LineState::CleanExclusive | LineState::DirtyExclusive => {
+            Some(WriteHitEffect::Silent(LineState::DirtyExclusive))
         }
+        // "If the line is shared, the cache does write-through..."
+        LineState::SharedClean => Some(WriteHitEffect::Bus(BusOp::Write)),
+        LineState::Invalid | LineState::SharedDirty => None,
     }
+}
 
-    fn write_miss_policy(&self) -> WriteMissPolicy {
-        // The longword write-miss optimization. The cache layer falls back
-        // to fill-then-write when the write does not cover a whole line.
-        WriteMissPolicy::WriteThrough { allocate: true }
+/// After a write-through from `SharedClean`.
+const fn after_write(_state: LineState, shared: bool) -> LineState {
+    // "In this case, the line is marked clean and shared" — unless the
+    // write received no MShared, in which case sharing has ceased and
+    // the cache reverts to write-back for this line.
+    if shared {
+        LineState::SharedClean
+    } else {
+        LineState::CleanExclusive
     }
+}
 
-    fn write_hit(&self, state: LineState) -> WriteHitEffect {
-        match state {
-            // "A CPU write that hits in a nonshared line requires no MBus
-            // traffic. The line is marked dirty..."
-            LineState::CleanExclusive | LineState::DirtyExclusive => {
-                WriteHitEffect::Silent(LineState::DirtyExclusive)
-            }
-            // "If the line is shared, the cache does write-through..."
-            LineState::SharedClean => WriteHitEffect::Bus(BusOp::Write),
-            LineState::Invalid | LineState::SharedDirty => {
-                unreachable!("Firefly write_hit on {state:?}")
-            }
-        }
+const fn snoop(state: LineState, op: BusOp) -> SnoopResponse {
+    if !state.is_valid() {
+        return SnoopResponse::ignore(state);
     }
-
-    fn after_write_bus(&self, state: LineState, op: BusOp, shared: bool) -> LineState {
-        debug_assert_eq!(state, LineState::SharedClean);
-        debug_assert_eq!(op, BusOp::Write);
-        // "In this case, the line is marked clean and shared" — unless the
-        // write received no MShared, in which case sharing has ceased and
-        // the cache reverts to write-back for this line.
-        if shared {
-            LineState::SharedClean
-        } else {
-            LineState::CleanExclusive
-        }
-    }
-
-    fn snoop(&self, state: LineState, op: BusOp) -> SnoopResponse {
-        if !state.is_valid() {
-            return SnoopResponse::ignore(state);
-        }
-        match op {
-            BusOp::Read => SnoopResponse {
-                // Any holder sees its line become shared and supplies data.
-                next: LineState::SharedClean,
-                assert_shared: true,
-                supply: true,
-                // A dirty holder also updates memory during the transfer,
-                // so every copy (incl. memory) is clean afterwards.
-                flush_to_memory: state.is_dirty(),
-                absorb: false,
-            },
-            BusOp::Write => SnoopResponse {
-                // Another cache wrote through: take the new data in place.
-                // This is how sharers are "updated, as is main storage".
-                next: LineState::SharedClean,
-                assert_shared: true,
-                supply: false,
-                flush_to_memory: false,
-                absorb: true,
-            },
-            // A victim write-back concerns a line no other cache holds
-            // (dirty implies exclusive in Firefly); nothing to do. We
-            // still assert MShared if we hold the line — harmless and
-            // faithful to the hardware, where MShared is a tag-match
-            // signal, but no state changes.
-            BusOp::WriteBack => {
-                SnoopResponse { assert_shared: true, ..SnoopResponse::ignore(state) }
-            }
-            // Firefly never emits these; respond inertly so that mixed
-            // tests and the transition-table printer stay total.
-            BusOp::ReadOwned | BusOp::Update | BusOp::Invalidate | BusOp::Renew => {
-                SnoopResponse { assert_shared: true, ..SnoopResponse::ignore(state) }
-            }
+    match op {
+        BusOp::Read => SnoopResponse {
+            // Any holder sees its line become shared and supplies data.
+            next: LineState::SharedClean,
+            assert_shared: true,
+            supply: true,
+            // A dirty holder also updates memory during the transfer,
+            // so every copy (incl. memory) is clean afterwards.
+            flush_to_memory: state.is_dirty(),
+            absorb: false,
+        },
+        BusOp::Write => SnoopResponse {
+            // Another cache wrote through: take the new data in place.
+            // This is how sharers are "updated, as is main storage".
+            next: LineState::SharedClean,
+            assert_shared: true,
+            supply: false,
+            flush_to_memory: false,
+            absorb: true,
+        },
+        // A victim write-back concerns a line no other cache holds
+        // (dirty implies exclusive in Firefly); nothing to do. We still
+        // assert MShared if we hold the line — harmless and faithful to
+        // the hardware, where MShared is a tag-match signal, but no
+        // state changes.
+        BusOp::WriteBack => SnoopResponse { assert_shared: true, ..SnoopResponse::ignore(state) },
+        // Firefly never emits these; respond inertly so that mixed
+        // tests and the transition-table printer stay total.
+        BusOp::ReadOwned | BusOp::Update | BusOp::Invalidate | BusOp::Renew => {
+            SnoopResponse { assert_shared: true, ..SnoopResponse::ignore(state) }
         }
     }
 }
@@ -162,54 +133,52 @@ mod tests {
     use super::*;
     use LineState::*;
 
-    const P: Firefly = Firefly;
+    const P: ProtocolTable = TABLE;
 
     #[test]
     fn figure3_has_four_states() {
-        assert_eq!(P.states().len(), 4);
-        assert!(!P.states().contains(&SharedDirty));
+        assert_eq!(P.states.len(), 4);
+        assert!(!P.states.contains(&SharedDirty));
     }
 
     // --- processor-side transitions of Figure 3 ---
 
     #[test]
     fn read_miss_fill_tracks_mshared() {
-        assert_eq!(P.read_fill_state(false), CleanExclusive);
-        assert_eq!(P.read_fill_state(true), SharedClean);
+        assert_eq!(P.read_fill, [CleanExclusive, SharedClean]);
     }
 
     #[test]
     fn write_hit_valid_goes_dirty_silently() {
-        assert_eq!(P.write_hit(CleanExclusive), WriteHitEffect::Silent(DirtyExclusive));
+        assert_eq!(P.write_hit_effect(CleanExclusive), WriteHitEffect::Silent(DirtyExclusive));
     }
 
     #[test]
     fn write_hit_dirty_stays_dirty_silently() {
-        assert_eq!(P.write_hit(DirtyExclusive), WriteHitEffect::Silent(DirtyExclusive));
+        assert_eq!(P.write_hit_effect(DirtyExclusive), WriteHitEffect::Silent(DirtyExclusive));
     }
 
     #[test]
     fn write_hit_shared_writes_through() {
-        assert_eq!(P.write_hit(SharedClean), WriteHitEffect::Bus(BusOp::Write));
+        assert_eq!(P.write_hit_effect(SharedClean), WriteHitEffect::Bus(BusOp::Write));
     }
 
     #[test]
     fn write_through_with_mshared_stays_shared_clean() {
-        assert_eq!(P.after_write_bus(SharedClean, BusOp::Write, true), SharedClean);
+        assert_eq!(P.after_write[SharedClean as usize][1], SharedClean);
     }
 
     #[test]
     fn last_sharer_reverts_to_write_back() {
         // "This write does not receive MShared from another cache, so the
         // Shared tag is cleared and the cache reverts to doing write-back."
-        assert_eq!(P.after_write_bus(SharedClean, BusOp::Write, false), CleanExclusive);
+        assert_eq!(P.after_write[SharedClean as usize][0], CleanExclusive);
     }
 
     #[test]
     fn write_miss_is_write_through_allocate() {
-        assert_eq!(P.write_miss_policy(), WriteMissPolicy::WriteThrough { allocate: true });
-        assert_eq!(P.write_through_fill_state(false), CleanExclusive);
-        assert_eq!(P.write_through_fill_state(true), SharedClean);
+        assert_eq!(P.write_miss, WriteMissPolicy::WriteThrough { allocate: true });
+        assert_eq!(P.write_through_fill, [CleanExclusive, SharedClean]);
     }
 
     // --- bus-side (snoop) transitions of Figure 3 ---
@@ -217,7 +186,7 @@ mod tests {
     #[test]
     fn snoop_read_makes_holder_shared_and_supplies() {
         for s in [CleanExclusive, SharedClean] {
-            let r = P.snoop(s, BusOp::Read);
+            let r = snoop(s, BusOp::Read);
             assert_eq!(r.next, SharedClean);
             assert!(r.assert_shared);
             assert!(r.supply, "caches that contain the line supply the data");
@@ -227,7 +196,7 @@ mod tests {
 
     #[test]
     fn snoop_read_of_dirty_line_flushes_memory() {
-        let r = P.snoop(DirtyExclusive, BusOp::Read);
+        let r = snoop(DirtyExclusive, BusOp::Read);
         assert_eq!(r.next, SharedClean);
         assert!(r.assert_shared && r.supply && r.flush_to_memory);
     }
@@ -235,7 +204,7 @@ mod tests {
     #[test]
     fn snoop_write_through_updates_copy_in_place() {
         for s in [CleanExclusive, SharedClean] {
-            let r = P.snoop(s, BusOp::Write);
+            let r = snoop(s, BusOp::Write);
             assert_eq!(r.next, SharedClean);
             assert!(r.assert_shared);
             assert!(r.absorb, "sharers are updated, never invalidated");
@@ -249,7 +218,7 @@ mod tests {
         // response moves a valid line to Invalid.
         for s in [CleanExclusive, SharedClean, DirtyExclusive] {
             for op in [BusOp::Read, BusOp::Write, BusOp::WriteBack] {
-                assert_ne!(P.snoop(s, op).next, Invalid, "snoop({s:?},{op:?})");
+                assert_ne!(snoop(s, op).next, Invalid, "snoop({s:?},{op:?})");
             }
         }
     }
@@ -257,7 +226,7 @@ mod tests {
     #[test]
     fn snoop_invalid_ignores_everything() {
         for op in [BusOp::Read, BusOp::Write, BusOp::WriteBack] {
-            let r = P.snoop(Invalid, op);
+            let r = snoop(Invalid, op);
             assert_eq!(r, SnoopResponse::ignore(Invalid));
         }
     }
@@ -282,14 +251,14 @@ mod tests {
         ];
         for &(what, from, to) in cases {
             let got = if what.starts_with("PWrite") {
-                match P.write_hit(from) {
+                match P.write_hit_effect(from) {
                     WriteHitEffect::Silent(n) => n,
-                    WriteHitEffect::Bus(op) => P.after_write_bus(from, op, true),
+                    WriteHitEffect::Bus(_) => P.after_write[from as usize][1],
                 }
             } else if what.starts_with("MRead") {
-                P.snoop(from, BusOp::Read).next
+                snoop(from, BusOp::Read).next
             } else {
-                P.snoop(from, BusOp::Write).next
+                snoop(from, BusOp::Write).next
             };
             assert_eq!(got, to, "{what}: {} -> {}", from.short(), to.short());
         }

@@ -1,35 +1,44 @@
-//! Snoopy cache-coherence protocols.
+//! Snoopy cache-coherence protocols, as data.
 //!
 //! The Firefly's contribution is its *conditional write-through* update
-//! protocol ([`Firefly`]). Section 5.1 of the paper positions it against
-//! the alternatives surveyed by Archibald & Baer (ACM TOCS 4(4), 1986),
-//! all of which are implemented here as baselines:
+//! protocol ([`ProtocolKind::Firefly`]). Section 5.1 of the paper
+//! positions it against the alternatives surveyed by Archibald & Baer
+//! (ACM TOCS 4(4), 1986), all of which are implemented here as
+//! baselines:
 //!
-//! * [`WriteThrough`] — write-through with invalidation: every write goes
-//!   to the bus; snoopers invalidate. "Not a practical protocol for more
-//!   than a few processors" (§5.1).
-//! * [`WriteOnce`] — Goodman's Write-Once: the first write to a line is
-//!   written through (invalidating other copies), later writes are local.
-//! * [`Berkeley`] — Berkeley Ownership: write-back with explicit ownership
-//!   acquisition and invalidation; dirty data passed cache-to-cache without
-//!   updating memory.
-//! * [`Illinois`] — the Illinois protocol (MESI): write-back invalidation
-//!   with an exclusive-clean state and cache-to-cache supply.
-//! * [`Dragon`] — the Xerox Dragon: write-back *update* protocol, the
-//!   Firefly's closest relative; updates do not write memory.
-//! * [`Firefly`] — the Firefly protocol itself (Figure 3 of the paper).
-//! * [`Tardis`] — the timestamp-ordered protocol of Yu & Devadas
-//!   (arXiv 1505.06459), a post-1987 extension of the comparison: reads
-//!   are leased until a logical expiry timestamp and writes are ordered
-//!   by timestamp rather than by eager broadcast. The timestamp rules
-//!   are the `ts_*` methods of [`Protocol`]; the snoop table carries the
+//! * [`ProtocolKind::WriteThrough`] — write-through with invalidation:
+//!   every write goes to the bus; snoopers invalidate. "Not a practical
+//!   protocol for more than a few processors" (§5.1).
+//! * [`ProtocolKind::WriteOnce`] — Goodman's Write-Once: the first write
+//!   to a line is written through (invalidating other copies), later
+//!   writes are local.
+//! * [`ProtocolKind::Berkeley`] — Berkeley Ownership: write-back with
+//!   explicit ownership acquisition and invalidation; dirty data passed
+//!   cache-to-cache without updating memory.
+//! * [`ProtocolKind::Illinois`] — the Illinois protocol (MESI):
+//!   write-back invalidation with an exclusive-clean state and
+//!   cache-to-cache supply.
+//! * [`ProtocolKind::Dragon`] — the Xerox Dragon: write-back *update*
+//!   protocol, the Firefly's closest relative; updates do not write
+//!   memory.
+//! * [`ProtocolKind::Firefly`] — the Firefly protocol itself (Figure 3
+//!   of the paper).
+//! * [`ProtocolKind::Tardis`] — the timestamp-ordered protocol of Yu &
+//!   Devadas (arXiv 1505.06459), a post-1987 extension of the
+//!   comparison: reads are leased until a logical expiry timestamp and
+//!   writes are ordered by timestamp rather than by eager broadcast. The
+//!   timestamp rules are code ([`TsRules`]); the snoop table carries the
 //!   physical bus adaptation.
 //!
-//! All protocols are expressed against one five-state lattice
-//! ([`LineState`]) and one bus vocabulary ([`BusOp`]); each protocol uses
-//! only a subset of both. A generic cache ([`crate::cache`]) plus these
-//! tables yields each machine; the same tables also drive the fast
-//! reference-level simulator ([`crate::refsim`]).
+//! Each protocol is one [`ProtocolTable`], a plain `Copy` value computed
+//! at compile time from its module's decision functions (which keep the
+//! paper's wording beside each rule) and returned by
+//! [`ProtocolKind::table`]. All protocols are expressed against one
+//! five-state lattice ([`LineState`]) and one bus vocabulary
+//! ([`BusOp`]); each protocol uses only a subset of both. A generic
+//! cache ([`crate::cache`]) plus a table yields each machine; the same
+//! tables also drive the fast reference-level simulator
+//! ([`crate::refsim`]), the model checker and [`transition_table`].
 
 mod berkeley;
 mod dragon;
@@ -38,14 +47,6 @@ mod illinois;
 mod tardis;
 mod write_once;
 mod write_through;
-
-pub use berkeley::Berkeley;
-pub use dragon::Dragon;
-pub use firefly::Firefly;
-pub use illinois::Illinois;
-pub use tardis::Tardis;
-pub use write_once::WriteOnce;
-pub use write_through::WriteThrough;
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -182,6 +183,18 @@ pub enum BusOp {
 }
 
 impl BusOp {
+    /// All seven operations, in declaration order (the order of the
+    /// snoop columns of a [`ProtocolTable`]).
+    pub const ALL: [BusOp; 7] = [
+        BusOp::Read,
+        BusOp::ReadOwned,
+        BusOp::Write,
+        BusOp::WriteBack,
+        BusOp::Update,
+        BusOp::Invalidate,
+        BusOp::Renew,
+    ];
+
     /// Whether the operation carries data onto the bus from the initiator.
     pub const fn carries_data(self) -> bool {
         matches!(self, BusOp::Write | BusOp::WriteBack | BusOp::Update)
@@ -256,7 +269,7 @@ pub enum WriteHitEffect {
     /// No bus traffic; the line moves to the given state.
     Silent(LineState),
     /// A bus operation is required; the resulting state comes from
-    /// [`Protocol::after_write_bus`] once the `MShared` response is known.
+    /// [`ProtocolTable::after_write`] once the `MShared` response is known.
     Bus(BusOp),
 }
 
@@ -294,120 +307,211 @@ impl SnoopResponse {
     }
 }
 
-/// A snoopy cache-coherence protocol, expressed as the decision tables a
-/// cache controller consults.
+/// The timestamp rules of a timestamp-ordered protocol (Tardis; Yu &
+/// Devadas, arXiv 1505.06459), as plain function pointers so that a
+/// mutant can swap one rule.
 ///
-/// Implementations are stateless value types; all per-line state lives in
-/// the cache. The contract mirrors the hardware decomposition:
-///
-/// * processor side — [`write_hit`](Protocol::write_hit),
-///   [`write_miss_policy`](Protocol::write_miss_policy), read misses always
-///   issue [`BusOp::Read`];
-/// * fill side — [`read_fill_state`](Protocol::read_fill_state) and
-///   friends, parameterized by the observed `MShared` response;
-/// * snoop side — [`snoop`](Protocol::snoop).
-///
-/// The [`crate::check::CoherenceChecker`] verifies that any implementation
-/// of this trait actually maintains coherence when run; the unit tests of
-/// each implementation pin the exact transition tables.
-pub trait Protocol: fmt::Debug + Send + Sync {
-    /// The protocol's display name.
-    fn name(&self) -> &'static str;
-
-    /// The states this protocol can place a line in (for docs and tests).
-    fn states(&self) -> &'static [LineState];
-
-    /// State of a line filled by a [`BusOp::Read`], given whether any other
-    /// cache asserted `MShared`.
-    fn read_fill_state(&self, shared: bool) -> LineState;
-
-    /// How this protocol services write misses.
-    fn write_miss_policy(&self) -> WriteMissPolicy;
-
-    /// State of a line filled by [`BusOp::ReadOwned`]. Defaults to
-    /// [`LineState::DirtyExclusive`]; only meaningful for protocols whose
-    /// [`write_miss_policy`](Protocol::write_miss_policy) is
-    /// [`WriteMissPolicy::FillExclusive`].
-    fn exclusive_fill_state(&self) -> LineState {
-        LineState::DirtyExclusive
-    }
-
-    /// State of a line installed by a write-through-allocate write miss
-    /// (Firefly only), given the observed `MShared` response.
-    fn write_through_fill_state(&self, shared: bool) -> LineState {
-        if shared {
-            LineState::SharedClean
-        } else {
-            LineState::CleanExclusive
-        }
-    }
-
-    /// What a write hit in `state` requires.
-    ///
-    /// Never called with [`LineState::Invalid`] (that is a miss).
-    fn write_hit(&self, state: LineState) -> WriteHitEffect;
-
-    /// The line's state after the bus operation demanded by a write hit
-    /// completes, given the observed `MShared` response.
-    fn after_write_bus(&self, state: LineState, op: BusOp, shared: bool) -> LineState;
-
-    /// A snooping cache's reaction to seeing `op` for a line it holds in
-    /// `state`. Called for every cache other than the initiator, including
-    /// those that do not hold the line (`state == Invalid`).
-    fn snoop(&self, state: LineState, op: BusOp) -> SnoopResponse;
-
-    // ---- Timestamp rules (Tardis; Yu & Devadas, arXiv 1505.06459) ----
-    //
-    // A timestamped protocol orders accesses by logical timestamps: each
-    // line carries a write timestamp `wts` (logical time of the last
-    // write) and a read timestamp `rts` (lease expiry: the line may be
-    // read at any logical time `<= rts`), and each CPU carries a program
-    // timestamp `pts` that never decreases. The engine consults these
-    // hooks only when [`ts_lease`](Protocol::ts_lease) is `Some`; the
-    // defaults implement the Tardis rules so the mutation gate can wrap
-    // and corrupt them exactly like the table entries.
-
-    /// The lease length in logical ticks, or `None` for protocols without
-    /// timestamp state (every snoopy baseline).
-    fn ts_lease(&self) -> Option<u64> {
-        None
-    }
-
+/// A timestamped protocol orders accesses by logical timestamps: each
+/// line carries a write timestamp `wts` (logical time of the last
+/// write) and a read timestamp `rts` (lease expiry: the line may be
+/// read at any logical time `<= rts`), and each CPU carries a program
+/// timestamp `pts` that never decreases. The engine consults these
+/// rules only when [`ProtocolTable::ts`] is `Some`.
+#[derive(Copy, Clone, Debug)]
+pub struct TsRules {
+    /// The lease length in logical ticks. Longer leases mean fewer
+    /// renewals but writes ordered further into the logical future.
+    pub lease: u64,
     /// May a CPU at program timestamp `pts` read a local copy leased
     /// until `rts` without bus traffic? Expired leases force a
     /// [`BusOp::Renew`].
-    fn ts_can_serve(&self, pts: u64, rts: u64) -> bool {
-        pts <= rts
-    }
-
-    /// The new global read timestamp granted by a fill or a renewal: the
-    /// lease is extended to cover the reader's `pts` plus the lease
-    /// length, and never moves backward past the existing grant `g_rts`.
-    fn ts_grant(&self, pts: u64, g_rts: u64) -> u64 {
-        let lease = self.ts_lease().unwrap_or(0);
-        g_rts.max(pts.saturating_add(lease))
-    }
-
-    /// The logical timestamp a write is ordered at: after every
-    /// outstanding lease (`g_rts`, exclusive) and never before the
-    /// writer's own `pts`. Saturates instead of wrapping at `u64::MAX`.
-    fn ts_write_order(&self, pts: u64, g_rts: u64) -> u64 {
-        pts.max(g_rts.saturating_add(1))
-    }
-
+    pub can_serve: fn(pts: u64, rts: u64) -> bool,
+    /// The new global read timestamp granted by a fill or a renewal,
+    /// given the lease length, the reader's `pts` and the existing
+    /// grant `g_rts`.
+    pub grant: fn(lease: u64, pts: u64, g_rts: u64) -> u64,
+    /// The logical timestamp a write by a CPU at `pts` is ordered at,
+    /// given the outstanding lease end `g_rts`.
+    pub write_order: fn(pts: u64, g_rts: u64) -> u64,
     /// The `(wts, rts)` pair installed in a cache by a read fill, given
     /// the line's global timestamps.
-    fn ts_fill(&self, wts: u64, rts: u64) -> (u64, u64) {
-        (wts, rts)
-    }
+    pub fill: fn(wts: u64, rts: u64) -> (u64, u64),
+    /// The reader's program timestamp after observing a line last
+    /// written at `wts`.
+    pub read_advance: fn(pts: u64, wts: u64) -> u64,
+}
 
-    /// The reader's program timestamp after observing a line last written
-    /// at `wts`: reads are ordered no earlier than the write they see.
-    fn ts_read_advance(&self, pts: u64, wts: u64) -> u64 {
-        pts.max(wts)
+/// A snoopy cache-coherence protocol as the plain data a cache
+/// controller consults: one value per protocol, read alike by the
+/// cycle engine ([`crate::system::MemSystem`]), the reference-level
+/// simulator ([`crate::refsim::RefSim`]), the model checker and
+/// [`transition_table`].
+///
+/// The decomposition mirrors the hardware:
+///
+/// * processor side — [`write_hit`](Self::write_hit) and
+///   [`write_miss`](Self::write_miss); read misses always issue
+///   [`BusOp::Read`];
+/// * fill side — [`read_fill`](Self::read_fill) and friends, indexed by
+///   the observed `MShared` response (`false` = 0, `true` = 1);
+/// * snoop side — [`snoop`](Self::snoop), indexed by the snooper's
+///   state and the observed op (both as their declaration index).
+///
+/// Each protocol's module computes its table once, at compile time,
+/// from its decision functions, so a table is inspected and perturbed
+/// as data: a model-checking mutant is an edit of one entry of a copy.
+/// The [`crate::check::CoherenceChecker`] verifies that a table
+/// maintains coherence when run.
+///
+/// # Examples
+///
+/// ```
+/// use firefly_core::protocol::{BusOp, LineState, ProtocolKind, WriteHitEffect};
+///
+/// let t = ProtocolKind::Firefly.table();
+/// // A write hit on a shared line writes through...
+/// assert_eq!(t.write_hit_effect(LineState::SharedClean), WriteHitEffect::Bus(BusOp::Write));
+/// // ...and reverts to write-back if nobody asserted MShared:
+/// assert_eq!(t.after_write[LineState::SharedClean as usize][0], LineState::CleanExclusive);
+/// // Snoopers absorb the written word in place.
+/// assert!(t.snoop[LineState::SharedClean as usize][BusOp::Write as usize].absorb);
+/// ```
+#[derive(Copy, Clone, Debug)]
+pub struct ProtocolTable {
+    /// Which protocol this table is (a mutated copy keeps its kind).
+    pub kind: ProtocolKind,
+    /// The states this protocol can place a line in.
+    pub states: &'static [LineState],
+    /// State of a line filled by a [`BusOp::Read`], by `MShared`.
+    pub read_fill: [LineState; 2],
+    /// How this protocol services write misses.
+    pub write_miss: WriteMissPolicy,
+    /// State of a line filled by [`BusOp::ReadOwned`]; read only under
+    /// [`WriteMissPolicy::FillExclusive`].
+    pub exclusive_fill: LineState,
+    /// State of a line installed by a write-through-allocate write miss
+    /// (Firefly only), by `MShared`.
+    pub write_through_fill: [LineState; 2],
+    /// What a write hit requires, by state; `None` for states the
+    /// protocol never write-hits in. Read it through
+    /// [`write_hit_effect`](Self::write_hit_effect), which panics there.
+    pub write_hit: [Option<WriteHitEffect>; 5],
+    /// The writer's state after the bus operation its write hit
+    /// demanded, by the state it wrote in and `MShared`. Each protocol
+    /// has one write-hit bus op, so the op is implied.
+    pub after_write: [[LineState; 2]; 5],
+    /// A snooping cache's reaction to each op for a line it holds in
+    /// each state (the engine consults only valid states).
+    pub snoop: [[SnoopResponse; 7]; 5],
+    /// The timestamp rules, or `None` for protocols without timestamp
+    /// state (every snoopy baseline).
+    pub ts: Option<TsRules>,
+}
+
+impl ProtocolTable {
+    /// What a write hit in `state` requires.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a state the protocol never write-hits in (`Invalid`
+    /// is a miss, and no protocol writes in a state it does not use).
+    pub fn write_hit_effect(&self, state: LineState) -> WriteHitEffect {
+        self.write_hit[state as usize]
+            .unwrap_or_else(|| panic!("{} write_hit on {state:?}", self.kind))
     }
 }
 
+/// Builds a protocol's [`ProtocolTable`] in a const context by
+/// evaluating the protocol module's decision functions for every
+/// state, op and `MShared` value. `exclusive_fill` defaults to
+/// [`LineState::DirtyExclusive`] and `write_through_fill` to the
+/// `MShared`-tracking clean fill; trailing `field: value` pairs
+/// override any field.
+macro_rules! protocol_table {
+    (
+        kind: $kind:expr,
+        states: $states:expr,
+        read_fill: $read_fill:path,
+        write_miss: $write_miss:expr,
+        write_hit: $write_hit:path,
+        after_write: $after_write:path,
+        snoop: $snoop:path
+        $(, $field:ident: $value:expr)* $(,)?
+    ) => {{
+        use $crate::protocol::{BusOp, LineState, ProtocolTable, SnoopResponse};
+        let mut t = ProtocolTable {
+            kind: $kind,
+            states: $states,
+            read_fill: [$read_fill(false), $read_fill(true)],
+            write_miss: $write_miss,
+            exclusive_fill: LineState::DirtyExclusive,
+            write_through_fill: [LineState::CleanExclusive, LineState::SharedClean],
+            write_hit: [None; 5],
+            after_write: [[LineState::Invalid; 2]; 5],
+            snoop: [[SnoopResponse::ignore(LineState::Invalid); 7]; 5],
+            ts: None,
+        };
+        let mut s = 0;
+        while s < LineState::ALL.len() {
+            let state = LineState::ALL[s];
+            t.write_hit[s] = $write_hit(state);
+            t.after_write[s] = [$after_write(state, false), $after_write(state, true)];
+            let mut op = 0;
+            while op < BusOp::ALL.len() {
+                t.snoop[s][op] = $snoop(state, BusOp::ALL[op]);
+                op += 1;
+            }
+            s += 1;
+        }
+        $(t.$field = $value;)*
+        t
+    }};
+}
+use protocol_table;
+
+/// Which [`ProtocolTable`] entries a memory system consulted.
+///
+/// [`crate::system::MemSystem`] keeps one, always on, as derived
+/// diagnostic state (never snapshotted). The model checker ORs the
+/// records of every system it builds to learn which entries a
+/// configuration exercises, and generates mutants only there.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize)]
+pub struct ExerciseLog {
+    /// `read_fill` entries read, by `MShared`.
+    pub read_fill_shared: [bool; 2],
+    /// `write_hit` entries read, by state.
+    pub write_hit: [bool; 5],
+    /// `after_write` entries read, by state and `MShared`.
+    pub after_write: [[bool; 2]; 5],
+    /// `snoop` entries read, by state and op.
+    pub snoop: [[bool; 7]; 5],
+    /// A CPU write was timestamp-ordered (`write_order` consulted).
+    pub ts_write: bool,
+    /// A read fill carried a lease strictly longer than its write
+    /// timestamp — the only shape a swapped fill visibly corrupts.
+    pub ts_fill_unequal: bool,
+    /// `can_serve` said no — a lease actually expired, so renewal (and
+    /// stale-serving) paths were taken.
+    pub ts_expired: bool,
+}
+
+impl ExerciseLog {
+    /// Adds every entry `other` consulted to this record.
+    pub fn merge(&mut self, other: &ExerciseLog) {
+        fn or<const N: usize>(a: &mut [bool; N], b: &[bool; N]) {
+            a.iter_mut().zip(b).for_each(|(x, y)| *x |= y);
+        }
+        or(&mut self.read_fill_shared, &other.read_fill_shared);
+        or(&mut self.write_hit, &other.write_hit);
+        for s in 0..LineState::ALL.len() {
+            or(&mut self.after_write[s], &other.after_write[s]);
+            or(&mut self.snoop[s], &other.snoop[s]);
+        }
+        self.ts_write |= other.ts_write;
+        self.ts_fill_unequal |= other.ts_fill_unequal;
+        self.ts_expired |= other.ts_expired;
+    }
+}
 /// Selects one of the seven built-in protocols.
 ///
 /// # Examples
@@ -415,8 +519,8 @@ pub trait Protocol: fmt::Debug + Send + Sync {
 /// ```
 /// use firefly_core::protocol::ProtocolKind;
 ///
-/// let p = ProtocolKind::Firefly.build();
-/// assert_eq!(p.name(), "Firefly");
+/// let t = ProtocolKind::Firefly.table();
+/// assert_eq!(t.kind.name(), "Firefly");
 /// assert_eq!(ProtocolKind::ALL.len(), 7);
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
@@ -478,20 +582,20 @@ impl ProtocolKind {
         ProtocolKind::Tardis,
     ];
 
-    /// Instantiates the protocol.
-    pub fn build(self) -> Box<dyn Protocol> {
+    /// The protocol's decision table.
+    pub const fn table(self) -> ProtocolTable {
         match self {
-            ProtocolKind::Firefly => Box::new(Firefly),
-            ProtocolKind::WriteThrough => Box::new(WriteThrough),
-            ProtocolKind::WriteOnce => Box::new(WriteOnce),
-            ProtocolKind::Berkeley => Box::new(Berkeley),
-            ProtocolKind::Illinois => Box::new(Illinois),
-            ProtocolKind::Dragon => Box::new(Dragon),
-            ProtocolKind::Tardis => Box::new(Tardis::default()),
+            ProtocolKind::Firefly => firefly::TABLE,
+            ProtocolKind::WriteThrough => write_through::TABLE,
+            ProtocolKind::WriteOnce => write_once::TABLE,
+            ProtocolKind::Berkeley => berkeley::TABLE,
+            ProtocolKind::Illinois => illinois::TABLE,
+            ProtocolKind::Dragon => dragon::TABLE,
+            ProtocolKind::Tardis => tardis::TABLE,
         }
     }
 
-    /// The protocol's display name without instantiating it.
+    /// The protocol's display name.
     pub fn name(self) -> &'static str {
         match self {
             ProtocolKind::Firefly => "Firefly",
@@ -525,32 +629,31 @@ impl fmt::Display for ProtocolKind {
 }
 
 /// Renders a protocol's full transition table as text (the Figure 3
-/// reproduction prints this for the Firefly protocol).
+/// reproduction prints this for every protocol).
 ///
 /// The table enumerates, for every state the protocol uses:
 /// * the effect of a processor read and write (hit rules), and
-/// * the snoop reaction to every bus operation the protocol can emit.
-pub fn transition_table(p: &dyn Protocol) -> String {
+/// * the snoop reaction to every bus operation.
+pub fn transition_table(t: &ProtocolTable) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "{} protocol transition tables", p.name());
+    let _ = writeln!(out, "{} protocol transition tables", t.kind.name());
     let _ = writeln!(
         out,
         "states: {}",
-        p.states().iter().map(|s| s.short()).collect::<Vec<_>>().join(", ")
+        t.states.iter().map(|s| s.short()).collect::<Vec<_>>().join(", ")
     );
     let _ = writeln!(out);
     let _ = writeln!(out, "processor side (hits):");
     let _ = writeln!(out, "  {:<6} {:<10} PWrite", "state", "PRead");
-    for &s in p.states() {
+    for &s in t.states {
         if !s.is_valid() {
             continue;
         }
-        let w = match p.write_hit(s) {
+        let w = match t.write_hit_effect(s) {
             WriteHitEffect::Silent(next) => format!("-> {} (no bus)", next.short()),
             WriteHitEffect::Bus(op) => {
-                let sh = p.after_write_bus(s, op, true);
-                let ns = p.after_write_bus(s, op, false);
+                let [ns, sh] = t.after_write[s as usize];
                 if sh == ns {
                     format!("{op} -> {}", sh.short())
                 } else {
@@ -564,27 +667,17 @@ pub fn transition_table(p: &dyn Protocol) -> String {
     let _ = writeln!(
         out,
         "fills: read miss -> {}(shared)/{}(not); write miss: {:?}",
-        p.read_fill_state(true).short(),
-        p.read_fill_state(false).short(),
-        p.write_miss_policy()
+        t.read_fill[1].short(),
+        t.read_fill[0].short(),
+        t.write_miss
     );
     let _ = writeln!(out);
     let _ = writeln!(out, "snoop side:");
-    let ops = [
-        BusOp::Read,
-        BusOp::ReadOwned,
-        BusOp::Write,
-        BusOp::WriteBack,
-        BusOp::Update,
-        BusOp::Invalidate,
-        BusOp::Renew,
-    ];
-    let _ = writeln!(out, "  {:<6} {}", "state", ops.map(|o| format!("{o:<14}")).join(""));
-    for &s in p.states() {
-        let cells: Vec<String> = ops
+    let _ = writeln!(out, "  {:<6} {}", "state", BusOp::ALL.map(|o| format!("{o:<14}")).join(""));
+    for &s in t.states {
+        let cells: Vec<String> = t.snoop[s as usize]
             .iter()
-            .map(|&op| {
-                let r = p.snoop(s, op);
+            .map(|r| {
                 let mut cell = format!("->{}", r.next.short());
                 if r.assert_shared {
                     cell.push_str(",sh");
@@ -644,12 +737,25 @@ mod tests {
         assert_eq!(BusOp::Renew.mbus_name(), "MRenew");
     }
 
+    /// Tables index states and ops by declaration order, which must
+    /// match the `ALL` arrays the table builder walks.
+    #[test]
+    fn all_arrays_follow_declaration_order() {
+        for (i, s) in LineState::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i);
+        }
+        for (i, op) in BusOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i);
+        }
+    }
+
     #[test]
     fn all_protocols_build_and_name() {
         for kind in ProtocolKind::ALL {
-            let p = kind.build();
-            assert_eq!(p.name(), kind.name());
-            assert!(!p.states().is_empty());
+            let t = kind.table();
+            assert_eq!(t.kind, kind);
+            assert!(!t.states.is_empty());
+            assert_eq!(t.ts.is_some(), kind.is_timestamped());
         }
     }
 
@@ -667,45 +773,54 @@ mod tests {
     #[test]
     fn transition_table_renders_for_all() {
         for kind in ProtocolKind::ALL {
-            let table = transition_table(kind.build().as_ref());
+            let table = transition_table(&kind.table());
             assert!(table.contains(kind.name()));
             assert!(table.contains("snoop side"));
         }
     }
 
+    #[test]
+    #[should_panic(expected = "Firefly write_hit on SharedDirty")]
+    fn write_hit_lookup_panics_on_unused_states() {
+        ProtocolKind::Firefly.table().write_hit_effect(LineState::SharedDirty);
+    }
+
     /// Every protocol, in every valid state, must give *some* defined
-    /// answer for a write hit and for every snoopable op; the answers must
-    /// stay within the protocol's declared state set.
+    /// answer for a write hit and for every snoopable op, and every
+    /// fill the protocol can perform must land in a declared state.
     #[test]
     fn closure_over_declared_states() {
-        let ops = [
-            BusOp::Read,
-            BusOp::ReadOwned,
-            BusOp::Write,
-            BusOp::WriteBack,
-            BusOp::Update,
-            BusOp::Invalidate,
-            BusOp::Renew,
-        ];
         for kind in ProtocolKind::ALL {
-            let p = kind.build();
-            for &s in p.states() {
-                for &op in &ops {
-                    let r = p.snoop(s, op);
-                    assert!(
-                        p.states().contains(&r.next),
-                        "{}: snoop({s:?}, {op:?}) left declared states: {:?}",
-                        p.name(),
-                        r.next
+            let t = kind.table();
+            let declared = |what: &str, s: LineState| {
+                assert!(t.states.contains(&s), "{kind}: {what} left declared states: {s:?}");
+            };
+            for (shared, &s) in t.read_fill.iter().enumerate() {
+                declared(&format!("read_fill[{shared}]"), s);
+            }
+            match t.write_miss {
+                WriteMissPolicy::FillExclusive => declared("exclusive_fill", t.exclusive_fill),
+                WriteMissPolicy::WriteThrough { allocate: true } => {
+                    for (shared, &s) in t.write_through_fill.iter().enumerate() {
+                        declared(&format!("write_through_fill[{shared}]"), s);
+                    }
+                }
+                WriteMissPolicy::WriteThrough { allocate: false }
+                | WriteMissPolicy::FillThenWrite => {}
+            }
+            for &s in t.states {
+                for op in BusOp::ALL {
+                    declared(
+                        &format!("snoop({s:?}, {op:?})"),
+                        t.snoop[s as usize][op as usize].next,
                     );
                 }
                 if s.is_valid() {
-                    match p.write_hit(s) {
-                        WriteHitEffect::Silent(n) => assert!(p.states().contains(&n)),
-                        WriteHitEffect::Bus(op) => {
-                            for shared in [false, true] {
-                                let n = p.after_write_bus(s, op, shared);
-                                assert!(p.states().contains(&n));
+                    match t.write_hit_effect(s) {
+                        WriteHitEffect::Silent(n) => declared(&format!("write_hit({s:?})"), n),
+                        WriteHitEffect::Bus(_) => {
+                            for n in t.after_write[s as usize] {
+                                declared(&format!("after_write({s:?})"), n);
                             }
                         }
                     }

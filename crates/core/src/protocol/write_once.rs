@@ -7,117 +7,92 @@
 //! which Goodman called *Reserved* — clean, exclusive, memory current —
 //! maps onto [`LineState::CleanExclusive`] here.
 
-use super::{BusOp, LineState, Protocol, SnoopResponse, WriteHitEffect, WriteMissPolicy};
+use super::{
+    protocol_table, BusOp, LineState, ProtocolKind, ProtocolTable, SnoopResponse, WriteHitEffect,
+    WriteMissPolicy,
+};
 
 /// Goodman's Write-Once protocol.
 ///
 /// States: `Invalid`, `SharedClean` (Goodman's *Valid*), `CleanExclusive`
 /// (Goodman's *Reserved*), `DirtyExclusive` (Goodman's *Dirty*).
-///
-/// # Examples
-///
-/// ```
-/// use firefly_core::protocol::{BusOp, LineState, Protocol, WriteHitEffect, WriteOnce};
-///
-/// let p = WriteOnce;
-/// // First write: through to memory (and snoopers invalidate)...
-/// assert_eq!(p.write_hit(LineState::SharedClean), WriteHitEffect::Bus(BusOp::Write));
-/// assert_eq!(
-///     p.after_write_bus(LineState::SharedClean, BusOp::Write, false),
-///     LineState::CleanExclusive, // "Reserved"
-/// );
-/// // Second write: silent.
-/// assert_eq!(
-///     p.write_hit(LineState::CleanExclusive),
-///     WriteHitEffect::Silent(LineState::DirtyExclusive),
-/// );
-/// ```
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct WriteOnce;
+pub(super) const TABLE: ProtocolTable = protocol_table! {
+    kind: ProtocolKind::WriteOnce,
+    states: &[
+        LineState::Invalid,
+        LineState::SharedClean,
+        LineState::CleanExclusive,
+        LineState::DirtyExclusive,
+    ],
+    read_fill: read_fill,
+    // Write misses fetch the line with intent to modify.
+    write_miss: WriteMissPolicy::FillExclusive,
+    write_hit: write_hit,
+    after_write: after_write,
+    snoop: snoop,
+};
 
-impl Protocol for WriteOnce {
-    fn name(&self) -> &'static str {
-        "WriteOnce"
-    }
+const fn read_fill(_shared: bool) -> LineState {
+    // Goodman's original bus had no sharing feedback; all fills enter
+    // the Valid (possibly-shared) state.
+    LineState::SharedClean
+}
 
-    fn states(&self) -> &'static [LineState] {
-        &[
-            LineState::Invalid,
-            LineState::SharedClean,
-            LineState::CleanExclusive,
-            LineState::DirtyExclusive,
-        ]
-    }
-
-    fn read_fill_state(&self, _shared: bool) -> LineState {
-        // Goodman's original bus had no sharing feedback; all fills enter
-        // the Valid (possibly-shared) state.
-        LineState::SharedClean
-    }
-
-    fn write_miss_policy(&self) -> WriteMissPolicy {
-        // Write misses fetch the line with intent to modify.
-        WriteMissPolicy::FillExclusive
-    }
-
-    fn write_hit(&self, state: LineState) -> WriteHitEffect {
-        match state {
-            // The write-once write: through to memory, invalidating others.
-            LineState::SharedClean => WriteHitEffect::Bus(BusOp::Write),
-            // Reserved or Dirty: local write-back behaviour.
-            LineState::CleanExclusive | LineState::DirtyExclusive => {
-                WriteHitEffect::Silent(LineState::DirtyExclusive)
-            }
-            LineState::Invalid | LineState::SharedDirty => {
-                unreachable!("WriteOnce write_hit on {state:?}")
-            }
+const fn write_hit(state: LineState) -> Option<WriteHitEffect> {
+    match state {
+        // The write-once write: through to memory, invalidating others.
+        LineState::SharedClean => Some(WriteHitEffect::Bus(BusOp::Write)),
+        // Reserved or Dirty: local write-back behaviour.
+        LineState::CleanExclusive | LineState::DirtyExclusive => {
+            Some(WriteHitEffect::Silent(LineState::DirtyExclusive))
         }
+        LineState::Invalid | LineState::SharedDirty => None,
     }
+}
 
-    fn after_write_bus(&self, _state: LineState, op: BusOp, _shared: bool) -> LineState {
-        debug_assert_eq!(op, BusOp::Write);
-        // Memory now matches and everyone else invalidated: Reserved.
-        LineState::CleanExclusive
+/// After the write-once write from `SharedClean`.
+const fn after_write(_state: LineState, _shared: bool) -> LineState {
+    // Memory now matches and everyone else invalidated: Reserved.
+    LineState::CleanExclusive
+}
+
+const fn snoop(state: LineState, op: BusOp) -> SnoopResponse {
+    if !state.is_valid() {
+        return SnoopResponse::ignore(state);
     }
-
-    fn snoop(&self, state: LineState, op: BusOp) -> SnoopResponse {
-        if !state.is_valid() {
-            return SnoopResponse::ignore(state);
-        }
-        match op {
-            BusOp::Read => SnoopResponse {
-                next: LineState::SharedClean,
-                assert_shared: true,
-                supply: state.is_dirty(),
-                flush_to_memory: state.is_dirty(),
-                absorb: false,
-            },
-            // Observed write-once write: our copy is now stale — invalidate.
-            // (The defining contrast with the Firefly, which absorbs.)
-            BusOp::Write => SnoopResponse {
-                next: LineState::Invalid,
-                assert_shared: false,
-                supply: false,
-                flush_to_memory: false,
-                absorb: false,
-            },
-            BusOp::ReadOwned => SnoopResponse {
-                next: LineState::Invalid,
-                assert_shared: false,
-                supply: state.is_dirty(),
-                flush_to_memory: state.is_dirty(),
-                absorb: false,
-            },
-            BusOp::Invalidate => SnoopResponse {
-                next: LineState::Invalid,
-                assert_shared: false,
-                supply: false,
-                flush_to_memory: false,
-                absorb: false,
-            },
-            BusOp::WriteBack | BusOp::Update | BusOp::Renew => {
-                SnoopResponse { assert_shared: true, ..SnoopResponse::ignore(state) }
-            }
+    match op {
+        BusOp::Read => SnoopResponse {
+            next: LineState::SharedClean,
+            assert_shared: true,
+            supply: state.is_dirty(),
+            flush_to_memory: state.is_dirty(),
+            absorb: false,
+        },
+        // Observed write-once write: our copy is now stale — invalidate.
+        // (The defining contrast with the Firefly, which absorbs.)
+        BusOp::Write => SnoopResponse {
+            next: LineState::Invalid,
+            assert_shared: false,
+            supply: false,
+            flush_to_memory: false,
+            absorb: false,
+        },
+        BusOp::ReadOwned => SnoopResponse {
+            next: LineState::Invalid,
+            assert_shared: false,
+            supply: state.is_dirty(),
+            flush_to_memory: state.is_dirty(),
+            absorb: false,
+        },
+        BusOp::Invalidate => SnoopResponse {
+            next: LineState::Invalid,
+            assert_shared: false,
+            supply: false,
+            flush_to_memory: false,
+            absorb: false,
+        },
+        BusOp::WriteBack | BusOp::Update | BusOp::Renew => {
+            SnoopResponse { assert_shared: true, ..SnoopResponse::ignore(state) }
         }
     }
 }
@@ -127,35 +102,34 @@ mod tests {
     use super::*;
     use LineState::*;
 
-    const P: WriteOnce = WriteOnce;
+    const P: ProtocolTable = TABLE;
 
     #[test]
     fn fills_are_always_potentially_shared() {
-        assert_eq!(P.read_fill_state(false), SharedClean);
-        assert_eq!(P.read_fill_state(true), SharedClean);
+        assert_eq!(P.read_fill, [SharedClean; 2]);
     }
 
     #[test]
     fn first_write_goes_through_then_reserved() {
-        assert_eq!(P.write_hit(SharedClean), WriteHitEffect::Bus(BusOp::Write));
-        assert_eq!(P.after_write_bus(SharedClean, BusOp::Write, true), CleanExclusive);
+        assert_eq!(P.write_hit_effect(SharedClean), WriteHitEffect::Bus(BusOp::Write));
+        assert_eq!(P.after_write[SharedClean as usize][1], CleanExclusive);
     }
 
     #[test]
     fn second_write_is_silent() {
-        assert_eq!(P.write_hit(CleanExclusive), WriteHitEffect::Silent(DirtyExclusive));
-        assert_eq!(P.write_hit(DirtyExclusive), WriteHitEffect::Silent(DirtyExclusive));
+        assert_eq!(P.write_hit_effect(CleanExclusive), WriteHitEffect::Silent(DirtyExclusive));
+        assert_eq!(P.write_hit_effect(DirtyExclusive), WriteHitEffect::Silent(DirtyExclusive));
     }
 
     #[test]
     fn observed_write_invalidates_unlike_firefly() {
-        assert_eq!(P.snoop(SharedClean, BusOp::Write).next, Invalid);
-        assert!(!P.snoop(SharedClean, BusOp::Write).absorb);
+        assert_eq!(snoop(SharedClean, BusOp::Write).next, Invalid);
+        assert!(!snoop(SharedClean, BusOp::Write).absorb);
     }
 
     #[test]
     fn snoop_read_flushes_dirty() {
-        let r = P.snoop(DirtyExclusive, BusOp::Read);
+        let r = snoop(DirtyExclusive, BusOp::Read);
         assert!(r.supply && r.flush_to_memory);
         assert_eq!(r.next, SharedClean);
     }
@@ -163,12 +137,12 @@ mod tests {
     #[test]
     fn snoop_read_owned_invalidates() {
         for s in [SharedClean, CleanExclusive, DirtyExclusive] {
-            assert_eq!(P.snoop(s, BusOp::ReadOwned).next, Invalid);
+            assert_eq!(snoop(s, BusOp::ReadOwned).next, Invalid);
         }
     }
 
     #[test]
     fn write_miss_fetches_exclusive() {
-        assert_eq!(P.write_miss_policy(), WriteMissPolicy::FillExclusive);
+        assert_eq!(P.write_miss, WriteMissPolicy::FillExclusive);
     }
 }

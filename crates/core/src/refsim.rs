@@ -4,8 +4,8 @@
 //! effects of cache organization and choice of bus protocol on system
 //! performance" (§5.2, citing Smith and — methodologically — Archibald &
 //! Baer). This module is that instrument: it interleaves per-processor
-//! reference streams through tag-only caches, applies the same
-//! [`Protocol`] tables as the cycle engine, and counts bus events. No
+//! reference streams through tag-only caches, reads the same
+//! [`ProtocolTable`] as the cycle engine, and counts bus events. No
 //! data and no timing, so it suits wide protocol/sharing sweeps: one
 //! [`RefSim::access`] costs about 28 ns (median over the seven protocols;
 //! 4 CPUs, 16 KB caches, 300 k references of the paper-calibrated
@@ -21,7 +21,7 @@
 use crate::addr::{Addr, LineId};
 use crate::config::CacheGeometry;
 use crate::protocol::{
-    BusOp, LineState, ProcOp, Protocol, ProtocolKind, WriteHitEffect, WriteMissPolicy,
+    BusOp, LineState, ProcOp, ProtocolKind, ProtocolTable, WriteHitEffect, WriteMissPolicy,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -162,7 +162,7 @@ impl CostModel {
 /// assert_eq!(sim.stats().wt_shared, 1);
 /// ```
 pub struct RefSim {
-    protocol: Box<dyn Protocol>,
+    table: ProtocolTable,
     geometry: CacheGeometry,
     /// Per-CPU direct-mapped tag stores, `geometry.lines()` slots each:
     /// slot index -> (tag, state). An `Invalid` state marks an empty slot,
@@ -180,7 +180,7 @@ impl RefSim {
     pub fn new(cpus: usize, geometry: CacheGeometry, protocol: ProtocolKind) -> Self {
         assert!(cpus > 0, "need at least one CPU");
         RefSim {
-            protocol: protocol.build(),
+            table: protocol.table(),
             geometry,
             caches: vec![vec![(0, LineState::Invalid); geometry.lines()]; cpus],
             stats: RefSimStats::default(),
@@ -232,7 +232,7 @@ impl RefSim {
             if !state.is_valid() {
                 continue;
             }
-            let resp = self.protocol.snoop(state, op);
+            let resp = self.table.snoop[state as usize][op as usize];
             mshared |= resp.assert_shared;
             if resp.absorb {
                 self.stats.updates_absorbed += 1;
@@ -268,7 +268,7 @@ impl RefSim {
                 } else {
                     self.victimize(cpu, line);
                     let shared = self.bus_op(cpu, line, BusOp::Read);
-                    self.set_state(cpu, line, self.protocol.read_fill_state(shared));
+                    self.set_state(cpu, line, self.table.read_fill[usize::from(shared)]);
                 }
             }
             ProcOp::Write => {
@@ -277,7 +277,7 @@ impl RefSim {
                     self.stats.write_hits += 1;
                     self.write_hit(cpu, line, state);
                 } else {
-                    match self.protocol.write_miss_policy() {
+                    match self.table.write_miss {
                         WriteMissPolicy::WriteThrough { allocate }
                             if self.geometry.line_words() == 1 =>
                         {
@@ -291,11 +291,8 @@ impl RefSim {
                                 self.stats.wt_unshared += 1;
                             }
                             if allocate {
-                                self.set_state(
-                                    cpu,
-                                    line,
-                                    self.protocol.write_through_fill_state(shared),
-                                );
+                                let fill = self.table.write_through_fill[usize::from(shared)];
+                                self.set_state(cpu, line, fill);
                             }
                         }
                         WriteMissPolicy::WriteThrough { allocate: false } => {
@@ -309,12 +306,12 @@ impl RefSim {
                         WriteMissPolicy::FillExclusive => {
                             self.victimize(cpu, line);
                             self.bus_op(cpu, line, BusOp::ReadOwned);
-                            self.set_state(cpu, line, self.protocol.exclusive_fill_state());
+                            self.set_state(cpu, line, self.table.exclusive_fill);
                         }
                         WriteMissPolicy::WriteThrough { .. } | WriteMissPolicy::FillThenWrite => {
                             self.victimize(cpu, line);
                             let shared = self.bus_op(cpu, line, BusOp::Read);
-                            let fill = self.protocol.read_fill_state(shared);
+                            let fill = self.table.read_fill[usize::from(shared)];
                             self.set_state(cpu, line, fill);
                             self.write_hit(cpu, line, fill);
                         }
@@ -325,7 +322,7 @@ impl RefSim {
     }
 
     fn write_hit(&mut self, cpu: usize, line: LineId, state: LineState) {
-        match self.protocol.write_hit(state) {
+        match self.table.write_hit_effect(state) {
             WriteHitEffect::Silent(next) => self.set_state(cpu, line, next),
             WriteHitEffect::Bus(op) => {
                 let shared = self.bus_op(cpu, line, op);
@@ -336,7 +333,7 @@ impl RefSim {
                         self.stats.wt_unshared += 1;
                     }
                 }
-                let next = self.protocol.after_write_bus(state, op, shared);
+                let next = self.table.after_write[state as usize][usize::from(shared)];
                 self.set_state(cpu, line, next);
             }
         }
@@ -348,7 +345,7 @@ impl fmt::Debug for RefSim {
         f.debug_struct("RefSim")
             .field("cpus", &self.caches.len())
             .field("geometry", &self.geometry)
-            .field("protocol", &self.protocol.name())
+            .field("protocol", &self.table.kind.name())
             .field("stats", &self.stats)
             .finish()
     }

@@ -9,7 +9,10 @@
 //! transactions with the Figure 4 phase structure. Every transaction is
 //! snooped by every other cache, which may assert `MShared`, supply data
 //! (inhibiting memory), flush a dirty copy to memory, absorb a
-//! write-through, or invalidate — exactly as its [`Protocol`] tables say.
+//! write-through, or invalidate — exactly as its [`ProtocolTable`] says.
+//! The engine records which table entries it consulted
+//! ([`MemSystem::exercised`]), so the model checker can learn what a
+//! configuration exercises without wrapping the table.
 //!
 //! Tag-store interference is modeled: a processor access in flight at a
 //! transaction's probe cycle is delayed by one CPU tick (the `SP` term of
@@ -24,8 +27,8 @@ use crate::events::{Event, EventKind, EventRing, FaultClass};
 use crate::fault::{site, EccInjector, FaultConfig, FaultSite};
 use crate::memory::Memory;
 use crate::protocol::{
-    BusOp, LineState, ProcOp, Protocol, ProtocolKind, SnoopResponse, WriteHitEffect,
-    WriteMissPolicy,
+    BusOp, ExerciseLog, LineState, ProcOp, ProtocolKind, ProtocolTable, SnoopResponse, TsRules,
+    WriteHitEffect, WriteMissPolicy,
 };
 use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotBuilder, SnapshotFile};
 use crate::stats::{BusStats, CacheStats, FaultStats, LatencyStats};
@@ -331,8 +334,10 @@ impl Snap for Error {
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct MemSystem {
     cfg: SystemConfig,
-    protocol: Box<dyn Protocol>,
-    protocol_kind: ProtocolKind,
+    table: ProtocolTable,
+    /// Which table entries this system consulted. Derived diagnostic
+    /// state, like `notified`: never snapshotted.
+    exercised: ExerciseLog,
     ports: Vec<PortCtl>,
     bus: Bus,
     memory: Memory,
@@ -406,29 +411,24 @@ impl MemSystem {
     /// Returns [`Error::InvalidConfig`] if the configuration is
     /// internally inconsistent.
     pub fn new(cfg: SystemConfig, protocol: ProtocolKind) -> Result<Self, Error> {
-        let tables = protocol.build();
-        Self::with_protocol(cfg, protocol, tables)
+        Self::with_table(cfg, protocol.table())
     }
 
-    /// Builds a memory system driving caller-supplied protocol tables
-    /// instead of `kind`'s canonical ones.
+    /// Builds a memory system driving `table`, which may differ from
+    /// its kind's canonical table.
     ///
     /// This is a verification hook: the model checker's mutation pass
-    /// (`firefly-mc`) wraps the canonical tables with recording or
-    /// deliberately corrupted entries and runs them through the *real*
-    /// engine, so a mutant that survives proves the checker vacuous, not
-    /// the engine wrong. `kind` is still reported as the nominal
+    /// (`firefly-mc`) runs copies of the canonical table with one entry
+    /// deliberately corrupted through the *real* engine, so a mutant
+    /// that survives proves the checker vacuous, not the engine wrong.
+    /// `table.kind` is reported as the
     /// [`protocol_kind`](Self::protocol_kind).
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if the configuration is
     /// internally inconsistent.
-    pub fn with_protocol(
-        cfg: SystemConfig,
-        kind: ProtocolKind,
-        tables: Box<dyn Protocol>,
-    ) -> Result<Self, Error> {
+    pub fn with_table(cfg: SystemConfig, table: ProtocolTable) -> Result<Self, Error> {
         let ports = (0..cfg.ports())
             .map(|_| PortCtl { cache: Cache::new(cfg.cache()), pending: None })
             .collect();
@@ -438,8 +438,8 @@ impl MemSystem {
         Ok(MemSystem {
             bus: Bus::with_config(cfg.ports(), cfg.arbiter(), cfg.bus_mode()),
             memory,
-            protocol: tables,
-            protocol_kind: kind,
+            table,
+            exercised: ExerciseLog::default(),
             ports,
             ipi_pending: vec![false; cfg.ports()],
             ipi_sent: 0,
@@ -473,12 +473,24 @@ impl MemSystem {
     /// Whether the active protocol carries timestamp state (Tardis).
     #[inline]
     pub fn timestamps_enabled(&self) -> bool {
-        self.protocol.ts_lease().is_some()
+        self.table.ts.is_some()
     }
 
     /// The lease length of the active protocol's timestamp rules, if any.
     pub fn ts_lease(&self) -> Option<u64> {
-        self.protocol.ts_lease()
+        self.table.ts.map(|ts| ts.lease)
+    }
+
+    /// The active protocol's timestamp rules; only called once
+    /// [`timestamps_enabled`](Self::timestamps_enabled) holds.
+    fn ts_rules(&self) -> TsRules {
+        self.table.ts.expect("timestamp rules of a timestamped protocol")
+    }
+
+    /// Which protocol-table entries this system has consulted since it
+    /// was built.
+    pub fn exercised(&self) -> &ExerciseLog {
+        &self.exercised
     }
 
     /// `port`'s program timestamp (Tardis `pts`; 0 for untimestamped
@@ -512,7 +524,7 @@ impl MemSystem {
 
     /// The coherence protocol in use.
     pub fn protocol_kind(&self) -> ProtocolKind {
-        self.protocol_kind
+        self.table.kind
     }
 
     /// Elapsed bus cycles (100 ns each).
@@ -833,7 +845,7 @@ impl MemSystem {
     /// any number of steps can be replaced by one
     /// [`advance_idle`](MemSystem::advance_idle) with bit-identical
     /// state. Note that ports may still be counting down a *local*
-    /// completion ([`Status::Finishing`]); those have a known completion
+    /// completion (the `Finishing` countdown); those have a known completion
     /// cycle ([`completion_cycle`](MemSystem::completion_cycle)) and cap
     /// how far the driver may jump.
     #[inline]
@@ -870,7 +882,7 @@ impl MemSystem {
     }
 
     /// The cycle at which `port`'s pending access completes locally, if
-    /// it is in the [`Status::Finishing`] countdown. `None` while the
+    /// it is in the `Finishing` countdown. `None` while the
     /// access is still waiting on the bus (its completion cycle is not
     /// yet known) or when nothing is pending.
     #[inline]
@@ -1364,7 +1376,7 @@ impl MemSystem {
         };
         section(&mut b, "config", &|w| w.put(&self.cfg));
         section(&mut b, "system", &|w| {
-            w.put(&(self.protocol_kind, self.cycle));
+            w.put(&(self.table.kind, self.cycle));
             w.put(&self.txns);
             w.put(&self.ipi_pending);
             w.put(&self.ipi_sent);
@@ -1405,8 +1417,8 @@ impl MemSystem {
         b.finish()
     }
 
-    /// Reconstructs a memory system from a [`save_snapshot`]
-    /// (MemSystem::save_snapshot) image.
+    /// Reconstructs a memory system from a
+    /// [`save_snapshot`](MemSystem::save_snapshot) image.
     ///
     /// # Errors
     ///
@@ -1544,6 +1556,12 @@ impl MemSystem {
         self.notify(port);
     }
 
+    /// Looks up (and records) what a write hit in `state` requires.
+    fn write_hit(&mut self, state: LineState) -> WriteHitEffect {
+        self.exercised.write_hit[state as usize] = true;
+        self.table.write_hit_effect(state)
+    }
+
     fn notify(&mut self, port: usize) {
         self.notified[port / 64] |= 1 << (port % 64);
     }
@@ -1553,9 +1571,13 @@ impl MemSystem {
     /// the writer's program timestamp to `t`. DMA has no program order;
     /// its writes simply serialize after every outstanding lease.
     fn ts_write(&mut self, port: usize, line: LineId, kind: AccessKind) -> u64 {
+        let write_order = self.ts_rules().write_order;
         let g = self.mem_ts.entry(line.raw()).or_insert((0, 0));
         let t = match kind {
-            AccessKind::Cpu => self.protocol.ts_write_order(self.pts[port], g.1),
+            AccessKind::Cpu => {
+                self.exercised.ts_write = true;
+                write_order(self.pts[port], g.1)
+            }
             AccessKind::Dma => g.0.max(g.1).saturating_add(1),
         };
         *g = (t, t);
@@ -1569,11 +1591,12 @@ impl MemSystem {
     /// the port's program timestamp past the line's write timestamp,
     /// and returns the granted global `(wts, rts)` pair.
     fn ts_read_grant(&mut self, port: usize, line: LineId) -> (u64, u64) {
+        let ts = self.ts_rules();
         let pts = self.pts[port];
         let g = self.mem_ts.entry(line.raw()).or_insert((0, 0));
-        g.1 = self.protocol.ts_grant(pts, g.1);
+        g.1 = (ts.grant)(ts.lease, pts, g.1);
         let (wts, rts) = *g;
-        self.pts[port] = self.protocol.ts_read_advance(pts, wts);
+        self.pts[port] = (ts.read_advance)(pts, wts);
         (wts, rts)
     }
 
@@ -1589,14 +1612,16 @@ impl MemSystem {
             ProcOp::Read => {
                 if state.is_valid() {
                     if req.kind == AccessKind::Cpu && self.timestamps_enabled() {
+                        let ts = self.ts_rules();
                         let (wts, rts) =
                             self.ports[port].cache.line_ts(line).expect("valid line has ts");
-                        if !self.protocol.ts_can_serve(self.pts[port], rts) {
+                        if !(ts.can_serve)(self.pts[port], rts) {
                             // Lease expired relative to this CPU's program
                             // timestamp: renew on the bus before serving.
+                            self.exercised.ts_expired = true;
                             return Some(OpPurpose::LeaseRenew);
                         }
-                        self.pts[port] = self.protocol.ts_read_advance(self.pts[port], wts);
+                        self.pts[port] = (ts.read_advance)(self.pts[port], wts);
                     }
                     let v = self.ports[port].cache.read_word(req.addr).expect("valid line");
                     self.ports[port].pending.as_mut().expect("pending").value = v;
@@ -1611,7 +1636,7 @@ impl MemSystem {
             }
             ProcOp::Write => {
                 if state.is_valid() {
-                    match self.protocol.write_hit(state) {
+                    match self.write_hit(state) {
                         WriteHitEffect::Silent(next) => {
                             self.ports[port].cache.write_word(req.addr, req.value);
                             self.ports[port].cache.set_state(line, next);
@@ -1640,7 +1665,7 @@ impl MemSystem {
                     // DMA write miss: write through, never allocate.
                     Some(OpPurpose::WriteThroughMiss { allocate: false })
                 } else {
-                    match self.protocol.write_miss_policy() {
+                    match self.table.write_miss {
                         WriteMissPolicy::WriteThrough { allocate } if lw == 1 => {
                             if allocate {
                                 self.victim_or(
@@ -1716,7 +1741,7 @@ impl MemSystem {
             }
             OpPurpose::WriteHitBus => {
                 let state = self.ports[port].cache.state_of(line);
-                let op = match self.protocol.write_hit(state) {
+                let op = match self.write_hit(state) {
                     WriteHitEffect::Bus(op) => op,
                     WriteHitEffect::Silent(_) => unreachable!("plan_local handles silent hits"),
                 };
@@ -1749,8 +1774,8 @@ impl MemSystem {
             }
             let state = self.ports[i].cache.state_of(line);
             if state.is_valid() {
-                let resp = self.protocol.snoop(state, op);
-                snoop.push((i, resp));
+                self.exercised.snoop[state as usize][op as usize] = true;
+                snoop.push((i, self.table.snoop[state as usize][op as usize]));
             }
             // Tag-store interference (the paper's SP term): a hit in
             // flight on this port at the probe cycle loses one tick.
@@ -1905,11 +1930,14 @@ impl MemSystem {
                 self.ports[port].cache.stats_mut().bus_reads += 1;
                 let d = data.expect("read returns data");
                 if install {
-                    let state = self.protocol.read_fill_state(txn.mshared);
+                    let shared = usize::from(txn.mshared);
+                    self.exercised.read_fill_shared[shared] = true;
+                    let state = self.table.read_fill[shared];
                     self.ports[port].cache.fill(line, d, state);
                     if self.timestamps_enabled() && req.kind == AccessKind::Cpu {
                         let (gwts, grts) = self.ts_read_grant(port, line);
-                        let (wts, rts) = self.protocol.ts_fill(gwts, grts);
+                        self.exercised.ts_fill_unequal |= gwts != grts;
+                        let (wts, rts) = (self.ts_rules().fill)(gwts, grts);
                         self.ports[port].cache.set_line_ts(line, wts, rts);
                     }
                     emit_into(
@@ -1936,7 +1964,7 @@ impl MemSystem {
                 self.ports[port].cache.stats_mut().bus_read_owned += 1;
                 let mut d = data.expect("read-owned returns data");
                 d.set(offset, req.value);
-                let state = self.protocol.exclusive_fill_state();
+                let state = self.table.exclusive_fill;
                 self.ports[port].cache.fill(line, d, state);
                 if self.timestamps_enabled() {
                     let t = self.ts_write(port, line, req.kind);
@@ -1971,7 +1999,7 @@ impl MemSystem {
                 }
                 if allocate {
                     debug_assert_eq!(self.cfg.cache().line_words(), 1);
-                    let state = self.protocol.write_through_fill_state(txn.mshared);
+                    let state = self.table.write_through_fill[usize::from(txn.mshared)];
                     self.ports[port].cache.fill(line, LineData::from_word(req.value), state);
                     emit_into(
                         &mut self.events,
@@ -1994,7 +2022,9 @@ impl MemSystem {
                     let t = self.ts_write(port, line, req.kind);
                     self.ports[port].cache.set_line_ts(line, t, t);
                 }
-                let next = self.protocol.after_write_bus(prev, txn.op, txn.mshared);
+                let shared = usize::from(txn.mshared);
+                self.exercised.after_write[prev as usize][shared] = true;
+                let next = self.table.after_write[prev as usize][shared];
                 self.ports[port].cache.set_state(line, next);
                 if next != prev {
                     emit_into(
@@ -2038,7 +2068,7 @@ impl fmt::Debug for MemSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemSystem")
             .field("config", &self.cfg)
-            .field("protocol", &self.protocol_kind)
+            .field("protocol", &self.table.kind)
             .field("cycle", &self.cycle)
             .field("bus", &self.bus.stats())
             .finish()

@@ -15,7 +15,7 @@
 //! everything else is the golden comparison. On a mismatch the test
 //! prints the full rendering so the difference can be read with `diff`.
 
-use firefly_core::protocol::{transition_table, LineState, Protocol, ProtocolKind, Tardis};
+use firefly_core::protocol::{transition_table, LineState, ProtocolKind, TsRules};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/protocol_tables.txt");
@@ -26,30 +26,27 @@ const GRID: [u64; 8] = [0, 1, 2, 8, 9, 1 << 32, u64::MAX - 1, u64::MAX];
 
 /// The printed transition table of `kind`.
 fn render_tables(kind: ProtocolKind) -> String {
-    transition_table(kind.build().as_ref())
+    transition_table(&kind.table())
 }
 
 /// `kind`'s exclusive-fill state and its write-through-allocate fill
 /// states, indexed by `MShared`.
 fn fills(kind: ProtocolKind) -> (LineState, [LineState; 2]) {
-    let p = kind.build();
-    (
-        p.exclusive_fill_state(),
-        [p.write_through_fill_state(false), p.write_through_fill_state(true)],
-    )
+    let t = kind.table();
+    (t.exclusive_fill, t.write_through_fill)
 }
 
 /// The Tardis rules at `lease` for `(a, b)`: can-serve and grant and
 /// write order and read advance at `(pts, g_rts) = (a, b)`, and the
 /// fill at `(wts, rts) = (a, b)`.
 fn ts_rules(lease: u64, a: u64, b: u64) -> (bool, u64, u64, (u64, u64), u64) {
-    let t = Tardis::with_lease(lease);
+    let t = TsRules { lease, ..ProtocolKind::Tardis.table().ts.unwrap() };
     (
-        t.ts_can_serve(a, b),
-        t.ts_grant(a, b),
-        t.ts_write_order(a, b),
-        t.ts_fill(a, b),
-        t.ts_read_advance(a, b),
+        (t.can_serve)(a, b),
+        (t.grant)(lease, a, b),
+        (t.write_order)(a, b),
+        (t.fill)(a, b),
+        (t.read_advance)(a, b),
     )
 }
 

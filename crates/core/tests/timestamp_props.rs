@@ -19,7 +19,7 @@
 
 use firefly_core::check::CoherenceChecker;
 use firefly_core::config::SystemConfig;
-use firefly_core::protocol::{Protocol, ProtocolKind, Tardis};
+use firefly_core::protocol::{ProtocolKind, TsRules};
 use firefly_core::system::{MemSystem, Request};
 use firefly_core::{Addr, CacheGeometry, LineId, PortId};
 use proptest::prelude::*;
@@ -27,8 +27,14 @@ use std::collections::BTreeMap;
 
 fn tardis_system(cpus: usize, lease: u64) -> MemSystem {
     let cfg = SystemConfig::microvax(cpus).with_cache(CacheGeometry::new(8, 1).unwrap());
-    MemSystem::with_protocol(cfg, ProtocolKind::Tardis, Box::new(Tardis::with_lease(lease)))
-        .unwrap()
+    let mut table = ProtocolKind::Tardis.table();
+    table.ts = Some(tardis_rules(lease));
+    MemSystem::with_table(cfg, table).unwrap()
+}
+
+/// The Tardis timestamp rules at `lease`.
+fn tardis_rules(lease: u64) -> TsRules {
+    TsRules { lease, ..ProtocolKind::Tardis.table().ts.unwrap() }
 }
 
 /// Snapshot of every timestamp the system exposes, for cross-step
@@ -136,26 +142,26 @@ proptest! {
     ) {
         let edges = [0u64, 1, 1 << 32, u64::MAX - 1, u64::MAX];
         let (pts, g_rts) = (edges[pts_pick], [0u64, 7, 1 << 40, u64::MAX - 1, u64::MAX][g_rts_pick]);
-        let t = Tardis::with_lease(lease);
+        let t = tardis_rules(lease);
 
-        let w = t.ts_write_order(pts, g_rts);
+        let w = (t.write_order)(pts, g_rts);
         prop_assert!(w >= pts, "write order below pts");
         prop_assert!(w >= g_rts.min(u64::MAX - 1), "write order below the expired lease");
         prop_assert!(w > g_rts || g_rts == u64::MAX, "write did not pass the lease end");
 
-        let granted = t.ts_grant(pts, g_rts);
+        let granted = (t.grant)(t.lease, pts, g_rts);
         prop_assert!(granted >= g_rts, "grant moved rts backwards");
         prop_assert!(granted >= pts.saturating_add(lease),
             "grant shorter than one lease past pts");
         prop_assert!(granted >= pts, "grant does not cover the reader");
 
-        let advanced = t.ts_read_advance(pts, g_rts);
+        let advanced = (t.read_advance)(pts, g_rts);
         prop_assert!(advanced >= pts && advanced >= g_rts, "read advance lost ordering");
 
         // Explicit saturation pins: the exact edge values stay at MAX.
-        prop_assert_eq!(t.ts_write_order(u64::MAX, u64::MAX), u64::MAX);
-        prop_assert_eq!(t.ts_grant(u64::MAX, 0), u64::MAX);
-        prop_assert_eq!(t.ts_read_advance(u64::MAX, 0), u64::MAX);
+        prop_assert_eq!((t.write_order)(u64::MAX, u64::MAX), u64::MAX);
+        prop_assert_eq!((t.grant)(t.lease, u64::MAX, 0), u64::MAX);
+        prop_assert_eq!((t.read_advance)(u64::MAX, 0), u64::MAX);
     }
 
     /// The whole timestamped run is deterministic: identical scripts
@@ -165,7 +171,8 @@ proptest! {
         script in prop::collection::vec((0..2usize, any::<bool>(), 0u32..5), 1..60),
     ) {
         let run = |script: &[(usize, bool, u32)]| {
-            let mut sys = tardis_system(2, Tardis::DEFAULT_LEASE);
+            let default_lease = ProtocolKind::Tardis.table().ts.unwrap().lease;
+            let mut sys = tardis_system(2, default_lease);
             for &(cpu, write, word) in script {
                 let addr = Addr::from_word_index(word);
                 let req = if write { Request::write(addr, word) } else { Request::read(addr) };

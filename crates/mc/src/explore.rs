@@ -1,10 +1,10 @@
 //! Exhaustive reachable-state exploration of small configurations.
 //!
 //! The explorer drives the *same* cycle-level engine
-//! ([`firefly_core::system::MemSystem`]) and the same [`Protocol`]
-//! decision tables as every other consumer — nothing is re-modeled — and
-//! applies the full invariant battery at **every** reachable state, not
-//! just at sampled quiescent points:
+//! ([`firefly_core::system::MemSystem`]) and the same [`ProtocolTable`]
+//! as every other consumer — nothing is re-modeled — and applies the
+//! full invariant battery at **every** reachable state, not just at
+//! sampled quiescent points:
 //!
 //! * the five [`CoherenceChecker`] structural invariants,
 //! * the serialization invariants
@@ -24,12 +24,14 @@
 //! Each BFS level fans its expansions out on the deterministic worker
 //! pool ([`firefly_sim::harness::run_jobs`]); results are merged in job
 //! order, so explored-state counts and the first violation found are
-//! bit-identical at any `FIREFLY_JOBS` width.
+//! bit-identical at any `FIREFLY_JOBS` width. Every engine built records
+//! which table entries it consulted; the report ORs those records
+//! ([`McReport::exercised`]), which is what the mutation pass reads.
 
 use firefly_core::check::{CoherenceChecker, TsAccess};
 use firefly_core::config::SystemConfig;
 use firefly_core::events::{chrome_trace, timeline, Event};
-use firefly_core::protocol::{ProcOp, Protocol, ProtocolKind};
+use firefly_core::protocol::{ExerciseLog, ProcOp, ProtocolKind, ProtocolTable};
 use firefly_core::system::{MemSystem, Request};
 use firefly_core::{Addr, CacheGeometry, LineId, PortId};
 use firefly_core::{ArbiterKind, BusMode};
@@ -37,13 +39,6 @@ use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Builds a fresh set of protocol tables for every engine rebuild.
-///
-/// The explorer reconstructs the engine once per expansion, so table
-/// instances cannot be shared; the mutation pass uses this to hand the
-/// engine recorded or deliberately corrupted tables.
-pub type ProtocolFactory<'a> = &'a (dyn Fn() -> Box<dyn Protocol> + Sync);
 
 /// One model-checking operation: a processor access to a tracked word.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
@@ -192,16 +187,16 @@ impl McConfig {
         self
     }
 
-    /// The canonical decision tables for this configuration: the
-    /// protocol's defaults, except that timestamped kinds take the
-    /// configured lease. The mutation pass wraps *these* tables, so the
-    /// recorded baseline and every mutant agree on the lease.
-    pub fn base_tables(&self) -> Box<dyn Protocol> {
-        if self.protocol.is_timestamped() {
-            Box::new(firefly_core::protocol::Tardis::with_lease(self.lease))
-        } else {
-            self.protocol.build()
+    /// The canonical table for this configuration: the protocol's,
+    /// except that timestamped kinds take the configured lease. The
+    /// mutation pass edits copies of *this* table, so the clean run and
+    /// every mutant agree on the lease.
+    pub fn table(&self) -> ProtocolTable {
+        let mut table = self.protocol.table();
+        if let Some(ts) = &mut table.ts {
+            ts.lease = self.lease;
         }
+        table
     }
 
     /// Every operation any processor can perform on the tracked words.
@@ -258,6 +253,9 @@ pub struct McReport {
     pub complete: bool,
     /// The first violation found, if any (`None` for a healthy protocol).
     pub violation: Option<McViolation>,
+    /// The table entries the exploration's engines consulted (OR of
+    /// every built system's record, so identical at any worker width).
+    pub exercised: ExerciseLog,
 }
 
 /// The per-path replay outcome: the hash-consed key of the state the
@@ -334,13 +332,8 @@ fn state_key(cfg: &McConfig, sys: &MemSystem) -> StateKey {
     StateKey { ports, memory, ts }
 }
 
-fn build_system(cfg: &McConfig, factory: Option<ProtocolFactory<'_>>) -> MemSystem {
-    let syscfg = cfg.system_config();
-    let tables = match factory {
-        Some(f) => f(),
-        None => cfg.base_tables(),
-    };
-    MemSystem::with_protocol(syscfg, cfg.protocol, tables)
+fn build_system(cfg: &McConfig, table: ProtocolTable) -> MemSystem {
+    MemSystem::with_table(cfg.system_config(), table)
         .expect("model-checking configuration is valid")
 }
 
@@ -403,13 +396,9 @@ fn apply_checked(
 /// Replays `path` from reset with full per-step checking. Returns the
 /// first violation, or `None` if the path is clean. Engine panics
 /// (mutants can trip debug assertions) are reported as violations.
-pub fn replay_violation(
-    cfg: &McConfig,
-    factory: Option<ProtocolFactory<'_>>,
-    path: &[McOp],
-) -> Option<String> {
+pub fn replay_violation(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> Option<String> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut sys = build_system(cfg, factory);
+        let mut sys = build_system(cfg, table);
         let mut oracle = BTreeMap::new();
         let checker = CoherenceChecker::new();
         if let Err(e) = checker.check(&sys).and_then(|()| checker.check_timestamp_order(&sys, None))
@@ -440,17 +429,19 @@ pub fn replay_violation(
 
 /// Expands one state (represented by its path): replays the path, then
 /// tries every op in the alphabet, reporting each successor's key or
-/// the violation it triggers. One rebuild per op keeps each trial
-/// independent — a violating op must not poison its siblings.
-fn expand(cfg: &McConfig, factory: Option<ProtocolFactory<'_>>, path: &[McOp]) -> Vec<StepResult> {
-    let alphabet = cfg.alphabet();
-    alphabet
+/// the violation it triggers, and the table entries the trials
+/// consulted. One rebuild per op keeps each trial independent — a
+/// violating op must not poison its siblings.
+fn expand(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> (Vec<StepResult>, ExerciseLog) {
+    let mut exercised = ExerciseLog::default();
+    let results = cfg
+        .alphabet()
         .iter()
         .map(|&op| {
             let mut trial: Vec<McOp> = path.to_vec();
             trial.push(op);
             let key = catch_unwind(AssertUnwindSafe(|| {
-                let mut sys = build_system(cfg, factory);
+                let mut sys = build_system(cfg, table);
                 let mut oracle = BTreeMap::new();
                 let checker = CoherenceChecker::new();
                 for &prev in path {
@@ -458,22 +449,25 @@ fn expand(cfg: &McConfig, factory: Option<ProtocolFactory<'_>>, path: &[McOp]) -
                     // discovered; only the new op needs checking.
                     apply(&mut sys, &mut oracle, prev);
                 }
-                match apply_checked(&mut sys, &mut oracle, &checker, op) {
+                let result = match apply_checked(&mut sys, &mut oracle, &checker, op) {
                     Some(v) => Err(v),
                     None => Ok(state_key(cfg, &sys)),
-                }
+                };
+                exercised.merge(sys.exercised());
+                result
             }));
             match key {
                 Ok(r) => r,
                 Err(_) => {
                     // Re-derive the panic message with full checking so
                     // the report points at the first broken step.
-                    Err(replay_violation(cfg, factory, &trial)
+                    Err(replay_violation(cfg, table, &trial)
                         .unwrap_or_else(|| "engine panic during expansion".to_string()))
                 }
             }
         })
-        .collect()
+        .collect();
+    (results, exercised)
 }
 
 /// Applies one op without invariant checking (validated-prefix replay).
@@ -492,26 +486,22 @@ fn apply(sys: &mut MemSystem, oracle: &mut BTreeMap<Addr, u32>, op: McOp) {
     }
 }
 
-/// Exhaustively explores `cfg` with the protocol's canonical tables.
+/// Exhaustively explores `cfg` with its canonical table
+/// ([`McConfig::table`]).
 pub fn explore(cfg: &McConfig) -> McReport {
-    explore_with(cfg, None)
+    explore_with(cfg, cfg.table())
 }
 
-/// Exhaustively explores `cfg`, optionally substituting the tables
-/// built by `factory` (the mutation-testing and recording hook). The
-/// worker-pool width comes from `FIREFLY_JOBS`; results are identical
-/// at any width.
-pub fn explore_with(cfg: &McConfig, factory: Option<ProtocolFactory<'_>>) -> McReport {
-    explore_workers(cfg, factory, firefly_sim::harness::worker_count())
+/// Exhaustively explores `cfg` driving `table` (a mutant, in the
+/// mutation pass). The worker-pool width comes from `FIREFLY_JOBS`;
+/// results are identical at any width.
+pub fn explore_with(cfg: &McConfig, table: ProtocolTable) -> McReport {
+    explore_workers(cfg, table, firefly_sim::harness::worker_count())
 }
 
 /// [`explore_with`] at an explicit worker-pool width (the determinism
 /// tests compare widths directly instead of racing the environment).
-pub fn explore_workers(
-    cfg: &McConfig,
-    factory: Option<ProtocolFactory<'_>>,
-    workers: usize,
-) -> McReport {
+pub fn explore_workers(cfg: &McConfig, table: ProtocolTable, workers: usize) -> McReport {
     let checker = CoherenceChecker::new();
     let mut report = McReport {
         config: cfg.clone(),
@@ -520,11 +510,12 @@ pub fn explore_workers(
         depth_reached: 0,
         complete: false,
         violation: None,
+        exercised: ExerciseLog::default(),
     };
 
     // The reset state.
     let init = catch_unwind(AssertUnwindSafe(|| {
-        let sys = build_system(cfg, factory);
+        let sys = build_system(cfg, table);
         checker
             .check(&sys)
             .and_then(|()| checker.check_timestamp_order(&sys, None))
@@ -548,11 +539,12 @@ pub fn explore_workers(
     let mut frontier: Vec<Vec<McOp>> = vec![Vec::new()];
     for level in 0..cfg.depth {
         let expansions = firefly_sim::harness::run_jobs_with(workers, &frontier, |path| {
-            expand(cfg, factory, path)
+            expand(cfg, table, path)
         });
 
         let mut next: Vec<Vec<McOp>> = Vec::new();
-        for (path, results) in frontier.iter().zip(&expansions) {
+        for (path, (results, exercised)) in frontier.iter().zip(&expansions) {
+            report.exercised.merge(exercised);
             for (op, outcome) in alphabet.iter().zip(results) {
                 report.transitions += 1;
                 match outcome {
@@ -560,7 +552,7 @@ pub fn explore_workers(
                         let mut raw = path.clone();
                         raw.push(*op);
                         report.depth_reached = level + 1;
-                        report.violation = Some(minimize(cfg, factory, raw, message.clone()));
+                        report.violation = Some(minimize(cfg, table, raw, message.clone()));
                         return report;
                     }
                     Ok(key) => {
@@ -587,12 +579,7 @@ pub fn explore_workers(
 /// Greedy delta-debugging: repeatedly drop ops that the violation does
 /// not need. The result is 1-minimal — removing any single remaining op
 /// makes the violation disappear.
-fn minimize(
-    cfg: &McConfig,
-    factory: Option<ProtocolFactory<'_>>,
-    raw: Vec<McOp>,
-    message: String,
-) -> McViolation {
+fn minimize(cfg: &McConfig, table: ProtocolTable, raw: Vec<McOp>, message: String) -> McViolation {
     let raw_len = raw.len();
     let mut path = raw;
     let mut message = message;
@@ -603,7 +590,7 @@ fn minimize(
         while i < path.len() {
             let mut candidate = path.clone();
             candidate.remove(i);
-            if let Some(m) = replay_violation(cfg, factory, &candidate) {
+            if let Some(m) = replay_violation(cfg, table, &candidate) {
                 path = candidate;
                 message = m;
                 changed = true;
@@ -654,16 +641,12 @@ impl Counterexample {
 /// the violating step (even when that step panics the engine).
 pub fn counterexample(
     cfg: &McConfig,
-    factory: Option<ProtocolFactory<'_>>,
+    table: ProtocolTable,
     violation: &McViolation,
 ) -> Counterexample {
     let syscfg = cfg.system_config().with_event_trace(65_536);
-    let tables = match factory {
-        Some(f) => f(),
-        None => cfg.base_tables(),
-    };
-    let mut sys = MemSystem::with_protocol(syscfg, cfg.protocol, tables)
-        .expect("model-checking configuration is valid");
+    let mut sys =
+        MemSystem::with_table(syscfg, table).expect("model-checking configuration is valid");
 
     let mut oracle = BTreeMap::new();
     for &op in &violation.path {
@@ -727,12 +710,13 @@ mod tests {
     #[test]
     fn exploration_is_deterministic_across_worker_counts() {
         let cfg = McConfig::new(ProtocolKind::Dragon).with_depth(5);
-        let a = explore_workers(&cfg, None, 1);
+        let a = explore_workers(&cfg, cfg.table(), 1);
         for workers in [2, 3, 7] {
-            let b = explore_workers(&cfg, None, workers);
+            let b = explore_workers(&cfg, cfg.table(), workers);
             assert_eq!(a.states, b.states, "state count diverged at {workers} workers");
             assert_eq!(a.transitions, b.transitions);
             assert_eq!(a.complete, b.complete);
+            assert_eq!(a.exercised, b.exercised, "exercise record diverged at {workers} workers");
         }
     }
 

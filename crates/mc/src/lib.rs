@@ -1,6 +1,6 @@
 //! # firefly-mc
 //!
-//! An exhaustive model checker for the Firefly memory system's six
+//! An exhaustive model checker for the Firefly memory system's seven
 //! coherence protocols, in the small-configuration tradition of
 //! Archibald & Baer's protocol survey: a handful of caches, one or two
 //! memory words, a tiny value domain — small enough to enumerate every
@@ -13,9 +13,9 @@
 //! memory" (§3). The workspace's property tests *sample* that contract
 //! on random workloads; this crate *enumerates* it:
 //!
-//! * [`explore`] — BFS over the reachable state space, driving the same
-//!   [`firefly_core::system::MemSystem`] cycle engine and the same
-//!   protocol decision tables as every simulation, with the full
+//! * [`explore()`] — BFS over the reachable state space, driving the
+//!   same [`firefly_core::system::MemSystem`] cycle engine and the same
+//!   [`firefly_core::ProtocolTable`] as every simulation, with the full
 //!   invariant battery (the five [`firefly_core::check::CoherenceChecker`]
 //!   structural invariants plus write-serialization, single-writer
 //!   order, and read-your-writes) applied at **every** reachable state.
@@ -25,9 +25,11 @@
 //!   single-location coherence, …) whose runner enumerates *all*
 //!   interleavings, cross-checks the engine against the reference-level
 //!   simulator, and replays fault-overlapped variants.
-//! * [`mutate`] — mutation testing of the checker itself: one flipped
-//!   transition-table entry at a time, run through the real engine via
-//!   `MemSystem::with_protocol`; every generated mutant must be caught.
+//! * [`mutate`] — mutation testing of the checker itself: a mutant is a
+//!   copy of the protocol's table with one entry edited (or one
+//!   timestamp rule swapped), run through the real engine via
+//!   [`firefly_core::system::MemSystem::with_table`]; every generated
+//!   mutant must be caught.
 //! * On any violation, a minimized op path is re-run with event tracing
 //!   and rendered through the existing `timeline`/`chrome_trace`
 //!   exporters ([`explore::Counterexample`]) so failures are directly
@@ -47,4 +49,6 @@ pub use explore::{
     McConfig, McOp, McReport, McViolation,
 };
 pub use litmus::{builtin_suite, LitmusOutcome, LitmusTest};
-pub use mutate::{mutation_smoke, mutations_for, record_exercise, Mutation, MutationOutcome};
+pub use mutate::{
+    mutant_table, mutation_smoke, mutations_for, record_exercise, Mutation, MutationOutcome,
+};

@@ -2,17 +2,19 @@
 //!
 //! A checker that never fires is indistinguishable from a correct
 //! protocol; this module guards against that vacuity by flipping one
-//! entry of a protocol's transition tables at a time and asserting the
-//! explorer *catches* every mutant. Mutants drive the real cycle
-//! engine through [`MemSystem::with_protocol`]
-//! (`firefly_core::system::MemSystem::with_protocol`), so a surviving
-//! mutant indicts the checker, not a re-model of the engine.
+//! entry of a protocol's table at a time and asserting the explorer
+//! *catches* every mutant. A mutant is a copy of the canonical
+//! [`ProtocolTable`] with one entry edited ([`Mutation::apply`]), driven
+//! through the real cycle engine by
+//! [`MemSystem::with_table`](firefly_core::system::MemSystem::with_table),
+//! so a surviving mutant indicts the checker, not a re-model of the
+//! engine.
 //!
 //! Two passes keep the kill guarantee honest:
 //!
-//! 1. **Record** — an exhaustive run with the canonical tables wrapped
-//!    in a [recording shim](record_exercise) notes which table entries
-//!    the configuration actually exercises.
+//! 1. **Record** — an exhaustive run with the canonical table notes
+//!    which table entries the configuration actually exercises
+//!    ([`record_exercise`]; the engine keeps that record itself).
 //! 2. **Mutate** — [`mutations_for`] generates mutants *only* on
 //!    exercised entries, and only mutation shapes whose first exercise
 //!    provably breaks an invariant (e.g. dropping a snooper's `MShared`
@@ -23,142 +25,26 @@
 //!    configuration never reaches generate nothing, so every generated
 //!    mutant must die.
 
-use crate::explore::{explore_with, McConfig, McReport};
+use crate::explore::{explore, explore_with, McConfig, McReport};
 use firefly_core::protocol::{
-    BusOp, LineState, Protocol, ProtocolKind, SnoopResponse, WriteHitEffect, WriteMissPolicy,
+    BusOp, ExerciseLog, LineState, ProtocolKind, ProtocolTable, TsRules, WriteHitEffect,
+    WriteMissPolicy,
 };
-use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
-/// The bus vocabulary in canonical order (for log indexing).
-const OPS: [BusOp; 7] = [
-    BusOp::Read,
-    BusOp::ReadOwned,
-    BusOp::Write,
-    BusOp::WriteBack,
-    BusOp::Update,
-    BusOp::Invalidate,
-    BusOp::Renew,
-];
-
-fn state_index(s: LineState) -> u8 {
-    LineState::ALL.iter().position(|&x| x == s).expect("LineState::ALL is exhaustive") as u8
-}
-
-fn op_index(op: BusOp) -> u8 {
-    OPS.iter().position(|&x| x == op).expect("OPS is exhaustive") as u8
-}
-
-/// Which transition-table entries an exploration exercised.
-#[derive(Clone, Debug, Default)]
-pub struct ExerciseLog {
-    /// `read_fill_state(shared)` calls, indexed by `shared`.
-    pub read_fill_shared: [bool; 2],
-    /// `write_hit(state)` calls, indexed by state.
-    pub write_hit: [bool; 5],
-    /// `after_write_bus(state, op, shared)` calls.
-    pub after_write: BTreeSet<(u8, u8, bool)>,
-    /// `snoop(state, op)` calls (the engine only consults valid states).
-    pub snoop: BTreeSet<(u8, u8)>,
-    /// `ts_write_order` was consulted — a timestamped write was ordered.
-    pub ts_write: bool,
-    /// `ts_fill` saw a lease strictly longer than its write timestamp —
-    /// the only shape a swapped fill visibly corrupts.
-    pub ts_fill_unequal: bool,
-    /// `ts_can_serve` returned `false` — a lease actually expired, so
-    /// renewal (and stale-serving) paths are in the explored space.
-    pub ts_expired: bool,
-}
-
-/// Canonical tables wrapped with exercise recording.
-#[derive(Debug)]
-struct Recorder {
-    inner: Box<dyn Protocol>,
-    log: Arc<Mutex<ExerciseLog>>,
-}
-
-impl Protocol for Recorder {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn states(&self) -> &'static [LineState] {
-        self.inner.states()
-    }
-    fn read_fill_state(&self, shared: bool) -> LineState {
-        self.log.lock().unwrap().read_fill_shared[usize::from(shared)] = true;
-        self.inner.read_fill_state(shared)
-    }
-    fn write_miss_policy(&self) -> WriteMissPolicy {
-        self.inner.write_miss_policy()
-    }
-    fn exclusive_fill_state(&self) -> LineState {
-        self.inner.exclusive_fill_state()
-    }
-    fn write_through_fill_state(&self, shared: bool) -> LineState {
-        self.inner.write_through_fill_state(shared)
-    }
-    fn write_hit(&self, state: LineState) -> WriteHitEffect {
-        self.log.lock().unwrap().write_hit[state_index(state) as usize] = true;
-        self.inner.write_hit(state)
-    }
-    fn after_write_bus(&self, state: LineState, op: BusOp, shared: bool) -> LineState {
-        self.log.lock().unwrap().after_write.insert((state_index(state), op_index(op), shared));
-        self.inner.after_write_bus(state, op, shared)
-    }
-    fn snoop(&self, state: LineState, op: BusOp) -> SnoopResponse {
-        self.log.lock().unwrap().snoop.insert((state_index(state), op_index(op)));
-        self.inner.snoop(state, op)
-    }
-    fn ts_lease(&self) -> Option<u64> {
-        self.inner.ts_lease()
-    }
-    fn ts_can_serve(&self, pts: u64, rts: u64) -> bool {
-        let ok = self.inner.ts_can_serve(pts, rts);
-        if !ok {
-            self.log.lock().unwrap().ts_expired = true;
-        }
-        ok
-    }
-    fn ts_grant(&self, pts: u64, g_rts: u64) -> u64 {
-        self.inner.ts_grant(pts, g_rts)
-    }
-    fn ts_write_order(&self, pts: u64, g_rts: u64) -> u64 {
-        self.log.lock().unwrap().ts_write = true;
-        self.inner.ts_write_order(pts, g_rts)
-    }
-    fn ts_fill(&self, wts: u64, rts: u64) -> (u64, u64) {
-        if wts != rts {
-            self.log.lock().unwrap().ts_fill_unequal = true;
-        }
-        self.inner.ts_fill(wts, rts)
-    }
-    fn ts_read_advance(&self, pts: u64, wts: u64) -> u64 {
-        self.inner.ts_read_advance(pts, wts)
-    }
-}
-
-/// Runs an exhaustive exploration of `cfg` with recording tables and
-/// returns what it exercised (plus the clean report, which callers
-/// should assert is violation-free).
+/// Runs an exhaustive exploration of `cfg` with its canonical table and
+/// returns the table entries it exercised (plus the clean report, which
+/// callers should assert is violation-free).
 pub fn record_exercise(cfg: &McConfig) -> (ExerciseLog, McReport) {
-    let log = Arc::new(Mutex::new(ExerciseLog::default()));
-    let factory = {
-        let log = Arc::clone(&log);
-        move || -> Box<dyn Protocol> {
-            Box::new(Recorder { inner: cfg.base_tables(), log: Arc::clone(&log) })
-        }
-    };
-    let report = explore_with(cfg, Some(&factory));
-    let snapshot = log.lock().unwrap().clone();
-    (snapshot, report)
+    let report = explore(cfg);
+    (report.exercised, report)
 }
 
-/// One single-entry corruption of a protocol's transition tables.
+/// One single-entry corruption of a protocol's table.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Mutation {
-    /// `read_fill_state` *ignores* the `MShared` response and always
-    /// consults the not-shared entry — the stale-false fill: exclusive
+    /// `read_fill` *ignores* the `MShared` response: its shared entry
+    /// becomes the not-shared one — the stale-false fill: exclusive
     /// while another cache holds the line.
     ReadFillIgnoreShared,
     /// A silent dirtying write hit leaves the line marked *clean*
@@ -184,28 +70,28 @@ pub enum Mutation {
         /// Observed bus op of the corrupted entry.
         op: BusOp,
     },
-    /// `after_write_bus` for `(state, op)` *ignores* the `MShared`
-    /// response and always consults the not-shared entry — the writer
-    /// goes exclusive while sharers hold the line.
+    /// `after_write` for `state` *ignores* the `MShared` response: its
+    /// shared entry becomes the not-shared one — the writer goes
+    /// exclusive while sharers hold the line.
     AfterWriteIgnoreShared {
         /// Writer state of the corrupted entry.
         state: LineState,
         /// Write-hit bus op of the corrupted entry.
         op: BusOp,
     },
-    /// `ts_write_order` drops its `+1`: a write lands *at* the lease end
-    /// instead of after it, so the global write timestamp fails to
-    /// strictly advance (Tardis only).
+    /// The `write_order` rule drops its `+1`: a write lands *at* the
+    /// lease end instead of after it, so the global write timestamp
+    /// fails to strictly advance (Tardis only).
     TsDropWtsBump,
-    /// `ts_grant` extends nothing: leases are handed out (and renewed)
-    /// with their old expiry, so a renewal leaves the reader past its
-    /// own lease (Tardis only).
+    /// The `grant` rule extends nothing: leases are handed out (and
+    /// renewed) with their old expiry, so a renewal leaves the reader
+    /// past its own lease (Tardis only).
     TsGrantNoRenew,
-    /// `ts_can_serve` always says yes: reads are served locally past the
-    /// lease end without renewing (Tardis only).
+    /// The `can_serve` rule always says yes: reads are served locally
+    /// past the lease end without renewing (Tardis only).
     TsServeStale,
-    /// `ts_fill` installs `(rts, wts)` — the pair swapped — so any fill
-    /// with a real lease carries `wts > rts` (Tardis only).
+    /// The `fill` rule installs `(rts, wts)` — the pair swapped — so any
+    /// fill with a real lease carries `wts > rts` (Tardis only).
     TsSwapFill,
 }
 
@@ -233,146 +119,89 @@ impl fmt::Display for Mutation {
     }
 }
 
-/// Canonical tables with one [`Mutation`] applied.
-#[derive(Debug)]
-struct Mutant {
-    inner: Box<dyn Protocol>,
-    mutation: Mutation,
-}
-
-impl Protocol for Mutant {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn states(&self) -> &'static [LineState] {
-        self.inner.states()
-    }
-    fn read_fill_state(&self, shared: bool) -> LineState {
-        match self.mutation {
-            // "Ignore" rather than "invert": the mutant's behavior
-            // diverges only on shared=true calls, so its first
-            // divergence is exactly the exercised entry the kill proof
-            // reasons about.
-            Mutation::ReadFillIgnoreShared => self.inner.read_fill_state(false),
-            _ => self.inner.read_fill_state(shared),
+impl Mutation {
+    /// Applies this corruption to `table`: one entry edited, or one
+    /// timestamp rule swapped.
+    ///
+    /// # Panics
+    ///
+    /// A timestamp mutation panics on a table without timestamp rules.
+    pub fn apply(self, t: &mut ProtocolTable) {
+        fn ts(t: &mut ProtocolTable) -> &mut TsRules {
+            t.ts.as_mut().expect("timestamp mutant needs TsRules")
         }
-    }
-    fn write_miss_policy(&self) -> WriteMissPolicy {
-        self.inner.write_miss_policy()
-    }
-    fn exclusive_fill_state(&self) -> LineState {
-        self.inner.exclusive_fill_state()
-    }
-    fn write_through_fill_state(&self, shared: bool) -> LineState {
-        self.inner.write_through_fill_state(shared)
-    }
-    fn write_hit(&self, state: LineState) -> WriteHitEffect {
-        match self.mutation {
-            Mutation::WriteHitSilentClean { state: s } if s == state => {
-                WriteHitEffect::Silent(LineState::CleanExclusive)
+        match self {
+            // "Ignore" rather than "invert": the mutant diverges only on
+            // shared fills, so its first divergence is exactly the
+            // exercised entry the kill proof reasons about.
+            Mutation::ReadFillIgnoreShared => t.read_fill[1] = t.read_fill[0],
+            Mutation::WriteHitSilentClean { state } => {
+                t.write_hit[state as usize] =
+                    Some(WriteHitEffect::Silent(LineState::CleanExclusive));
             }
-            _ => self.inner.write_hit(state),
-        }
-    }
-    fn after_write_bus(&self, state: LineState, op: BusOp, shared: bool) -> LineState {
-        match self.mutation {
-            Mutation::AfterWriteIgnoreShared { state: s, op: o } if s == state && o == op => {
-                self.inner.after_write_bus(state, op, false)
+            Mutation::SnoopDropShared { state, op } => {
+                t.snoop[state as usize][op as usize].assert_shared = false;
             }
-            _ => self.inner.after_write_bus(state, op, shared),
-        }
-    }
-    fn snoop(&self, state: LineState, op: BusOp) -> SnoopResponse {
-        let r = self.inner.snoop(state, op);
-        match self.mutation {
-            Mutation::SnoopDropShared { state: s, op: o } if s == state && o == op => {
-                SnoopResponse { assert_shared: false, ..r }
+            Mutation::SnoopForceDirtyExclusive { state, op } => {
+                t.snoop[state as usize][op as usize].next = LineState::DirtyExclusive;
             }
-            Mutation::SnoopForceDirtyExclusive { state: s, op: o } if s == state && o == op => {
-                SnoopResponse { next: LineState::DirtyExclusive, ..r }
+            Mutation::AfterWriteIgnoreShared { state, .. } => {
+                let after = &mut t.after_write[state as usize];
+                after[1] = after[0];
             }
-            _ => r,
+            Mutation::TsDropWtsBump => ts(t).write_order = |pts, g_rts| pts.max(g_rts),
+            Mutation::TsGrantNoRenew => ts(t).grant = |_, _, g_rts| g_rts,
+            Mutation::TsServeStale => ts(t).can_serve = |_, _| true,
+            Mutation::TsSwapFill => ts(t).fill = |wts, rts| (rts, wts),
         }
-    }
-    fn ts_lease(&self) -> Option<u64> {
-        self.inner.ts_lease()
-    }
-    fn ts_can_serve(&self, pts: u64, rts: u64) -> bool {
-        match self.mutation {
-            Mutation::TsServeStale => true,
-            _ => self.inner.ts_can_serve(pts, rts),
-        }
-    }
-    fn ts_grant(&self, pts: u64, g_rts: u64) -> u64 {
-        match self.mutation {
-            Mutation::TsGrantNoRenew => g_rts,
-            _ => self.inner.ts_grant(pts, g_rts),
-        }
-    }
-    fn ts_write_order(&self, pts: u64, g_rts: u64) -> u64 {
-        match self.mutation {
-            Mutation::TsDropWtsBump => pts.max(g_rts),
-            _ => self.inner.ts_write_order(pts, g_rts),
-        }
-    }
-    fn ts_fill(&self, wts: u64, rts: u64) -> (u64, u64) {
-        let (wts, rts) = self.inner.ts_fill(wts, rts);
-        match self.mutation {
-            Mutation::TsSwapFill => (rts, wts),
-            _ => (wts, rts),
-        }
-    }
-    fn ts_read_advance(&self, pts: u64, wts: u64) -> u64 {
-        self.inner.ts_read_advance(pts, wts)
     }
 }
 
-/// Builds the configuration's canonical tables with `mutation` applied.
-pub fn mutant_tables(cfg: &McConfig, mutation: Mutation) -> Box<dyn Protocol> {
-    Box::new(Mutant { inner: cfg.base_tables(), mutation })
+/// The configuration's canonical table with `mutation` applied.
+pub fn mutant_table(cfg: &McConfig, mutation: Mutation) -> ProtocolTable {
+    let mut table = cfg.table();
+    mutation.apply(&mut table);
+    table
 }
 
 /// True when every snooper that asserts `MShared` on `op` also keeps
 /// its copy — the precondition for a dropped/ignored assertion to
 /// leave a stale-*false* `Shared` bit behind.
-fn sharers_survive(p: &dyn Protocol, op: BusOp) -> bool {
+fn sharers_survive(t: &ProtocolTable, op: BusOp) -> bool {
     // Probe only the protocol's declared states: tables are entitled to
-    // reject states they never produce.
-    p.states().iter().all(|&s| {
-        let r = p.snoop(s, op);
+    // hold anything for states they never produce.
+    t.states.iter().all(|&s| {
+        let r = t.snoop[s as usize][op as usize];
         !r.assert_shared || r.next.is_valid()
     })
 }
 
 /// True when every write-hit that takes `op` to the bus lands in a
 /// non-shared (exclusive) state under a not-shared `MShared` response.
-fn write_hits_go_exclusive(p: &dyn Protocol, op: BusOp) -> bool {
-    p.states().iter().filter(|s| s.is_valid()).all(|&w| match p.write_hit(w) {
-        WriteHitEffect::Bus(o) if o == op => !p.after_write_bus(w, op, false).is_shared(),
+fn write_hits_go_exclusive(t: &ProtocolTable, op: BusOp) -> bool {
+    t.states.iter().filter(|s| s.is_valid()).all(|&w| match t.write_hit_effect(w) {
+        WriteHitEffect::Bus(o) if o == op => !t.after_write[w as usize][0].is_shared(),
         _ => true,
     })
 }
 
 /// Generates every guaranteed-detectable single-entry mutation of
-/// `kind`'s tables whose entry `log` shows was exercised.
+/// `kind`'s table whose entry `log` shows was exercised.
 ///
 /// Each generation rule encodes a proof sketch that the mutant's first
 /// exercise breaks an invariant at the very next per-step check, so a
 /// mutant surviving [`explore_with`] at the recording configuration is
 /// always a checker bug, never an unlucky configuration.
 pub fn mutations_for(kind: ProtocolKind, log: &ExerciseLog) -> Vec<Mutation> {
-    let p = kind.build();
+    let t = kind.table();
     let mut out = Vec::new();
 
     // Stale-false fill: a shared fill was observed, and the inverted
     // response would install an exclusive copy while the (surviving)
     // snooper still holds the line — exclusivity violation.
     if log.read_fill_shared[1] {
-        let unshared = p.read_fill_state(false);
-        if unshared != p.read_fill_state(true)
-            && !unshared.is_shared()
-            && sharers_survive(p.as_ref(), BusOp::Read)
-        {
+        let [unshared, shared] = t.read_fill;
+        if unshared != shared && !unshared.is_shared() && sharers_survive(&t, BusOp::Read) {
             out.push(Mutation::ReadFillIgnoreShared);
         }
     }
@@ -380,9 +209,9 @@ pub fn mutations_for(kind: ProtocolKind, log: &ExerciseLog) -> Vec<Mutation> {
     // Dropped write-back responsibility: a silent write hit that should
     // dirty the line leaves it clean — the line now disagrees with
     // memory while claiming cleanliness (clean-consistency violation).
-    for &s in p.states() {
-        if s.is_valid() && log.write_hit[state_index(s) as usize] {
-            if let WriteHitEffect::Silent(next) = p.write_hit(s) {
+    for &s in t.states {
+        if s.is_valid() && log.write_hit[s as usize] {
+            if let WriteHitEffect::Silent(next) = t.write_hit_effect(s) {
                 if next.is_dirty() {
                     out.push(Mutation::WriteHitSilentClean { state: s });
                 }
@@ -390,13 +219,12 @@ pub fn mutations_for(kind: ProtocolKind, log: &ExerciseLog) -> Vec<Mutation> {
         }
     }
 
-    for &(si, oi) in &log.snoop {
-        let s = LineState::ALL[si as usize];
-        let op = OPS[oi as usize];
+    let snooped = LineState::ALL.into_iter().flat_map(|s| BusOp::ALL.map(|op| (s, op)));
+    for (s, op) in snooped.filter(|&(s, op)| log.snoop[s as usize][op as usize]) {
         if !s.is_valid() {
             continue;
         }
-        let r = p.snoop(s, op);
+        let r = t.snoop[s as usize][op as usize];
 
         // Stale-false MShared: only generated when the initiator's
         // not-shared outcome is exclusive while this snooper keeps its
@@ -404,19 +232,19 @@ pub fn mutations_for(kind: ProtocolKind, log: &ExerciseLog) -> Vec<Mutation> {
         if r.assert_shared && r.next.is_valid() {
             let detectable = match op {
                 BusOp::Read => {
-                    let f = p.read_fill_state(false);
-                    f != p.read_fill_state(true) && !f.is_shared()
+                    let [f, shared] = t.read_fill;
+                    f != shared && !f.is_shared()
                 }
                 BusOp::Write => {
-                    let miss_ok = match p.write_miss_policy() {
+                    let miss_ok = match t.write_miss {
                         WriteMissPolicy::WriteThrough { allocate } => {
-                            allocate && !p.write_through_fill_state(false).is_shared()
+                            allocate && !t.write_through_fill[0].is_shared()
                         }
                         _ => true,
                     };
-                    miss_ok && write_hits_go_exclusive(p.as_ref(), BusOp::Write)
+                    miss_ok && write_hits_go_exclusive(&t, BusOp::Write)
                 }
-                BusOp::Update => write_hits_go_exclusive(p.as_ref(), BusOp::Update),
+                BusOp::Update => write_hits_go_exclusive(&t, BusOp::Update),
                 _ => false,
             };
             if detectable {
@@ -440,17 +268,10 @@ pub fn mutations_for(kind: ProtocolKind, log: &ExerciseLog) -> Vec<Mutation> {
     // Stale-false on the write path: the writer saw MShared asserted,
     // and the inverted table entry sends it to an exclusive state while
     // the asserting snoopers survive.
-    for &(wi, oi, shared) in &log.after_write {
-        if !shared {
-            continue;
-        }
-        let w = LineState::ALL[wi as usize];
-        let op = OPS[oi as usize];
-        let not_shared = p.after_write_bus(w, op, false);
-        if not_shared != p.after_write_bus(w, op, true)
-            && !not_shared.is_shared()
-            && sharers_survive(p.as_ref(), op)
-        {
+    for w in LineState::ALL.into_iter().filter(|&w| log.after_write[w as usize][1]) {
+        let Some(WriteHitEffect::Bus(op)) = t.write_hit[w as usize] else { continue };
+        let [not_shared, shared] = t.after_write[w as usize];
+        if not_shared != shared && !not_shared.is_shared() && sharers_survive(&t, op) {
             out.push(Mutation::AfterWriteIgnoreShared { state: w, op });
         }
     }
@@ -503,13 +324,11 @@ pub fn mutation_smoke(cfg: &McConfig) -> (McReport, Vec<MutationOutcome>) {
         cfg.caches == 2,
         "mutation kill proofs assume a 2-cache configuration (sole MShared asserter)"
     );
-    let kind = cfg.protocol;
     let (log, clean) = record_exercise(cfg);
-    let outcomes = mutations_for(kind, &log)
+    let outcomes = mutations_for(cfg.protocol, &log)
         .into_iter()
         .map(|mutation| {
-            let factory = move || mutant_tables(cfg, mutation);
-            let report = explore_with(cfg, Some(&factory));
+            let report = explore_with(cfg, mutant_table(cfg, mutation));
             MutationOutcome {
                 mutation,
                 caught: report.violation.is_some(),
@@ -530,7 +349,7 @@ mod tests {
         let (log, report) = record_exercise(&cfg);
         assert!(report.violation.is_none(), "{:?}", report.violation);
         assert!(log.read_fill_shared[0] && log.read_fill_shared[1]);
-        assert!(!log.snoop.is_empty());
+        assert!(log.snoop.iter().flatten().any(|&b| b));
         assert!(log.write_hit.iter().any(|&b| b));
     }
 

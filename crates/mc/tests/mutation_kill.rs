@@ -1,6 +1,6 @@
-//! Mutation-testing smoke: one flipped transition-table entry at a
-//! time, run through the *real* `MemSystem` engine via
-//! `MemSystem::with_protocol`. The model checker must catch every
+//! Mutation-testing smoke: one edited protocol-table entry at a time,
+//! run through the *real* `MemSystem` engine via
+//! `MemSystem::with_table`. The model checker must catch every
 //! generated mutant under every protocol — otherwise its green runs
 //! prove nothing — and every kill must come with a minimized,
 //! replayable counterexample that renders through the standard
@@ -9,7 +9,7 @@
 use firefly_core::events::validate_json;
 use firefly_core::protocol::ProtocolKind;
 use firefly_mc::explore::{counterexample, replay_violation, McConfig};
-use firefly_mc::mutate::{mutant_tables, mutation_smoke, mutations_for, record_exercise};
+use firefly_mc::mutate::{mutant_table, mutation_smoke, mutations_for, record_exercise};
 
 #[test]
 fn every_generated_mutant_is_killed() {
@@ -38,12 +38,11 @@ fn counterexamples_are_minimal_and_replayable() {
         for o in outcomes {
             let v = o.violation.expect("caught mutant carries a violation");
             let mutation = o.mutation;
-            let cfg_ref = &cfg;
-            let factory = move || mutant_tables(cfg_ref, mutation);
+            let table = mutant_table(&cfg, mutation);
 
             // Replayable: the minimized path still violates from reset.
             assert!(
-                replay_violation(&cfg, Some(&factory), &v.path).is_some(),
+                replay_violation(&cfg, table, &v.path).is_some(),
                 "{kind:?}/{mutation}: minimized path no longer violates"
             );
             // 1-minimal: dropping any single op loses the violation.
@@ -51,7 +50,7 @@ fn counterexamples_are_minimal_and_replayable() {
                 let mut shorter = v.path.clone();
                 shorter.remove(skip);
                 assert!(
-                    replay_violation(&cfg, Some(&factory), &shorter).is_none(),
+                    replay_violation(&cfg, table, &shorter).is_none(),
                     "{kind:?}/{mutation}: path not 1-minimal (op {skip} is removable)"
                 );
             }
@@ -70,9 +69,7 @@ fn counterexample_traces_render_through_the_standard_exporters() {
     for o in outcomes {
         let v = o.violation.expect("caught mutant carries a violation");
         let mutation = o.mutation;
-        let cfg_ref = &cfg;
-        let factory = move || mutant_tables(cfg_ref, mutation);
-        let ce = counterexample(&cfg, Some(&factory), &v);
+        let ce = counterexample(&cfg, mutant_table(&cfg, mutation), &v);
         assert!(!ce.events.is_empty(), "{mutation}: counterexample captured no events");
         validate_json(&ce.chrome_trace())
             .unwrap_or_else(|e| panic!("{mutation}: chrome trace is not valid JSON: {e}"));

@@ -17,7 +17,7 @@ use firefly_core::protocol::{BusOp, ProtocolKind};
 use firefly_core::system::{MemSystem, Request};
 use firefly_core::{Addr, CacheGeometry, PortId};
 use firefly_mc::explore::{explore_with, McConfig};
-use firefly_mc::mutate::{mutant_tables, mutations_for, record_exercise, Mutation};
+use firefly_mc::mutate::{mutant_table, mutations_for, record_exercise, Mutation};
 use std::collections::BTreeMap;
 
 /// Stale-true: a heavy spurious-`MShared` plan over a ping-pong
@@ -64,24 +64,23 @@ fn spurious_mshared_is_tolerated() {
 fn dropped_mshared_is_rejected() {
     let mut direct = 0;
     for kind in ProtocolKind::ALL {
-        let tables = kind.build();
-        let fill_alone = tables.read_fill_state(false);
-        let fill_shared = tables.read_fill_state(true);
+        let table = kind.table();
+        let [fill_alone, fill_shared] = table.read_fill;
         // The scenario is observable only where an unshared read fill
         // is exclusive and the filled state answers read snoops.
         if fill_alone.is_shared()
             || fill_alone == fill_shared
-            || !tables.snoop(fill_alone, BusOp::Read).assert_shared
+            || !table.snoop[fill_alone as usize][BusOp::Read as usize].assert_shared
         {
             continue;
         }
         let mc = McConfig::new(kind);
         let mutant =
-            mutant_tables(&mc, Mutation::SnoopDropShared { state: fill_alone, op: BusOp::Read });
+            mutant_table(&mc, Mutation::SnoopDropShared { state: fill_alone, op: BusOp::Read });
         let cfg = SystemConfig::microvax(2)
             .with_cache(CacheGeometry::new(4, 1).unwrap())
             .with_memory_mb(1);
-        let mut sys = MemSystem::with_protocol(cfg, kind, mutant).unwrap();
+        let mut sys = MemSystem::with_table(cfg, mutant).unwrap();
         let addr = Addr::from_word_index(0);
         sys.run_to_completion(PortId::new(0), Request::read(addr)).unwrap();
         sys.run_to_completion(PortId::new(1), Request::read(addr)).unwrap();
@@ -105,9 +104,7 @@ fn every_dropped_mshared_mutant_is_caught_by_exploration() {
             if !matches!(m, Mutation::SnoopDropShared { .. }) {
                 continue;
             }
-            let cfg_ref = &cfg;
-            let factory = move || mutant_tables(cfg_ref, m);
-            let rep = explore_with(&cfg, Some(&factory));
+            let rep = explore_with(&cfg, mutant_table(&cfg, m));
             assert!(rep.violation.is_some(), "{kind:?}: {m} survived exploration");
             total += 1;
         }

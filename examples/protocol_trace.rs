@@ -14,7 +14,7 @@ use firefly::core::{Addr, LineId, PortId};
 
 fn main() -> Result<(), firefly::core::Error> {
     println!("=== Figure 3: the Firefly protocol transition tables ===\n");
-    println!("{}", transition_table(ProtocolKind::Firefly.build().as_ref()));
+    println!("{}", transition_table(&ProtocolKind::Firefly.table()));
 
     println!("=== the same transitions, live on a two-processor system ===\n");
     let cfg = SystemConfig::microvax(2).with_event_trace(1 << 12);
