@@ -284,20 +284,13 @@ struct StateKey {
     ts: Vec<u64>,
 }
 
-fn state_index(s: firefly_core::protocol::LineState) -> u8 {
-    firefly_core::protocol::LineState::ALL
-        .iter()
-        .position(|&x| x == s)
-        .expect("LineState::ALL is exhaustive") as u8
-}
-
 fn state_key(cfg: &McConfig, sys: &MemSystem) -> StateKey {
     let mut ports = Vec::with_capacity(cfg.caches);
     for p in 0..cfg.caches {
         let mut resident: Vec<(u32, u8, Vec<u32>)> = sys
             .resident_lines(PortId::new(p))
             .into_iter()
-            .map(|(line, state, data)| (line.raw(), state_index(state), data.as_slice().to_vec()))
+            .map(|(line, state, data)| (line.raw(), state as u8, data.as_slice().to_vec()))
             .collect();
         resident.sort_unstable();
         ports.push(resident);
