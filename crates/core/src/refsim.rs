@@ -7,12 +7,12 @@
 //! reference streams through tag-only caches, reads the same
 //! [`ProtocolTable`] as the cycle engine, and counts bus events. No
 //! data and no timing, so it suits wide protocol/sharing sweeps: one
-//! [`RefSim::access`] costs about 28 ns (median over the seven protocols;
-//! 4 CPUs, 16 KB caches, 300 k references of the paper-calibrated
-//! stream at S = 0.10 replayed from memory, best of five passes, release
-//! build on a 2-vCPU shared VM). Generating the synthetic reference
-//! costs about twice that, so a sweep replays one stream under every
-//! protocol rather than regenerating it per protocol.
+//! [`RefSim::access`] costs about 20 ns (median over the seven protocols
+//! of six runs, each the best of five passes; 4 CPUs, 16 KB caches,
+//! 300 k references of the paper-calibrated stream at S = 0.10 replayed
+//! from memory, release build on a 2-vCPU shared VM). Generating the
+//! synthetic reference costs over twice that, so a sweep replays one
+//! stream under every protocol rather than regenerating it per protocol.
 //!
 //! Costs are assigned afterwards by [`CostModel`], which charges the
 //! paper's two ticks per MBus operation and can fold in a bus-contention
