@@ -73,12 +73,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// packet size.
 pub const REPLY_PAYLOAD_BYTES: usize = 94;
 
-/// How long a sender waits before re-attempting a transmit that was
-/// rejected by a full TX ring (pure backpressure, consumes no retry
-/// budget). A rejected attempt builds no frame (see
-/// [`EtherSegment::enqueue_with`]): it costs a ring-length check and a
-/// counter bump, so this paces the retries' wire pressure, not their
-/// host cost.
+/// How long a client waits before re-attempting a *retransmission*
+/// that was rejected by a full TX ring (pure backpressure, consumes no
+/// retry budget). Each re-attempt is a timer event: it counts a timeout
+/// and may draw the failover RNG, so a sender cannot sleep through it.
+/// Fresh calls are not paced by this: a client whose backlog is blocked
+/// on a full ring sleeps until its next real event, and the refusals
+/// it would have counted meanwhile are credited in bulk
+/// ([`RpcClient::credit_refusals`]).
 pub const TX_RETRY_CYCLES: u64 = 32;
 
 /// One RPC message. Requests are padded to their declared payload size
@@ -606,20 +608,48 @@ impl RpcClient {
     }
 
     /// The next cycle after `now` at which [`tick`](RpcClient::tick)
-    /// acts, given no frame arrives first: `now + 1` while the backlog
-    /// can admit a call, else the earliest timeout or hedge. While the
-    /// TX ring is full, each of those cycles tries the enqueue and has
-    /// it refused and counted; the refusal builds no frame, so the
-    /// per-cycle cost is a ring check, not an encode and a CRC. The
+    /// does more than count a refused enqueue, given the segment does
+    /// not tick first: `now + 1` while frames wait in the RX ring or the
+    /// backlog can admit a call that is not
+    /// [`ring_blocked`](RpcClient::ring_blocked), else the earliest
+    /// timeout or hedge. A tick short of it changes nothing, or, while
+    /// the client is ring-blocked, only counts the one refusal that
+    /// [`credit_refusals`](RpcClient::credit_refusals) credits. The
     /// timer may be stale-low after an ack; waking on it is a scan that
     /// finds nothing due.
     #[inline]
-    pub fn next_event(&self, now: u64) -> u64 {
-        if self.can_admit() {
+    pub fn next_event(&self, now: u64, seg: &EtherSegment) -> u64 {
+        if seg.rx_queued(self.nic as usize) > 0 || (self.can_admit() && !self.ring_blocked(seg)) {
             now + 1
         } else {
             self.next_deadline.max(now + 1)
         }
+    }
+
+    /// Whether this client is ring-blocked: its backlog can admit a
+    /// call, `seg` [`refuses`](EtherSegment::refuses) its NIC, and
+    /// admission changes no state, because breakers are off or the
+    /// breaker at the first slot tried (`next_seq` modulo the server
+    /// count) is `Closed`. An `Open` or `HalfOpen` breaker there may
+    /// change state inside `admit`, so such a client is never blocked.
+    /// A tick of a ring-blocked client that receives nothing and has
+    /// no timer due has one enqueue refused and counted, and does
+    /// nothing else.
+    pub fn ring_blocked(&self, seg: &EtherSegment) -> bool {
+        self.can_admit()
+            && seg.refuses(self.nic as usize)
+            && (self.breakers.get(self.next_seq as usize % self.servers.len()))
+                .is_none_or(|b| b.state() == BreakerState::Closed)
+    }
+
+    /// Counts what `n` ticks of a [`ring_blocked`](RpcClient::ring_blocked)
+    /// client short of its [`next_event`](RpcClient::next_event) would
+    /// count: `n` refused enqueues here (`tx_ring_full`) and on `seg`
+    /// (`tx_rejected`).
+    pub fn credit_refusals(&mut self, n: u64, seg: &mut EtherSegment) {
+        debug_assert!(self.ring_blocked(seg), "credited refusals to a client that is not blocked");
+        self.stats.tx_ring_full += n;
+        seg.count_refusals(n);
     }
 
     /// Lowest sequence number this client could still retransmit;
@@ -1271,18 +1301,42 @@ impl RpcServer {
     }
 
     /// The next cycle after `now` at which [`tick`](RpcServer::tick)
-    /// acts, given no frame arrives first: `now + 1` while replies wait
-    /// for TX ring space (each cycle retries the enqueue; a refused one
-    /// is counted and leaves the backlog's head frame where it is) or a
-    /// worker is free with work queued; else the earliest running job's
-    /// completion. `u64::MAX` when idle.
+    /// does more than count a refused enqueue, given the segment does
+    /// not tick first: `now + 1` while frames wait in the RX ring,
+    /// replies wait for TX ring space the ring would give, or a worker
+    /// is free with work queued; else the earliest running job's
+    /// completion. `u64::MAX` when idle. A tick short of it changes
+    /// nothing, or, while the server is
+    /// [`ring_blocked`](RpcServer::ring_blocked), only counts the one
+    /// refusal that [`credit_refusals`](RpcServer::credit_refusals)
+    /// credits.
     #[inline]
-    pub fn next_event(&self, now: u64) -> u64 {
+    pub fn next_event(&self, now: u64, seg: &EtherSegment) -> u64 {
         let free_worker = self.running.iter().any(Option::is_none);
-        if !self.reply_backlog.is_empty() || (free_worker && !self.queue.is_empty()) {
+        if seg.rx_queued(self.nic as usize) > 0
+            || (!self.reply_backlog.is_empty() && !seg.refuses(self.nic as usize))
+            || (free_worker && !self.queue.is_empty())
+        {
             return now + 1;
         }
         self.running.iter().flatten().map(|job| job.done_at).min().unwrap_or(u64::MAX).max(now + 1)
+    }
+
+    /// Whether replies wait for TX ring space that `seg` refuses. A tick
+    /// of a ring-blocked server that receives nothing and finishes no
+    /// job has its backlog flush refused and counted, and does nothing
+    /// else.
+    pub fn ring_blocked(&self, seg: &EtherSegment) -> bool {
+        !self.reply_backlog.is_empty() && seg.refuses(self.nic as usize)
+    }
+
+    /// Counts what `n` ticks of a [`ring_blocked`](RpcServer::ring_blocked)
+    /// server short of its [`next_event`](RpcServer::next_event) would
+    /// count: `n` refused flushes on `seg` (`tx_rejected`). The server's
+    /// own counters see none of them.
+    pub fn credit_refusals(&self, n: u64, seg: &mut EtherSegment) {
+        debug_assert!(self.ring_blocked(seg), "credited refusals to a server that is not blocked");
+        seg.count_refusals(n);
     }
 
     /// Queues `msg` to a client, spilling to the bounded reply backlog
@@ -1966,6 +2020,118 @@ mod tests {
         let delivered = seg.recv(1).expect("the reply");
         assert_eq!(RpcMsg::decode(&delivered.payload), Some(reply));
         assert_eq!(delivered.payload.as_ptr(), payload, "the frame was moved, never cloned");
+    }
+
+    /// The endpoint's saved bytes, for byte-equality checks.
+    fn saved(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
+    /// A client at NIC 2 of a three-NIC segment with one-frame TX rings,
+    /// calling servers 0 and 1: three calls submitted, the first sent
+    /// at cycle 1 and left in the ring (the segment is not ticked), so
+    /// the other two wait on a full ring.
+    fn client_on_a_full_ring(policy: RetryPolicy) -> (RpcClient, EtherSegment) {
+        let mut cfg = SegmentConfig::new(3);
+        cfg.tx_ring = 1;
+        let mut seg = EtherSegment::new(cfg);
+        let mut client = RpcClient::new(2, vec![0, 1], policy, 7);
+        for _ in 0..3 {
+            assert!(client.submit(0, 200));
+        }
+        client.tick(1, &mut seg);
+        assert_eq!((client.outstanding(), client.backlogged()), (1, 2));
+        assert!(seg.refuses(2), "the first call fills the ring");
+        (client, seg)
+    }
+
+    /// Ticking a ring-blocked `client` at each of the `n` cycles after
+    /// `now` (the segment not ticked) leaves the same client bytes,
+    /// stats and segment bytes as crediting it `n` refusals.
+    fn assert_credit_equals_ticks(client: &RpcClient, seg: &EtherSegment, now: u64, n: u64) {
+        assert!(client.ring_blocked(seg), "the client is ring-blocked");
+        assert!(client.next_event(now, seg) > now + n, "the ticks stay short of the horizon");
+        let (mut ticked, mut ticked_seg) = (client.clone(), seg.clone());
+        for at in now + 1..=now + n {
+            ticked.tick(at, &mut ticked_seg);
+        }
+        let (mut credited, mut credited_seg) = (client.clone(), seg.clone());
+        credited.credit_refusals(n, &mut credited_seg);
+        assert_eq!(ticked.stats(), credited.stats());
+        assert_eq!(ticked_seg.stats(), credited_seg.stats());
+        assert_eq!(credited.stats().tx_ring_full - client.stats().tx_ring_full, n);
+        assert_eq!(credited_seg.stats().tx_rejected - seg.stats().tx_rejected, n);
+        assert!(saved(|w| ticked.save(w)) == saved(|w| credited.save(w)), "client bytes differ");
+        assert!(saved(|w| ticked_seg.save(w)) == saved(|w| credited_seg.save(w)));
+    }
+
+    #[test]
+    fn blocked_client_credit_equals_ticks_with_breakers_off() {
+        let (client, seg) = client_on_a_full_ring(RetryPolicy::budgeted(20_000));
+        assert_eq!(client.breaker_state(0), None);
+        assert_credit_equals_ticks(&client, &seg, 1, 5_000);
+    }
+
+    #[test]
+    fn blocked_client_credit_equals_ticks_behind_a_closed_breaker() {
+        let (client, seg) = client_on_a_full_ring(RetryPolicy::resilient(20_000));
+        let first = client.next_seq as usize % client.servers().len();
+        assert_eq!(client.breaker_state(first), Some(BreakerState::Closed));
+        assert_credit_equals_ticks(&client, &seg, 1, 5_000);
+    }
+
+    /// An `Open` or `HalfOpen` breaker at the first slot tried changes
+    /// inside `admit`, so a client behind one is never ring-blocked: it
+    /// keeps ticking every cycle. The `HalfOpen` case shows why, and a
+    /// leak with it: each refused tick still takes a probe, so a full
+    /// ring spends the probe quota on calls that never reach the wire.
+    #[test]
+    fn open_and_half_open_first_slots_are_never_blocked() {
+        let (mut client, seg) = client_on_a_full_ring(RetryPolicy::resilient(20_000));
+        let first = client.next_seq as usize % client.servers().len();
+        for _ in 0..3 {
+            client.breakers[first].on_failure(1);
+        }
+        assert_eq!(client.breaker_state(first), Some(BreakerState::Open));
+        assert!(!client.ring_blocked(&seg), "an Open first slot is not blocked");
+        assert_eq!(client.next_event(1, &seg), 2);
+
+        assert!(client.breakers[first].admit(u64::MAX), "the cooled breaker admits a probe");
+        assert_eq!(client.breaker_state(first), Some(BreakerState::HalfOpen));
+        assert!(!client.ring_blocked(&seg), "a HalfOpen first slot is not blocked");
+        assert_eq!(client.next_event(1, &seg), 2);
+        let (mut ticked, mut ticked_seg) = (client.clone(), seg.clone());
+        ticked.tick(2, &mut ticked_seg);
+        assert_eq!(ticked.stats().tx_ring_full, client.stats().tx_ring_full + 1, "refused");
+        let probes = |c: &RpcClient| c.breaker_stats(first).expect("breakers on").probes;
+        assert_eq!(probes(&ticked), probes(&client) + 1, "the refused call took a probe");
+    }
+
+    #[test]
+    fn blocked_server_credit_equals_ticks() {
+        let mut cfg = SegmentConfig::new(2);
+        cfg.tx_ring = 1;
+        let mut seg = EtherSegment::new(cfg);
+        let mut s = RpcServer::new(0, 1, 10, 1);
+        assert!(seg.enqueue(Frame::new(0, 1, vec![0; 8])), "fills the server's TX ring");
+        let reply = RpcMsg::Reply { client: 1, seq: 0, server: 0, result: 9, epoch: 0 };
+        s.reply_backlog.push_back(reply.frame(0, 1));
+        assert!(s.ring_blocked(&seg));
+        assert_eq!(s.next_event(0, &seg), u64::MAX, "an idle server sleeps on its full ring");
+        let n = 4_000;
+        let (mut ticked, mut ticked_seg) = (s.clone(), seg.clone());
+        for at in 1..=n {
+            ticked.tick(at, &mut ticked_seg);
+        }
+        let mut credited_seg = seg.clone();
+        s.credit_refusals(n, &mut credited_seg);
+        assert_eq!(ticked.stats(), s.stats(), "a refused flush counts nothing at the server");
+        assert_eq!(ticked_seg.stats(), credited_seg.stats());
+        assert_eq!(credited_seg.stats().tx_rejected, n);
+        assert!(saved(|w| ticked.save(w)) == saved(|w| s.save(w)), "server bytes differ");
+        assert!(saved(|w| ticked_seg.save(w)) == saved(|w| credited_seg.save(w)));
     }
 
     #[test]

@@ -277,23 +277,39 @@ impl EtherSegment {
         self.enqueue_with(frame.src, || frame)
     }
 
+    /// Whether NIC `src` would refuse an enqueue now: it is offline or
+    /// its TX ring is full. Only a tick (which may start a frame from
+    /// the ring) or a power change alters the answer, so a sender that
+    /// finds its ring refusing may sleep until the segment's next event.
+    #[inline]
+    pub fn refuses(&self, src: usize) -> bool {
+        let nic = &self.nics[src];
+        !nic.online || nic.tx.len() >= self.cfg.tx_ring
+    }
+
+    /// Counts `n` refused enqueues at once: the `tx_rejected` that `n`
+    /// [`enqueue_with`](EtherSegment::enqueue_with) calls on a NIC that
+    /// [`refuses`](EtherSegment::refuses) would count.
+    pub fn count_refusals(&mut self, n: u64) {
+        self.stats.tx_rejected += n;
+    }
+
     /// Queues the frame `build` returns on NIC `src`'s TX ring, calling
-    /// `build` only if the ring takes it. A refusal (ring full or NIC
-    /// offline) counts `tx_rejected` and costs nothing else: no payload
-    /// is encoded or checksummed and no frame is built or cloned, so a
-    /// sender may re-poll a full ring every cycle cheaply. `build` may
-    /// move a frame out of the caller's own queue, which then stays
-    /// untouched on refusal. Returns whether the frame was queued.
+    /// `build` only if the ring takes it. A refusal (exactly when
+    /// [`refuses`](EtherSegment::refuses) holds) counts `tx_rejected`
+    /// and costs nothing else: no payload is encoded or checksummed and
+    /// no frame is built or cloned. `build` may move a frame out of the
+    /// caller's own queue, which then stays untouched on refusal.
+    /// Returns whether the frame was queued.
     pub fn enqueue_with(&mut self, src: usize, build: impl FnOnce() -> Frame) -> bool {
-        let nic = &mut self.nics[src];
-        if !nic.online || nic.tx.len() >= self.cfg.tx_ring {
+        if self.refuses(src) {
             self.stats.tx_rejected += 1;
             return false;
         }
         let frame = build();
         assert_eq!(frame.src, src, "frame built for another NIC's ring");
         assert!(frame.dst < self.cfg.nics, "NIC index out of range");
-        nic.tx.push_back(frame);
+        self.nics[src].tx.push_back(frame);
         self.stats.tx_enqueued += 1;
         true
     }

@@ -1,6 +1,7 @@
 //! Property tests of the derived horizons the fleet skips by
 //! ([`EtherSegment::next_event`], [`RpcServer::next_event`],
-//! [`RpcClient::next_event`]).
+//! [`RpcClient::next_event`]) and the refusals credited in place of the
+//! ticks a ring-blocked sender sleeps through.
 //!
 //! A skipping fleet is only bit-identical to a ticking one if no horizon
 //! is ever late. For every input:
@@ -10,8 +11,9 @@
 //!   random enqueue schedules, fault plans (drop, duplicate, reorder,
 //!   corrupt, partition windows) and NIC power toggles;
 //! * ticking a server or client at any cycle short of its
-//!   `next_event(now)`, with no frame arriving, changes neither its saved
-//!   bytes nor the segment's (a refused enqueue would count).
+//!   `next_event(now, seg)`, with the segment not ticked, saves the same
+//!   bytes, its own and the segment's, as crediting it one refusal when
+//!   it is ring-blocked and doing nothing when it is not.
 //!
 //! It also checks the lazy send path the endpoints use: feeding a
 //! segment through [`EtherSegment::enqueue_with`] accepts and refuses
@@ -103,7 +105,8 @@ fn skip_until(seg: &mut EtherSegment, target: u64) {
 }
 
 /// Checks that ticking `server` and `client` at `at` — each short of its
-/// own horizon — leaves every saved byte alone.
+/// own horizon — leaves every saved byte as crediting a ring-blocked
+/// sender its one refusal (and an unblocked one nothing) would.
 fn assert_quiet_at(
     seg: &EtherSegment,
     server: &RpcServer,
@@ -111,9 +114,20 @@ fn assert_quiet_at(
     now: u64,
     pick: u64,
 ) {
-    let (seg_before, server_before, client_before) =
-        (segment_bytes(seg), server_bytes(server), client_bytes(client));
-    for horizon in [server.next_event(now), client.next_event(now)] {
+    let (mut server_seg, mut client_seg) = (seg.clone(), seg.clone());
+    let mut credited = client.clone();
+    if server.ring_blocked(seg) {
+        server.credit_refusals(1, &mut server_seg);
+    }
+    if client.ring_blocked(seg) {
+        credited.credit_refusals(1, &mut client_seg);
+    }
+    let (server_seg_after, client_seg_after) =
+        (segment_bytes(&server_seg), segment_bytes(&client_seg));
+    let (server_before, client_after) = (server_bytes(server), client_bytes(&credited));
+    let (server_horizon, client_horizon) =
+        (server.next_event(now, seg), client.next_event(now, seg));
+    for horizon in [server_horizon, client_horizon] {
         assert!(horizon > now, "a horizon at or before now");
     }
     // The first, last and one random cycle strictly between now and the
@@ -122,23 +136,23 @@ fn assert_quiet_at(
         0 => Vec::new(),
         span => vec![now + 1, now + 1 + pick % span, horizon - 1],
     };
-    for at in probe(server.next_event(now)) {
+    for at in probe(server_horizon) {
         let (mut seg, mut server) = (seg.clone(), server.clone());
         server.tick(at, &mut seg);
         assert!(
             server_bytes(&server) == server_before,
             "server acted at {at}, before {now}'s horizon"
         );
-        assert!(segment_bytes(&seg) == seg_before, "server touched the wire at {at}");
+        assert!(segment_bytes(&seg) == server_seg_after, "server touched the wire at {at}");
     }
-    for at in probe(client.next_event(now)) {
+    for at in probe(client_horizon) {
         let (mut seg, mut client) = (seg.clone(), client.clone());
         client.tick(at, &mut seg);
         assert!(
-            client_bytes(&client) == client_before,
+            client_bytes(&client) == client_after,
             "client acted at {at}, before {now}'s horizon"
         );
-        assert!(segment_bytes(&seg) == seg_before, "client touched the wire at {at}");
+        assert!(segment_bytes(&seg) == client_seg_after, "client touched the wire at {at}");
     }
 }
 

@@ -681,10 +681,11 @@ impl ClientHost {
     }
 
     /// The next cycle after `now` at which [`tick`](ClientHost::tick)
-    /// acts, given no frame arrives first: the next arrival or the
-    /// endpoint's own next event.
-    fn next_event(&self, now: u64) -> u64 {
-        self.rpc.next_event(now).min(self.next_arrival)
+    /// does more than count a refused enqueue, given the segment does
+    /// not tick first: the next arrival or the endpoint's own next
+    /// event.
+    fn next_event(&self, now: u64, seg: &EtherSegment) -> u64 {
+        self.rpc.next_event(now, seg).min(self.next_arrival)
     }
 }
 
@@ -757,6 +758,24 @@ pub struct FleetReport {
 /// practice; past the bound the ring keeps the newest.
 pub const EVENT_CAPACITY: usize = 4_096;
 
+firefly_core::counters! {
+    /// How [`Fleet::run_until`] spent a run: host-side bookkeeping of
+    /// the skipping engine, not simulated state. They are never
+    /// snapshotted, and [`Fleet::step`] counts none of them.
+    pub struct FleetEngineStats {
+        /// Cycles stepped one at a time: a segment tick and the
+        /// endpoints due in it.
+        pub steps: u64,
+        /// Jumps over cycles in which no endpoint was due.
+        pub jumps: u64,
+        /// Cycles those jumps crossed.
+        pub cycles_jumped: u64,
+        /// Refused enqueues credited to ring-blocked senders in place
+        /// of the ticks they slept through.
+        pub credited_refusals: u64,
+    }
+}
+
 /// N simulated Fireflies on one Ethernet segment: a server tier, a
 /// client tier, and the wire between them.
 #[derive(Debug)]
@@ -768,6 +787,7 @@ pub struct Fleet {
     clients: Vec<ClientHost>,
     cycle: u64,
     events: EventRing,
+    engine: FleetEngineStats,
 }
 
 impl Fleet {
@@ -800,6 +820,7 @@ impl Fleet {
             clients,
             cycle: 0,
             events: EventRing::new(EVENT_CAPACITY),
+            engine: FleetEngineStats::default(),
         }
     }
 
@@ -838,42 +859,101 @@ impl Fleet {
 
     /// Runs until the fleet cycle reaches `target` (no-op if already
     /// there). Bit-identical to calling [`step`](Fleet::step) until
-    /// then, but after each step the clock jumps straight to the cycle
-    /// before the fleet's next event: every step short of it would only
-    /// advance the clock.
+    /// then, but each cycle ticks only the endpoints due in it, and
+    /// after each such step the clock jumps straight to the cycle before
+    /// the fleet's next event.
+    ///
+    /// An endpoint that is not due would, on its tick, either do nothing
+    /// or, while it is *ring-blocked* (a sender whose TX ring refuses
+    /// it: [`RpcClient::ring_blocked`], [`RpcServer::ring_blocked`]),
+    /// only have one enqueue refused and counted. So it is not ticked:
+    /// a blocked one is credited one refusal per cycle it sleeps
+    /// through, in one add for a whole jump. Its ring can free only at a
+    /// segment event, which ends any jump, and whether it is due is
+    /// read afresh after every segment tick. Every wake is derived from
+    /// state, none stored, so a snapshot needs no engine section.
     pub fn run_until(&mut self, target: u64) {
         while self.cycle < target {
-            self.step();
+            self.step_due();
             let idle_until = (self.next_event() - 1).min(target);
             if idle_until > self.cycle {
+                self.credit_blocked(idle_until - self.cycle);
                 self.segment.skip_to(idle_until);
+                self.engine.jumps += 1;
+                self.engine.cycles_jumped += idle_until - self.cycle;
                 self.cycle = idle_until;
             }
         }
     }
 
-    /// The next cycle at which [`step`](Fleet::step) does more than
-    /// advance the clock: the earliest of the segment's next event and
-    /// each live endpoint's, or the next cycle for a live endpoint with
-    /// frames waiting in its RX ring (a step drains every live ring, so
-    /// this guards only a state no step leaves, such as a crafted
-    /// image's). Partition and slowdown edges are no wake-ups: they are
-    /// read only at frame delivery and at job start, which are events
-    /// already. Breakers and failure detectors are lazy in `now` and
-    /// consulted only inside those actions.
-    fn next_event(&self) -> u64 {
-        let now = self.cycle;
-        let received = |nic: usize| self.segment.rx_queued(nic) > 0;
-        let servers = (self.servers.iter().enumerate())
-            .filter(|&(i, _)| self.server_online[i])
-            .map(|(i, s)| if received(i) { now + 1 } else { s.next_event(now) });
-        let clients = (self.clients.iter()).map(|c| {
-            if received(c.rpc.nic() as usize) {
-                now + 1
-            } else {
-                c.next_event(now)
+    /// [`step`](Fleet::step), ticking only the endpoints due in the new
+    /// cycle and crediting each ring-blocked one that is not due its
+    /// single refusal.
+    fn step_due(&mut self) {
+        self.segment.tick();
+        let now = self.segment.cycle();
+        self.cycle = now;
+        self.engine.steps += 1;
+        let seg = &mut self.segment;
+        for (s, _) in self.servers.iter_mut().zip(&self.server_online).filter(|(_, &on)| on) {
+            if s.next_event(now - 1, seg) <= now {
+                s.tick(now, seg);
+            } else if s.ring_blocked(seg) {
+                s.credit_refusals(1, seg);
+                self.engine.credited_refusals += 1;
             }
-        });
+        }
+        let cfg = self.cfg;
+        for c in &mut self.clients {
+            if c.next_event(now - 1, seg) <= now {
+                c.tick(now, &cfg, seg);
+            } else if c.rpc.ring_blocked(seg) {
+                c.rpc.credit_refusals(1, seg);
+                self.engine.credited_refusals += 1;
+            }
+        }
+    }
+
+    /// Credits every live ring-blocked endpoint the `cycles` refusals it
+    /// would count over a jump.
+    fn credit_blocked(&mut self, cycles: u64) {
+        let seg = &mut self.segment;
+        for (s, _) in self.servers.iter().zip(&self.server_online).filter(|(_, &on)| on) {
+            if s.ring_blocked(seg) {
+                s.credit_refusals(cycles, seg);
+                self.engine.credited_refusals += cycles;
+            }
+        }
+        for c in &mut self.clients {
+            if c.rpc.ring_blocked(seg) {
+                c.rpc.credit_refusals(cycles, seg);
+                self.engine.credited_refusals += cycles;
+            }
+        }
+    }
+
+    /// What [`run_until`](Fleet::run_until) has done on this fleet so
+    /// far: steps, jumps, cycles jumped and credited refusals. Host-side
+    /// only: a loaded snapshot neither carries nor resets them.
+    pub fn engine_stats(&self) -> FleetEngineStats {
+        self.engine
+    }
+
+    /// The next cycle at which a step does more than advance the clock
+    /// and credit ring-blocked senders: the earliest of the segment's
+    /// next event and each live endpoint's (which is the next cycle for
+    /// an endpoint with frames in its RX ring). A ring-blocked sender's
+    /// own event is its next timer, arrival or job completion; its ring
+    /// frees only at a segment event. Partition and slowdown edges are
+    /// no wake-ups: they are read only at frame delivery and at job
+    /// start, which are events already. Breakers and failure detectors
+    /// are lazy in `now` and consulted only inside those actions.
+    fn next_event(&self) -> u64 {
+        let (now, seg) = (self.cycle, &self.segment);
+        let servers = (self.servers.iter().zip(&self.server_online))
+            .filter(|(_, &on)| on)
+            .map(|(s, _)| s.next_event(now, seg));
+        let clients = self.clients.iter().map(|c| c.next_event(now, seg));
         let mut events = servers.chain(clients);
         let mut at = self.segment.next_event();
         while at > now + 1 {
@@ -982,6 +1062,16 @@ impl Fleet {
     /// Counters for client `i`.
     pub fn client_stats(&self, i: usize) -> RpcClientStats {
         self.clients[i].rpc.stats()
+    }
+
+    /// Client `i`'s RPC endpoint, for inspection.
+    pub fn client(&self, i: usize) -> &RpcClient {
+        &self.clients[i].rpc
+    }
+
+    /// The segment, for inspection.
+    pub fn segment(&self) -> &EtherSegment {
+        &self.segment
     }
 
     /// Total acknowledged request payload bytes across all clients —

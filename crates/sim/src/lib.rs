@@ -28,7 +28,7 @@ pub mod table2;
 
 pub use fleet::{
     goodput_mbps, run_crash_failover, run_retry_storm, CrashOutcome, Fleet, FleetConfig,
-    FleetReport, SlowdownWindow, StormOutcome,
+    FleetEngineStats, FleetReport, SlowdownWindow, StormOutcome,
 };
 pub use harness::{
     run_experiments, run_experiments_with, run_jobs, run_jobs_with, worker_count,

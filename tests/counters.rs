@@ -9,6 +9,7 @@ use firefly_cpu::processor::EngineStats;
 use firefly_cpu::CpuStats;
 use firefly_io::deqna::DeqnaStats;
 use firefly_net::{BreakerStats, RpcClientStats, RpcServerStats, SegmentStats};
+use firefly_sim::FleetEngineStats;
 use proptest::prelude::*;
 
 /// More words than any counter struct has fields.
@@ -78,6 +79,7 @@ proptest! {
             RpcClientStats,
             RpcServerStats,
             BreakerStats,
+            FleetEngineStats,
         );
     }
 }
