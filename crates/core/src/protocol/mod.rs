@@ -673,7 +673,10 @@ pub fn transition_table(t: &ProtocolTable) -> String {
     );
     let _ = writeln!(out);
     let _ = writeln!(out, "snoop side:");
-    let _ = writeln!(out, "  {:<6} {}", "state", BusOp::ALL.map(|o| format!("{o:<14}")).join(""));
+    // Cells are padded to 14 columns; the row is trimmed so the last
+    // one is not.
+    let header = BusOp::ALL.map(|o| format!("{o:<14}")).join("");
+    let _ = writeln!(out, "  {:<6} {}", "state", header.trim_end());
     for &s in t.states {
         let cells: Vec<String> = t.snoop[s as usize]
             .iter()
@@ -694,7 +697,7 @@ pub fn transition_table(t: &ProtocolTable) -> String {
                 format!("{cell:<14}")
             })
             .collect();
-        let _ = writeln!(out, "  {:<6} {}", s.short(), cells.join(""));
+        let _ = writeln!(out, "  {:<6} {}", s.short(), cells.join("").trim_end());
     }
     out
 }

@@ -5,17 +5,31 @@
 //! prove nothing — and every kill must come with a minimized,
 //! replayable counterexample that renders through the standard
 //! `timeline`/`chrome_trace` exporters.
+//!
+//! The mutation pass runs once per protocol ([`smoke`]) and every test
+//! here reads that one result.
 
 use firefly_core::events::validate_json;
 use firefly_core::protocol::ProtocolKind;
-use firefly_mc::explore::{counterexample, replay_violation, McConfig};
-use firefly_mc::mutate::{mutant_table, mutation_smoke, mutations_for, record_exercise};
+use firefly_mc::explore::{counterexample, replay_violation, McConfig, McReport};
+use firefly_mc::mutate::{
+    mutant_table, mutation_smoke, mutations_for, record_exercise, MutationOutcome,
+};
+use std::sync::OnceLock;
+
+/// [`mutation_smoke`] under `McConfig::new(kind)`, computed on first
+/// use and shared by every test in this file.
+fn smoke(kind: ProtocolKind) -> &'static (McReport, Vec<MutationOutcome>) {
+    static PASSES: [OnceLock<(McReport, Vec<MutationOutcome>)>; ProtocolKind::ALL.len()] =
+        [const { OnceLock::new() }; ProtocolKind::ALL.len()];
+    let i = ProtocolKind::ALL.iter().position(|&k| k == kind).expect("a listed protocol");
+    PASSES[i].get_or_init(|| mutation_smoke(&McConfig::new(kind)))
+}
 
 #[test]
 fn every_generated_mutant_is_killed() {
     for kind in ProtocolKind::ALL {
-        let cfg = McConfig::new(kind);
-        let (clean, outcomes) = mutation_smoke(&cfg);
+        let (clean, outcomes) = smoke(kind);
         assert!(
             clean.violation.is_none(),
             "{kind:?}: the unmutated protocol violated: {:?}",
@@ -23,7 +37,7 @@ fn every_generated_mutant_is_killed() {
         );
         assert!(clean.complete, "{kind:?}: recording run did not close the state space");
         assert!(!outcomes.is_empty(), "{kind:?}: no mutants generated — the pass is vacuous");
-        for o in &outcomes {
+        for o in outcomes {
             assert!(o.caught, "{kind:?}: mutant survived exploration: {}", o.mutation);
             assert!(o.violation.is_some(), "{kind:?}: caught mutant lost its violation");
         }
@@ -34,9 +48,8 @@ fn every_generated_mutant_is_killed() {
 fn counterexamples_are_minimal_and_replayable() {
     for kind in ProtocolKind::ALL {
         let cfg = McConfig::new(kind);
-        let (_, outcomes) = mutation_smoke(&cfg);
-        for o in outcomes {
-            let v = o.violation.expect("caught mutant carries a violation");
+        for o in &smoke(kind).1 {
+            let v = o.violation.as_ref().expect("caught mutant carries a violation");
             let mutation = o.mutation;
             let table = mutant_table(&cfg, mutation);
 
@@ -64,12 +77,11 @@ fn counterexample_traces_render_through_the_standard_exporters() {
     // property above already covers all seven.
     let kind = ProtocolKind::Firefly;
     let cfg = McConfig::new(kind);
-    let (_, outcomes) = mutation_smoke(&cfg);
     let mut rendered = 0;
-    for o in outcomes {
-        let v = o.violation.expect("caught mutant carries a violation");
+    for o in &smoke(kind).1 {
+        let v = o.violation.as_ref().expect("caught mutant carries a violation");
         let mutation = o.mutation;
-        let ce = counterexample(&cfg, mutant_table(&cfg, mutation), &v);
+        let ce = counterexample(&cfg, mutant_table(&cfg, mutation), v);
         assert!(!ce.events.is_empty(), "{mutation}: counterexample captured no events");
         validate_json(&ce.chrome_trace())
             .unwrap_or_else(|e| panic!("{mutation}: chrome trace is not valid JSON: {e}"));
