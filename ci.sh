@@ -82,6 +82,11 @@ step "model_check --protocol tardis --smoke (two-word lease-expiry space)"
 # all-protocol single-word smoke cannot.
 cargo run --release -p firefly-bench --bin model_check -- --protocol tardis --smoke
 
+step "model_check determinism gate (bit-identical across widths)"
+# The whole smoke report, mutation pass included: explored-state counts,
+# first violations and surviving mutants must not depend on the width.
+same_across_widths model_check
+
 step "soak --smoke (chaos kill/restore + resume equivalence)"
 cargo run --release -p firefly-bench --bin soak -- --smoke
 

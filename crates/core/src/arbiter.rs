@@ -1,5 +1,4 @@
-//! Pluggable MBus arbitration policies and the bus transaction-pipelining
-//! mode.
+//! MBus arbitration disciplines and the bus transaction-pipelining mode.
 //!
 //! The real Firefly hardwires fixed priority: "the caches have fixed
 //! priority for access to the MBus" (§5), which structurally starves
@@ -24,9 +23,12 @@
 //!   I/O processor, whose DMA ring deadlines are the tightest) always
 //!   wins; the rest are served FCFS.
 //!
-//! Every policy is *work-conserving* (never idles the bus while a
+//! The discipline is plain data: one [`Arbiter`] value holds the kind
+//! and round-robin's rotation point, and picks a winner with one
+//! `match`, so the bus (and the whole memory system) stays `Clone`.
+//! Every discipline is *work-conserving* (never idles the bus while a
 //! request line is raised) and a deterministic function of the raised
-//! request lines, their raise cycles, and the policy's own serialized
+//! request lines, their raise cycles, and the arbiter's own serialized
 //! state — the property tests in `crates/core/tests/arbiter_props.rs`
 //! pin all of this down.
 //!
@@ -84,17 +86,6 @@ impl ArbiterKind {
             ArbiterKind::RoundRobin => "round_robin",
             ArbiterKind::Aging => "aging",
             ArbiterKind::IoFavoring => "io_favoring",
-        }
-    }
-
-    /// Builds the policy implementation for this kind.
-    pub fn build(self) -> Box<dyn ArbiterPolicy> {
-        match self {
-            ArbiterKind::FixedPriority => Box::new(FixedPriority),
-            ArbiterKind::Fcfs => Box::new(Fcfs),
-            ArbiterKind::RoundRobin => Box::new(RoundRobin { last_granted: None }),
-            ArbiterKind::Aging => Box::new(Aging),
-            ArbiterKind::IoFavoring => Box::new(IoFavoring),
         }
     }
 
@@ -160,147 +151,89 @@ impl BusMode {
 
 crate::snap_enum!(BusMode { Unified = 0, Split = 1 });
 
-/// An arbitration discipline: picks a winner among raised request lines.
+/// The MBus arbiter: the configured discipline plus the one piece of
+/// state any discipline carries, round-robin's rotation point.
 ///
-/// `requests[i]` is `Some(cycle)` while port `i`'s request line is
-/// raised, holding the cycle it was raised; `now` is the arbitration
-/// cycle. Implementations must be work-conserving (return `Some` when
-/// any line is raised) and deterministic in `(requests, now, state)`.
-pub trait ArbiterPolicy: std::fmt::Debug + Send {
-    /// The configured kind this policy implements.
-    fn kind(&self) -> ArbiterKind;
+/// [`pick`](Arbiter::pick) reads `requests[i]`, which is `Some(cycle)`
+/// while port `i`'s request line is raised and holds the cycle it was
+/// raised; `now` is the arbitration cycle. Every discipline is
+/// work-conserving (returns `Some` when any line is raised) and
+/// deterministic in `(requests, now, self)`.
+#[derive(Copy, Clone, Debug)]
+pub struct Arbiter {
+    kind: ArbiterKind,
+    /// The last grantee; only [`ArbiterKind::RoundRobin`] reads it.
+    last_granted: Option<usize>,
+}
+
+impl Arbiter {
+    /// A fresh arbiter for `kind`.
+    pub fn new(kind: ArbiterKind) -> Self {
+        Arbiter { kind, last_granted: None }
+    }
+
+    /// The configured discipline.
+    pub fn kind(&self) -> ArbiterKind {
+        self.kind
+    }
 
     /// Picks the winning requester, or `None` when no line is raised.
-    fn pick(&self, requests: &[Option<u64>], now: u64) -> Option<PortId>;
+    pub fn pick(&self, requests: &[Option<u64>], now: u64) -> Option<PortId> {
+        let raised = || requests.iter().enumerate().filter_map(|(i, r)| r.map(|c| (c, i)));
+        let winner = match self.kind {
+            // Lowest raised port wins: the paper's hardware.
+            ArbiterKind::FixedPriority => requests.iter().position(Option::is_some),
+            // Rotating priority: the scan starts just past the last grantee.
+            ArbiterKind::RoundRobin => {
+                let n = requests.len();
+                let start = self.last_granted.map_or(0, |g| (g + 1) % n);
+                (0..n).map(|k| (start + k) % n).find(|&i| requests[i].is_some())
+            }
+            // Index priority demoted by waiting, `port − waited/AGING_QUANTUM`;
+            // minimum wins, ties to the lower port.
+            ArbiterKind::Aging => raised()
+                .map(|(c, i)| (i as i64 - (now.saturating_sub(c) / AGING_QUANTUM) as i64, i))
+                .min()
+                .map(|(_, i)| i),
+            // The highest port (the I/O processor's cache) preempts ...
+            ArbiterKind::IoFavoring if requests.last().is_some_and(Option::is_some) => {
+                Some(requests.len() - 1)
+            }
+            // ... and otherwise, as under FCFS, the longest-raised request
+            // wins, ties to the lower port.
+            ArbiterKind::Fcfs | ArbiterKind::IoFavoring => raised().min().map(|(_, i)| i),
+        };
+        winner.map(PortId::new)
+    }
 
-    /// Observes a grant (rotating policies advance their state here).
-    fn note_grant(&mut self, _port: PortId) {}
+    /// Observes a grant (round-robin advances its rotation point here).
+    pub fn note_grant(&mut self, port: PortId) {
+        self.last_granted = Some(port.index());
+    }
 
-    /// Serializes the policy's dynamic state (most policies are
-    /// stateless; round-robin carries its rotation point).
-    fn save_state(&self, _w: &mut SnapWriter) {}
+    /// Serializes the arbiter's dynamic state: round-robin's rotation
+    /// point, and nothing for the stateless disciplines.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        if self.kind == ArbiterKind::RoundRobin {
+            w.put(&self.last_granted);
+        }
+    }
 
-    /// Restores state written by [`save_state`](ArbiterPolicy::save_state).
+    /// Restores state written by [`save_state`](Arbiter::save_state).
     ///
     /// # Errors
     ///
     /// Returns [`Error::SnapshotCorrupt`] for out-of-range payloads.
-    fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), Error> {
-        Ok(())
-    }
-}
-
-/// Lowest raised port wins — the paper's hardware.
-#[derive(Debug)]
-struct FixedPriority;
-
-impl ArbiterPolicy for FixedPriority {
-    fn kind(&self) -> ArbiterKind {
-        ArbiterKind::FixedPriority
-    }
-
-    fn pick(&self, requests: &[Option<u64>], _now: u64) -> Option<PortId> {
-        requests.iter().position(Option::is_some).map(PortId::new)
-    }
-}
-
-/// Longest-raised request wins; ties go to the lower port.
-#[derive(Debug)]
-struct Fcfs;
-
-impl ArbiterPolicy for Fcfs {
-    fn kind(&self) -> ArbiterKind {
-        ArbiterKind::Fcfs
-    }
-
-    fn pick(&self, requests: &[Option<u64>], _now: u64) -> Option<PortId> {
-        requests
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.map(|raised| (raised, i)))
-            .min()
-            .map(|(_, i)| PortId::new(i))
-    }
-}
-
-/// Rotating priority: the scan starts just past the last grantee.
-#[derive(Debug)]
-struct RoundRobin {
-    last_granted: Option<usize>,
-}
-
-impl ArbiterPolicy for RoundRobin {
-    fn kind(&self) -> ArbiterKind {
-        ArbiterKind::RoundRobin
-    }
-
-    fn pick(&self, requests: &[Option<u64>], _now: u64) -> Option<PortId> {
-        let n = requests.len();
-        let start = self.last_granted.map_or(0, |g| (g + 1) % n);
-        (0..n).map(|k| (start + k) % n).find(|&i| requests[i].is_some()).map(PortId::new)
-    }
-
-    fn note_grant(&mut self, port: PortId) {
-        self.last_granted = Some(port.index());
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.last_granted);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        self.last_granted = match r.get()? {
-            Some(g) if g >= 16 => {
-                return Err(Error::SnapshotCorrupt(format!("round-robin grant point {g}")))
-            }
-            g => g,
-        };
-        Ok(())
-    }
-}
-
-/// Index priority demoted by waiting: `port − waited/AGING_QUANTUM`,
-/// minimum wins, ties to the lower port. Every wait is bounded: after
-/// `(ports−1) × AGING_QUANTUM` cycles a request out-ranks any fresh one.
-#[derive(Debug)]
-struct Aging;
-
-impl ArbiterPolicy for Aging {
-    fn kind(&self) -> ArbiterKind {
-        ArbiterKind::Aging
-    }
-
-    fn pick(&self, requests: &[Option<u64>], now: u64) -> Option<PortId> {
-        requests
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                r.map(|raised| {
-                    let waited = now.saturating_sub(raised);
-                    (i as i64 - (waited / AGING_QUANTUM) as i64, i)
-                })
-            })
-            .min()
-            .map(|(_, i)| PortId::new(i))
-    }
-}
-
-/// The highest port (the I/O processor's cache) always wins; the rest
-/// are served FCFS.
-#[derive(Debug)]
-struct IoFavoring;
-
-impl ArbiterPolicy for IoFavoring {
-    fn kind(&self) -> ArbiterKind {
-        ArbiterKind::IoFavoring
-    }
-
-    fn pick(&self, requests: &[Option<u64>], _now: u64) -> Option<PortId> {
-        let io = requests.len() - 1;
-        if requests[io].is_some() {
-            return Some(PortId::new(io));
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
+        if self.kind == ArbiterKind::RoundRobin {
+            self.last_granted = match r.get()? {
+                Some(g) if g >= 16 => {
+                    return Err(Error::SnapshotCorrupt(format!("round-robin grant point {g}")))
+                }
+                g => g,
+            };
         }
-        Fcfs.pick(requests, _now)
+        Ok(())
     }
 }
 
@@ -318,21 +251,21 @@ mod tests {
 
     #[test]
     fn fixed_priority_picks_lowest_port() {
-        let a = ArbiterKind::FixedPriority.build();
+        let a = Arbiter::new(ArbiterKind::FixedPriority);
         assert_eq!(a.pick(&req(&[(5, 0), (3, 9), (7, 1)], 8), 10), Some(PortId::new(3)));
         assert_eq!(a.pick(&req(&[], 8), 10), None);
     }
 
     #[test]
     fn fcfs_picks_oldest_request_ties_to_lower_port() {
-        let a = ArbiterKind::Fcfs.build();
+        let a = Arbiter::new(ArbiterKind::Fcfs);
         assert_eq!(a.pick(&req(&[(1, 7), (6, 2)], 8), 10), Some(PortId::new(6)));
         assert_eq!(a.pick(&req(&[(4, 5), (2, 5)], 8), 10), Some(PortId::new(2)));
     }
 
     #[test]
     fn round_robin_rotates_past_last_grantee() {
-        let mut a = ArbiterKind::RoundRobin.build();
+        let mut a = Arbiter::new(ArbiterKind::RoundRobin);
         let r = req(&[(0, 0), (2, 0), (5, 0)], 8);
         assert_eq!(a.pick(&r, 1), Some(PortId::new(0)));
         a.note_grant(PortId::new(0));
@@ -345,7 +278,7 @@ mod tests {
 
     #[test]
     fn aging_promotes_long_waiters() {
-        let a = ArbiterKind::Aging.build();
+        let a = Arbiter::new(ArbiterKind::Aging);
         // Port 7 has waited 60 cycles (7 − 60/8 = 0, ties to lower port
         // 0 at score 0)… one more quantum and it out-ranks port 0.
         let r = req(&[(0, 100), (7, 40)], 8);
@@ -355,7 +288,7 @@ mod tests {
 
     #[test]
     fn io_favoring_preempts_with_top_port() {
-        let a = ArbiterKind::IoFavoring.build();
+        let a = Arbiter::new(ArbiterKind::IoFavoring);
         assert_eq!(a.pick(&req(&[(0, 0), (7, 99)], 8), 100), Some(PortId::new(7)));
         assert_eq!(a.pick(&req(&[(3, 5), (1, 9)], 8), 100), Some(PortId::new(3)), "rest are FCFS");
     }
@@ -381,7 +314,7 @@ mod tests {
     fn kind_tags_round_trip() {
         for kind in ArbiterKind::ALL {
             assert_eq!(roundtrip(&kind).unwrap(), kind);
-            assert_eq!(kind.build().kind(), kind);
+            assert_eq!(Arbiter::new(kind).kind(), kind);
         }
         assert!(SnapReader::new(&[99]).get::<ArbiterKind>().is_err());
         for mode in [BusMode::Unified, BusMode::Split] {

@@ -15,9 +15,9 @@
 //! 100 ns bus cycles." — one 4-byte transfer per 400 ns is the 10 MB/s
 //! aggregate bandwidth quoted in §5. The paper's hardware arbitrates
 //! with fixed priority ("the caches have fixed priority for access to
-//! the MBus"), lowest [`PortId`] first; here the discipline is
-//! pluggable ([`crate::arbiter`]) and the bus can optionally pipeline
-//! two transactions at a two-cycle offset ([`BusMode::Split`]).
+//! the MBus"), lowest [`PortId`] first; here the discipline is a
+//! configuration axis ([`crate::arbiter`]) and the bus can optionally
+//! pipeline two transactions at a two-cycle offset ([`BusMode::Split`]).
 //!
 //! This module owns the *mechanics*: requests, grants, phases, and the
 //! [`TransactionRecord`] the Figure 4 reproduction prints (rebuilt from
@@ -25,7 +25,7 @@
 //! glue (snooping and state changes) lives in [`crate::system`].
 
 use crate::addr::{LineId, PortId};
-use crate::arbiter::{ArbiterKind, ArbiterPolicy, BusMode};
+use crate::arbiter::{Arbiter, ArbiterKind, BusMode};
 use crate::cache::LineData;
 use crate::error::Error;
 use crate::protocol::BusOp;
@@ -241,8 +241,8 @@ pub fn waveform(records: &[TransactionRecord]) -> String {
 /// transaction per two cycles at saturation.
 pub const SPLIT_OFFSET_CYCLES: u64 = 2;
 
-/// The MBus: request lines, a pluggable arbitration policy, one (or, in
-/// split mode, two pipelined) transaction(s) at a time, and statistics.
+/// The MBus: request lines, an [`Arbiter`], one (or, in split mode, two
+/// pipelined) transaction(s) at a time, and statistics.
 ///
 /// # Examples
 ///
@@ -257,7 +257,7 @@ pub const SPLIT_OFFSET_CYCLES: u64 = 2;
 /// // Default fixed priority: the lower port wins arbitration.
 /// assert_eq!(bus.arbitrate(0), Some(PortId::new(1)));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Bus {
     /// Per-port request lines; `Some(cycle)` holds the raise cycle.
     requests: Vec<Option<u64>>,
@@ -265,7 +265,7 @@ pub struct Bus {
     /// [`BusMode::Unified`], at most two in [`BusMode::Split`].
     slots: Vec<Transaction>,
     mode: BusMode,
-    arbiter: Box<dyn ArbiterPolicy>,
+    arbiter: Arbiter,
     stats: BusStats,
 }
 
@@ -283,7 +283,7 @@ impl Bus {
             requests: vec![None; ports],
             slots: Vec::with_capacity(mode.max_in_flight()),
             mode,
-            arbiter: arbiter.build(),
+            arbiter: Arbiter::new(arbiter),
             stats: BusStats::default(),
         }
     }

@@ -156,6 +156,7 @@ impl fmt::Debug for LineData {
 /// assert_eq!(c.state_of(line), LineState::CleanExclusive);
 /// assert_eq!(c.read_word(Addr::new(0x40)), Some(5));
 /// ```
+#[derive(Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
     /// Per slot: the tag, and the state (valid/dirty/shared). An invalid

@@ -142,7 +142,7 @@ enum Status {
     Finishing { at: u64 },
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Pending {
     req: Request,
     issued: u64,
@@ -217,6 +217,7 @@ crate::snap_struct!(Pending {
     status,
 });
 
+#[derive(Clone)]
 struct PortCtl {
     cache: Cache,
     pending: Option<Pending>,
@@ -225,7 +226,7 @@ struct PortCtl {
 /// Controller-side context for one in-flight bus transaction. Kept in a
 /// queue aligned oldest-first with [`Bus::slots`]: in unified mode it
 /// holds at most one entry; in split mode, one per pipelined slot.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct TxnCtx {
     /// The arbitration (address) cycle — stamps the event trace and the
     /// Figure 4 log.
@@ -243,6 +244,7 @@ crate::snap_struct!(TxnCtx { start, fault, snoop });
 /// The bus- and cache-side fault sites. Memory-side ECC lives inside
 /// [`Memory`]; device faults live in the I/O crate. Present only when
 /// the configured [`FaultConfig`] enables at least one class.
+#[derive(Clone)]
 struct BusFaults {
     cfg: FaultConfig,
     arbiter: FaultSite,
@@ -332,6 +334,7 @@ impl Snap for Error {
 /// The Firefly memory system: caches, MBus, and main memory.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
+#[derive(Clone)]
 pub struct MemSystem {
     cfg: SystemConfig,
     table: ProtocolTable,
@@ -2078,6 +2081,7 @@ impl fmt::Debug for MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbiter::{ArbiterKind, BusMode};
 
     fn sys(ports: usize, kind: ProtocolKind) -> MemSystem {
         MemSystem::new(SystemConfig::microvax(ports), kind).expect("valid config")
@@ -2572,9 +2576,16 @@ mod tests {
     /// A busy 3-port system with faults and tracing enabled: the richest
     /// state a snapshot has to carry.
     fn busy_sys(kind: ProtocolKind) -> MemSystem {
+        busy_sys_on(kind, ArbiterKind::FixedPriority, BusMode::Unified)
+    }
+
+    /// [`busy_sys`] under an explicit arbiter and bus mode.
+    fn busy_sys_on(kind: ProtocolKind, arbiter: ArbiterKind, mode: BusMode) -> MemSystem {
         let cfg = SystemConfig::microvax(3)
             .with_event_trace(64)
-            .with_faults(FaultConfig::correctable(7, 20_000));
+            .with_faults(FaultConfig::correctable(7, 20_000))
+            .with_arbiter(arbiter)
+            .with_bus_mode(mode);
         let mut s = MemSystem::new(cfg, kind).expect("valid config");
         for round in 0..40u32 {
             for p in 0..3usize {
@@ -2592,6 +2603,10 @@ mod tests {
         s.step();
         s.begin(PortId::new(1), Request::write(Addr::from_word_index(41), 9)).unwrap();
         s.step();
+        // Split mode: step on until the second transaction is granted.
+        while s.bus.in_flight() < mode.max_in_flight() && s.bus.in_flight() > 0 {
+            s.step();
+        }
         s
     }
 
@@ -2605,29 +2620,45 @@ mod tests {
         }
     }
 
+    /// A restored twin and a cloned twin both continue exactly as the
+    /// original does. The round-robin split-bus variant puts a rotation
+    /// point and a second in-flight transaction into the copied state.
     #[test]
     fn snapshot_resume_is_bit_identical_to_uninterrupted_run() {
+        let variants = [
+            (ArbiterKind::FixedPriority, BusMode::Unified),
+            (ArbiterKind::RoundRobin, BusMode::Split),
+        ];
         for kind in ProtocolKind::ALL {
-            let mut a = busy_sys(kind);
-            let mut b = MemSystem::restore(&a.save_snapshot()).expect("restore");
-            for round in 0..30u32 {
-                for p in 0..3usize {
-                    let addr = Addr::from_word_index((round * 5 + p as u32) % 48);
-                    let req = if round % 2 == 0 {
-                        Request::write(addr, round + 1)
-                    } else {
-                        Request::read(addr)
-                    };
-                    let ra = a.run_to_completion(PortId::new(p), req);
-                    let rb = b.run_to_completion(PortId::new(p), req);
-                    assert_eq!(ra, rb, "{kind:?} round {round} port {p}");
+            for (arbiter, mode) in variants {
+                let mut a = busy_sys_on(kind, arbiter, mode);
+                assert_eq!(a.bus.in_flight(), mode.max_in_flight(), "{kind:?} {mode:?}");
+                let mut b = MemSystem::restore(&a.save_snapshot()).expect("restore");
+                let mut c = a.clone();
+                for round in 0..30u32 {
+                    for p in 0..3usize {
+                        let addr = Addr::from_word_index((round * 5 + p as u32) % 48);
+                        let req = if round % 2 == 0 {
+                            Request::write(addr, round + 1)
+                        } else {
+                            Request::read(addr)
+                        };
+                        let ra = a.run_to_completion(PortId::new(p), req);
+                        let rb = b.run_to_completion(PortId::new(p), req);
+                        let rc = c.run_to_completion(PortId::new(p), req);
+                        assert_eq!(ra, rb, "{kind:?} {arbiter:?} round {round} port {p}");
+                        assert_eq!(ra, rc, "{kind:?} {arbiter:?} clone, round {round} port {p}");
+                    }
+                }
+                let bytes = a.save_snapshot();
+                for (twin, t) in [("restored", &b), ("cloned", &c)] {
+                    assert_eq!(a.cycle(), t.cycle(), "{kind:?} {arbiter:?} {twin}");
+                    assert_eq!(a.bus_stats(), t.bus_stats(), "{kind:?} {arbiter:?} {twin}");
+                    assert_eq!(a.fault_stats(), t.fault_stats(), "{kind:?} {arbiter:?} {twin}");
+                    assert_eq!(a.events(), t.events(), "{kind:?} {arbiter:?} {twin}");
+                    assert_eq!(bytes, t.save_snapshot(), "{kind:?} {arbiter:?} {twin} diverged");
                 }
             }
-            assert_eq!(a.cycle(), b.cycle(), "{kind:?}");
-            assert_eq!(a.bus_stats(), b.bus_stats(), "{kind:?}");
-            assert_eq!(a.fault_stats(), b.fault_stats(), "{kind:?}");
-            assert_eq!(a.events(), b.events(), "{kind:?}");
-            assert_eq!(a.save_snapshot(), b.save_snapshot(), "{kind:?} full-state divergence");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Property tests of the pluggable MBus arbitration policies
+//! Property tests of the MBus arbitration disciplines
 //! ([`firefly_core::arbiter`]).
 //!
 //! These pin the contract the bus and the watchdog build on (see
@@ -13,6 +13,7 @@
 //!
 //! [`grant_bound`]: firefly_core::ArbiterKind::grant_bound
 
+use firefly_core::arbiter::Arbiter;
 use firefly_core::snapshot::{SnapReader, SnapWriter};
 use firefly_core::{ArbiterKind, PortId, BUS_CYCLES_PER_OP};
 use proptest::prelude::*;
@@ -23,14 +24,10 @@ fn lines(ports: usize, now: u64) -> impl Strategy<Value = Vec<Option<u64>>> {
     prop::collection::vec((any::<bool>(), 0..now).prop_map(|(up, c)| up.then_some(c)), ports)
 }
 
-/// Replays `grants` into a fresh policy of `kind` (the only mutable
-/// state any policy carries is fed through `note_grant`).
-fn policy_after(
-    kind: ArbiterKind,
-    grants: &[usize],
-    ports: usize,
-) -> Box<dyn firefly_core::arbiter::ArbiterPolicy> {
-    let mut p = kind.build();
+/// Replays `grants` into a fresh arbiter of `kind` (the only mutable
+/// state any discipline carries is fed through `note_grant`).
+fn policy_after(kind: ArbiterKind, grants: &[usize], ports: usize) -> Arbiter {
+    let mut p = Arbiter::new(kind);
     for &g in grants {
         p.note_grant(PortId::new(g % ports));
     }
@@ -96,7 +93,7 @@ proptest! {
             let mut w = SnapWriter::new();
             original.save_state(&mut w);
             let bytes = w.into_bytes();
-            let mut restored = kind.build();
+            let mut restored = Arbiter::new(kind);
             restored.load_state(&mut SnapReader::new(&bytes)).expect("round trip");
             prop_assert_eq!(
                 original.pick(&requests, now),
@@ -122,7 +119,7 @@ proptest! {
         let victim = victim_seed % ports;
         for kind in [ArbiterKind::Fcfs, ArbiterKind::RoundRobin, ArbiterKind::Aging] {
             let bound = kind.grant_bound(ports).expect("fair policies advertise a bound");
-            let mut p = kind.build();
+            let mut p = Arbiter::new(kind);
             // Every line raised from the start (staggered raise cycles
             // so FCFS ordering is nontrivial); competitors re-raise
             // immediately after every grant, the victim stays raised
@@ -169,7 +166,7 @@ proptest! {
                 _ => ports - 1,                  // the I/O port wins
             };
             let victim = ports - 1 - favored; // the opposite end
-            let mut p = kind.build();
+            let mut p = Arbiter::new(kind);
             let mut requests: Vec<Option<u64>> = vec![None; ports];
             requests[favored] = Some(0);
             requests[victim] = Some(0);

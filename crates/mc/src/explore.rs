@@ -15,11 +15,15 @@
 //! States are hash-consed by their observable footprint (per-cache
 //! resident lines with state and data, plus the tracked memory words);
 //! anything that re-derives from the footprint — cycle counters,
-//! statistics — is deliberately excluded so the BFS closes. Because
-//! `MemSystem` is not `Clone`, a state is *represented* by its shortest
-//! op path from reset and expansion replays that path; at model-checking
-//! scale (2–3 caches, 1–2 words) a replay is a few hundred bus cycles
-//! and the whole space closes in well under a second.
+//! statistics — is deliberately excluded so the BFS closes. A state is
+//! *represented* by its shortest op path from reset, which is what
+//! minimization and [`McViolation`] report. Expansion replays that path
+//! once and then tries each op on a clone of the replayed `MemSystem`;
+//! at model-checking scale (2–3 caches, 1–2 words) a replay is a few
+//! hundred bus cycles and the whole space closes in well under a
+//! second. The frontier holds paths, not systems: storing a system per
+//! frontier state would trade a short replay for the memory of every
+//! state's caches and main memory at once.
 //!
 //! Each BFS level fans its expansions out on the deterministic worker
 //! pool ([`firefly_sim::harness::run_jobs`]); results are merged in job
@@ -420,28 +424,29 @@ pub fn replay_violation(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> 
     }
 }
 
-/// Expands one state (represented by its path): replays the path, then
-/// tries every op in the alphabet, reporting each successor's key or
-/// the violation it triggers, and the table entries the trials
-/// consulted. One rebuild per op keeps each trial independent — a
-/// violating op must not poison its siblings.
+/// Expands one state (represented by its path): replays the path once,
+/// then tries every op in the alphabet on a clone of the replayed
+/// system and oracle, reporting each successor's key or the violation
+/// it triggers, and the table entries the trials consulted. A clone per
+/// op keeps each trial independent — a violating op must not poison
+/// its siblings — and a trial that panics merges no exercise record.
 fn expand(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> (Vec<StepResult>, ExerciseLog) {
     let mut exercised = ExerciseLog::default();
+    let mut sys = build_system(cfg, table);
+    let mut oracle = BTreeMap::new();
+    for &prev in path {
+        // The path was validated when its own state was discovered;
+        // only the new ops need checking.
+        apply(&mut sys, &mut oracle, prev);
+    }
+    let checker = CoherenceChecker::new();
     let results = cfg
         .alphabet()
         .iter()
         .map(|&op| {
-            let mut trial: Vec<McOp> = path.to_vec();
-            trial.push(op);
             let key = catch_unwind(AssertUnwindSafe(|| {
-                let mut sys = build_system(cfg, table);
-                let mut oracle = BTreeMap::new();
-                let checker = CoherenceChecker::new();
-                for &prev in path {
-                    // The prefix was validated when its own state was
-                    // discovered; only the new op needs checking.
-                    apply(&mut sys, &mut oracle, prev);
-                }
+                let mut sys = sys.clone();
+                let mut oracle = oracle.clone();
                 let result = match apply_checked(&mut sys, &mut oracle, &checker, op) {
                     Some(v) => Err(v),
                     None => Ok(state_key(cfg, &sys)),
@@ -449,15 +454,14 @@ fn expand(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> (Vec<StepResul
                 exercised.merge(sys.exercised());
                 result
             }));
-            match key {
-                Ok(r) => r,
-                Err(_) => {
-                    // Re-derive the panic message with full checking so
-                    // the report points at the first broken step.
-                    Err(replay_violation(cfg, table, &trial)
-                        .unwrap_or_else(|| "engine panic during expansion".to_string()))
-                }
-            }
+            key.unwrap_or_else(|_| {
+                // Re-derive the panic message with full checking so the
+                // report points at the first broken step.
+                let mut trial = path.to_vec();
+                trial.push(op);
+                Err(replay_violation(cfg, table, &trial)
+                    .unwrap_or_else(|| "engine panic during expansion".to_string()))
+            })
         })
         .collect();
     (results, exercised)

@@ -627,25 +627,19 @@ impl RpcClient {
     }
 
     /// Whether this client is ring-blocked: its backlog can admit a
-    /// call, `seg` [`refuses`](EtherSegment::refuses) its NIC, and
-    /// admission changes no state, because breakers are off or the
-    /// breaker at the first slot tried (`next_seq` modulo the server
-    /// count) is `Closed`. An `Open` or `HalfOpen` breaker there may
-    /// change state inside `admit`, so such a client is never blocked.
-    /// A tick of a ring-blocked client that receives nothing and has
-    /// no timer due has one enqueue refused and counted, and does
-    /// nothing else.
+    /// call and `seg` [`refuses`](EtherSegment::refuses) its NIC. The
+    /// admission loop checks the ring before it asks any breaker, so a
+    /// tick of a ring-blocked client that receives nothing and has no
+    /// timer due has one enqueue refused and counted, and does nothing
+    /// else, whatever state its breakers are in.
     pub fn ring_blocked(&self, seg: &EtherSegment) -> bool {
-        self.can_admit()
-            && seg.refuses(self.nic as usize)
-            && (self.breakers.get(self.next_seq as usize % self.servers.len()))
-                .is_none_or(|b| b.state() == BreakerState::Closed)
+        self.can_admit() && seg.refuses(self.nic as usize)
     }
 
     /// Counts what `n` ticks of a [`ring_blocked`](RpcClient::ring_blocked)
     /// client short of its [`next_event`](RpcClient::next_event) would
     /// count: `n` refused enqueues here (`tx_ring_full`) and on `seg`
-    /// (`tx_rejected`).
+    /// (`tx_rejected`). No breaker is consulted, so none moves.
     pub fn credit_refusals(&mut self, n: u64, seg: &mut EtherSegment) {
         debug_assert!(self.ring_blocked(seg), "credited refusals to a client that is not blocked");
         self.stats.tx_ring_full += n;
@@ -947,6 +941,13 @@ impl RpcClient {
         }
 
         while self.can_admit() {
+            // A refusing ring ends admission before any breaker admits,
+            // so a call that cannot be queued spends no probe.
+            if seg.refuses(self.nic as usize) {
+                self.stats.tx_ring_full += 1;
+                seg.count_refusals(1);
+                break;
+            }
             let (payload_bytes, submitted, priority) =
                 *self.backlog.front().expect("backlog non-empty");
             let seq = self.next_seq;
@@ -971,34 +972,31 @@ impl RpcClient {
                 epoch: self.epochs[server_slot],
                 ack_below: self.ack_below(),
             };
-            if seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, server)) {
-                self.backlog.pop_front();
-                self.next_seq += 1;
-                let t = self.next_timeout(1);
-                let t = self.arm_at(submitted, now, t).saturating_sub(now).max(1);
-                let hedge_at = if self.policy.hedge_delay > 0 && self.servers.len() > 1 {
-                    now + self.policy.hedge_delay.min(t.saturating_sub(1).max(1))
-                } else {
-                    u64::MAX
-                };
-                self.pending.insert(
-                    seq,
-                    Pending {
-                        server_slot,
-                        payload_bytes,
-                        priority,
-                        attempts: 1,
-                        submitted,
-                        first_sent: now,
-                        timeout_at: now + t,
-                        hedge_at,
-                    },
-                );
-                self.next_deadline = self.next_deadline.min((now + t).min(hedge_at));
+            let queued = seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, server));
+            debug_assert!(queued, "a ring that did not refuse took the frame");
+            self.backlog.pop_front();
+            self.next_seq += 1;
+            let t = self.next_timeout(1);
+            let t = self.arm_at(submitted, now, t).saturating_sub(now).max(1);
+            let hedge_at = if self.policy.hedge_delay > 0 && self.servers.len() > 1 {
+                now + self.policy.hedge_delay.min(t.saturating_sub(1).max(1))
             } else {
-                self.stats.tx_ring_full += 1;
-                break;
-            }
+                u64::MAX
+            };
+            self.pending.insert(
+                seq,
+                Pending {
+                    server_slot,
+                    payload_bytes,
+                    priority,
+                    attempts: 1,
+                    submitted,
+                    first_sent: now,
+                    timeout_at: now + t,
+                    hedge_at,
+                },
+            );
+            self.next_deadline = self.next_deadline.min((now + t).min(hedge_at));
         }
     }
 
@@ -2082,31 +2080,30 @@ mod tests {
         assert_credit_equals_ticks(&client, &seg, 1, 5_000);
     }
 
-    /// An `Open` or `HalfOpen` breaker at the first slot tried changes
-    /// inside `admit`, so a client behind one is never ring-blocked: it
-    /// keeps ticking every cycle. The `HalfOpen` case shows why, and a
-    /// leak with it: each refused tick still takes a probe, so a full
-    /// ring spends the probe quota on calls that never reach the wire.
+    /// A full ring refuses a call before any breaker is asked, so a
+    /// client whose first slot tried is `Open` or `HalfOpen` is
+    /// ring-blocked like any other: `n` ticks equal a credit of `n`, and
+    /// the refused calls spend no `HalfOpen` probe.
     #[test]
-    fn open_and_half_open_first_slots_are_never_blocked() {
+    fn open_and_half_open_first_slots_are_blocked_and_spend_no_probe() {
         let (mut client, seg) = client_on_a_full_ring(RetryPolicy::resilient(20_000));
         let first = client.next_seq as usize % client.servers().len();
+        let probes = |c: &RpcClient| c.breaker_stats(first).expect("breakers on").probes;
         for _ in 0..3 {
             client.breakers[first].on_failure(1);
         }
         assert_eq!(client.breaker_state(first), Some(BreakerState::Open));
-        assert!(!client.ring_blocked(&seg), "an Open first slot is not blocked");
-        assert_eq!(client.next_event(1, &seg), 2);
+        assert_credit_equals_ticks(&client, &seg, 1, 1_000);
 
         assert!(client.breakers[first].admit(u64::MAX), "the cooled breaker admits a probe");
         assert_eq!(client.breaker_state(first), Some(BreakerState::HalfOpen));
-        assert!(!client.ring_blocked(&seg), "a HalfOpen first slot is not blocked");
-        assert_eq!(client.next_event(1, &seg), 2);
+        assert_credit_equals_ticks(&client, &seg, 1, 1_000);
         let (mut ticked, mut ticked_seg) = (client.clone(), seg.clone());
-        ticked.tick(2, &mut ticked_seg);
-        assert_eq!(ticked.stats().tx_ring_full, client.stats().tx_ring_full + 1, "refused");
-        let probes = |c: &RpcClient| c.breaker_stats(first).expect("breakers on").probes;
-        assert_eq!(probes(&ticked), probes(&client) + 1, "the refused call took a probe");
+        for at in 2..=1_001 {
+            ticked.tick(at, &mut ticked_seg);
+        }
+        assert_eq!(probes(&ticked), probes(&client), "a refused call takes no probe");
+        assert_eq!(ticked.breaker_state(first), Some(BreakerState::HalfOpen));
     }
 
     #[test]

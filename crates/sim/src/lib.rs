@@ -36,7 +36,5 @@ pub use harness::{
 };
 pub use machine::{EngineMode, Firefly, FireflyBuilder, Workload};
 pub use measure::Measurement;
-pub use sweep::{
-    format_sweep, scaling_sweep, scaling_sweep_on, scaling_sweep_with, ScalingPoint, SweepRun,
-};
+pub use sweep::{format_sweep, scaling_sweep, scaling_sweep_on, ScalingPoint, SweepRun};
 pub use table2::{table2_report, Table2};

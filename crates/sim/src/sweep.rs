@@ -8,7 +8,7 @@ use crate::harness::{
     run_experiments_with, worker_count, ExperimentResult, ExperimentSpec, HarnessRun,
 };
 use crate::measure::Measurement;
-use firefly_core::{CacheGeometry, ProtocolKind};
+use firefly_core::ProtocolKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -55,7 +55,6 @@ pub struct SweepRun {
 pub fn scaling_specs(
     counts: &[usize],
     protocol: ProtocolKind,
-    cache: Option<CacheGeometry>,
     seed: u64,
     warmup: u64,
     window: u64,
@@ -63,14 +62,10 @@ pub fn scaling_specs(
     counts
         .iter()
         .map(|&cpus| {
-            let mut spec = ExperimentSpec::new(format!("NP={cpus}"), cpus)
+            ExperimentSpec::new(format!("NP={cpus}"), cpus)
                 .protocol(protocol)
                 .seed(seed)
-                .window(warmup, window);
-            if let Some(c) = cache {
-                spec = spec.cache(c);
-            }
-            spec
+                .window(warmup, window)
         })
         .collect()
 }
@@ -92,55 +87,26 @@ fn scaling_point(result: &ExperimentResult, base_instr_rate_k: f64) -> ScalingPo
 /// Runs a scaling sweep on `workers` harness workers, returning both the
 /// points and the harness accounting. The points are bit-identical for
 /// every `workers` value; only [`SweepRun::harness`] timing differs.
-#[allow(clippy::too_many_arguments)]
 pub fn scaling_sweep_run(
     workers: usize,
     counts: &[usize],
     protocol: ProtocolKind,
-    cache: Option<CacheGeometry>,
     seed: u64,
     warmup: u64,
     window: u64,
     base_instr_rate_k: f64,
 ) -> SweepRun {
-    let run =
-        run_experiments_with(workers, scaling_specs(counts, protocol, cache, seed, warmup, window));
+    let run = run_experiments_with(workers, scaling_specs(counts, protocol, seed, warmup, window));
     let points = run.results().map(|r| scaling_point(r, base_instr_rate_k)).collect();
     SweepRun { points, harness: run }
 }
 
 /// Sweeps processor count over `counts`, measuring each configuration
-/// with the same per-CPU workload — the simulated Table 1.
-///
-/// `base_instr_rate_k` normalizes RP; pass the measured 1-CPU
-/// instruction rate (or use [`scaling_sweep`] which measures it for
-/// you). Points run in parallel on [`worker_count`] harness workers.
-pub fn scaling_sweep_with(
-    counts: &[usize],
-    protocol: ProtocolKind,
-    cache: Option<CacheGeometry>,
-    seed: u64,
-    warmup: u64,
-    window: u64,
-    base_instr_rate_k: f64,
-) -> Vec<ScalingPoint> {
-    scaling_sweep_run(
-        worker_count(),
-        counts,
-        protocol,
-        cache,
-        seed,
-        warmup,
-        window,
-        base_instr_rate_k,
-    )
-    .points
-}
-
-/// [`scaling_sweep_with`] normalized against an ideal (zero-load) single
-/// processor: one CPU running the same workload against a *contention-free*
-/// memory system approximated by the measured 1-CPU machine with its own
-/// (small) self-load corrected out using the paper's queue model.
+/// with the same per-CPU workload — the simulated Table 1 — normalized
+/// against an ideal (zero-load) single processor: one CPU running the
+/// same workload against a *contention-free* memory system approximated
+/// by the measured 1-CPU machine with its own (small) self-load
+/// corrected out using the paper's queue model.
 pub fn scaling_sweep(
     counts: &[usize],
     protocol: ProtocolKind,
@@ -165,12 +131,12 @@ pub fn scaling_sweep_on(
 ) -> SweepRun {
     // Measure the 1-CPU machine, then correct its small self-induced bus
     // delay out to get the no-wait-state baseline rate.
-    let one = scaling_sweep_run(1, &[1], protocol, None, seed, warmup, window, 1.0);
+    let one = scaling_sweep_run(1, &[1], protocol, seed, warmup, window, 1.0);
     let m1 = &one.points[0].measurement;
     // instr_rate ∝ 1/TPI: scale measured rate up by TPI(measured)/base.
     let base_tpi = 11.9;
     let base_rate = m1.instructions_per_cpu_k * (m1.tpi / base_tpi);
-    scaling_sweep_run(workers, counts, protocol, None, seed, warmup, window, base_rate)
+    scaling_sweep_run(workers, counts, protocol, seed, warmup, window, base_rate)
 }
 
 /// Formats a sweep as a Table 1-shaped block.

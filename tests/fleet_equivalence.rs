@@ -14,6 +14,7 @@
 //! twins at the same cycle. Any divergence means a skip crossed a cycle
 //! that was not idle.
 
+use firefly::net::BreakerState;
 use firefly::sim::fleet::{
     brownout, crash, partition, rejoin, run_brownout, run_crash_failover, run_flapping_partition,
     run_partition_heal, run_rejoin, run_retry_storm, storm, Fleet, FleetConfig,
@@ -161,35 +162,31 @@ fn partition_heal_skips_bit_identically() {
     }
 }
 
-/// Whether some client waits on a full TX ring with admissible backlog
-/// while the breaker at its first admission slot is `Open` or
-/// `HalfOpen`: a sender that must keep ticking, because `admit` changes
-/// that breaker even when the ring then refuses the call.
-fn blocked_behind_a_tripped_breaker(fleet: &Fleet) -> bool {
-    let cap = fleet.config().policy.max_outstanding;
+/// Whether some client with an `Open` or `HalfOpen` breaker sleeps on
+/// a full TX ring: the ring refuses its call before any breaker is
+/// asked, so it is ring-blocked like a client behind `Closed` ones.
+fn blocked_with_a_tripped_breaker(fleet: &Fleet) -> bool {
     (0..fleet.config().clients).any(|i| {
         let c = fleet.client(i);
-        c.backlogged() > 0
-            && (cap == 0 || c.outstanding() < cap)
-            && fleet.segment().refuses(c.nic() as usize)
-            && !c.ring_blocked(fleet.segment())
+        c.ring_blocked(fleet.segment())
+            && (0..c.servers().len())
+                .any(|slot| c.breaker_state(slot).is_some_and(|b| b != BreakerState::Closed))
     })
 }
 
 /// Two-frame TX rings fill while clients' breakers are tripped (at the
 /// stock 64 frames, or even 16, the outstanding cap of 8 keeps a
-/// client's ring from ever filling): such a client is never
-/// ring-blocked and ticks every cycle, and the run must still match
-/// stepping.
+/// client's ring from ever filling): such a client sleeps through its
+/// refusals, and the run must still match stepping.
 #[test]
 fn full_ring_behind_a_tripped_breaker_skips_bit_identically() {
     let mut cfg = FleetConfig::partition_heal(SEED, true);
     cfg.tx_ring = 2;
     let mut seen = 0u64;
     differential_watching("partition, two-frame rings", cfg, partition::END, &[], |fleet| {
-        seen += u64::from(blocked_behind_a_tripped_breaker(fleet));
+        seen += u64::from(blocked_with_a_tripped_breaker(fleet));
     });
-    assert!(seen > 0, "no client ever waited on a full ring behind a tripped breaker");
+    assert!(seen > 0, "no client ever slept on a full ring with a tripped breaker");
 }
 
 #[test]
