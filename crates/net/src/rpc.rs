@@ -67,6 +67,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 /// Wire padding target for replies: with the segment's 26 header bytes
 /// this makes a reply frame 120 bytes — the paper's Topaz RPC reply
@@ -76,10 +77,12 @@ pub const REPLY_PAYLOAD_BYTES: usize = 94;
 /// How long a client waits before re-attempting a *retransmission*
 /// that was rejected by a full TX ring (pure backpressure, consumes no
 /// retry budget). Each re-attempt is a timer event: it counts a timeout
-/// and may draw the failover RNG, so a sender cannot sleep through it.
-/// Fresh calls are not paced by this: a client whose backlog is blocked
-/// on a full ring sleeps until its next real event, and the refusals
-/// it would have counted meanwhile are credited in bulk
+/// and may draw the failover RNG, so it is ticked, not credited. A
+/// client whose ring refuses it is [`RpcClient::replayable`], though,
+/// so these ticks run inside a fleet jump, off the fleet's clock. Fresh
+/// calls are not paced by this: a client whose backlog is blocked on a
+/// full ring sleeps until its next real event, and the refusals it
+/// would have counted meanwhile are credited in bulk
 /// ([`RpcClient::credit_refusals`]).
 pub const TX_RETRY_CYCLES: u64 = 32;
 
@@ -426,7 +429,7 @@ firefly_core::counters! {
 }
 
 /// One in-flight call.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 struct Pending {
     /// Index into the client's server list this attempt targets.
     server_slot: usize,
@@ -463,6 +466,16 @@ firefly_core::snap_struct!(Pending {
     hedge_at,
 });
 
+/// What [`RpcClient::send`] did with one transmission.
+enum Sent {
+    /// The frame is on the TX ring, bound to this server slot.
+    Wire(usize),
+    /// The TX ring refused it (full, or the NIC offline); counted.
+    RingRefused,
+    /// Every breaker asked refused it.
+    NoServer,
+}
+
 /// The client endpoint: request-id allocation, the pending table,
 /// timeout/retry machinery, and the completion log the at-most-once
 /// oracle audits.
@@ -477,6 +490,9 @@ pub struct RpcClient {
     /// after an ack; a scan that finds nothing due simply re-tightens
     /// it). Never serialized — recomputed on load.
     next_deadline: u64,
+    /// Scratch for the sequence numbers due in one tick; empty between
+    /// ticks and never serialized.
+    due: Vec<u64>,
     backlog: VecDeque<(u32, u64, u8)>,
     /// One circuit breaker per server slot (empty when the policy has
     /// breakers off).
@@ -516,6 +532,7 @@ impl RpcClient {
             next_seq: 0,
             pending: BTreeMap::new(),
             next_deadline: u64::MAX,
+            due: Vec::new(),
             backlog: VecDeque::new(),
             rng: SmallRng::seed_from_u64(client_seed),
             stats: RpcClientStats::default(),
@@ -617,6 +634,12 @@ impl RpcClient {
     /// [`credit_refusals`](RpcClient::credit_refusals) credits. The
     /// timer may be stale-low after an ack; waking on it is a scan that
     /// finds nothing due.
+    ///
+    /// A tick touches the segment only through this client's own NIC's
+    /// rings and the refusal counter, and never reads its clock. So
+    /// while the client is [`replayable`](RpcClient::replayable), its
+    /// ticks at its own events, with refusals credited between them,
+    /// may run ahead of the segment up to the segment's next event.
     #[inline]
     pub fn next_event(&self, now: u64, seg: &EtherSegment) -> u64 {
         if seg.rx_queued(self.nic as usize) > 0 || (self.can_admit() && !self.ring_blocked(seg)) {
@@ -634,6 +657,18 @@ impl RpcClient {
     /// else, whatever state its breakers are in.
     pub fn ring_blocked(&self, seg: &EtherSegment) -> bool {
         self.can_admit() && seg.refuses(self.nic as usize)
+    }
+
+    /// Whether `seg` refuses this client's NIC and holds nothing in its
+    /// RX ring. Neither can change before the segment's next event, and
+    /// while both hold every enqueue the client tries is refused, so a
+    /// tick changes only the client's own state and `seg`'s refusal
+    /// counter, and reads nothing of `seg` that can change. Such a
+    /// client can be run ahead of the segment through its own
+    /// [`next_event`](RpcClient::next_event)s.
+    pub fn replayable(&self, seg: &EtherSegment) -> bool {
+        let nic = self.nic as usize;
+        seg.refuses(nic) && seg.rx_queued(nic) == 0
     }
 
     /// Counts what `n` ticks of a [`ring_blocked`](RpcClient::ring_blocked)
@@ -667,15 +702,16 @@ impl RpcClient {
         Some(slot)
     }
 
-    /// First slot (scanning `from`, `from+1`, …) whose breaker admits a
-    /// request at `now`. With breakers off every slot admits. `None`
-    /// means every server's breaker refused — the caller fails fast.
-    fn admitted_slot(&mut self, from: usize, now: u64) -> Option<usize> {
-        if self.breakers.is_empty() {
-            return Some(from % self.servers.len());
-        }
+    /// First slot of `slots` (each taken modulo the server count) whose
+    /// breaker admits a request at `now`. With breakers off every slot
+    /// admits. `None` means every breaker asked refused — the caller
+    /// fails fast.
+    fn admitted_slot(&mut self, slots: Range<usize>, now: u64) -> Option<usize> {
         let len = self.servers.len();
-        (0..len).map(|i| (from + i) % len).find(|&slot| self.breakers[slot].admit(now))
+        if self.breakers.is_empty() {
+            return Some(slots.start % len);
+        }
+        slots.map(|i| i % len).find(|&slot| self.breakers[slot].admit(now))
     }
 
     /// Timeout for the send numbered `attempts` (1-based), with
@@ -707,10 +743,51 @@ impl RpcClient {
         }
     }
 
-    /// Sends the one hedge copy call `seq` is entitled to: same id, next
-    /// breaker-admitted server. First reply wins; the loser's reply is
-    /// absorbed as a duplicate. Best-effort — a full TX ring or no
-    /// admissible second server simply forfeits the hedge.
+    /// One transmission of call `seq` (`payload_bytes`, `priority`),
+    /// numbered `attempt`, to the first server in `slots` (taken modulo
+    /// the server count) whose breaker admits it. The only path by
+    /// which a request reaches the wire: the first send, a retransmit
+    /// and a hedge all go through it, and each asks the ring before any
+    /// breaker. A refusal counts `tx_ring_full` here and `tx_rejected`
+    /// on `seg`, as every refused enqueue does, and spends no probe; so
+    /// every probe a breaker hands out goes with a frame on the ring.
+    fn send(
+        &mut self,
+        seq: u64,
+        (payload_bytes, priority): (u32, u8),
+        slots: Range<usize>,
+        attempt: u32,
+        seg: &mut EtherSegment,
+        now: u64,
+    ) -> Sent {
+        let nic = self.nic as usize;
+        if seg.refuses(nic) {
+            self.stats.tx_ring_full += 1;
+            seg.count_refusals(1);
+            return Sent::RingRefused;
+        }
+        let Some(slot) = self.admitted_slot(slots, now) else { return Sent::NoServer };
+        let server = self.servers[slot];
+        let msg = RpcMsg::Request {
+            client: self.nic,
+            seq,
+            server,
+            payload_bytes,
+            attempt,
+            priority,
+            epoch: self.epochs[slot],
+            ack_below: self.ack_below(),
+        };
+        let queued = seg.enqueue_with(nic, || msg.frame(self.nic, server));
+        debug_assert!(queued, "a ring that did not refuse took the frame");
+        Sent::Wire(slot)
+    }
+
+    /// Sends the one hedge copy call `seq` (its pending entry `p`) is
+    /// entitled to: same id, the next breaker-admitted server other than
+    /// its own. First reply wins; the loser's reply is absorbed as a
+    /// duplicate. Best-effort — a full TX ring or no admissible second
+    /// server simply forfeits the hedge.
     ///
     /// Hedging is congestion-aware: the copy is sent only while the
     /// client has idle outstanding capacity (under half its cap in
@@ -718,39 +795,102 @@ impl RpcClient {
     /// when the service tier is saturated every queued call crosses its
     /// hedge delay, and unconditional hedging would double the offered
     /// load at exactly the moment the servers are over capacity.
-    fn fire_hedge(&mut self, seq: u64, now: u64, seg: &mut EtherSegment) {
+    fn fire_hedge(&mut self, seq: u64, p: &Pending, now: u64, seg: &mut EtherSegment) {
         let congested = self.policy.max_outstanding != 0
             && self.pending.len().saturating_mul(2) > self.policy.max_outstanding;
-        let p = &self.pending[&seq];
-        let (cur, payload_bytes, priority, attempts) =
-            (p.server_slot, p.payload_bytes, p.priority, p.attempts);
-        self.pending.get_mut(&seq).expect("hedging call is pending").hedge_at = u64::MAX;
         if congested {
             return;
         }
-        let len = self.servers.len();
-        let target = if self.breakers.is_empty() {
-            Some((cur + 1) % len)
-        } else {
-            self.admitted_slot(cur + 1, now).filter(|&slot| slot != cur)
-        };
-        let Some(slot) = target else { return };
-        let server = self.servers[slot];
-        let msg = RpcMsg::Request {
-            client: self.nic,
-            seq,
-            server,
-            payload_bytes,
-            attempt: attempts,
-            priority,
-            epoch: self.epochs[slot],
-            ack_below: self.ack_below(),
-        };
-        if seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, server)) {
+        let others = p.server_slot + 1..p.server_slot + self.servers.len();
+        let call = (p.payload_bytes, p.priority);
+        if let Sent::Wire(_) = self.send(seq, call, others, p.attempts, seg, now) {
             self.stats.hedges += 1;
-        } else {
-            self.stats.tx_ring_full += 1;
         }
+    }
+
+    /// Acts on due call `seq`, whose pending entry `p` this updates in
+    /// place: fires its hedge, or counts its timeout and then fails it,
+    /// defers it or retransmits it. Returns whether it stays pending.
+    fn expire(&mut self, seq: u64, p: &mut Pending, now: u64, seg: &mut EtherSegment) -> bool {
+        if p.hedge_at <= now && p.timeout_at > now {
+            p.hedge_at = u64::MAX;
+            self.fire_hedge(seq, p, now, seg);
+            return true;
+        }
+        self.stats.timeouts += 1;
+        if let Some(b) = self.breakers.get_mut(p.server_slot) {
+            b.on_failure(now);
+        }
+        // The timeout machinery owns the call from here; the (single)
+        // hedge opportunity is spent either way.
+        p.hedge_at = u64::MAX;
+        let past_deadline =
+            self.policy.deadline > 0 && now.saturating_sub(p.submitted) >= self.policy.deadline;
+        if past_deadline
+            || (self.policy.max_attempts != 0 && p.attempts >= self.policy.max_attempts)
+        {
+            self.stats.failed += 1;
+            return false;
+        }
+        if self.policy.backoff_factor > 1 && seg.tx_queued(self.nic as usize) > 0 {
+            // The local TX ring still holds undelivered frames — possibly
+            // this call's previous copy. A backoff discipline reads that
+            // as congestion and re-arms the timer (no budget consumed, no
+            // failover): retransmitting now would only queue a duplicate
+            // behind a frame that hasn't even left the host, and fresh
+            // calls deserve the ring slots more.
+            self.stats.retries_deferred += 1;
+            let t = self.next_timeout(p.attempts.max(1));
+            p.timeout_at = self.arm_at(p.submitted, now, t);
+            return true;
+        }
+        let len = self.servers.len();
+        // Enough timeouts on one server look like a dead machine, not a
+        // slow one — fail over to a uniformly random *other* server.
+        // Rotating on the very first timeout re-executes every
+        // congestion-delayed call on a second machine (cross-server
+        // duplicate work); deterministic round-robin would herd every
+        // client's orphaned calls onto the same survivor. With breakers
+        // on, the first slot from there whose breaker admits takes the
+        // call; none at all means the whole fleet looks partitioned
+        // away, so the call fails fast instead of burning budget on a
+        // wire that eats every frame.
+        let from = if len > 1 && p.attempts >= self.policy.failover_after {
+            let step = 1 + self.rng.gen_range(0..len as u64 - 1) as usize;
+            (p.server_slot + step) % len
+        } else {
+            p.server_slot
+        };
+        let attempt = p.attempts + 1;
+        match self.send(seq, (p.payload_bytes, p.priority), from..from + len, attempt, seg, now) {
+            Sent::Wire(slot) => {
+                let t = self.next_timeout(attempt);
+                p.timeout_at = self.arm_at(p.submitted, now, t);
+                p.server_slot = slot;
+                p.attempts = attempt;
+                self.stats.retries += 1;
+            }
+            Sent::RingRefused => {
+                // The local NIC can't even queue the retransmission —
+                // that's a congestion signal. A backoff discipline paces
+                // the next try like a timeout (without consuming budget);
+                // a no-backoff discipline stays true to itself and
+                // re-polls eagerly, refilling every freed ring slot and
+                // keeping the wire saturated with retries.
+                let t = if self.policy.backoff_factor <= 1 {
+                    TX_RETRY_CYCLES
+                } else {
+                    self.next_timeout(p.attempts.max(1)).max(TX_RETRY_CYCLES)
+                };
+                p.timeout_at = self.arm_at(p.submitted, now, t);
+                p.server_slot = from;
+            }
+            Sent::NoServer => {
+                self.stats.fast_failed += 1;
+                return false;
+            }
+        }
+        true
     }
 
     /// One cycle of client work: absorb replies, expire timeouts and
@@ -805,175 +945,51 @@ impl RpcClient {
         }
 
         if now >= self.next_deadline {
-            let due: Vec<u64> = self
-                .pending
-                .iter()
-                .filter(|(_, p)| p.wake_at() <= now)
-                .map(|(&seq, _)| seq)
-                .collect();
-            for seq in due {
-                let (timeout_due, hedge_due) = {
-                    let p = &self.pending[&seq];
-                    (p.timeout_at <= now, p.hedge_at <= now)
-                };
-                if hedge_due && !timeout_due {
-                    self.fire_hedge(seq, now, seg);
-                    continue;
-                }
-                self.stats.timeouts += 1;
-                let cur_slot = self.pending[&seq].server_slot;
-                if let Some(b) = self.breakers.get_mut(cur_slot) {
-                    b.on_failure(now);
-                }
-                let p = self.pending.get_mut(&seq).expect("due call is pending");
-                // The timeout machinery owns the call from here; the
-                // (single) hedge opportunity is spent either way.
-                p.hedge_at = u64::MAX;
-                let past_deadline = self.policy.deadline > 0
-                    && now.saturating_sub(p.submitted) >= self.policy.deadline;
-                if past_deadline
-                    || (self.policy.max_attempts != 0 && p.attempts >= self.policy.max_attempts)
-                {
-                    self.pending.remove(&seq);
-                    self.stats.failed += 1;
-                    continue;
-                }
-                if self.policy.backoff_factor > 1 && seg.tx_queued(self.nic as usize) > 0 {
-                    // The local TX ring still holds undelivered frames
-                    // — possibly this call's previous copy. A backoff
-                    // discipline reads that as congestion and re-arms
-                    // the timer (no budget consumed, no failover):
-                    // retransmitting now would only queue a duplicate
-                    // behind a frame that hasn't even left the host,
-                    // and fresh calls deserve the ring slots more.
-                    self.stats.retries_deferred += 1;
-                    let attempts = self.pending[&seq].attempts.max(1);
-                    let submitted = self.pending[&seq].submitted;
-                    let t = self.next_timeout(attempts);
-                    let at = self.arm_at(submitted, now, t);
-                    self.pending.get_mut(&seq).expect("due call is pending").timeout_at = at;
-                    continue;
-                }
-                let len = self.servers.len();
-                let attempts_so_far = self.pending[&seq].attempts;
-                if self.breakers.is_empty() {
-                    if len > 1 && attempts_so_far >= self.policy.failover_after {
-                        // Enough timeouts on one server look like a dead
-                        // machine, not a slow one — fail over to a uniformly
-                        // random *other* server. Rotating on the very first
-                        // timeout re-executes every congestion-delayed call
-                        // on a second machine (cross-server duplicate
-                        // work); deterministic round-robin would herd every
-                        // client's orphaned calls onto the same survivor.
-                        let step = 1 + self.rng.gen_range(0..len as u64 - 1) as usize;
-                        self.pending.get_mut(&seq).expect("due call is pending").server_slot =
-                            (cur_slot + step) % len;
-                    }
-                } else {
-                    // Breakers gate the rotation: start from the random
-                    // step (or the current binding, below the failover
-                    // threshold) and take the first slot whose breaker
-                    // admits. No admissible server at all means the
-                    // whole fleet looks partitioned away — fail the
-                    // call fast instead of burning budget on a wire
-                    // that eats every frame.
-                    let from = if len > 1 && attempts_so_far >= self.policy.failover_after {
-                        let step = 1 + self.rng.gen_range(0..len as u64 - 1) as usize;
-                        (cur_slot + step) % len
-                    } else {
-                        cur_slot
-                    };
-                    match self.admitted_slot(from, now) {
-                        Some(slot) => {
-                            self.pending.get_mut(&seq).expect("due call is pending").server_slot =
-                                slot;
-                        }
-                        None => {
-                            self.pending.remove(&seq);
-                            self.stats.fast_failed += 1;
-                            continue;
-                        }
-                    }
-                }
-                let p = &self.pending[&seq];
-                let (slot, payload_bytes, priority) = (p.server_slot, p.payload_bytes, p.priority);
-                let attempt = p.attempts + 1;
-                let server = self.servers[slot];
-                let msg = RpcMsg::Request {
-                    client: self.nic,
-                    seq,
-                    server,
-                    payload_bytes,
-                    attempt,
-                    priority,
-                    epoch: self.epochs[slot],
-                    ack_below: self.ack_below(),
-                };
-                if seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, server)) {
-                    let t = self.next_timeout(attempt);
-                    let submitted = self.pending[&seq].submitted;
-                    let at = self.arm_at(submitted, now, t);
-                    let p = self.pending.get_mut(&seq).expect("due call is pending");
-                    p.attempts = attempt;
-                    p.timeout_at = at;
-                    self.stats.retries += 1;
-                } else {
-                    // The local NIC can't even queue the retransmission
-                    // — that's a congestion signal. A backoff discipline
-                    // paces the next try like a timeout (without
-                    // consuming budget); a no-backoff discipline stays
-                    // true to itself and re-polls eagerly, refilling
-                    // every freed ring slot and keeping the wire
-                    // saturated with retries.
-                    self.stats.tx_ring_full += 1;
-                    let t = if self.policy.backoff_factor <= 1 {
-                        TX_RETRY_CYCLES
-                    } else {
-                        self.next_timeout((attempt - 1).max(1)).max(TX_RETRY_CYCLES)
-                    };
-                    let submitted = self.pending[&seq].submitted;
-                    let at = self.arm_at(submitted, now, t);
-                    self.pending.get_mut(&seq).expect("due call is pending").timeout_at = at;
+            // One scan splits the due calls (in seq order) from the
+            // earliest wake of the rest; each due call is then read once
+            // and written back (or removed) once, and its new wake folds
+            // into that minimum.
+            let mut due = std::mem::take(&mut self.due);
+            let mut next = u64::MAX;
+            for (&seq, p) in &self.pending {
+                match p.wake_at() {
+                    wake if wake <= now => due.push(seq),
+                    wake => next = next.min(wake),
                 }
             }
-            self.next_deadline =
-                self.pending.values().map(Pending::wake_at).min().unwrap_or(u64::MAX);
+            for &seq in &due {
+                let mut p = self.pending[&seq];
+                if self.expire(seq, &mut p, now, seg) {
+                    next = next.min(p.wake_at());
+                    self.pending.insert(seq, p);
+                } else {
+                    self.pending.remove(&seq);
+                }
+            }
+            due.clear();
+            self.due = due;
+            self.next_deadline = next;
         }
 
         while self.can_admit() {
-            // A refusing ring ends admission before any breaker admits,
-            // so a call that cannot be queued spends no probe.
-            if seg.refuses(self.nic as usize) {
-                self.stats.tx_ring_full += 1;
-                seg.count_refusals(1);
-                break;
-            }
             let (payload_bytes, submitted, priority) =
                 *self.backlog.front().expect("backlog non-empty");
             let seq = self.next_seq;
-            let Some(server_slot) = self.admitted_slot(seq as usize, now) else {
-                // Every server's breaker refused: the fleet is
-                // unreachable from here. Fail the call locally — this
-                // is the partition fast path that spends neither wire
-                // bandwidth nor retry budget.
-                self.backlog.pop_front();
-                self.next_seq += 1;
-                self.stats.fast_failed += 1;
-                continue;
+            let slots = seq as usize..seq as usize + self.servers.len();
+            let server_slot = match self.send(seq, (payload_bytes, priority), slots, 1, seg, now) {
+                Sent::Wire(slot) => slot,
+                Sent::RingRefused => break,
+                Sent::NoServer => {
+                    // Every server's breaker refused: the fleet is
+                    // unreachable from here. Fail the call locally —
+                    // this is the partition fast path that spends
+                    // neither wire bandwidth nor retry budget.
+                    self.backlog.pop_front();
+                    self.next_seq += 1;
+                    self.stats.fast_failed += 1;
+                    continue;
+                }
             };
-            let server = self.servers[server_slot];
-            let msg = RpcMsg::Request {
-                client: self.nic,
-                seq,
-                server,
-                payload_bytes,
-                attempt: 1,
-                priority,
-                epoch: self.epochs[server_slot],
-                ack_below: self.ack_below(),
-            };
-            let queued = seg.enqueue_with(self.nic as usize, || msg.frame(self.nic, server));
-            debug_assert!(queued, "a ring that did not refuse took the frame");
             self.backlog.pop_front();
             self.next_seq += 1;
             let t = self.next_timeout(1);
@@ -1057,6 +1073,7 @@ impl RpcClient {
             next_seq,
             pending,
             next_deadline,
+            due: Vec::new(),
             backlog,
             breakers,
             detector,
@@ -2104,6 +2121,68 @@ mod tests {
         }
         assert_eq!(probes(&ticked), probes(&client), "a refused call takes no probe");
         assert_eq!(ticked.breaker_state(first), Some(BreakerState::HalfOpen));
+    }
+
+    /// Trips the breaker at `slot` and lets it cool into `HalfOpen`
+    /// with one of its two probes taken.
+    fn half_open(client: &mut RpcClient, slot: usize) {
+        for _ in 0..3 {
+            client.breakers[slot].on_failure(1);
+        }
+        assert!(client.breakers[slot].admit(u64::MAX), "the cooled breaker admits a probe");
+        assert_eq!(client.breaker_state(slot), Some(BreakerState::HalfOpen));
+    }
+
+    /// A hedge that the full ring refuses spends no probe on the other
+    /// server's `HalfOpen` breaker; it counts one refusal and no hedge.
+    #[test]
+    fn refused_hedge_spends_no_probe() {
+        let (mut client, mut seg) = client_on_a_full_ring(RetryPolicy::resilient(20_000));
+        assert_eq!(client.pending[&0].server_slot, 0);
+        half_open(&mut client, 1);
+        let (before, seg_before) = (client.clone(), seg.stats());
+        let hedge_at = client.pending[&0].hedge_at;
+        assert!(hedge_at < client.pending[&0].timeout_at, "the hedge is due first");
+        client.tick(hedge_at, &mut seg);
+        let probes = |c: &RpcClient| c.breaker_stats(1).expect("breakers on").probes;
+        assert_eq!(probes(&client), probes(&before), "a refused hedge takes no probe");
+        assert_eq!(seg.stats().tx_enqueued, seg_before.tx_enqueued);
+        assert_eq!(client.stats().hedges, 0);
+        // One refusal for the hedge, one for the blocked backlog.
+        assert_eq!(client.stats().tx_ring_full - before.stats().tx_ring_full, 2);
+        assert_eq!(seg.stats().tx_rejected - seg_before.tx_rejected, 2);
+        assert_eq!(client.pending[&0].hedge_at, u64::MAX, "the hedge is spent");
+    }
+
+    /// A retransmission that the full ring refuses spends no probe and
+    /// stays bound where the failover step put it, not on the server
+    /// whose `HalfOpen` breaker would have admitted it. Only a policy
+    /// without backoff (or an offline NIC) retransmits onto a ring that
+    /// holds frames.
+    #[test]
+    fn refused_retransmit_spends_no_probe() {
+        let mut policy = RetryPolicy::resilient(20_000);
+        policy.backoff_factor = 1;
+        policy.hedge_delay = 0;
+        let (mut client, mut seg) = client_on_a_full_ring(policy);
+        for _ in 0..3 {
+            client.breakers[0].on_failure(1);
+        }
+        assert_eq!(client.breaker_state(0), Some(BreakerState::Open));
+        half_open(&mut client, 1);
+        let (before, seg_before) = (client.clone(), seg.stats());
+        let timeout_at = client.pending[&0].timeout_at;
+        client.tick(timeout_at, &mut seg);
+        let probes = |c: &RpcClient, slot| c.breaker_stats(slot).expect("breakers on").probes;
+        for slot in 0..2 {
+            assert_eq!(probes(&client, slot), probes(&before, slot), "slot {slot} gave a probe");
+        }
+        assert_eq!(seg.stats().tx_enqueued, seg_before.tx_enqueued);
+        assert_eq!(client.stats().timeouts, 1);
+        assert_eq!(client.stats().retries, 0);
+        let p = &client.pending[&0];
+        assert_eq!((p.server_slot, p.attempts), (0, 1), "the call stays bound, unsent");
+        assert_eq!(p.timeout_at, timeout_at + TX_RETRY_CYCLES, "re-polled without backoff");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   and jitter seed, and a snapshot cut between any two observations
 //!   restores a bit-identical machine;
 //! * a hedged call completes at most once, with the canonical result,
-//!   no matter what the wire does to the two copies.
+//!   no matter what the wire does to the two copies;
+//! * every half-open probe a client's breakers hand out goes with a
+//!   frame on its TX ring: a send the ring refuses asks no breaker.
 
 use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
 use firefly_net::{
@@ -251,6 +253,66 @@ proptest! {
         for s in &servers {
             for (&id, &count) in s.executions() {
                 prop_assert_eq!(count, 1, "request {:?} executed twice on one server", id);
+            }
+        }
+    }
+
+    /// One client of three servers under a random breaker policy
+    /// (backoff factor 0 to 3, hedging on or off, random failover and
+    /// attempt budgets), on one- to three-frame TX rings and a lossy
+    /// wire, with client and server NICs switched off and on at random:
+    /// after every client tick, its breakers' `probes` rose by no more
+    /// than the frames it queued.
+    #[test]
+    fn breaker_probes_ride_on_queued_frames(
+        seed in any::<u64>(),
+        timeout in 500u64..5_000,
+        backoff_factor in 0u32..4,
+        hedge in any::<bool>(),
+        failover_after in 1u32..4,
+        max_attempts in 0u32..10,
+        (threshold, open_base) in (1u32..4, 1u64..20_000),
+        tx_ring in 1usize..4,
+        drop_ppm in 0u32..500_000,
+        schedule in prop::collection::vec((0u64..8_000, 0usize..4, 1usize..6), 1..10),
+    ) {
+        let mut cfg = SegmentConfig::new(4);
+        cfg.seed = seed;
+        cfg.tx_ring = tx_ring;
+        cfg.faults = NetFaultConfig { seed: seed ^ 0x9b0b, drop_ppm, ..NetFaultConfig::default() };
+        let mut seg = EtherSegment::new(cfg);
+        let mut servers: Vec<RpcServer> =
+            (0..3).map(|i| RpcServer::new(i, 1, 1_500, seed ^ u64::from(i))).collect();
+        let mut policy = RetryPolicy::resilient(timeout);
+        policy.backoff_factor = backoff_factor;
+        policy.hedge_delay = if hedge { timeout / 2 } else { 0 };
+        policy.failover_after = failover_after;
+        policy.max_attempts = max_attempts;
+        policy.breaker = Some(BreakerConfig::with_threshold(threshold, open_base));
+        let mut client = RpcClient::new(3, vec![0, 1, 2], policy, seed);
+        let probes = |c: &RpcClient| -> u64 {
+            (0..3).map(|slot| c.breaker_stats(slot).expect("breakers on").probes).sum()
+        };
+        for (gap, toggle, calls) in schedule {
+            for _ in 0..gap {
+                seg.tick();
+                let now = seg.cycle();
+                for s in &mut servers {
+                    if seg.is_online(s.nic() as usize) {
+                        s.tick(now, &mut seg);
+                    }
+                }
+                let (probes_before, queued_before) = (probes(&client), seg.stats().tx_enqueued);
+                client.tick(now, &mut seg);
+                let probed = probes(&client) - probes_before;
+                let queued = seg.stats().tx_enqueued - queued_before;
+                prop_assert!(probed <= queued, "{} probes for {} frames at {}", probed, queued, now);
+            }
+            // NIC 3 is the client; 0..3 are the servers.
+            let online = !seg.is_online(toggle);
+            seg.set_online(toggle, online);
+            for _ in 0..calls {
+                client.submit(seg.cycle(), 200);
             }
         }
     }

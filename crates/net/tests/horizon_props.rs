@@ -13,7 +13,11 @@
 //! * ticking a server or client at any cycle short of its
 //!   `next_event(now, seg)`, with the segment not ticked, saves the same
 //!   bytes, its own and the segment's, as crediting it one refusal when
-//!   it is ring-blocked and doing nothing when it is not.
+//!   it is ring-blocked and doing nothing when it is not;
+//! * a [`RpcClient::replayable`] client ticked only at its own
+//!   `next_event`s, with the cycles between credited, saves the same
+//!   bytes, its own and the segment's, as a twin ticked every cycle, up
+//!   to the segment's next event.
 //!
 //! It also checks the lazy send path the endpoints use: feeding a
 //! segment through [`EtherSegment::enqueue_with`] accepts and refuses
@@ -154,6 +158,44 @@ fn assert_quiet_at(
         );
         assert!(segment_bytes(&seg) == client_seg_after, "client touched the wire at {at}");
     }
+}
+
+/// Longest stretch one replay check covers: the segment's next event
+/// is `u64::MAX` while the wire is idle.
+const REPLAY_SPAN: u64 = 10_000;
+
+/// Cycles between replay checks; prime.
+const REPLAY_STRIDE: u64 = 397;
+
+/// Checks that `client`, [`RpcClient::replayable`] on `seg` at `now`,
+/// run to the cycle before the segment's next event (at most
+/// [`REPLAY_SPAN`] on) by ticks at its own events with the gaps
+/// credited, saves the same bytes as a twin ticked at every cycle, and
+/// leaves the segment with the same bytes.
+fn assert_replay_matches_ticking(seg: &EtherSegment, client: &RpcClient, now: u64) {
+    let until = (seg.next_event() - 1).min(now + REPLAY_SPAN);
+    let (mut ticked, mut ticked_seg) = (client.clone(), seg.clone());
+    for at in now + 1..=until {
+        ticked.tick(at, &mut ticked_seg);
+    }
+    let (mut replayed, mut replayed_seg) = (client.clone(), seg.clone());
+    let mut at = now;
+    loop {
+        let event = replayed.next_event(at, &replayed_seg);
+        let quiet = event.min(until + 1) - 1 - at;
+        if quiet > 0 && replayed.ring_blocked(&replayed_seg) {
+            replayed.credit_refusals(quiet, &mut replayed_seg);
+        }
+        if event > until {
+            break;
+        }
+        replayed.tick(event, &mut replayed_seg);
+        at = event;
+    }
+    assert!(replayed.replayable(&replayed_seg), "a replay left the client unreplayable");
+    assert!(client_bytes(&replayed) == client_bytes(&ticked), "replay diverged by {until}");
+    assert!(segment_bytes(&replayed_seg) == segment_bytes(&ticked_seg), "segment diverged");
+    assert_eq!(replayed.stats(), ticked.stats());
 }
 
 proptest! {
@@ -304,6 +346,65 @@ proptest! {
             }
             for _ in 0..calls {
                 client.submit(seg.cycle(), bytes);
+            }
+        }
+    }
+
+    /// A server and a client on a faulty wire with one- to three-frame
+    /// TX rings, under a random policy (backoff factor 0 to 3, any
+    /// outstanding cap, breakers, hedging and a deadline each on or
+    /// off), driven by call bursts and
+    /// random power toggles of either NIC: whenever the client is
+    /// replayable, replaying it to the segment's next event matches
+    /// ticking it every cycle.
+    #[test]
+    fn replayed_client_matches_ticking(
+        timeout in 500..10_000u64,
+        backoff_factor in 0..4u32,
+        max_outstanding in 0..10usize,
+        (breakers, hedge, deadline) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        tx_ring in 1..4usize,
+        seed in any::<u64>(),
+        faults in fault_plan(),
+        bursts in proptest::collection::vec((0..15_000u64, 0..8usize, 0..4usize), 1..12),
+    ) {
+        let mut policy = RetryPolicy::resilient(timeout);
+        policy.backoff_factor = backoff_factor;
+        policy.max_outstanding = max_outstanding;
+        if !breakers {
+            policy.breaker = None;
+        }
+        if !hedge {
+            policy.hedge_delay = 0;
+        }
+        if !deadline {
+            policy.deadline = 0;
+        }
+        let cfg = SegmentConfig { nics: 3, tx_ring, rx_ring: 4, seed, faults };
+        let mut seg = EtherSegment::new(cfg);
+        let mut server = RpcServer::new(0, 1, 1_000, seed);
+        let mut client = RpcClient::new(1, vec![0, 2], policy, seed);
+        for (gap, calls, toggle) in bursts {
+            let end = seg.cycle() + gap.max(1);
+            while seg.cycle() < end {
+                seg.tick();
+                let now = seg.cycle();
+                if seg.is_online(0) {
+                    server.tick(now, &mut seg);
+                }
+                client.tick(now, &mut seg);
+                if now.is_multiple_of(REPLAY_STRIDE) && client.replayable(&seg) {
+                    assert_replay_matches_ticking(&seg, &client, now);
+                }
+            }
+            for _ in 0..calls {
+                client.submit(seg.cycle(), 300);
+            }
+            // Toggle 0 powers the server's NIC, 1 the client's; others
+            // leave both alone.
+            if toggle < 2 {
+                let online = !seg.is_online(toggle);
+                seg.set_online(toggle, online);
             }
         }
     }

@@ -687,6 +687,35 @@ impl ClientHost {
     fn next_event(&self, now: u64, seg: &EtherSegment) -> u64 {
         self.rpc.next_event(now, seg).min(self.next_arrival)
     }
+
+    /// Runs a [`replayable`](RpcClient::replayable) client from `now`
+    /// through `until` with the segment not ticking, as stepping would:
+    /// a tick at each of its own events, and between them, while it is
+    /// ring-blocked, one credited refusal per cycle.
+    fn replay(
+        &mut self,
+        now: u64,
+        until: u64,
+        cfg: &FleetConfig,
+        seg: &mut EtherSegment,
+        engine: &mut FleetEngineStats,
+    ) {
+        let mut at = now;
+        loop {
+            let event = self.next_event(at, seg);
+            let quiet = event.min(until + 1) - 1 - at;
+            if quiet > 0 && self.rpc.ring_blocked(seg) {
+                self.rpc.credit_refusals(quiet, seg);
+                engine.credited_refusals += quiet;
+            }
+            if event > until {
+                return;
+            }
+            self.tick(event, cfg, seg);
+            engine.replayed_ticks += 1;
+            at = event;
+        }
+    }
 }
 
 firefly_core::snap_struct!(ClientHost { rpc, arrivals, priorities, next_arrival });
@@ -773,6 +802,8 @@ firefly_core::counters! {
         /// Refused enqueues credited to ring-blocked senders in place
         /// of the ticks they slept through.
         pub credited_refusals: u64,
+        /// Client ticks run inside jumps by replayable clients.
+        pub replayed_ticks: u64,
     }
 }
 
@@ -870,14 +901,23 @@ impl Fleet {
     /// a blocked one is credited one refusal per cycle it sleeps
     /// through, in one add for a whole jump. Its ring can free only at a
     /// segment event, which ends any jump, and whether it is due is
-    /// read afresh after every segment tick. Every wake is derived from
-    /// state, none stored, so a snapshot needs no engine section.
+    /// read afresh after every segment tick.
+    ///
+    /// A [`replayable`](RpcClient::replayable) client (its ring refuses
+    /// it and its RX ring is empty) does not bound a jump at all: a
+    /// client touches the segment only through its own NIC's rings and
+    /// the refusal counter, so until the segment's next event every
+    /// enqueue it tries is refused and nothing it reads can change. It
+    /// is run through its own timers and arrivals inside the jump,
+    /// eagerly, and left at the jump's last cycle like every other
+    /// endpoint. Every wake is derived from state, none stored, so a
+    /// snapshot needs no engine section.
     pub fn run_until(&mut self, target: u64) {
         while self.cycle < target {
             self.step_due();
             let idle_until = (self.next_event() - 1).min(target);
             if idle_until > self.cycle {
-                self.credit_blocked(idle_until - self.cycle);
+                self.sleep_until(idle_until);
                 self.segment.skip_to(idle_until);
                 self.engine.jumps += 1;
                 self.engine.cycles_jumped += idle_until - self.cycle;
@@ -914,20 +954,26 @@ impl Fleet {
         }
     }
 
-    /// Credits every live ring-blocked endpoint the `cycles` refusals it
-    /// would count over a jump.
-    fn credit_blocked(&mut self, cycles: u64) {
-        let seg = &mut self.segment;
+    /// Brings every live endpoint from the current cycle to `until`, a
+    /// jump's last cycle, with the segment not ticking: each
+    /// ring-blocked server is credited its refusals and each replayable
+    /// client is [`replay`](ClientHost::replay)ed. No other endpoint is
+    /// due or blocked before the jump ends.
+    fn sleep_until(&mut self, until: u64) {
+        let (now, seg) = (self.cycle, &mut self.segment);
+        let cycles = until - now;
         for (s, _) in self.servers.iter().zip(&self.server_online).filter(|(_, &on)| on) {
             if s.ring_blocked(seg) {
                 s.credit_refusals(cycles, seg);
                 self.engine.credited_refusals += cycles;
             }
         }
+        let cfg = self.cfg;
         for c in &mut self.clients {
-            if c.rpc.ring_blocked(seg) {
-                c.rpc.credit_refusals(cycles, seg);
-                self.engine.credited_refusals += cycles;
+            if c.rpc.replayable(seg) {
+                c.replay(now, until, &cfg, seg, &mut self.engine);
+            } else {
+                debug_assert!(!c.rpc.ring_blocked(seg), "a blocked client left out of a jump");
             }
         }
     }
@@ -939,13 +985,16 @@ impl Fleet {
         self.engine
     }
 
-    /// The next cycle at which a step does more than advance the clock
-    /// and credit ring-blocked senders: the earliest of the segment's
-    /// next event and each live endpoint's (which is the next cycle for
-    /// an endpoint with frames in its RX ring). A ring-blocked sender's
-    /// own event is its next timer, arrival or job completion; its ring
-    /// frees only at a segment event. Partition and slowdown edges are
-    /// no wake-ups: they are read only at frame delivery and at job
+    /// The next cycle at which a step does more than advance the clock,
+    /// credit ring-blocked senders and replay replayable clients: the
+    /// earliest of the segment's next event and each live endpoint's
+    /// (which is the next cycle for an endpoint with frames in its RX
+    /// ring), leaving out every [`replayable`](RpcClient::replayable)
+    /// client, which touches the segment only through its own NIC's
+    /// rings and the refusal counter and so runs inside the jump. A
+    /// ring-blocked server's own event is its next job completion; its
+    /// ring frees only at a segment event. Partition and slowdown edges
+    /// are no wake-ups: they are read only at frame delivery and at job
     /// start, which are events already. Breakers and failure detectors
     /// are lazy in `now` and consulted only inside those actions.
     fn next_event(&self) -> u64 {
@@ -953,7 +1002,9 @@ impl Fleet {
         let servers = (self.servers.iter().zip(&self.server_online))
             .filter(|(_, &on)| on)
             .map(|(s, _)| s.next_event(now, seg));
-        let clients = self.clients.iter().map(|c| c.next_event(now, seg));
+        let clients = (self.clients.iter())
+            .filter(|c| !c.rpc.replayable(seg))
+            .map(|c| c.next_event(now, seg));
         let mut events = servers.chain(clients);
         let mut at = self.segment.next_event();
         while at > now + 1 {

@@ -5,7 +5,8 @@
 //! then jumps the clock to the cycle before the fleet's next wire,
 //! timer, arrival or service event; a sender blocked on a full TX ring
 //! sleeps through both and is credited the refusals its ticks would
-//! have counted. Its contract is the event engine's: **bit-identical
+//! have counted, and a client whose ring refuses it runs through its own
+//! events inside the jump. Its contract is the event engine's: **bit-identical
 //! results** — stats JSON, the fleet trace and snapshot bytes — to
 //! stepping every cycle. Every scenario config runs as two twins from
 //! the same seed, one stepped and one skipping, compared at cuts a prime
@@ -14,7 +15,7 @@
 //! twins at the same cycle. Any divergence means a skip crossed a cycle
 //! that was not idle.
 
-use firefly::net::BreakerState;
+use firefly::net::{BreakerState, RetryPolicy};
 use firefly::sim::fleet::{
     brownout, crash, partition, rejoin, run_brownout, run_crash_failover, run_flapping_partition,
     run_partition_heal, run_rejoin, run_retry_storm, storm, Fleet, FleetConfig,
@@ -130,8 +131,8 @@ fn serving_fleet_skips_bit_identically() {
     differential("serving", FleetConfig::serving(2, 6, SEED), 1_500_000, &[]);
 }
 
-/// Through the storm's onset only: the naive storm is the one scenario
-/// the skip barely shortens, so its stepped twin is this suite's cost.
+/// Through the storm's onset only: the stepped twin ticks every client
+/// at every cycle of the storm, and is this suite's cost.
 #[test]
 fn naive_retry_storm_skips_bit_identically() {
     let cfg = FleetConfig::retry_storm(SEED, true);
@@ -187,6 +188,26 @@ fn full_ring_behind_a_tripped_breaker_skips_bit_identically() {
         seen += u64::from(blocked_with_a_tripped_breaker(fleet));
     });
     assert!(seen > 0, "no client ever slept on a full ring with a tripped breaker");
+}
+
+/// Breakers and hedges on two-frame TX rings through a retry storm: the
+/// rings refuse their clients for long stretches, so those clients run
+/// inside the fleet's jumps with hedges, deferred retransmits and
+/// refused sends due there, and the run must still match stepping.
+#[test]
+fn resilient_storm_on_two_frame_rings_replays_bit_identically() {
+    let mut cfg = FleetConfig::retry_storm(SEED, false);
+    cfg.policy = RetryPolicy::resilient(storm::TIMEOUT);
+    cfg.tx_ring = 2;
+    // Four times the storm's load keeps the rings full longer.
+    cfg.arrivals_per_mcycle = 60;
+    let end = storm::SLOW_UNTIL;
+    let ticked = differential("resilient storm, two-frame rings", cfg, end, &[]);
+    assert!(ticked.report().hedges > 0, "no hedge was sent");
+    let mut skipping = Fleet::new(cfg);
+    skipping.run_until(end);
+    let engine = skipping.engine_stats();
+    assert!(engine.replayed_ticks > 0, "no client ran inside a jump: {engine:?}");
 }
 
 #[test]
@@ -255,19 +276,22 @@ fn scenario_runners_are_bit_identical_across_worker_counts() {
 }
 
 /// The sleep path keeps working: inside the naive storm the clients'
-/// TX rings stay full, and a ring-blocked client sleeps until its next
-/// timer or arrival instead of re-polling every cycle. The window is
-/// the one the `fleet-storm` benchmark workload replays (seed 7, 50 k
-/// cycles from cycle 1.8 M), where stepping every cycle costs 50,000
-/// steps.
+/// TX rings stay full, so each client runs through its own timers and
+/// arrivals inside the fleet's jumps instead of bounding them, and a
+/// ring-blocked one sleeps between them. The window is the one the
+/// `fleet-storm` benchmark workload replays (seed 7, 50 k cycles from
+/// cycle 1.8 M), where stepping every cycle costs 50,000 steps; the
+/// warm-up to it crosses the storm's onset.
 #[test]
 fn naive_storm_window_sleeps_through_refusals() {
     let mut fleet = Fleet::new(FleetConfig::retry_storm(7, true));
     fleet.run_until(1_800_000);
-    let before = fleet.engine_stats();
+    let warm_up = fleet.engine_stats();
+    assert!(warm_up.steps < 5_000, "the warm-up took {} steps", warm_up.steps);
     fleet.run(50_000);
-    let window = fleet.engine_stats().delta(&before);
+    let window = fleet.engine_stats().delta(&warm_up);
     assert_eq!(window.steps + window.cycles_jumped, 50_000, "{window:?}");
-    assert!(window.steps < 25_000, "the storm window took {} steps", window.steps);
+    assert!(window.steps < 200, "the storm window took {} steps", window.steps);
     assert!(window.credited_refusals > 0, "no sender slept on a full ring: {window:?}");
+    assert!(window.replayed_ticks > 0, "no client ran inside a jump: {window:?}");
 }
