@@ -96,6 +96,9 @@ same_across_widths soak
 step "rpc_bandwidth --smoke (§6 4.6 Mb/s claim)"
 cargo run --release -p firefly-bench --bin rpc_bandwidth -- --smoke > /dev/null
 
+step "rpc_bandwidth determinism gate (bit-identical across widths)"
+same_across_widths rpc_bandwidth
+
 # Smoke-sized BENCH reports go to target/bench/. Each bench bin validates
 # its report as it writes it and exits 1 when one of its gates fails; the
 # committed BENCH_*.json files at the root come from full runs only.

@@ -114,3 +114,12 @@ pub const MICROVAX_TICK_NS: u64 = 200;
 
 /// A CVAX CPU tick is 100 ns ("processor cycles are twice as fast").
 pub const CVAX_TICK_NS: u64 = 100;
+
+/// Ethernet wire pacing shared by the DEQNA device model and the fleet's
+/// segment: one 32-bit word per 40 cycles (4 µs), 0.8 bit per 100 ns
+/// cycle, which is 8 Mb/s, not the DEQNA's nominal 10 Mb/s.
+pub const WIRE_CYCLES_PER_WORD: u64 = 40;
+
+/// Preamble and start-frame delimiter charged per Ethernet frame, in
+/// words.
+pub const PREAMBLE_WORDS: u64 = 2;

@@ -12,14 +12,10 @@
 
 use crate::dma::{DmaCompletion, DmaOp};
 use firefly_core::fault::{site, FaultConfig, FaultSite};
-use firefly_core::Addr;
+use firefly_core::{Addr, PREAMBLE_WORDS, WIRE_CYCLES_PER_WORD};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
-
-/// Ethernet wire rate: 10 Mbit/s → 0.8 bits per 100 ns cycle, i.e. one
-/// 32-bit word per 40 cycles.
-pub const WIRE_CYCLES_PER_WORD: u64 = 40;
 
 /// A packet on the simulated wire (word-packed payload plus byte length).
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -294,8 +290,8 @@ impl Deqna {
                     let words = bytes.div_ceil(4);
                     if got.len() as u32 == words {
                         let packet = Packet { words: std::mem::take(got), bytes: *bytes };
-                        // Preamble + words on the 10 Mb/s wire.
-                        let cycles = (u64::from(words) + 2) * WIRE_CYCLES_PER_WORD;
+                        // Preamble + words on the 8 Mb/s wire.
+                        let cycles = (u64::from(words) + PREAMBLE_WORDS) * WIRE_CYCLES_PER_WORD;
                         self.tx = TxState::Sending { packet, cycles };
                     }
                 }
@@ -376,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_time_matches_ten_megabits() {
+    fn wire_time_is_eight_megabits() {
         let mut d = Deqna::new();
         d.enqueue_tx(Addr::new(0), 1500);
         d.kick();
@@ -397,8 +393,10 @@ mod tests {
             cycles += 1;
             assert!(cycles < 100_000);
         }
-        // 1500 B at 10 Mb/s = 1.2 ms = 12000 cycles (plus fetch+preamble).
-        assert!((12_000..22_000).contains(&cycles), "1500 B tx took {cycles} cycles");
+        // 375 one-cycle word fetches, then (375 + 2 preamble words) × 40
+        // = 15,080 wire cycles, the first in the last fetch's cycle: 1500 B
+        // in 1.5 ms on the wire, 8 Mb/s.
+        assert_eq!(cycles, 374 + 15_080, "1500 B tx took {cycles} cycles");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`segment`] — a cycle-driven shared Ethernet segment: CSMA/CD
 //!   arbitration with truncated binary exponential backoff, bounded
-//!   per-NIC TX/RX rings, and 10 Mb/s wire pacing on the 100 ns grid;
+//!   per-NIC TX/RX rings, and 8 Mb/s wire pacing on the 100 ns grid;
 //! * [`fault`] — a seeded deterministic network fault plan (drop,
 //!   duplicate, reorder, corrupt-with-CRC-reject, partition) extending
 //!   the machine-level `firefly_core::fault` machinery to the wire;

@@ -1,9 +1,10 @@
 //! A message-passing Topaz-style RPC transport over the shared segment.
 //!
-//! This replaces the closed-form `firefly_topaz::rpc::simulate()` model
-//! with real frames on a real (simulated) wire: clients carry request
-//! ids, servers keep a reply cache for **at-most-once** execution, and
-//! loss is handled by per-call timeouts with exponential backoff,
+//! This is the repository's one model of the §6 RPC path: real frames
+//! on a real (simulated) wire, run for the bandwidth claim by
+//! `firefly_sim::fleet::run_rpc_transfer`. Clients carry request ids,
+//! servers keep a reply cache for **at-most-once** execution, and loss
+//! is handled by per-call timeouts with exponential backoff,
 //! deterministic jitter, bounded retry budgets, and a client-side
 //! outstanding-call cap that backpressures the load generator.
 //!

@@ -7,7 +7,8 @@
 //! the same 100 ns cycle grain as the rest of the simulator:
 //!
 //! * the wire carries one frame at a time, at the DEQNA's
-//!   [`WIRE_CYCLES_PER_WORD`] pacing (0.8 bits/cycle = 10 Mb/s);
+//!   [`WIRE_CYCLES_PER_WORD`] pacing (0.8 bit/cycle = 8 Mb/s, below
+//!   the coax's nominal 10 Mb/s);
 //! * each NIC has bounded TX/RX rings in the spirit of the
 //!   [`Deqna`](../firefly_io) device's rings — a full ring backpressures
 //!   (TX) or drops with a counted overflow (RX);
@@ -22,18 +23,11 @@
 
 use crate::fault::{NetFaultConfig, NetFaults};
 use firefly_core::snapshot::{crc32, SnapReader, SnapWriter};
-use firefly_core::Error;
+use firefly_core::{Error, PREAMBLE_WORDS, WIRE_CYCLES_PER_WORD};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Wire cycles per 32-bit word at 10 Mb/s on the 100 ns grid (3.2 µs
-/// per word), matching the DEQNA device model.
-pub const WIRE_CYCLES_PER_WORD: u64 = 40;
-
-/// Preamble + start-frame-delimiter overhead charged per frame, in words.
-pub const PREAMBLE_WORDS: u64 = 2;
 
 /// Per-frame header/trailer overhead (addresses, type, FCS) in bytes.
 pub const HEADER_BYTES: usize = 26;

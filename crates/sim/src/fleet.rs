@@ -41,6 +41,10 @@
 //!   admission controller on versus off: explicit `Shed` replies release
 //!   doomed calls in one round trip where silent queue drops burn the
 //!   full timeout ladder.
+//!
+//! [`run_rpc_transfer`] runs the paper's own §6 measurement on the same
+//! fleet: one client keeping a fixed number of calls outstanding to one
+//! server, behind the `rpc_bandwidth` bin and the §6 claim test.
 
 use firefly_core::events::{Event, EventKind, EventRing};
 use firefly_core::snapshot::{SnapWriter, SnapshotBuilder, SnapshotFile};
@@ -584,6 +588,28 @@ impl FleetConfig {
         cfg
     }
 
+    /// The §6 RPC data transfer: one client moving full 1460-byte
+    /// frames to one server with `threads` calls outstanding, each a
+    /// Topaz thread making synchronous calls. The server runs one call
+    /// at a time, the serial bottleneck, for 2.5 ms on average. The
+    /// client always has a call waiting: arrivals come faster than
+    /// twice the one-thread call rate, and the timeout never fires.
+    pub fn rpc_transfer(threads: usize, seed: u64) -> Self {
+        const PAYLOAD: u32 = 1_460;
+        let mut cfg = FleetConfig::serving(1, 1, seed);
+        cfg.server_threads = 1;
+        // The mean service time is (service_cycles + payload / 4)
+        // · 17/16, its jitter uniform in 0..=base/8: 25,000 cycles.
+        cfg.service_cycles = 25_000 * 16 / 17 - u64::from(PAYLOAD) / 4;
+        cfg.payload_min = PAYLOAD;
+        cfg.payload_max = PAYLOAD;
+        cfg.arrivals_per_mcycle = 100;
+        cfg.policy = RetryPolicy::naive(50_000_000);
+        cfg.policy.max_outstanding = threads;
+        cfg.policy.queue_cap = 16;
+        cfg
+    }
+
     /// The segment a fleet of this shape attaches to: one NIC per
     /// machine, servers first.
     fn segment_config(&self) -> SegmentConfig {
@@ -606,7 +632,8 @@ impl FleetConfig {
 }
 
 /// Goodput in Mb/s: acknowledged payload bits over a cycle window, on
-/// the 100 ns grid (1 bit/cycle = 10 Mb/s, the full Ethernet).
+/// the 100 ns grid (1 bit/cycle = 10 Mb/s, the nominal Ethernet rate;
+/// the simulated wire carries 0.8 bit/cycle).
 pub fn goodput_mbps(payload_bytes: u64, cycles: u64) -> f64 {
     if cycles == 0 {
         0.0
@@ -1434,6 +1461,42 @@ pub fn run_retry_storm(seed: u64, naive: bool) -> StormOutcome {
     }
 }
 
+/// Outcome of one §6 RPC data transfer ([`run_rpc_transfer`]).
+#[derive(Copy, Clone, PartialEq, Debug, Serialize)]
+pub struct TransferOutcome {
+    /// Calls the client kept outstanding.
+    pub threads: usize,
+    /// Calls acknowledged.
+    pub calls: u64,
+    /// Cycles the transfer took.
+    pub cycles: u64,
+    /// Acknowledged payload over those cycles, Mb/s.
+    pub goodput_mbps: f64,
+    /// Calls outstanding, sampled every 10,000 cycles and averaged.
+    pub mean_outstanding: f64,
+}
+
+/// Runs [`FleetConfig::rpc_transfer`] with `threads` outstanding calls
+/// until at least `calls` are acknowledged, checking at each sample of
+/// the outstanding count. Deterministic in `(threads, calls, seed)`.
+pub fn run_rpc_transfer(threads: usize, calls: u64, seed: u64) -> TransferOutcome {
+    const SAMPLE_CYCLES: u64 = 10_000;
+    let mut fleet = Fleet::new(FleetConfig::rpc_transfer(threads, seed));
+    let (mut samples, mut outstanding) = (0u64, 0u64);
+    while fleet.client_stats(0).acked < calls {
+        fleet.run(SAMPLE_CYCLES);
+        samples += 1;
+        outstanding += fleet.client(0).outstanding() as u64;
+    }
+    TransferOutcome {
+        threads,
+        calls: fleet.client_stats(0).acked,
+        cycles: fleet.cycle(),
+        goodput_mbps: goodput_mbps(fleet.acked_payload_bytes(), fleet.cycle()),
+        mean_outstanding: outstanding as f64 / samples.max(1) as f64,
+    }
+}
+
 /// Goodput after a fleet event (a kill, a heal, a revive), from
 /// [`post_event_windows`].
 struct PostEvent {
@@ -1841,6 +1904,25 @@ mod tests {
         assert!(report.acked > 10, "expected acks, got {}", report.acked);
         assert_eq!(report.failed, 0, "no failures on a clean fleet");
         assert!(fleet.check_at_most_once().is_empty());
+    }
+
+    /// The §6 preset measures the server, not the load generator or the
+    /// retry path: past its first calls the client always has a call
+    /// waiting behind `threads` outstanding, and no timer ever fires.
+    #[test]
+    fn rpc_transfer_keeps_its_threads_busy_without_retrying() {
+        for threads in [1, 3, 8] {
+            let mut fleet = Fleet::new(FleetConfig::rpc_transfer(threads, 5));
+            fleet.run(1_000_000);
+            for _ in 0..100 {
+                fleet.run(37_003);
+                assert!(fleet.client(0).backlogged() > 0, "{threads} threads: backlog ran dry");
+            }
+            let report = fleet.report();
+            assert!(report.acked > 100, "{threads} threads: {} calls", report.acked);
+            assert_eq!((report.timeouts, report.retries), (0, 0), "{threads} threads");
+            assert_eq!(fleet.client(0).outstanding(), threads);
+        }
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //!   the free-migration policy are implemented, for the ablation;
 //! * the Threads **exerciser** of §5.3 — the sharing- and
 //!   synchronization-heavy program behind Table 2: threads that
-//!   "deliberately block and reschedule themselves";
-//! * the RPC transport of §6, "with multiple outstanding calls", which
-//!   "can sustain a bandwidth of 4.6 megabits per second using an
-//!   average of three concurrent threads".
+//!   "deliberately block and reschedule themselves".
 //!
-//! Everything above the RPC model runs on the *real* simulated memory
-//! system: lock words, condition words, scheduler queues, thread stacks
-//! and the shared buffer are all addresses in simulated main memory, so
+//! The §6 RPC transport runs cycle by cycle on the simulated Ethernet in
+//! `firefly-net` and `firefly-sim::fleet`.
+//!
+//! Everything here runs on the *real* simulated memory system: lock
+//! words, condition words, scheduler queues, thread stacks and the
+//! shared buffer are all addresses in simulated main memory, so
 //! synchronization generates genuine coherence traffic — the
 //! write-throughs, `MShared` responses and migrations that Table 2
 //! counts are emergent, not scripted.
@@ -32,7 +32,6 @@ pub mod exerciser;
 pub mod ids;
 pub mod layout;
 pub mod program;
-pub mod rpc;
 pub mod runtime;
 pub mod sched;
 pub mod ultrix;

@@ -1,6 +1,6 @@
 //! The I/O system end to end: disk blocks, Ethernet packets through the
-//! QBus map registers, the interprocessor "kick", and the RPC transport
-//! on top.
+//! QBus map registers, the interprocessor "kick", and the §6 RPC
+//! transfer, run on the fleet's cycle-level Ethernet segment.
 //!
 //! ```sh
 //! cargo run --release --example io_system
@@ -12,7 +12,7 @@ use firefly::core::system::{MemSystem, Request};
 use firefly::core::{Addr, PortId};
 use firefly::io::rqdx3::DiskRequest;
 use firefly::io::IoSystem;
-use firefly::topaz::rpc::{bandwidth_sweep, RpcConfig};
+use firefly::sim::fleet::run_rpc_transfer;
 
 fn main() -> Result<(), firefly::core::Error> {
     let mut sys = MemSystem::new(SystemConfig::microvax(2), ProtocolKind::Firefly)?;
@@ -52,14 +52,14 @@ fn main() -> Result<(), firefly::core::Error> {
     }
     println!("DEQNA: {}", io.deqna().stats());
 
-    // --- RPC on top --------------------------------------------------------
+    // --- RPC: one client, one server on the fleet's segment ---------------
     println!("\nRPC data transfer (\"multiple outstanding calls\", §6):");
-    let cfg = RpcConfig::firefly();
-    for run in bandwidth_sweep(&cfg, 6, 4_000) {
-        let bar = "#".repeat((run.payload_mbps * 8.0) as usize);
+    for threads in 1..=6 {
+        let run = run_rpc_transfer(threads, 1_000, 1);
+        let bar = "#".repeat((run.goodput_mbps * 8.0) as usize);
         println!(
             "  {} thread(s): {:>4.2} Mbit/s  (mean {:.1} outstanding)  {bar}",
-            run.threads, run.payload_mbps, run.mean_outstanding
+            run.threads, run.goodput_mbps, run.mean_outstanding
         );
     }
     println!("  paper: \"4.6 megabits per second using an average of three concurrent threads\"");

@@ -18,7 +18,7 @@
 use firefly::net::{BreakerState, RetryPolicy};
 use firefly::sim::fleet::{
     brownout, crash, partition, rejoin, run_brownout, run_crash_failover, run_flapping_partition,
-    run_partition_heal, run_rejoin, run_retry_storm, storm, Fleet, FleetConfig,
+    run_partition_heal, run_rejoin, run_retry_storm, run_rpc_transfer, storm, Fleet, FleetConfig,
 };
 use firefly::sim::harness::run_jobs_with;
 use serde::Serialize;
@@ -250,12 +250,19 @@ fn rejoin_after_crash_skips_bit_identically() {
     );
 }
 
+/// The §6 transfer: a saturated server whose one worker never idles,
+/// and a client that always has a call waiting behind its three.
+#[test]
+fn rpc_transfer_skips_bit_identically() {
+    differential("rpc transfer", FleetConfig::rpc_transfer(3, SEED), 1_500_000, &[]);
+}
+
 /// The scenario runners, which run through the skipping engine, are a
 /// pure function of the seed at one worker and at four: every runner at
 /// the bench seed, and the budgeted storm at a second seed.
 #[test]
 fn scenario_runners_are_bit_identical_across_worker_counts() {
-    let jobs: Vec<u8> = (0..10).collect();
+    let jobs: Vec<u8> = (0..11).collect();
     let run = |workers: usize| -> Vec<String> {
         run_jobs_with(workers, &jobs, |&job| match job {
             0 => run_retry_storm(SEED, true).to_json(),
@@ -267,7 +274,8 @@ fn scenario_runners_are_bit_identical_across_worker_counts() {
             6 => run_flapping_partition(SEED).to_json(),
             7 => run_rejoin(SEED).to_json(),
             8 => run_brownout(SEED, true).to_json(),
-            _ => run_brownout(SEED, false).to_json(),
+            9 => run_brownout(SEED, false).to_json(),
+            _ => run_rpc_transfer(3, 500, SEED).to_json(),
         })
     };
     // The two widths run side by side: the naive storm dominates each.

@@ -6,9 +6,10 @@
 
 use firefly::core::ProtocolKind;
 use firefly::model::Params;
+use firefly::sim::fleet::run_rpc_transfer;
+use firefly::sim::harness::run_jobs;
 use firefly::sim::sweep::scaling_sweep;
 use firefly::sim::FireflyBuilder;
-use firefly::topaz::rpc::{simulate, RpcConfig};
 
 /// Table 1, every printed cell (§5.2).
 #[test]
@@ -73,14 +74,27 @@ fn scaling_shape_matches_model() {
 
 /// "The remote server can sustain a bandwidth of 4.6 megabits per
 /// second using an average of three concurrent threads." (§6)
+///
+/// On the cycle-level fleet: one thread is latency-bound, a second
+/// overlaps its wire time with the other's service, and from three on
+/// the serial server holds the plateau.
 #[test]
 fn rpc_bandwidth_claim() {
-    let run = simulate(&RpcConfig::firefly(), 3, 5_000);
-    assert!(
-        (4.1..5.1).contains(&run.payload_mbps),
-        "3-thread RPC bandwidth {:.2} Mb/s",
-        run.payload_mbps
-    );
+    let threads: Vec<usize> = (1..=8).collect();
+    let sweep = run_jobs(&threads, |&t| run_rpc_transfer(t, 1_000, 0x000f_1ee7));
+    let mbps: Vec<f64> = sweep.iter().map(|run| run.goodput_mbps).collect();
+    assert!((4.1..5.1).contains(&mbps[2]), "3-thread RPC bandwidth {:.2} Mb/s", mbps[2]);
+    assert!(mbps[0] < 3.0, "one thread reaches {:.2} Mb/s", mbps[0]);
+    assert!(mbps[1] >= 1.3 * mbps[0], "a second thread gives only {:.2} Mb/s", mbps[1]);
+    let plateau = mbps[7];
+    for (t, w) in (3..=8).zip(mbps[1..].windows(2)) {
+        assert!(
+            (w[1] - plateau).abs() <= 0.05 * plateau,
+            "{t} threads: {:.2} Mb/s vs plateau {plateau:.2}",
+            w[1]
+        );
+        assert!(w[1] >= 0.98 * w[0], "{t} threads: {:.2} Mb/s after {:.2}", w[1], w[0]);
+    }
 }
 
 /// "On our benchmarks, the upgrade has improved execution speeds by
