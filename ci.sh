@@ -12,13 +12,25 @@ cd "$(dirname "$0")"
 
 # Fails unless bench bin $1 prints the same `--smoke --json` bytes at
 # FIREFLY_JOBS=1 and 4. With a second argument, each width writes its
-# report to "$2-j<width>.json".
+# report to "$2-j<width>.json". The report is left in $smoke_json.
+smoke_json=""
 same_across_widths() {
     local bin="$1" out="${2:-}" j1 j4
     j1="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin "$bin" -- --smoke --json ${out:+--out "$out-j1.json"})"
     j4="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin "$bin" -- --smoke --json ${out:+--out "$out-j4.json"})"
     if [ "$j1" != "$j4" ]; then
         echo "$bin --smoke --json differs between FIREFLY_JOBS=1 and 4" >&2
+        exit 1
+    fi
+    smoke_json="$j1"
+}
+
+# Fails unless the report text $2 equals the committed golden file $1.
+# A change that moves a report on purpose regenerates its golden.
+golden_dir=crates/bench/tests/golden
+matches_golden() {
+    if ! diff "$1" <(printf '%s\n' "$2") >&2; then
+        echo "the report differs from the golden $1" >&2
         exit 1
     fi
 }
@@ -76,22 +88,26 @@ cargo run --release -p firefly-bench --bin fault_sweep -- --smoke
 step "model_check --smoke"
 cargo run --release -p firefly-bench --bin model_check -- --smoke
 
-step "model_check --protocol tardis --smoke (two-word lease-expiry space)"
+step "model_check --protocol tardis --smoke (two-word lease-expiry space) == golden"
 # A Tardis-only run defaults to two tracked words, reaching the lease
 # renewal paths (and the renewal-dependent timestamp mutants) that the
 # all-protocol single-word smoke cannot.
-cargo run --release -p firefly-bench --bin model_check -- --protocol tardis --smoke
+tardis_json="$(cargo run --release -q -p firefly-bench --bin model_check -- --protocol tardis --smoke --json)"
+matches_golden "$golden_dir/model_check_tardis_smoke.json" "$tardis_json"
 
-step "model_check determinism gate (bit-identical across widths)"
+step "model_check determinism gate (bit-identical across widths) == golden"
 # The whole smoke report, mutation pass included: explored-state counts,
-# first violations and surviving mutants must not depend on the width.
+# first violations and surviving mutants must not depend on the width,
+# and must not move at all unless the golden is regenerated.
 same_across_widths model_check
+matches_golden "$golden_dir/model_check_smoke.json" "$smoke_json"
 
 step "soak --smoke (chaos kill/restore + resume equivalence)"
 cargo run --release -p firefly-bench --bin soak -- --smoke
 
-step "checkpoint/resume equivalence gate (deterministic across widths)"
+step "checkpoint/resume equivalence gate (deterministic across widths) == golden"
 same_across_widths soak
+matches_golden "$golden_dir/soak_smoke.json" "$smoke_json"
 
 step "rpc_bandwidth --smoke (§6 4.6 Mb/s claim)"
 cargo run --release -p firefly-bench --bin rpc_bandwidth -- --smoke > /dev/null

@@ -2,9 +2,9 @@
 //! configurations, in the style of Archibald & Baer's protocol survey:
 //! enumerate *every* reachable state of a 2–3 cache system over one or
 //! two memory words and a tiny value domain, applying the full
-//! invariant battery (the five structural `CoherenceChecker` checks
-//! plus write-serialization, single-writer order and read-your-writes)
-//! at every state. The checker drives the *same* `MemSystem` cycle
+//! invariant battery (the structural `CoherenceChecker::check`
+//! invariants plus write-serialization, single-writer order and
+//! read-your-writes) at every state. The checker drives the *same* `MemSystem` cycle
 //! engine and the same protocol decision tables as every simulation in
 //! this workspace — nothing is re-modelled, so a pass certifies the
 //! engine itself.
@@ -15,14 +15,17 @@
 //!    worker pool; state counts are identical at any `FIREFLY_JOBS`.
 //! 2. **Litmus suite** — the built-in DSL tests (store buffering,
 //!    message passing, single-location coherence) across *all*
-//!    interleavings, cross-checked against the reference simulator.
+//!    interleavings, through the explorer's own checked step and
+//!    cross-checked against the reference simulator.
 //! 3. **Mutation smoke** — one flipped transition-table entry at a
 //!    time; every generated mutant must be caught by the checker, which
 //!    guards the checker itself against vacuous passes.
 //!
 //! For the timestamped protocol (Tardis) the invariant battery grows
-//! the timestamp oracle (`check_timestamp_order`), and a Tardis-only
-//! run defaults to two tracked words — a lease can only expire when
+//! the timestamp invariants: lease structure inside
+//! `CoherenceChecker::check` and each access's order in
+//! `CoherenceChecker::check_access`. A Tardis-only run defaults to two
+//! tracked words — a lease can only expire when
 //! writes to a *second* line advance the writer's program timestamp,
 //! so the single-word default would leave every renewal path (and the
 //! renewal-dependent mutants) out of the explored space.

@@ -16,27 +16,27 @@
 //! 5. **Shared conservatism** — if two or more caches hold a line, none of
 //!    them may be in an exclusive state (the `Shared` tag may be stale-
 //!    *true*, never stale-*false*).
+//! 6. **Timestamp sanity** (Tardis only, vacuous for the untimestamped
+//!    protocols) — every lease contains its write (`wts <= rts`),
+//!    locally and globally; a cached copy carries the global write
+//!    timestamp exactly and never a longer lease than memory granted.
 //!
 //! [`CoherenceChecker::check_serialized`] adds the *serialization*
 //! invariants on top, given an external oracle of last-written values
 //! (the MBus serializes all traffic, so "the last write" is well
 //! defined):
 //!
-//! 6. **Write serialization** — every cached copy of a written word holds
+//! 7. **Write serialization** — every cached copy of a written word holds
 //!    the oracle value; no cache may see an older write once the bus has
 //!    carried a newer one.
-//! 7. **Single-writer order** — when no cache owns the line, main memory
+//! 8. **Single-writer order** — when no cache owns the line, main memory
 //!    itself holds the oracle value (a dirty owner is the only licence
 //!    for memory to lag).
 //!
-//! [`CoherenceChecker::check_timestamp_order`] adds the *timestamp*
-//! invariants of the Tardis protocol family (Yu & Devadas, arXiv
-//! 1505.06459), vacuous for the untimestamped protocols:
+//! [`CoherenceChecker::check_access`] adds the *order* invariants of one
+//! completed CPU access under the Tardis protocol family (Yu & Devadas,
+//! arXiv 1505.06459), vacuous for the untimestamped protocols:
 //!
-//! 8. **Timestamp sanity** — every lease contains its write
-//!    (`wts <= rts`), locally and globally; a cached copy carries the
-//!    global write timestamp exactly and never a longer lease than
-//!    memory granted.
 //! 9. **Write monotonicity** — a write strictly advances the line's
 //!    global write timestamp, and no access moves a program timestamp
 //!    backwards.
@@ -48,7 +48,8 @@
 //! The property tests run millions of random accesses through every
 //! protocol and call [`CoherenceChecker::check`] at quiescent points;
 //! the model checker (`firefly-mc`) calls all three entry points at
-//! *every* reachable state of small configurations.
+//! *every* reachable state of small configurations, through the one
+//! checked step its explorer and litmus runner share.
 
 use crate::error::Error;
 use crate::protocol::{LineState, ProcOp};
@@ -57,7 +58,7 @@ use crate::{Addr, LineId, PortId};
 use std::collections::{BTreeMap, HashMap};
 
 /// The pre-state of one completed CPU access, captured by the caller
-/// *before* issuing it, for [`CoherenceChecker::check_timestamp_order`].
+/// *before* issuing it, for [`CoherenceChecker::check_access`].
 ///
 /// The timestamp invariants are order properties — "a write advanced the
 /// write timestamp", "a local read was covered by a lease" — so the
@@ -111,7 +112,8 @@ impl CoherenceChecker {
         CoherenceChecker { _private: () }
     }
 
-    /// Verifies all invariants.
+    /// Verifies the structural invariants (1)–(6); (6) only for a
+    /// protocol with timestamp rules.
     ///
     /// # Errors
     ///
@@ -182,114 +184,23 @@ impl CoherenceChecker {
                 }
             }
         }
-        Ok(())
+        Self::check_timestamp_structure(sys)
     }
 
-    /// Verifies all quiescent invariants *plus* the serialization
-    /// invariants against `oracle`, a map from word-aligned address to
-    /// the value of the last write the bus carried to that word (or its
-    /// initial value if never written).
-    ///
-    /// A `BTreeMap` rather than a `HashMap` so the first reported
-    /// violation is deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::CoherenceViolation`] describing the first
-    /// violated invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system is not [quiescent](MemSystem::is_quiescent).
-    pub fn check_serialized(
-        &self,
-        sys: &MemSystem,
-        oracle: &BTreeMap<Addr, u32>,
-    ) -> Result<(), Error> {
-        self.check(sys)?;
-        let line_words = sys.config().cache().line_words();
-
-        for (&addr, &want) in oracle {
-            let line = LineId::containing(addr, line_words);
-            let offset = line.word_offset(addr, line_words);
-            let mut dirty_somewhere = false;
-
-            // (6) write serialization: every cached copy sees the last
-            // write — there is no state in which one cache still serves
-            // an overwritten value.
-            for p in 0..sys.port_count() {
-                let port = PortId::new(p);
-                if let Some(data) = sys.peek_line(port, line) {
-                    let got = data.get(offset);
-                    if got != want {
-                        return Err(Error::CoherenceViolation(format!(
-                            "write serialization: {addr} cached by P{p} as {got:#x} \
-                             but the last serialized write was {want:#x}"
-                        )));
-                    }
-                    if sys.peek_state(port, line).is_dirty() {
-                        dirty_somewhere = true;
-                    }
-                }
-            }
-
-            // (7) single-writer order: memory may lag the last write only
-            // while a dirty owner stands ready to supply/write it back.
-            if !dirty_somewhere {
-                let mem = sys.peek_memory_word(addr);
-                if mem != want {
-                    return Err(Error::CoherenceViolation(format!(
-                        "single-writer order: no cache owns {addr} yet memory holds \
-                         {mem:#x} instead of the last serialized write {want:#x}"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Verifies the Tardis timestamp invariants (8)–(10) of a quiescent
-    /// system, plus the order properties of the CPU access described by
-    /// `access` if one just completed. A no-op for protocols without
-    /// timestamp rules.
-    ///
-    /// The structural half re-states Yu & Devadas's lease discipline on
-    /// this engine's state: every lease contains its write (`wts <=
-    /// rts`), a cached copy is exactly the version memory last recorded
-    /// (`local wts == global wts` — on the broadcast MBus a write
-    /// physically expires every other copy, so a resident copy can never
-    /// be an old version), and no cache claims a longer lease than
-    /// memory granted (`local rts <= global rts`). Together with the
-    /// value invariants of [`check`](Self::check) this gives the paper's
-    /// read rule: a read at timestamp `t in [wts, rts]` observes the
-    /// value of the last write with `wts <= t`.
-    ///
-    /// The access half checks what a single completed access was allowed
-    /// to do: a write strictly advanced the global write timestamp, no
-    /// access moved the issuer's program timestamp backwards, a bus-free
-    /// read was covered by its lease (`pre_pts <= rts`), and a read that
-    /// went to the bus holds a lease reaching its new program timestamp.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::CoherenceViolation`] describing the first
-    /// violated invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system is not [quiescent](MemSystem::is_quiescent).
-    pub fn check_timestamp_order(
-        &self,
-        sys: &MemSystem,
-        access: Option<&TsAccess>,
-    ) -> Result<(), Error> {
-        assert!(sys.is_quiescent(), "timestamps can only be checked at quiescent points");
+    /// Invariant (6), a no-op for protocols without timestamp rules. It
+    /// re-states Yu & Devadas's lease discipline on this engine's state:
+    /// every lease contains its write (`wts <= rts`), a cached copy is
+    /// exactly the version memory last recorded (`local wts == global
+    /// wts` — on the broadcast MBus a write physically expires every
+    /// other copy, so a resident copy can never be an old version), and
+    /// no cache claims a longer lease than memory granted (`local rts <=
+    /// global rts`). Together with the value invariants this gives the
+    /// paper's read rule: a read at timestamp `t in [wts, rts]` observes
+    /// the value of the last write with `wts <= t`.
+    fn check_timestamp_structure(sys: &MemSystem) -> Result<(), Error> {
         if !sys.timestamps_enabled() {
             return Ok(());
         }
-        let line_words = sys.config().cache().line_words();
-
-        // (8) structural sanity of every resident copy.
         for p in 0..sys.port_count() {
             let port = PortId::new(p);
             for (line, _, _) in sys.resident_lines(port) {
@@ -322,9 +233,96 @@ impl CoherenceChecker {
                 )));
             }
         }
+        Ok(())
+    }
 
-        // (9)/(10) order properties of the completed access.
-        let Some(a) = access else { return Ok(()) };
+    /// Verifies [`check`](Self::check)'s invariants *plus* the
+    /// serialization invariants (7)/(8) against `oracle`, a map from
+    /// word-aligned address to the value of the last write the bus
+    /// carried to that word (or its initial value if never written).
+    ///
+    /// A `BTreeMap` rather than a `HashMap` so the first reported
+    /// violation is deterministic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::CoherenceViolation`] describing the first
+    /// violated invariant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system is not [quiescent](MemSystem::is_quiescent).
+    pub fn check_serialized(
+        &self,
+        sys: &MemSystem,
+        oracle: &BTreeMap<Addr, u32>,
+    ) -> Result<(), Error> {
+        self.check(sys)?;
+        let line_words = sys.config().cache().line_words();
+
+        for (&addr, &want) in oracle {
+            let line = LineId::containing(addr, line_words);
+            let offset = line.word_offset(addr, line_words);
+            let mut dirty_somewhere = false;
+
+            // (7) write serialization: every cached copy sees the last
+            // write — there is no state in which one cache still serves
+            // an overwritten value.
+            for p in 0..sys.port_count() {
+                let port = PortId::new(p);
+                if let Some(data) = sys.peek_line(port, line) {
+                    let got = data.get(offset);
+                    if got != want {
+                        return Err(Error::CoherenceViolation(format!(
+                            "write serialization: {addr} cached by P{p} as {got:#x} \
+                             but the last serialized write was {want:#x}"
+                        )));
+                    }
+                    if sys.peek_state(port, line).is_dirty() {
+                        dirty_somewhere = true;
+                    }
+                }
+            }
+
+            // (8) single-writer order: memory may lag the last write only
+            // while a dirty owner stands ready to supply/write it back.
+            if !dirty_somewhere {
+                let mem = sys.peek_memory_word(addr);
+                if mem != want {
+                    return Err(Error::CoherenceViolation(format!(
+                        "single-writer order: no cache owns {addr} yet memory holds \
+                         {mem:#x} instead of the last serialized write {want:#x}"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Verifies the order invariants (9)/(10) of the CPU access `a`
+    /// describes, which has just completed. A no-op for protocols
+    /// without timestamp rules.
+    ///
+    /// A write strictly advanced the global write timestamp, no access
+    /// moved the issuer's program timestamp backwards, a bus-free read
+    /// was covered by its lease (`pre_pts <= rts`), and a read that went
+    /// to the bus holds a lease reaching its new program timestamp. The
+    /// structural timestamp invariant (6) is [`check`](Self::check)'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::CoherenceViolation`] describing the first
+    /// violated invariant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system is not [quiescent](MemSystem::is_quiescent).
+    pub fn check_access(&self, sys: &MemSystem, a: &TsAccess) -> Result<(), Error> {
+        assert!(sys.is_quiescent(), "timestamps can only be checked at quiescent points");
+        if !sys.timestamps_enabled() {
+            return Ok(());
+        }
+        let line_words = sys.config().cache().line_words();
         let line = LineId::containing(a.addr, line_words);
         let port = PortId::new(a.port);
         let pts = sys.tardis_pts(port);
@@ -473,7 +471,10 @@ mod tests {
                     renewed += 1;
                 }
                 checker
-                    .check_timestamp_order(&sys, Some(&TsAccess { bus_ops: r.bus_ops, ..access }))
+                    .check(&sys)
+                    .and_then(|()| {
+                        checker.check_access(&sys, &TsAccess { bus_ops: r.bus_ops, ..access })
+                    })
                     .unwrap_or_else(|e| panic!("round {round} P{p}: {e}"));
             }
         }
@@ -506,11 +507,11 @@ mod tests {
             pre_pts: sys.tardis_pts(PortId::new(0)),
             pre_wts: 0,
         };
-        let err = CoherenceChecker::new().check_timestamp_order(&sys, Some(&bogus)).unwrap_err();
+        let err = CoherenceChecker::new().check_access(&sys, &bogus).unwrap_err();
         assert!(err.to_string().contains("past the lease end"), "{err}");
     }
 
-    /// `check_timestamp_order` is vacuous for untimestamped protocols.
+    /// `check_access` is vacuous for untimestamped protocols.
     #[test]
     fn timestamp_oracle_is_vacuous_without_timestamps() {
         let mut sys = MemSystem::new(SystemConfig::microvax(2), ProtocolKind::Firefly).unwrap();
@@ -518,7 +519,7 @@ mod tests {
         sys.run_to_completion(PortId::new(0), crate::system::Request::read(addr)).unwrap();
         let bogus =
             TsAccess { port: 0, op: ProcOp::Read, addr, bus_ops: 0, pre_pts: u64::MAX, pre_wts: 0 };
-        CoherenceChecker::new().check_timestamp_order(&sys, Some(&bogus)).unwrap();
+        CoherenceChecker::new().check_access(&sys, &bogus).unwrap();
     }
 
     #[test]

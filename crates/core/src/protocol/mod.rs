@@ -615,8 +615,9 @@ impl ProtocolKind {
     }
 
     /// Whether the protocol carries per-line timestamp state (Tardis):
-    /// the engine plumbs `wts`/`rts`/`pts` and the checker applies
-    /// [`crate::check::CoherenceChecker::check_timestamp_order`].
+    /// the engine plumbs `wts`/`rts`/`pts`, and the checker adds its
+    /// timestamp invariants to [`crate::check::CoherenceChecker::check`]
+    /// and [`crate::check::CoherenceChecker::check_access`].
     pub const fn is_timestamped(self) -> bool {
         matches!(self, ProtocolKind::Tardis)
     }

@@ -22,8 +22,9 @@
 //! physically expires other copies — while the *timestamp* machinery is
 //! carried verbatim: leases, self-renewal, timestamp-ordered writes, and
 //! the monotonicity invariants of the published proof, which
-//! [`crate::check::CoherenceChecker::check_timestamp_order`] verifies at
-//! every step. What remains observably Tardis is the traffic shape
+//! [`crate::check::CoherenceChecker::check`] (structure) and
+//! [`crate::check::CoherenceChecker::check_access`] (per-access order)
+//! verify at every step. What remains observably Tardis is the traffic shape
 //! (renewals instead of refills, no invalidation broadcast on a private
 //! write) and the timestamp order itself, exactly the properties the
 //! proof is about.

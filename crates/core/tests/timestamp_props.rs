@@ -1,7 +1,7 @@
 //! Property tests for Tardis timestamp arithmetic and bookkeeping.
 //!
 //! Three families, mirroring the invariants of Yu & Devadas's Tardis
-//! (checked structurally by `CoherenceChecker::check_timestamp_order`):
+//! (checked structurally by `CoherenceChecker::check`):
 //!
 //! 1. **Monotonicity** — under arbitrary interleavings of reads and
 //!    writes, every program timestamp (`pts`), every global write
@@ -63,8 +63,7 @@ proptest! {
             let addr = Addr::from_word_index(word);
             let req = if write { Request::write(addr, i as u32) } else { Request::read(addr) };
             sys.run_to_completion(PortId::new(cpu), req).unwrap();
-            checker.check_timestamp_order(&sys, None)
-                .unwrap_or_else(|e| panic!("step {i}: {e}"));
+            checker.check(&sys).unwrap_or_else(|e| panic!("step {i}: {e}"));
 
             let (new_pts, new_global) = ts_snapshot(&sys, cpus);
             for p in 0..cpus {

@@ -6,11 +6,20 @@
 //! full invariant battery at **every** reachable state, not just at
 //! sampled quiescent points:
 //!
-//! * the five [`CoherenceChecker`] structural invariants,
+//! * the structural [`CoherenceChecker::check`] invariants, Tardis
+//!   timestamp structure included,
 //! * the serialization invariants
 //!   ([`CoherenceChecker::check_serialized`]): write serialization and
 //!   single-writer order against an oracle of last-written values,
+//! * the order of each completed access under Tardis
+//!   ([`CoherenceChecker::check_access`]),
 //! * read-your-writes: every read returns the last serialized write.
+//!
+//! Every access goes through [`McOp::issue`], and every checked access
+//! through one step, `apply_checked`, that runs that battery: expansion,
+//! [`replay_violation`], [`counterexample`] and the litmus runner
+//! ([`crate::litmus`]) all share it, so a check added there reaches all
+//! four.
 //!
 //! States are hash-consed by their observable footprint (per-cache
 //! resident lines with state and data, plus the tracked memory words);
@@ -19,11 +28,13 @@
 //! *represented* by its shortest op path from reset, which is what
 //! minimization and [`McViolation`] report. Expansion replays that path
 //! once and then tries each op on a clone of the replayed `MemSystem`;
-//! at model-checking scale (2–3 caches, 1–2 words) a replay is a few
-//! hundred bus cycles and the whole space closes in well under a
-//! second. The frontier holds paths, not systems: storing a system per
-//! frontier state would trade a short replay for the memory of every
-//! state's caches and main memory at once.
+//! at model-checking scale a replay is a few hundred bus cycles. The
+//! default configurations close in about a second or less, but the
+//! space grows fast with the configuration: Tardis at 3 caches × 2
+//! words has about a million states. The frontier holds paths, not
+//! systems: storing a system per frontier state would trade a short
+//! replay for the memory of every state's caches and main memory at
+//! once.
 //!
 //! Each BFS level fans its expansions out on the deterministic worker
 //! pool ([`firefly_sim::harness::run_jobs`]); results are merged in job
@@ -36,9 +47,10 @@ use firefly_core::check::{CoherenceChecker, TsAccess};
 use firefly_core::config::SystemConfig;
 use firefly_core::events::{chrome_trace, timeline, Event};
 use firefly_core::protocol::{ExerciseLog, ProcOp, ProtocolKind, ProtocolTable};
-use firefly_core::system::{MemSystem, Request};
-use firefly_core::{Addr, CacheGeometry, LineId, PortId};
+use firefly_core::system::{AccessResult, MemSystem, Request};
+use firefly_core::{Addr, CacheGeometry, Error, LineId, PortId};
 use firefly_core::{ArbiterKind, BusMode};
+use firefly_sim::harness::panic_message;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -66,10 +78,44 @@ pub enum McOp {
 }
 
 impl McOp {
-    fn addr(self) -> Addr {
+    pub(crate) fn addr(self) -> Addr {
         match self {
             McOp::Read { word, .. } | McOp::Write { word, .. } => Addr::from_word_index(word),
         }
+    }
+
+    /// The issuing CPU and the kind of access.
+    pub(crate) fn access(self) -> (usize, ProcOp) {
+        match self {
+            McOp::Read { cpu, .. } => (cpu, ProcOp::Read),
+            McOp::Write { cpu, .. } => (cpu, ProcOp::Write),
+        }
+    }
+
+    /// Runs this op on `sys` to completion and, once a write completes,
+    /// records its value in `oracle` (the last serialized write to each
+    /// word, which the checks judge against). Every access the model
+    /// checker makes, checked or replayed, goes through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the engine's error if the access fails; `oracle` is then
+    /// left as it was.
+    pub fn issue(
+        self,
+        sys: &mut MemSystem,
+        oracle: &mut BTreeMap<Addr, u32>,
+    ) -> Result<AccessResult, Error> {
+        let addr = self.addr();
+        let (cpu, req) = match self {
+            McOp::Read { cpu, .. } => (cpu, Request::read(addr)),
+            McOp::Write { cpu, value, .. } => (cpu, Request::write(addr, value)),
+        };
+        let done = sys.run_to_completion(PortId::new(cpu), req)?;
+        if let McOp::Write { value, .. } = self {
+            oracle.insert(addr, value);
+        }
+        Ok(done)
     }
 }
 
@@ -217,7 +263,10 @@ impl McConfig {
         ops
     }
 
-    fn system_config(&self) -> SystemConfig {
+    /// The engine configuration: `caches` ports with `cache_lines`
+    /// one-word slots, 1 MB of memory, and the configured arbiter and
+    /// bus mode.
+    pub(crate) fn system_config(&self) -> SystemConfig {
         let geometry = CacheGeometry::new(self.cache_lines, 1)
             .expect("model-checking cache_lines must be a nonzero power of two");
         SystemConfig::microvax(self.caches)
@@ -334,94 +383,66 @@ fn build_system(cfg: &McConfig, table: ProtocolTable) -> MemSystem {
         .expect("model-checking configuration is valid")
 }
 
-/// Applies one op and runs the full per-step invariant battery.
-/// Returns the violation message, if any.
-fn apply_checked(
+/// The invariant battery at reset, before any op has run.
+pub(crate) fn check_reset(sys: &MemSystem) -> Result<(), String> {
+    CoherenceChecker::new().check(sys).map_err(|e| format!("at reset: {e}"))
+}
+
+/// The checked step: issues `op` ([`McOp::issue`]) and runs the full
+/// per-step invariant battery — read-your-writes, then
+/// [`CoherenceChecker::check_serialized`], then
+/// [`CoherenceChecker::check_access`]. Returns the value the op read
+/// (for a write, the value written) or the first violation.
+pub(crate) fn apply_checked(
     sys: &mut MemSystem,
     oracle: &mut BTreeMap<Addr, u32>,
-    checker: &CoherenceChecker,
     op: McOp,
-) -> Option<String> {
+) -> Result<u32, String> {
     let addr = op.addr();
-    // Timestamp order properties are before/after relations: capture the
-    // pre-state the oracle needs (Tardis only).
-    let pre = sys.timestamps_enabled().then(|| {
-        let (cpu, proc_op) = match op {
-            McOp::Read { cpu, .. } => (cpu, ProcOp::Read),
-            McOp::Write { cpu, .. } => (cpu, ProcOp::Write),
-        };
-        TsAccess {
-            port: cpu,
-            op: proc_op,
-            addr,
-            bus_ops: 0,
-            pre_pts: sys.tardis_pts(PortId::new(cpu)),
-            pre_wts: sys.tardis_global_ts(LineId::containing(addr, 1)).0,
-        }
-    });
-    let result = match op {
-        McOp::Read { cpu, .. } => sys.run_to_completion(PortId::new(cpu), Request::read(addr)),
-        McOp::Write { cpu, value, .. } => {
-            let r = sys.run_to_completion(PortId::new(cpu), Request::write(addr, value));
-            if r.is_ok() {
-                oracle.insert(addr, value);
-            }
-            r
-        }
+    let (port, proc_op) = op.access();
+    // Timestamp order properties are before/after relations: capture
+    // the pre-state `check_access` needs (unused without timestamp
+    // rules).
+    let line = LineId::containing(addr, sys.config().cache().line_words());
+    let pre = TsAccess {
+        port,
+        op: proc_op,
+        addr,
+        bus_ops: 0,
+        pre_pts: sys.tardis_pts(PortId::new(port)),
+        pre_wts: sys.tardis_global_ts(line).0,
     };
-    let outcome = match result {
-        Ok(done) => done,
-        Err(e) => return Some(format!("engine error applying [{op}]: {e}")),
-    };
+    let done = op.issue(sys, oracle).map_err(|e| format!("engine error applying [{op}]: {e}"))?;
     if let McOp::Read { .. } = op {
         let want = oracle.get(&addr).copied().unwrap_or(0);
-        if outcome.value != want {
-            return Some(format!(
+        if done.value != want {
+            return Err(format!(
                 "read-your-writes: [{op}] returned {:#x} but the last \
                  serialized write to {addr} was {want:#x}",
-                outcome.value
+                done.value
             ));
         }
     }
-    if let Err(e) = checker.check_serialized(sys, oracle) {
-        return Some(format!("after [{op}]: {e}"));
-    }
-    let access = pre.map(|a| TsAccess { bus_ops: outcome.bus_ops, ..a });
-    checker.check_timestamp_order(sys, access.as_ref()).err().map(|e| format!("after [{op}]: {e}"))
+    let checker = CoherenceChecker::new();
+    checker
+        .check_serialized(sys, oracle)
+        .and_then(|()| checker.check_access(sys, &TsAccess { bus_ops: done.bus_ops, ..pre }))
+        .map_err(|e| format!("after [{op}]: {e}"))?;
+    Ok(done.value)
 }
 
 /// Replays `path` from reset with full per-step checking. Returns the
 /// first violation, or `None` if the path is clean. Engine panics
 /// (mutants can trip debug assertions) are reported as violations.
 pub fn replay_violation(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> Option<String> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    catch_unwind(AssertUnwindSafe(|| {
         let mut sys = build_system(cfg, table);
         let mut oracle = BTreeMap::new();
-        let checker = CoherenceChecker::new();
-        if let Err(e) = checker.check(&sys).and_then(|()| checker.check_timestamp_order(&sys, None))
-        {
-            return Some(format!("at reset: {e}"));
-        }
-        for &op in path {
-            if let Some(v) = apply_checked(&mut sys, &mut oracle, &checker, op) {
-                return Some(v);
-            }
-        }
-        None
-    }));
-    match outcome {
-        Ok(v) => v,
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Some(format!("engine panic: {msg}"))
-        }
-    }
+        check_reset(&sys)?;
+        path.iter().try_for_each(|&op| apply_checked(&mut sys, &mut oracle, op).map(drop))
+    }))
+    .unwrap_or_else(|payload| Err(format!("engine panic: {}", panic_message(payload))))
+    .err()
 }
 
 /// Expands one state (represented by its path): replays the path once,
@@ -437,9 +458,8 @@ fn expand(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> (Vec<StepResul
     for &prev in path {
         // The path was validated when its own state was discovered;
         // only the new ops need checking.
-        apply(&mut sys, &mut oracle, prev);
+        prev.issue(&mut sys, &mut oracle).expect("validated prefix replays cleanly");
     }
-    let checker = CoherenceChecker::new();
     let results = cfg
         .alphabet()
         .iter()
@@ -447,10 +467,7 @@ fn expand(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> (Vec<StepResul
             let key = catch_unwind(AssertUnwindSafe(|| {
                 let mut sys = sys.clone();
                 let mut oracle = oracle.clone();
-                let result = match apply_checked(&mut sys, &mut oracle, &checker, op) {
-                    Some(v) => Err(v),
-                    None => Ok(state_key(cfg, &sys)),
-                };
+                let result = apply_checked(&mut sys, &mut oracle, op).map(|_| state_key(cfg, &sys));
                 exercised.merge(sys.exercised());
                 result
             }));
@@ -465,22 +482,6 @@ fn expand(cfg: &McConfig, table: ProtocolTable, path: &[McOp]) -> (Vec<StepResul
         })
         .collect();
     (results, exercised)
-}
-
-/// Applies one op without invariant checking (validated-prefix replay).
-fn apply(sys: &mut MemSystem, oracle: &mut BTreeMap<Addr, u32>, op: McOp) {
-    let addr = op.addr();
-    match op {
-        McOp::Read { cpu, .. } => {
-            sys.run_to_completion(PortId::new(cpu), Request::read(addr))
-                .expect("validated prefix replays cleanly");
-        }
-        McOp::Write { cpu, value, .. } => {
-            sys.run_to_completion(PortId::new(cpu), Request::write(addr, value))
-                .expect("validated prefix replays cleanly");
-            oracle.insert(addr, value);
-        }
-    }
 }
 
 /// Exhaustively explores `cfg` with its canonical table
@@ -499,7 +500,6 @@ pub fn explore_with(cfg: &McConfig, table: ProtocolTable) -> McReport {
 /// [`explore_with`] at an explicit worker-pool width (the determinism
 /// tests compare widths directly instead of racing the environment).
 pub fn explore_workers(cfg: &McConfig, table: ProtocolTable, workers: usize) -> McReport {
-    let checker = CoherenceChecker::new();
     let mut report = McReport {
         config: cfg.clone(),
         states: 0,
@@ -513,11 +513,7 @@ pub fn explore_workers(cfg: &McConfig, table: ProtocolTable, workers: usize) -> 
     // The reset state.
     let init = catch_unwind(AssertUnwindSafe(|| {
         let sys = build_system(cfg, table);
-        checker
-            .check(&sys)
-            .and_then(|()| checker.check_timestamp_order(&sys, None))
-            .map(|()| state_key(cfg, &sys))
-            .map_err(|e| format!("at reset: {e}"))
+        check_reset(&sys).map(|()| state_key(cfg, &sys))
     }))
     .unwrap_or_else(|_| Err("engine panic at reset".to_string()));
     let init_key = match init {
@@ -633,9 +629,10 @@ impl Counterexample {
     }
 }
 
-/// Replays a violation with event tracing enabled and packages the
-/// resulting cycle-level trace. Events are captured up to and including
-/// the violating step (even when that step panics the engine).
+/// Replays a violation through the checked step with event tracing
+/// enabled and packages the resulting cycle-level trace. Events are
+/// captured up to and including the violating step (even when that step
+/// panics the engine); the replay stops there.
 pub fn counterexample(
     cfg: &McConfig,
     table: ProtocolTable,
@@ -644,25 +641,14 @@ pub fn counterexample(
     let syscfg = cfg.system_config().with_event_trace(65_536);
     let mut sys =
         MemSystem::with_table(syscfg, table).expect("model-checking configuration is valid");
-
     let mut oracle = BTreeMap::new();
     for &op in &violation.path {
         // A mutant engine may panic mid-step; the ring still holds
         // everything emitted before the panic.
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            let addr = op.addr();
-            match op {
-                McOp::Read { cpu, .. } => {
-                    let _ = sys.run_to_completion(PortId::new(cpu), Request::read(addr));
-                }
-                McOp::Write { cpu, value, .. } => {
-                    if sys.run_to_completion(PortId::new(cpu), Request::write(addr, value)).is_ok()
-                    {
-                        oracle.insert(addr, value);
-                    }
-                }
-            }
-        }));
+        let step = catch_unwind(AssertUnwindSafe(|| apply_checked(&mut sys, &mut oracle, op)));
+        if !matches!(step, Ok(Ok(_))) {
+            break;
+        }
     }
     Counterexample {
         ops: violation.path.clone(),
@@ -671,8 +657,8 @@ pub fn counterexample(
     }
 }
 
-/// The tracked lines of a configuration (used by litmus RefSim
-/// cross-checks and reporting).
+/// The tracked lines of a configuration, one per tracked word (the
+/// state key's timestamp footprint walks them).
 pub fn tracked_lines(cfg: &McConfig) -> Vec<LineId> {
     (0..cfg.words).map(|w| LineId::containing(Addr::from_word_index(w), 1)).collect()
 }

@@ -16,15 +16,20 @@
 //! * [`explore()`] — BFS over the reachable state space, driving the
 //!   same [`firefly_core::system::MemSystem`] cycle engine and the same
 //!   [`firefly_core::ProtocolTable`] as every simulation, with the full
-//!   invariant battery (the five [`firefly_core::check::CoherenceChecker`]
-//!   structural invariants plus write-serialization, single-writer
-//!   order, and read-your-writes) applied at **every** reachable state.
-//!   States are hash-consed; expansion fans out on the deterministic
-//!   worker pool, so counts are identical at any `FIREFLY_JOBS` width.
+//!   invariant battery applied at **every** reachable state: the
+//!   structural [`firefly_core::check::CoherenceChecker::check`]
+//!   invariants (Tardis timestamp structure included), write
+//!   serialization, single-writer order, the per-access timestamp order
+//!   of [`firefly_core::check::CoherenceChecker::check_access`], and
+//!   read-your-writes. Every access goes through [`McOp::issue`] and one
+//!   checked step that runs the battery. States are hash-consed;
+//!   expansion fans out on the deterministic worker pool, so counts are
+//!   identical at any `FIREFLY_JOBS` width.
 //! * [`litmus`] — a litmus-test DSL (store buffering, message passing,
 //!   single-location coherence, …) whose runner enumerates *all*
-//!   interleavings, cross-checks the engine against the reference-level
-//!   simulator, and replays fault-overlapped variants.
+//!   interleavings through the explorer's checked step, cross-checks
+//!   tag states against the reference-level simulator, and replays
+//!   fault-overlapped variants.
 //! * [`mutate`] — mutation testing of the checker itself: a mutant is a
 //!   copy of the protocol's table with one entry edited (or one
 //!   timestamp rule swapped), run through the real engine via

@@ -3,17 +3,20 @@
 //! Litmus tests are the memory-model community's unit tests: tiny
 //! per-CPU programs plus a set of *forbidden* final register
 //! valuations. The MBus serializes every access (one transaction on the
-//! wires at a time, and [`MemSystem::run_to_completion`] retires each
-//! access before the next issues), so the Firefly guarantees sequential
+//! wires at a time, and [`McOp::issue`] retires each access before the
+//! next issues), so the Firefly guarantees sequential
 //! consistency by construction — the classic weak-memory outcomes
 //! (store-buffering's `r0=0 & r1=0`, message-passing's stale flag) must
 //! be unobservable under **every** interleaving and every protocol.
 //!
 //! The runner enumerates *all* order-preserving interleavings of the
-//! programs, replays each through the cycle engine, and at every step
-//! applies the full invariant battery plus a cross-check against the
+//! programs and replays each through the cycle engine with the
+//! explorer's own checked step ([`mod@crate::explore`]): every access runs
+//! the same invariant battery the explorer applies at every state,
+//! Tardis timestamp structure and per-access order included. After each
+//! step the tag states are also cross-checked against the
 //! reference-level simulator ([`RefSim`]) driving the same protocol
-//! tables. Fault-overlapped variants rerun the same schedules with a
+//! kind. Fault-overlapped variants rerun the same schedules with a
 //! [`FaultConfig`]; recovery must leave every outcome unchanged.
 //!
 //! # Syntax
@@ -31,14 +34,13 @@
 //! `forbid` clauses are conjunctions over final register values, any
 //! number of clauses per test.
 
-use crate::explore::McOp;
-use firefly_core::check::CoherenceChecker;
+use crate::explore::{apply_checked, check_reset, McConfig, McOp};
 use firefly_core::config::SystemConfig;
 use firefly_core::fault::FaultConfig;
-use firefly_core::protocol::{ProcOp, ProtocolKind};
+use firefly_core::protocol::{ProtocolKind, ProtocolTable};
 use firefly_core::refsim::RefSim;
-use firefly_core::system::{MemSystem, Request};
-use firefly_core::{Addr, CacheGeometry, LineId, PortId};
+use firefly_core::system::MemSystem;
+use firefly_core::{Addr, LineId, PortId};
 use firefly_core::{ArbiterKind, BusMode};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -281,24 +283,27 @@ pub fn run(test: &LitmusTest, kind: ProtocolKind) -> LitmusOutcome {
 /// the `Shared` bit stale-*true* — so the differential only applies to
 /// fault-free runs; data and outcomes must match regardless).
 pub fn run_with(test: &LitmusTest, kind: ProtocolKind, faults: FaultConfig) -> LitmusOutcome {
-    run_configured(test, kind, faults, ArbiterKind::default(), BusMode::default())
+    run_configured(test, kind.table(), faults, ArbiterKind::default(), BusMode::default())
 }
 
-/// Runs `test` under `kind` with `faults`, on a bus using `arbiter` and
-/// `bus_mode`. Litmus traffic is serialized (one access on the wires at
-/// a time), so every arbitration policy and both bus modes must produce
-/// the *same* outcome set — a policy that could misroute, drop, or
-/// corrupt a lone transaction fails here immediately.
+/// Runs `test` driving `table` (a mutant, in the mutation tests) with
+/// `faults`, on a bus using `arbiter` and `bus_mode`. Litmus traffic is
+/// serialized (one access on the wires at a time), so every arbitration
+/// policy and both bus modes must produce the *same* outcome set — a
+/// policy that could misroute, drop, or corrupt a lone transaction
+/// fails here immediately. The reference simulator runs `table.kind`'s
+/// canonical table.
 pub fn run_configured(
     test: &LitmusTest,
-    kind: ProtocolKind,
+    table: ProtocolTable,
     faults: FaultConfig,
     arbiter: ArbiterKind,
     bus_mode: BusMode,
 ) -> LitmusOutcome {
-    let cpus = test.programs.len();
-    let geometry = CacheGeometry::new(4, 1).expect("4 slots is a valid geometry");
-    let checker = CoherenceChecker::new();
+    let syscfg = system_config(test, table.kind)
+        .with_arbiter(arbiter)
+        .with_bus_mode(bus_mode)
+        .with_faults(faults);
     let schedules = interleavings(test);
     let mut outcome = LitmusOutcome {
         name: test.name.clone(),
@@ -308,86 +313,21 @@ pub fn run_configured(
     };
 
     for schedule in &schedules {
-        let cfg = SystemConfig::microvax(cpus)
-            .with_cache(geometry)
-            .with_memory_mb(1)
-            .with_faults(faults)
-            .with_arbiter(arbiter)
-            .with_bus_mode(bus_mode);
-        let mut sys = MemSystem::new(cfg, kind).expect("litmus configuration is valid");
-        let mut reference = RefSim::new(cpus, geometry, kind);
-        let compare_refsim = faults.is_disabled();
-        let mut oracle: BTreeMap<Addr, u32> = BTreeMap::new();
-        let mut regs: BTreeMap<String, u32> = BTreeMap::new();
         let ops = schedule_ops(test, schedule);
-        let fail = |message: String| LitmusViolation { ops: ops.clone(), message };
-
-        'steps: for (step, &(cpu, i)) in schedule.iter().enumerate() {
-            let port = PortId::new(cpu);
-            match &test.programs[cpu][i] {
-                LitmusOp::Write { loc, value } => {
-                    let addr = Addr::from_word_index(*loc as u32);
-                    if let Err(e) = sys.run_to_completion(port, Request::write(addr, *value)) {
-                        outcome.violation = Some(fail(format!("step {step}: engine error {e}")));
-                        break 'steps;
-                    }
-                    oracle.insert(addr, *value);
-                    reference.access(cpu, ProcOp::Write, addr);
-                }
-                LitmusOp::Read { loc, reg } => {
-                    let addr = Addr::from_word_index(*loc as u32);
-                    let got = match sys.run_to_completion(port, Request::read(addr)) {
-                        Ok(r) => r.value,
-                        Err(e) => {
-                            outcome.violation =
-                                Some(fail(format!("step {step}: engine error {e}")));
-                            break 'steps;
-                        }
-                    };
-                    let want = oracle.get(&addr).copied().unwrap_or(0);
-                    if got != want {
-                        outcome.violation = Some(fail(format!(
-                            "step {step}: read-your-writes: {} read {got:#x} from {} \
-                             but the last serialized write was {want:#x}",
-                            reg, test.locations[*loc]
-                        )));
-                        break 'steps;
-                    }
-                    regs.insert(reg.clone(), got);
-                    reference.access(cpu, ProcOp::Read, addr);
-                }
+        let regs = match run_schedule(test, table, &syscfg, schedule, &ops) {
+            Ok(regs) => regs,
+            Err(message) => {
+                outcome.violation = Some(LitmusViolation { ops, message });
+                return outcome;
             }
-            if let Err(e) = checker.check_serialized(&sys, &oracle) {
-                outcome.violation = Some(fail(format!("step {step}: {e}")));
-                break 'steps;
-            }
-            if compare_refsim {
-                for c in 0..cpus {
-                    for (w, loc) in test.locations.iter().enumerate() {
-                        let line = LineId::containing(Addr::from_word_index(w as u32), 1);
-                        let got = sys.peek_state(PortId::new(c), line);
-                        let want = reference.state_of(c, line);
-                        if got != want {
-                            outcome.violation = Some(fail(format!(
-                                "step {step}: CPU {c} tag state for {loc} is {got:?} but the \
-                                 reference simulator (same tables) says {want:?}"
-                            )));
-                            break 'steps;
-                        }
-                    }
-                }
-            }
-        }
-        if outcome.violation.is_some() {
-            return outcome;
-        }
+        };
 
         // Forbidden-outcome assertions over the final register file.
         for clause in &test.forbidden {
             if clause.iter().all(|(reg, val)| regs.get(reg) == Some(val)) {
                 let shown: Vec<String> = clause.iter().map(|(r, v)| format!("{r}={v}")).collect();
                 outcome.violation = Some(LitmusViolation {
-                    ops: schedule_ops(test, schedule),
+                    ops,
                     message: format!(
                         "forbidden outcome {{{}}} observed — sequential consistency broken",
                         shown.join(" & ")
@@ -399,6 +339,58 @@ pub fn run_configured(
         outcome.outcomes.insert(regs.into_iter().collect());
     }
     outcome
+}
+
+/// The engine configuration for `test`: one port per program, built by
+/// the same helper as the explorer's ([`McConfig`]'s default four
+/// one-word cache slots and 1 MB of memory).
+fn system_config(test: &LitmusTest, kind: ProtocolKind) -> SystemConfig {
+    McConfig::new(kind).with_caches(test.programs.len()).system_config()
+}
+
+/// Replays one schedule (`ops` is its explorer form) through the
+/// checked step. Without fault injection the tag states are compared
+/// against [`RefSim`] after every step. Returns the final register file
+/// or the first violation.
+fn run_schedule(
+    test: &LitmusTest,
+    table: ProtocolTable,
+    syscfg: &SystemConfig,
+    schedule: &[(usize, usize)],
+    ops: &[McOp],
+) -> Result<BTreeMap<String, u32>, String> {
+    let cpus = test.programs.len();
+    let mut sys =
+        MemSystem::with_table(syscfg.clone(), table).expect("litmus configuration is valid");
+    let mut reference = RefSim::new(cpus, syscfg.cache(), table.kind);
+    let compare_refsim = syscfg.faults().is_disabled();
+    let mut oracle = BTreeMap::new();
+    let mut regs = BTreeMap::new();
+    check_reset(&sys)?;
+    for (step, (&(cpu, i), &op)) in schedule.iter().zip(ops).enumerate() {
+        let value =
+            apply_checked(&mut sys, &mut oracle, op).map_err(|e| format!("step {step}: {e}"))?;
+        reference.access(cpu, op.access().1, op.addr());
+        if let LitmusOp::Read { reg, .. } = &test.programs[cpu][i] {
+            regs.insert(reg.clone(), value);
+        }
+        if compare_refsim {
+            for c in 0..cpus {
+                for (w, loc) in test.locations.iter().enumerate() {
+                    let line = LineId::containing(Addr::from_word_index(w as u32), 1);
+                    let got = sys.peek_state(PortId::new(c), line);
+                    let want = reference.state_of(c, line);
+                    if got != want {
+                        return Err(format!(
+                            "step {step}: CPU {c} tag state for {loc} is {got:?} but the \
+                             reference simulator (same tables) says {want:?}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(regs)
 }
 
 /// The built-in suite: the classic shapes every SC machine must pass,
@@ -415,13 +407,19 @@ pub fn run_configured(
 ///   early, then performs enough private writes to push its program
 ///   timestamp past the datum's lease (the default Tardis lease is 8
 ///   cycles; ten writes guarantee strict expiry). The re-read after
-///   seeing the flag must renew — a stale-lease serving would return
-///   the pre-flag value and fail both the per-step oracle and the
-///   forbid clause. Untimestamped protocols run the same schedules and
-///   must agree.
+///   seeing the flag must renew. A stale-lease serve cannot show in the
+///   values: the writer's snooped write already expired the reader's
+///   copy physically, so any copy still resident holds the current
+///   value, and the read-your-writes oracle and the forbid clause both
+///   pass. The per-access lease-discipline check
+///   ([`CoherenceChecker::check_access`](firefly_core::check::CoherenceChecker::check_access))
+///   is what catches it. Untimestamped protocols run the same
+///   schedules and must agree.
 /// * `sb-lease` — store buffering with the first flag read's lease
 ///   deliberately expired before the second read: reads of the flag
-///   must never go backwards across the renewal boundary.
+///   must never go backwards across the renewal boundary, and, as in
+///   `mp-lease`, the second read must renew rather than serve past its
+///   lease.
 /// * `raw-ts` — same-cycle read-after-write: each CPU reads its own
 ///   store back with zero intervening operations, exercising the
 ///   `pts == rts` lease boundary (a write grants exactly `(t, t)`, so
@@ -524,25 +522,15 @@ mod tests {
             .into_iter()
             .find(|t| t.name == "mp-lease")
             .expect("mp-lease is a built-in");
-        let cfg = SystemConfig::microvax(test.programs.len())
-            .with_cache(CacheGeometry::new(4, 1).unwrap())
-            .with_memory_mb(1);
+        let cfg = system_config(&test, ProtocolKind::Tardis);
         let mut sys =
             MemSystem::new(cfg, ProtocolKind::Tardis).expect("litmus configuration is valid");
-        for cpu in 0..test.programs.len() {
-            for op in &test.programs[cpu] {
-                let port = PortId::new(cpu);
-                match op {
-                    LitmusOp::Write { loc, value } => {
-                        let addr = Addr::from_word_index(*loc as u32);
-                        sys.run_to_completion(port, Request::write(addr, *value)).unwrap();
-                    }
-                    LitmusOp::Read { loc, .. } => {
-                        let addr = Addr::from_word_index(*loc as u32);
-                        sys.run_to_completion(port, Request::read(addr)).unwrap();
-                    }
-                }
-            }
+        let sequential: Vec<(usize, usize)> = (0..test.programs.len())
+            .flat_map(|cpu| (0..test.programs[cpu].len()).map(move |i| (cpu, i)))
+            .collect();
+        let mut oracle = BTreeMap::new();
+        for op in schedule_ops(&test, &sequential) {
+            op.issue(&mut sys, &mut oracle).unwrap();
         }
         assert!(
             sys.bus_stats().renewals > 0,

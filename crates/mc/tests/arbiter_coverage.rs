@@ -39,7 +39,7 @@ fn litmus_outcomes_are_identical_under_every_policy_and_mode() {
     for test in builtin_suite() {
         let baseline = run_configured(
             &test,
-            ProtocolKind::Firefly,
+            ProtocolKind::Firefly.table(),
             FaultConfig::default(),
             ArbiterKind::FixedPriority,
             BusMode::Unified,
@@ -49,7 +49,7 @@ fn litmus_outcomes_are_identical_under_every_policy_and_mode() {
             for mode in [BusMode::Unified, BusMode::Split] {
                 let out = run_configured(
                     &test,
-                    ProtocolKind::Firefly,
+                    ProtocolKind::Firefly.table(),
                     FaultConfig::default(),
                     kind,
                     mode,

@@ -6,7 +6,9 @@
 
 use firefly_core::fault::FaultConfig;
 use firefly_core::protocol::ProtocolKind;
-use firefly_mc::litmus::{builtin_suite, run, run_with};
+use firefly_core::{ArbiterKind, BusMode};
+use firefly_mc::litmus::{builtin_suite, run, run_configured, run_with};
+use firefly_mc::Mutation;
 
 #[test]
 fn suite_passes_under_every_protocol() {
@@ -64,5 +66,33 @@ fn runner_is_deterministic() {
         let b = run(&test, ProtocolKind::Firefly);
         assert_eq!(a.interleavings, b.interleavings);
         assert_eq!(a.outcomes, b.outcomes);
+    }
+}
+
+/// The litmus runner checks each step with the explorer's battery,
+/// Tardis timestamp order included: every timestamp-rule mutant of the
+/// default Tardis table fails at least one built-in test with a
+/// `timestamp order` violation.
+#[test]
+fn every_timestamp_mutant_fails_a_builtin_test() {
+    for mutation in [
+        Mutation::TsDropWtsBump,
+        Mutation::TsGrantNoRenew,
+        Mutation::TsServeStale,
+        Mutation::TsSwapFill,
+    ] {
+        let mut table = ProtocolKind::Tardis.table();
+        mutation.apply(&mut table);
+        let caught = builtin_suite().iter().any(|test| {
+            let out = run_configured(
+                test,
+                table,
+                FaultConfig::default(),
+                ArbiterKind::default(),
+                BusMode::default(),
+            );
+            out.violation.is_some_and(|v| v.message.contains("timestamp order"))
+        });
+        assert!(caught, "{mutation}: no built-in test reported a timestamp order violation");
     }
 }

@@ -86,7 +86,7 @@ pub fn worker_count() -> usize {
 }
 
 /// Renders a [`catch_unwind`] payload as the panic message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -202,7 +202,7 @@ fn tardis_snapshot_roundtrips_with_live_leases_in_flight() {
         assert!(s.cache_stats(reader).renewals_sent > 0, "the drained access never renewed");
         let (_, new_rts) = s.tardis_global_ts(hot_line);
         assert!(new_rts >= s.tardis_pts(reader), "renewed lease does not cover the reader");
-        CoherenceChecker::new().check_timestamp_order(s, None).unwrap();
+        CoherenceChecker::new().check(s).unwrap();
     }
     assert_eq!(
         sys.save_snapshot(),
