@@ -112,8 +112,9 @@ matches_golden "$golden_dir/soak_smoke.json" "$smoke_json"
 step "rpc_bandwidth --smoke (§6 4.6 Mb/s claim)"
 cargo run --release -p firefly-bench --bin rpc_bandwidth -- --smoke > /dev/null
 
-step "rpc_bandwidth determinism gate (bit-identical across widths)"
+step "rpc_bandwidth determinism gate (bit-identical across widths) == golden"
 same_across_widths rpc_bandwidth
+matches_golden "$golden_dir/rpc_bandwidth_smoke.json" "$smoke_json"
 
 # Smoke-sized BENCH reports go to target/bench/. Each bench bin validates
 # its report as it writes it and exits 1 when one of its gates fails; the

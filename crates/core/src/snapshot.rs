@@ -96,7 +96,11 @@ use std::ops::Range;
 /// Version 5 dropped the bus log: the config section lost its bus-trace
 /// flag, the bus section its optional transaction log, and the fleet's
 /// meta section saves its event ring in place of the string trace.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Version 6 dropped state nothing read: RPC clients lost the failure
+/// detector, the retry policy its hedge delay and each pending call its
+/// first-send and hedge cycles; the system section lost the any-port-
+/// offline flag, which is derived from the offline list on load.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// The four magic bytes at the start of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FFSN";

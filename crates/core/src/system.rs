@@ -364,6 +364,8 @@ pub struct MemSystem {
     /// Ports machine-checked out of the configuration (graceful
     /// degradation: an N-CPU system keeps running on N−1).
     offline: Vec<bool>,
+    /// Derived: whether any port is offline (none ever comes back).
+    /// Never snapshotted — recomputed from `offline` on load.
     has_offline: bool,
     /// Core-side fault counters (ECC counters live in [`Memory`] and are
     /// merged by [`MemSystem::fault_stats`]).
@@ -1384,7 +1386,6 @@ impl MemSystem {
             w.put(&self.ipi_pending);
             w.put(&self.ipi_sent);
             w.put(&self.offline);
-            w.put(&self.has_offline);
             w.put(&self.fstats);
             w.put(&self.fault_errors);
             w.put(&self.deferred);
@@ -1475,7 +1476,7 @@ impl MemSystem {
         sys.ipi_pending = sized(r.get()?, ports, "ipi")?;
         sys.ipi_sent = r.get()?;
         sys.offline = sized(r.get()?, ports, "offline")?;
-        sys.has_offline = r.get()?;
+        sys.has_offline = sys.offline.contains(&true);
         sys.fstats = r.get()?;
         sys.fault_errors = r.get()?;
         sys.deferred = r.get()?;

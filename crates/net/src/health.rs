@@ -1,145 +1,29 @@
-//! Failure detection and circuit breaking for the RPC fleet.
+//! Circuit breaking for the RPC fleet.
 //!
 //! Fail-stop crashes (PR 7) are the easy half of the §6 networked-fleet
 //! story: a dead machine stays dead, and the retry budget bounds the
 //! damage. Partitions are nastier — a minority-side client can reach
 //! *no* server, every call times out at full price, and when the
 //! network heals the accumulated retry backlog arrives as a thundering
-//! herd. This module provides the two client-side state machines that
-//! turn that failure mode into a cheap, bounded one:
+//! herd. This module provides the client-side state machine that turns
+//! that failure mode into a cheap, bounded one:
+//! [`CircuitBreaker`], the classic closed → open → half-open machine,
+//! one per (client, server) binding. Consecutive failures trip it open;
+//! while open, requests fail fast *at the client* (no wire traffic, no
+//! retry budget burned); after a deterministic (seeded-jitter) cooling
+//! window it admits a bounded number of half-open probes, and probe
+//! successes close it again. Repeated re-opens back the cooling window
+//! off exponentially so a flapping partition cannot turn the probe
+//! traffic itself into a storm.
 //!
-//! * [`FailureDetector`] — a deterministic heartbeat-gap suspicion
-//!   score per peer, in the spirit of the φ-accrual detector but in
-//!   fixed-point integer arithmetic so every decision is bit-stable
-//!   across runs, worker counts and checkpoint/restore. Any frame from
-//!   a peer is a liveness signal; suspicion grows monotonically with
-//!   the silence gap, normalized by a smoothed expected gap.
-//! * [`CircuitBreaker`] — the classic closed → open → half-open
-//!   machine, one per (client, server) binding. Consecutive failures
-//!   trip it open; while open, requests fail fast *at the client*
-//!   (no wire traffic, no retry budget burned); after a deterministic
-//!   (seeded-jitter) cooling window it admits a bounded number of
-//!   half-open probes, and probe successes close it again. Repeated
-//!   re-opens back the cooling window off exponentially so a flapping
-//!   partition cannot turn the probe traffic itself into a storm.
-//!
-//! Both machines serialize their complete state (including the
-//! breaker's jitter RNG position) through `firefly_core::snapshot`, so
-//! a fleet checkpoint cut mid-partition resumes bit-identically.
+//! The breaker serializes its complete state (including its jitter RNG
+//! position) through `firefly_core::snapshot`, so a fleet checkpoint
+//! cut mid-partition resumes bit-identically.
 
 use firefly_core::fault::PPM;
-use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
-use firefly_core::Error;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Fixed-point scale for suspicion scores: a score of `SUSPICION_SCALE`
-/// means the current silence gap equals the expected inter-arrival gap.
-pub const SUSPICION_SCALE: u64 = 1_000;
-
-/// Per-peer liveness bookkeeping for the failure detector.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-struct PeerHealth {
-    /// Cycle of the most recent signal (`u64::MAX` = never heard).
-    last_heard: u64,
-    /// Smoothed inter-arrival gap (EWMA, α = 1/8), floored at the
-    /// detector's `min_gap`.
-    expected_gap: u64,
-    /// Signals received from this peer.
-    heard: u64,
-}
-
-firefly_core::snap_struct!(PeerHealth { last_heard, expected_gap, heard });
-
-/// A deterministic heartbeat-gap failure detector.
-///
-/// Every received frame from a peer is a heartbeat. The suspicion score
-/// for a peer is the current silence gap divided by the smoothed
-/// expected gap, in [`SUSPICION_SCALE`] fixed point — monotone in the
-/// gap by construction, so the proptests can pin that shape. A peer
-/// never heard from is scored against `min_gap` from the detector's
-/// creation, so a server that is dead on arrival still trips suspicion.
-#[derive(Clone, Debug)]
-pub struct FailureDetector {
-    peers: Vec<PeerHealth>,
-    /// Floor for the expected gap (keeps a chatty peer from making the
-    /// detector hair-triggered) and the prior before any signal.
-    min_gap: u64,
-    /// Suspicion score at or above which a peer is suspect.
-    threshold: u64,
-}
-
-impl FailureDetector {
-    /// A detector over `peers` peers. `min_gap` is the expected-gap
-    /// floor/prior in cycles; `threshold` is the suspect score in
-    /// [`SUSPICION_SCALE`] fixed point (e.g. `8_000` = eight expected
-    /// gaps of silence).
-    pub fn new(peers: usize, min_gap: u64, threshold: u64) -> Self {
-        assert!(min_gap > 0, "expected-gap floor must be positive");
-        assert!(threshold > 0, "suspicion threshold must be positive");
-        FailureDetector {
-            peers: vec![
-                PeerHealth { last_heard: u64::MAX, expected_gap: min_gap, heard: 0 };
-                peers
-            ],
-            min_gap,
-            threshold,
-        }
-    }
-
-    /// Number of tracked peers.
-    pub fn peers(&self) -> usize {
-        self.peers.len()
-    }
-
-    /// Records a liveness signal from `peer` at `now`.
-    pub fn record(&mut self, peer: usize, now: u64) {
-        let p = &mut self.peers[peer];
-        if p.last_heard != u64::MAX {
-            let gap = now.saturating_sub(p.last_heard);
-            p.expected_gap = ((p.expected_gap.saturating_mul(7) + gap) / 8).max(self.min_gap);
-        }
-        p.last_heard = now;
-        p.heard += 1;
-    }
-
-    /// Suspicion score for `peer` at `now`, in [`SUSPICION_SCALE`]
-    /// fixed point. Monotone (nondecreasing) in the silence gap.
-    pub fn suspicion(&self, peer: usize, now: u64) -> u64 {
-        let p = &self.peers[peer];
-        let gap = if p.last_heard == u64::MAX { now } else { now.saturating_sub(p.last_heard) };
-        gap.saturating_mul(SUSPICION_SCALE) / p.expected_gap
-    }
-
-    /// Whether `peer`'s suspicion has reached the detector threshold.
-    pub fn is_suspect(&self, peer: usize, now: u64) -> bool {
-        self.suspicion(peer, now) >= self.threshold
-    }
-
-    /// Signals received from `peer` so far.
-    pub fn heard(&self, peer: usize) -> u64 {
-        self.peers[peer].heard
-    }
-}
-
-/// Rejects a zero gap floor, threshold or expected gap: suspicion
-/// divides by the expected gap.
-impl Snap for FailureDetector {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put(&(self.min_gap, self.threshold));
-        w.put(&self.peers);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
-        let (min_gap, threshold) = r.get()?;
-        let peers: Vec<PeerHealth> = r.get()?;
-        if min_gap == 0 || threshold == 0 || peers.iter().any(|p| p.expected_gap == 0) {
-            return Err(Error::SnapshotCorrupt("degenerate failure detector".into()));
-        }
-        Ok(FailureDetector { peers, min_gap, threshold })
-    }
-}
 
 /// The three circuit-breaker states.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
@@ -380,33 +264,7 @@ firefly_core::snap_struct!(CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn detector_suspicion_tracks_silence() {
-        let mut d = FailureDetector::new(2, 1_000, 8_000);
-        // Regular heartbeats every 1000 cycles keep suspicion near 1.0.
-        for i in 1..=20u64 {
-            d.record(0, i * 1_000);
-        }
-        assert_eq!(d.heard(0), 20);
-        assert!(d.suspicion(0, 21_000) <= SUSPICION_SCALE);
-        assert!(!d.is_suspect(0, 21_000));
-        // Eight expected gaps of silence trip the threshold.
-        assert!(d.is_suspect(0, 20_000 + 9_000));
-        // A never-heard peer grows suspect from the creation prior.
-        assert!(d.is_suspect(1, 9_000));
-    }
-
-    #[test]
-    fn detector_gap_ewma_adapts() {
-        let mut d = FailureDetector::new(1, 100, 4_000);
-        for i in 1..=50u64 {
-            d.record(0, i * 10_000); // slow peer: 10k gaps
-        }
-        // A slow peer is not suspect after a couple of its own gaps.
-        assert!(!d.is_suspect(0, 500_000 + 20_000));
-        assert!(d.is_suspect(0, 500_000 + 45_000));
-    }
+    use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn breaker_trips_probes_and_closes() {
@@ -496,36 +354,5 @@ mod tests {
         let mut w2 = SnapWriter::new();
         c.save(&mut w2);
         assert_eq!(w1.into_bytes(), w2.into_bytes());
-    }
-
-    #[test]
-    fn detector_snapshot_roundtrips() {
-        let mut d = FailureDetector::new(3, 500, 6_000);
-        d.record(0, 1_000);
-        d.record(0, 2_500);
-        d.record(2, 9_000);
-        let mut w = SnapWriter::new();
-        d.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let e = FailureDetector::load(&mut r).unwrap();
-        r.expect_end().unwrap();
-        for peer in 0..3 {
-            for now in [9_000u64, 12_000, 50_000] {
-                assert_eq!(d.suspicion(peer, now), e.suspicion(peer, now));
-            }
-        }
-    }
-
-    #[test]
-    fn detector_with_a_zero_expected_gap_is_corrupt() {
-        let mut w = SnapWriter::new();
-        w.put(&FailureDetector::new(1, 500, 6_000));
-        let mut bytes = w.into_bytes();
-        // min_gap, threshold and the peer count precede the one peer's
-        // last_heard and expected_gap; suspicion divides by the latter.
-        bytes[32..40].fill(0);
-        let loaded = SnapReader::new(&bytes).get::<FailureDetector>();
-        assert!(matches!(loaded, Err(Error::SnapshotCorrupt(_))));
     }
 }

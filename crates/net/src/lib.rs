@@ -15,8 +15,7 @@
 //!   ids with at-most-once server semantics, per-call timeouts with
 //!   exponential backoff and jitter, bounded retry budgets, and an
 //!   outstanding-call cap that backpressures the load generator;
-//! * [`health`] — the partition-tolerance state machines: a
-//!   deterministic heartbeat-gap failure detector and per-server
+//! * [`health`] — the partition-tolerance state machine: per-server
 //!   closed→open→half-open circuit breakers that let clients fail fast
 //!   during a split instead of burning retry budget.
 //!
@@ -33,6 +32,6 @@ pub mod rpc;
 pub mod segment;
 
 pub use fault::{NetFaultConfig, PartitionPlan, MAX_PARTITION_WINDOWS};
-pub use health::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, FailureDetector};
+pub use health::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use rpc::{RetryPolicy, RpcClient, RpcClientStats, RpcMsg, RpcServer, RpcServerStats};
 pub use segment::{frame_cycles, EtherSegment, Frame, SegmentConfig, SegmentStats};

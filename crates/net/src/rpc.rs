@@ -31,18 +31,12 @@
 //!
 //! PR 10 added the partition-tolerance layer on both ends:
 //!
-//! * **Circuit breakers + failure detector** (client, see
-//!   [`crate::health`]) — with [`RetryPolicy::resilient`], every
-//!   server binding gets a closed→open→half-open breaker. Timeouts
-//!   trip it; an open breaker fails calls fast at the client (no wire
-//!   traffic, no retry budget) and gates both initial server selection
-//!   and `failover_after` rotation. Half-open probes re-admit a healed
-//!   or revived server.
-//! * **Hedged requests** (client) — after `hedge_delay` cycles without
-//!   a reply, a second copy goes to the next breaker-admitted server;
-//!   first reply wins and the loser's reply is absorbed as a duplicate
-//!   (cross-server double execution is the already-tolerated failover
-//!   case; the client still completes exactly once).
+//! * **Circuit breakers** (client, see [`crate::health`]) — with
+//!   [`RetryPolicy::resilient`], every server binding gets a
+//!   closed→open→half-open breaker. Timeouts trip it; an open breaker
+//!   fails calls fast at the client (no wire traffic, no retry budget)
+//!   and gates both initial server selection and `failover_after`
+//!   rotation. Half-open probes re-admit a healed or revived server.
 //! * **Brownout load shedding** (server) — above a queue watermark the
 //!   server rejects the lowest-priority requests with an explicit
 //!   [`RpcMsg::Shed`] reply. A shed is cheap, immediate, and keeps the
@@ -58,7 +52,7 @@
 //!   number; the reply cache refuses to evict entries at or above it,
 //!   so cache pressure can no longer break at-most-once.
 
-use crate::health::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, FailureDetector};
+use crate::health::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 use crate::segment::{EtherSegment, Frame};
 use firefly_core::fault::PPM;
 use firefly_core::snapshot::{crc32, Snap, SnapReader, SnapWriter};
@@ -68,7 +62,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::ops::Range;
 
 /// Wire padding target for replies: with the segment's 26 header bytes
 /// this makes a reply frame 120 bytes — the paper's Topaz RPC reply
@@ -293,10 +286,6 @@ pub struct RetryPolicy {
     /// stranded by an outage hog the slots long after it heals and
     /// starve fresh traffic out of admission.
     pub deadline: u64,
-    /// Hedge delay in cycles (0 = hedging off). A call unanswered this
-    /// long after its first send gets a second copy on the next
-    /// breaker-admitted server; the first reply wins.
-    pub hedge_delay: u64,
     /// Per-server circuit-breaker tuning (`None` = breakers off, the
     /// pre-PR-10 behavior bit-for-bit).
     pub breaker: Option<BreakerConfig>,
@@ -316,7 +305,6 @@ impl RetryPolicy {
             queue_cap: usize::MAX,
             failover_after: 1,
             deadline: 0,
-            hedge_delay: 0,
             breaker: None,
         }
     }
@@ -340,27 +328,22 @@ impl RetryPolicy {
             queue_cap: 128,
             failover_after: 2,
             deadline: timeout.saturating_mul(8),
-            hedge_delay: 0,
             breaker: None,
         }
     }
 
     /// The partition-tolerant discipline: [`budgeted`] plus per-server
-    /// circuit breakers and hedged requests.
+    /// circuit breakers.
     ///
     /// The breaker trips after 3 consecutive timeouts on one binding
     /// and cools for 8 timeouts' worth of cycles (doubling to 64× on
     /// repeated re-opens), so a client cut off by a partition burns a
     /// handful of timeouts per server and then fails fast locally until
-    /// half-open probes find the wire healed. The hedge fires at half
-    /// the timeout: enough for the common-case reply to win, early
-    /// enough to rescue a call from one slow or freshly dead server
-    /// without waiting out the full timeout.
+    /// half-open probes find the wire healed.
     ///
     /// [`budgeted`]: RetryPolicy::budgeted
     pub fn resilient(timeout: u64) -> Self {
         RetryPolicy {
-            hedge_delay: (timeout / 2).max(1),
             breaker: Some(BreakerConfig::with_threshold(3, timeout.saturating_mul(8))),
             ..Self::budgeted(timeout)
         }
@@ -379,7 +362,6 @@ firefly_core::snap_struct!(RetryPolicy {
     queue_cap,
     failover_after,
     deadline,
-    hedge_delay,
     breaker,
 });
 
@@ -424,7 +406,8 @@ firefly_core::counters! {
         /// Calls bounced by a server epoch mismatch and re-issued under a
         /// fresh sequence number.
         pub rebinds: u64,
-        /// Hedge copies placed on the wire.
+        /// Always 0: the transport sends no hedge copies. Kept so the
+        /// counter layouts and reports that name it stay as they were.
         pub hedges: u64,
     }
 }
@@ -442,18 +425,9 @@ struct Pending {
     /// Cycle the caller submitted the call — latency and the timeliness
     /// SLA are measured from here, so backlog wait counts.
     submitted: u64,
-    first_sent: u64,
+    /// Cycle at which the call next needs client attention: a timeout,
+    /// or a re-poll of a retransmission the TX ring refused.
     timeout_at: u64,
-    /// Cycle at which an unanswered call hedges (`u64::MAX` = never:
-    /// hedging off, already hedged, or nowhere else to send).
-    hedge_at: u64,
-}
-
-impl Pending {
-    /// Earliest cycle this call needs client attention.
-    fn wake_at(&self) -> u64 {
-        self.timeout_at.min(self.hedge_at)
-    }
 }
 
 firefly_core::snap_struct!(Pending {
@@ -462,9 +436,7 @@ firefly_core::snap_struct!(Pending {
     priority,
     attempts,
     submitted,
-    first_sent,
     timeout_at,
-    hedge_at,
 });
 
 /// What [`RpcClient::send`] did with one transmission.
@@ -487,7 +459,7 @@ pub struct RpcClient {
     servers: Vec<u32>,
     next_seq: u64,
     pending: BTreeMap<u64, Pending>,
-    /// Derived: earliest `wake_at` across `pending` (may be stale-low
+    /// Derived: earliest `timeout_at` across `pending` (may be stale-low
     /// after an ack; a scan that finds nothing due simply re-tightens
     /// it). Never serialized — recomputed on load.
     next_deadline: u64,
@@ -498,9 +470,6 @@ pub struct RpcClient {
     /// One circuit breaker per server slot (empty when the policy has
     /// breakers off).
     breakers: Vec<CircuitBreaker>,
-    /// Heartbeat-gap failure detector over the server list (every
-    /// decoded frame from a server is a liveness signal).
-    detector: FailureDetector,
     /// Believed server epoch per slot (servers start at 0; a `Rebind`
     /// or any reply updates the binding).
     epochs: Vec<u32>,
@@ -522,13 +491,11 @@ impl RpcClient {
                 .map(|slot| CircuitBreaker::new(cfg, client_seed.wrapping_add(slot as u64)))
                 .collect(),
         };
-        let detector = FailureDetector::new(servers.len(), policy.timeout.max(1), 8_000);
         RpcClient {
             nic,
             policy,
             epochs: vec![0; servers.len()],
             breakers,
-            detector,
             servers,
             next_seq: 0,
             pending: BTreeMap::new(),
@@ -587,16 +554,6 @@ impl RpcClient {
         self.breakers.get(slot).map(CircuitBreaker::stats)
     }
 
-    /// The failure detector over this client's server list.
-    pub fn detector(&self) -> &FailureDetector {
-        &self.detector
-    }
-
-    /// Believed epoch of the server at `slot`.
-    pub fn epoch_of(&self, slot: usize) -> u32 {
-        self.epochs[slot]
-    }
-
     /// Offers one call of `payload_bytes` to the transport at top
     /// priority. Returns `false` (and counts a shed) when the backlog
     /// is full — the backpressure signal the open-loop load generator
@@ -630,7 +587,7 @@ impl RpcClient {
     /// not tick first: `now + 1` while frames wait in the RX ring or the
     /// backlog can admit a call that is not
     /// [`ring_blocked`](RpcClient::ring_blocked), else the earliest
-    /// timeout or hedge. A tick short of it changes nothing, or, while
+    /// timeout. A tick short of it changes nothing, or, while
     /// the client is ring-blocked, only counts the one refusal that
     /// [`credit_refusals`](RpcClient::credit_refusals) credits. The
     /// timer may be stale-low after an ack; waking on it is a scan that
@@ -689,30 +646,28 @@ impl RpcClient {
         self.pending.keys().next().copied().unwrap_or(self.next_seq)
     }
 
-    /// Records a liveness signal from server NIC `server` and feeds its
-    /// breaker a success. Returns the slot, if the NIC is one of ours.
-    fn note_server_alive(&mut self, server: u32, epoch: Option<u32>, now: u64) -> Option<usize> {
-        let slot = self.servers.iter().position(|&s| s == server)?;
-        self.detector.record(slot, now);
+    /// Feeds the breaker of server NIC `server` a success and adopts
+    /// its epoch, if the NIC is one of ours.
+    fn note_server_alive(&mut self, server: u32, epoch: Option<u32>) {
+        let Some(slot) = self.servers.iter().position(|&s| s == server) else { return };
         if let Some(b) = self.breakers.get_mut(slot) {
             b.on_success();
         }
         if let Some(e) = epoch {
             self.epochs[slot] = self.epochs[slot].max(e);
         }
-        Some(slot)
     }
 
-    /// First slot of `slots` (each taken modulo the server count) whose
-    /// breaker admits a request at `now`. With breakers off every slot
-    /// admits. `None` means every breaker asked refused — the caller
-    /// fails fast.
-    fn admitted_slot(&mut self, slots: Range<usize>, now: u64) -> Option<usize> {
+    /// First slot, rotating through every server from `start` (taken
+    /// modulo the server count), whose breaker admits a request at
+    /// `now`. With breakers off every slot admits. `None` means every
+    /// breaker refused — the caller fails fast.
+    fn admitted_slot(&mut self, start: usize, now: u64) -> Option<usize> {
         let len = self.servers.len();
         if self.breakers.is_empty() {
-            return Some(slots.start % len);
+            return Some(start % len);
         }
-        slots.map(|i| i % len).find(|&slot| self.breakers[slot].admit(now))
+        (start..start + len).map(|i| i % len).find(|&slot| self.breakers[slot].admit(now))
     }
 
     /// Timeout for the send numbered `attempts` (1-based), with
@@ -745,18 +700,19 @@ impl RpcClient {
     }
 
     /// One transmission of call `seq` (`payload_bytes`, `priority`),
-    /// numbered `attempt`, to the first server in `slots` (taken modulo
-    /// the server count) whose breaker admits it. The only path by
-    /// which a request reaches the wire: the first send, a retransmit
-    /// and a hedge all go through it, and each asks the ring before any
-    /// breaker. A refusal counts `tx_ring_full` here and `tx_rejected`
-    /// on `seg`, as every refused enqueue does, and spends no probe; so
-    /// every probe a breaker hands out goes with a frame on the ring.
+    /// numbered `attempt`, to the first server from slot `start` on
+    /// ([`admitted_slot`](RpcClient::admitted_slot)) whose breaker
+    /// admits it. The only path by which a request reaches the wire:
+    /// the first send and every retransmit go through it, and each asks
+    /// the ring before any breaker. A refusal counts `tx_ring_full`
+    /// here and `tx_rejected` on `seg`, as every refused enqueue does,
+    /// and spends no probe; so every probe a breaker hands out goes
+    /// with a frame on the ring.
     fn send(
         &mut self,
         seq: u64,
         (payload_bytes, priority): (u32, u8),
-        slots: Range<usize>,
+        start: usize,
         attempt: u32,
         seg: &mut EtherSegment,
         now: u64,
@@ -767,7 +723,7 @@ impl RpcClient {
             seg.count_refusals(1);
             return Sent::RingRefused;
         }
-        let Some(slot) = self.admitted_slot(slots, now) else { return Sent::NoServer };
+        let Some(slot) = self.admitted_slot(start, now) else { return Sent::NoServer };
         let server = self.servers[slot];
         let msg = RpcMsg::Request {
             client: self.nic,
@@ -784,47 +740,14 @@ impl RpcClient {
         Sent::Wire(slot)
     }
 
-    /// Sends the one hedge copy call `seq` (its pending entry `p`) is
-    /// entitled to: same id, the next breaker-admitted server other than
-    /// its own. First reply wins; the loser's reply is absorbed as a
-    /// duplicate. Best-effort — a full TX ring or no admissible second
-    /// server simply forfeits the hedge.
-    ///
-    /// Hedging is congestion-aware: the copy is sent only while the
-    /// client has idle outstanding capacity (under half its cap in
-    /// use). Hedges are a tail-latency tool for a mostly-healthy fleet;
-    /// when the service tier is saturated every queued call crosses its
-    /// hedge delay, and unconditional hedging would double the offered
-    /// load at exactly the moment the servers are over capacity.
-    fn fire_hedge(&mut self, seq: u64, p: &Pending, now: u64, seg: &mut EtherSegment) {
-        let congested = self.policy.max_outstanding != 0
-            && self.pending.len().saturating_mul(2) > self.policy.max_outstanding;
-        if congested {
-            return;
-        }
-        let others = p.server_slot + 1..p.server_slot + self.servers.len();
-        let call = (p.payload_bytes, p.priority);
-        if let Sent::Wire(_) = self.send(seq, call, others, p.attempts, seg, now) {
-            self.stats.hedges += 1;
-        }
-    }
-
     /// Acts on due call `seq`, whose pending entry `p` this updates in
-    /// place: fires its hedge, or counts its timeout and then fails it,
-    /// defers it or retransmits it. Returns whether it stays pending.
+    /// place: counts its timeout and then fails it, defers it or
+    /// retransmits it. Returns whether it stays pending.
     fn expire(&mut self, seq: u64, p: &mut Pending, now: u64, seg: &mut EtherSegment) -> bool {
-        if p.hedge_at <= now && p.timeout_at > now {
-            p.hedge_at = u64::MAX;
-            self.fire_hedge(seq, p, now, seg);
-            return true;
-        }
         self.stats.timeouts += 1;
         if let Some(b) = self.breakers.get_mut(p.server_slot) {
             b.on_failure(now);
         }
-        // The timeout machinery owns the call from here; the (single)
-        // hedge opportunity is spent either way.
-        p.hedge_at = u64::MAX;
         let past_deadline =
             self.policy.deadline > 0 && now.saturating_sub(p.submitted) >= self.policy.deadline;
         if past_deadline
@@ -863,7 +786,7 @@ impl RpcClient {
             p.server_slot
         };
         let attempt = p.attempts + 1;
-        match self.send(seq, (p.payload_bytes, p.priority), from..from + len, attempt, seg, now) {
+        match self.send(seq, (p.payload_bytes, p.priority), from, attempt, seg, now) {
             Sent::Wire(slot) => {
                 let t = self.next_timeout(attempt);
                 p.timeout_at = self.arm_at(p.submitted, now, t);
@@ -895,13 +818,13 @@ impl RpcClient {
     }
 
     /// One cycle of client work: absorb replies, expire timeouts and
-    /// retransmit (or fail) overdue calls, fire due hedges, then admit
-    /// backlog up to the outstanding cap.
+    /// retransmit (or fail) overdue calls, then admit backlog up to the
+    /// outstanding cap.
     pub fn tick(&mut self, now: u64, seg: &mut EtherSegment) {
         while let Some(frame) = seg.recv(self.nic as usize) {
             match RpcMsg::decode(&frame.payload) {
                 Some(RpcMsg::Reply { client, seq, server, epoch, .. }) if client == self.nic => {
-                    self.note_server_alive(server, Some(epoch), now);
+                    self.note_server_alive(server, Some(epoch));
                     if let Some(p) = self.pending.remove(&seq) {
                         self.stats.acked += 1;
                         self.stats.acked_payload_bytes += u64::from(p.payload_bytes);
@@ -919,7 +842,7 @@ impl RpcClient {
                 Some(RpcMsg::Shed { client, seq, server }) if client == self.nic => {
                     // The server is alive and answered instantly — the
                     // opposite of a timeout. Terminal for this call.
-                    self.note_server_alive(server, None, now);
+                    self.note_server_alive(server, None);
                     if self.pending.remove(&seq).is_some() {
                         self.stats.shed_replies += 1;
                     } else {
@@ -927,7 +850,7 @@ impl RpcClient {
                     }
                 }
                 Some(RpcMsg::Rebind { client, seq, server, epoch }) if client == self.nic => {
-                    self.note_server_alive(server, Some(epoch), now);
+                    self.note_server_alive(server, Some(epoch));
                     if let Some(p) = self.pending.remove(&seq) {
                         // The restarted server refused to execute (its
                         // reply-cache context for us is gone). Nothing
@@ -947,21 +870,21 @@ impl RpcClient {
 
         if now >= self.next_deadline {
             // One scan splits the due calls (in seq order) from the
-            // earliest wake of the rest; each due call is then read once
-            // and written back (or removed) once, and its new wake folds
-            // into that minimum.
+            // earliest timeout of the rest; each due call is then read
+            // once and written back (or removed) once, and its new
+            // timeout folds into that minimum.
             let mut due = std::mem::take(&mut self.due);
             let mut next = u64::MAX;
             for (&seq, p) in &self.pending {
-                match p.wake_at() {
-                    wake if wake <= now => due.push(seq),
-                    wake => next = next.min(wake),
+                match p.timeout_at {
+                    at if at <= now => due.push(seq),
+                    at => next = next.min(at),
                 }
             }
             for &seq in &due {
                 let mut p = self.pending[&seq];
                 if self.expire(seq, &mut p, now, seg) {
-                    next = next.min(p.wake_at());
+                    next = next.min(p.timeout_at);
                     self.pending.insert(seq, p);
                 } else {
                     self.pending.remove(&seq);
@@ -976,8 +899,8 @@ impl RpcClient {
             let (payload_bytes, submitted, priority) =
                 *self.backlog.front().expect("backlog non-empty");
             let seq = self.next_seq;
-            let slots = seq as usize..seq as usize + self.servers.len();
-            let server_slot = match self.send(seq, (payload_bytes, priority), slots, 1, seg, now) {
+            let call = (payload_bytes, priority);
+            let server_slot = match self.send(seq, call, seq as usize, 1, seg, now) {
                 Sent::Wire(slot) => slot,
                 Sent::RingRefused => break,
                 Sent::NoServer => {
@@ -994,12 +917,7 @@ impl RpcClient {
             self.backlog.pop_front();
             self.next_seq += 1;
             let t = self.next_timeout(1);
-            let t = self.arm_at(submitted, now, t).saturating_sub(now).max(1);
-            let hedge_at = if self.policy.hedge_delay > 0 && self.servers.len() > 1 {
-                now + self.policy.hedge_delay.min(t.saturating_sub(1).max(1))
-            } else {
-                u64::MAX
-            };
+            let timeout_at = now + self.arm_at(submitted, now, t).saturating_sub(now).max(1);
             self.pending.insert(
                 seq,
                 Pending {
@@ -1008,12 +926,10 @@ impl RpcClient {
                     priority,
                     attempts: 1,
                     submitted,
-                    first_sent: now,
-                    timeout_at: now + t,
-                    hedge_at,
+                    timeout_at,
                 },
             );
-            self.next_deadline = self.next_deadline.min((now + t).min(hedge_at));
+            self.next_deadline = self.next_deadline.min(timeout_at);
         }
     }
 
@@ -1029,7 +945,6 @@ impl RpcClient {
             w.put(epoch);
         }
         w.put(&self.breakers);
-        w.put(&self.detector);
         w.put(&self.rng);
         w.put(&(self.stats, self.latency));
         w.put(&self.completions);
@@ -1063,10 +978,9 @@ impl RpcClient {
         if !breakers.is_empty() && breakers.len() != servers.len() {
             return Err(Error::SnapshotCorrupt("breaker/server count mismatch".into()));
         }
-        let detector = r.get()?;
         let rng = r.get()?;
         let (stats, latency) = r.get()?;
-        let next_deadline = pending.values().map(Pending::wake_at).min().unwrap_or(u64::MAX);
+        let next_deadline = pending.values().map(|p| p.timeout_at).min().unwrap_or(u64::MAX);
         Ok(RpcClient {
             nic,
             policy,
@@ -1077,7 +991,6 @@ impl RpcClient {
             due: Vec::new(),
             backlog,
             breakers,
-            detector,
             epochs,
             rng,
             stats,
@@ -1856,30 +1769,6 @@ mod tests {
     }
 
     #[test]
-    fn hedge_rescues_a_call_from_a_slow_server() {
-        let mut t = Trio::new(RetryPolicy::resilient(20_000));
-        // Server 0 is pathologically slow; server 1 is healthy. The
-        // first call binds to slot 0 (seq 0), the hedge fires at half
-        // the timeout and server 1's reply wins.
-        t.servers[0].set_slowdown(Some((0, u64::MAX, 100)));
-        assert!(t.client.submit(0, 200));
-        t.run(500_000);
-        let cs = t.client.stats();
-        assert_eq!(cs.acked, 1, "exactly one completion");
-        assert_eq!(cs.hedges, 1);
-        assert_eq!(t.client.completions(), &[(0, 1)], "the healthy server's reply won");
-        assert_eq!(cs.failed + cs.fast_failed, 0);
-        // The slow server eventually answers too; the client absorbs it
-        // as a duplicate, and each server executed at most once.
-        assert!(cs.dup_replies >= 1, "the loser's reply arrives late");
-        for s in &t.servers {
-            for &count in s.executions().values() {
-                assert_eq!(count, 1);
-            }
-        }
-    }
-
-    #[test]
     fn msg_codec_roundtrips_and_pads() {
         let req = RpcMsg::Request {
             client: 3,
@@ -2134,27 +2023,6 @@ mod tests {
         assert_eq!(client.breaker_state(slot), Some(BreakerState::HalfOpen));
     }
 
-    /// A hedge that the full ring refuses spends no probe on the other
-    /// server's `HalfOpen` breaker; it counts one refusal and no hedge.
-    #[test]
-    fn refused_hedge_spends_no_probe() {
-        let (mut client, mut seg) = client_on_a_full_ring(RetryPolicy::resilient(20_000));
-        assert_eq!(client.pending[&0].server_slot, 0);
-        half_open(&mut client, 1);
-        let (before, seg_before) = (client.clone(), seg.stats());
-        let hedge_at = client.pending[&0].hedge_at;
-        assert!(hedge_at < client.pending[&0].timeout_at, "the hedge is due first");
-        client.tick(hedge_at, &mut seg);
-        let probes = |c: &RpcClient| c.breaker_stats(1).expect("breakers on").probes;
-        assert_eq!(probes(&client), probes(&before), "a refused hedge takes no probe");
-        assert_eq!(seg.stats().tx_enqueued, seg_before.tx_enqueued);
-        assert_eq!(client.stats().hedges, 0);
-        // One refusal for the hedge, one for the blocked backlog.
-        assert_eq!(client.stats().tx_ring_full - before.stats().tx_ring_full, 2);
-        assert_eq!(seg.stats().tx_rejected - seg_before.tx_rejected, 2);
-        assert_eq!(client.pending[&0].hedge_at, u64::MAX, "the hedge is spent");
-    }
-
     /// A retransmission that the full ring refuses spends no probe and
     /// stays bound where the failover step put it, not on the server
     /// whose `HalfOpen` breaker would have admitted it. Only a policy
@@ -2164,7 +2032,6 @@ mod tests {
     fn refused_retransmit_spends_no_probe() {
         let mut policy = RetryPolicy::resilient(20_000);
         policy.backoff_factor = 1;
-        policy.hedge_delay = 0;
         let (mut client, mut seg) = client_on_a_full_ring(policy);
         for _ in 0..3 {
             client.breakers[0].on_failure(1);

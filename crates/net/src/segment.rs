@@ -223,11 +223,6 @@ impl EtherSegment {
         self.stats
     }
 
-    /// Whether the wire is currently carrying a frame.
-    pub fn wire_busy(&self) -> bool {
-        self.wire.is_some()
-    }
-
     /// Frames waiting in `nic`'s TX ring.
     pub fn tx_queued(&self, nic: usize) -> usize {
         self.nics[nic].tx.len()

@@ -1,24 +1,21 @@
 //! Property tests of the partition-tolerance machinery
-//! ([`firefly_net::health`] and the hedging path in
-//! [`firefly_net::rpc`]).
+//! ([`firefly_net::health`] and the client in [`firefly_net::rpc`]).
 //!
-//! The fleet experiments (`BENCH_10`) lean on three shapes that must
-//! hold for *every* input, not just the scenario seeds:
+//! The fleet experiments (`BENCH_10`) lean on shapes that must hold for
+//! *every* input, not just the scenario seeds:
 //!
-//! * the failure detector's suspicion score is monotone in the silence
-//!   gap — a peer never looks healthier by staying silent longer;
 //! * the circuit breaker is a pure function of its observation sequence
 //!   and jitter seed, and a snapshot cut between any two observations
 //!   restores a bit-identical machine;
-//! * a hedged call completes at most once, with the canonical result,
-//!   no matter what the wire does to the two copies;
+//! * a call to two servers completes at most once, with the canonical
+//!   result, no matter what the wire does to its copies;
 //! * every half-open probe a client's breakers hand out goes with a
 //!   frame on its TX ring: a send the ring refuses asks no breaker.
 
 use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
 use firefly_net::{
-    BreakerConfig, BreakerState, CircuitBreaker, EtherSegment, FailureDetector, NetFaultConfig,
-    RetryPolicy, RpcClient, RpcServer, SegmentConfig,
+    BreakerConfig, BreakerState, CircuitBreaker, EtherSegment, NetFaultConfig, RetryPolicy,
+    RpcClient, RpcServer, SegmentConfig,
 };
 use proptest::prelude::*;
 
@@ -70,39 +67,6 @@ fn save_bytes(b: &CircuitBreaker) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Suspicion is nondecreasing in the silence gap, for any heartbeat
-    /// history: sampling a peer at ever-later cycles (with no new
-    /// signal) never lowers its score, so `is_suspect` is a one-way
-    /// door until the next heartbeat.
-    #[test]
-    fn suspicion_is_monotone_in_the_silence_gap(
-        gaps in prop::collection::vec(1u64..50_000, 1..60),
-        min_gap in 1u64..10_000,
-        probes in prop::collection::vec(0u64..400_000, 2..40),
-    ) {
-        let mut d = FailureDetector::new(1, min_gap, 8_000);
-        let mut now = 0;
-        for &g in &gaps {
-            now += g;
-            d.record(0, now);
-        }
-        let mut sorted = probes;
-        sorted.sort_unstable();
-        let mut last_score = 0;
-        for &dt in &sorted {
-            let score = d.suspicion(0, now + dt);
-            prop_assert!(
-                score >= last_score,
-                "suspicion fell from {} to {} as the gap grew to {}",
-                last_score, score, dt
-            );
-            last_score = score;
-        }
-        // And a fresh heartbeat resets the score to zero gap.
-        d.record(0, now + 400_000);
-        prop_assert_eq!(d.suspicion(0, now + 400_000), 0);
-    }
 
     /// The breaker is deterministic in `(seed, observations)` and its
     /// snapshot is lossless: cut the sequence at any point, round-trip
@@ -186,11 +150,12 @@ proptest! {
         prop_assert!(b.stats().closed <= b.stats().opened, "cannot close more than it opened");
     }
 
-    /// A hedged call completes exactly once with the canonical result,
-    /// whatever the wire does to the two copies: first reply wins, the
-    /// loser is ignored, and the servers never execute one id twice.
+    /// A call to two servers completes at most once with the canonical
+    /// result, whatever the wire drops, duplicates or reorders: the
+    /// first reply wins, later ones are ignored, and no server executes
+    /// one id twice.
     #[test]
-    fn hedging_never_double_completes(
+    fn two_server_calls_complete_at_most_once(
         seed in any::<u64>(),
         drop_ppm in 0u32..300_000,
         dup_ppm in 0u32..500_000,
@@ -210,10 +175,7 @@ proptest! {
         let mut seg = EtherSegment::new(cfg);
         let mut servers =
             [RpcServer::new(0, 2, 2_000, seed ^ 1), RpcServer::new(1, 2, 2_000, seed ^ 2)];
-        // An eager hedge (fires at 1/4 timeout) against two servers.
-        let mut policy = RetryPolicy::resilient(40_000);
-        policy.hedge_delay = 10_000;
-        policy.breaker = None;
+        let policy = RetryPolicy::budgeted(40_000);
         let mut client = RpcClient::new(2, vec![0, 1], policy, seed ^ 3);
         for _ in 0..calls {
             prop_assert!(client.submit(seg.cycle(), 200));
@@ -235,8 +197,8 @@ proptest! {
             calls as u64,
             "every call resolves exactly once"
         );
-        // No sequence number completes twice — first reply wins, the
-        // hedge loser is ignored — and every completion is backed by an
+        // No sequence number completes twice — first reply wins, later
+        // ones are ignored — and every completion is backed by an
         // execution on the server that acked it.
         let mut seen = std::collections::BTreeSet::new();
         for &(seq, server) in client.completions() {
@@ -247,9 +209,9 @@ proptest! {
                 "call {} acked by server {} with no execution", seq, server
             );
         }
-        // At-most-once holds per server under hedging + duplication: a
-        // hedge may land the same id on *both* servers (that is the
-        // race), but no server ever executes one id twice.
+        // At-most-once holds per server under failover + duplication: a
+        // failed-over call may land the same id on *both* servers, but
+        // no server ever executes one id twice.
         for s in &servers {
             for (&id, &count) in s.executions() {
                 prop_assert_eq!(count, 1, "request {:?} executed twice on one server", id);
@@ -258,8 +220,7 @@ proptest! {
     }
 
     /// One client of three servers under a random breaker policy
-    /// (backoff factor 0 to 3, hedging on or off, random failover and
-    /// attempt budgets), on one- to three-frame TX rings and a lossy
+    /// (backoff factor 0 to 3, random failover and attempt budgets), on one- to three-frame TX rings and a lossy
     /// wire, with client and server NICs switched off and on at random:
     /// after every client tick, its breakers' `probes` rose by no more
     /// than the frames it queued.
@@ -268,7 +229,6 @@ proptest! {
         seed in any::<u64>(),
         timeout in 500u64..5_000,
         backoff_factor in 0u32..4,
-        hedge in any::<bool>(),
         failover_after in 1u32..4,
         max_attempts in 0u32..10,
         (threshold, open_base) in (1u32..4, 1u64..20_000),
@@ -285,7 +245,6 @@ proptest! {
             (0..3).map(|i| RpcServer::new(i, 1, 1_500, seed ^ u64::from(i))).collect();
         let mut policy = RetryPolicy::resilient(timeout);
         policy.backoff_factor = backoff_factor;
-        policy.hedge_delay = if hedge { timeout / 2 } else { 0 };
         policy.failover_after = failover_after;
         policy.max_attempts = max_attempts;
         policy.breaker = Some(BreakerConfig::with_threshold(threshold, open_base));

@@ -352,8 +352,8 @@ proptest! {
 
     /// A server and a client on a faulty wire with one- to three-frame
     /// TX rings, under a random policy (backoff factor 0 to 3, any
-    /// outstanding cap, breakers, hedging and a deadline each on or
-    /// off), driven by call bursts and
+    /// outstanding cap, breakers and a deadline each on or off), driven
+    /// by call bursts and
     /// random power toggles of either NIC: whenever the client is
     /// replayable, replaying it to the segment's next event matches
     /// ticking it every cycle.
@@ -362,7 +362,7 @@ proptest! {
         timeout in 500..10_000u64,
         backoff_factor in 0..4u32,
         max_outstanding in 0..10usize,
-        (breakers, hedge, deadline) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (breakers, deadline) in (any::<bool>(), any::<bool>()),
         tx_ring in 1..4usize,
         seed in any::<u64>(),
         faults in fault_plan(),
@@ -373,9 +373,6 @@ proptest! {
         policy.max_outstanding = max_outstanding;
         if !breakers {
             policy.breaker = None;
-        }
-        if !hedge {
-            policy.hedge_delay = 0;
         }
         if !deadline {
             policy.deadline = 0;

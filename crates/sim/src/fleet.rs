@@ -483,15 +483,10 @@ impl FleetConfig {
     }
 
     /// The partition-tolerant retry discipline the fleet scenarios run:
-    /// budgeted retries plus per-server circuit breakers. Two knobs
-    /// deviate from [`RetryPolicy::resilient`], both tuned against this
-    /// workload's heavy latency tail. Hedging is off: an open-loop
-    /// fleet near saturation gains nothing from duplicate copies of its
-    /// slowest (largest) calls — measured post-heal recovery dropped
-    /// from ~0.90 of baseline to ~0.70 with hedging on, even with the
-    /// congestion damping — while the sparse-call regime hedging is for
-    /// is covered by the `rpc` unit tests. And the trip threshold is
-    /// six consecutive failures rather than three: routine tail
+    /// budgeted retries plus per-server circuit breakers. The breaker
+    /// deviates from [`RetryPolicy::resilient`]'s, tuned against this
+    /// workload's heavy latency tail: the trip threshold is six
+    /// consecutive failures rather than three, because routine tail
     /// timeouts cluster in twos and threes on a perfectly healthy slot;
     /// only a dead or unreachable server produces six in a row. The
     /// cooling-window cap stays small enough that the worst post-heal
@@ -499,7 +494,6 @@ impl FleetConfig {
     /// recovery measurement span.
     fn resilient_partition_policy(timeout: u64) -> RetryPolicy {
         let mut policy = RetryPolicy::resilient(timeout);
-        policy.hedge_delay = 0;
         policy.breaker = Some(BreakerConfig {
             fail_threshold: 6,
             open_base: timeout.saturating_mul(4),
@@ -515,7 +509,7 @@ impl FleetConfig {
     /// lossy wire, and a split over
     /// [`partition::SPLIT_FROM`]`..`[`partition::SPLIT_UNTIL`] that
     /// strands the last three clients with no servers. `resilient`
-    /// selects breakers + hedging; `false` runs the plain budgeted
+    /// selects breakers; `false` runs the plain budgeted
     /// discipline for contrast (every minority call burns its full
     /// retry ladder instead of failing fast).
     pub fn partition_heal(seed: u64, resilient: bool) -> Self {
@@ -769,7 +763,8 @@ pub struct FleetReport {
     pub shed_replies: u64,
     /// Calls bounced by a stale server epoch and re-issued fresh.
     pub rebinds: u64,
-    /// Hedge copies placed on the wire.
+    /// Always 0: no client sends hedge copies. Kept so the reports
+    /// that name it stay as they were.
     pub hedges: u64,
     /// Acknowledged request payload bytes (the goodput numerator).
     pub acked_payload_bytes: u64,
@@ -1022,8 +1017,8 @@ impl Fleet {
     /// ring-blocked server's own event is its next job completion; its
     /// ring frees only at a segment event. Partition and slowdown edges
     /// are no wake-ups: they are read only at frame delivery and at job
-    /// start, which are events already. Breakers and failure detectors
-    /// are lazy in `now` and consulted only inside those actions.
+    /// start, which are events already. Breakers are lazy in `now` and
+    /// consulted only inside those actions.
     fn next_event(&self) -> u64 {
         let (now, seg) = (self.cycle, &self.segment);
         let servers = (self.servers.iter().zip(&self.server_online))
@@ -1660,7 +1655,8 @@ pub struct PartitionOutcome {
     pub timeouts: u64,
     /// Calls failed fast by open breakers, fleet-wide.
     pub fast_failed: u64,
-    /// Hedge copies placed on the wire.
+    /// Always 0: no client sends hedge copies. Kept so the reports
+    /// that name it stay as they were.
     pub hedges: u64,
     /// Calls bounced by a stale epoch and re-issued.
     pub rebinds: u64,

@@ -190,10 +190,10 @@ fn full_ring_behind_a_tripped_breaker_skips_bit_identically() {
     assert!(seen > 0, "no client ever slept on a full ring with a tripped breaker");
 }
 
-/// Breakers and hedges on two-frame TX rings through a retry storm: the
-/// rings refuse their clients for long stretches, so those clients run
-/// inside the fleet's jumps with hedges, deferred retransmits and
-/// refused sends due there, and the run must still match stepping.
+/// Breakers on two-frame TX rings through a retry storm: the rings
+/// refuse their clients for long stretches, so those clients run inside
+/// the fleet's jumps with deferred retransmits and refused sends due
+/// there, and the run must still match stepping.
 #[test]
 fn resilient_storm_on_two_frame_rings_replays_bit_identically() {
     let mut cfg = FleetConfig::retry_storm(SEED, false);
@@ -202,8 +202,7 @@ fn resilient_storm_on_two_frame_rings_replays_bit_identically() {
     // Four times the storm's load keeps the rings full longer.
     cfg.arrivals_per_mcycle = 60;
     let end = storm::SLOW_UNTIL;
-    let ticked = differential("resilient storm, two-frame rings", cfg, end, &[]);
-    assert!(ticked.report().hedges > 0, "no hedge was sent");
+    differential("resilient storm, two-frame rings", cfg, end, &[]);
     let mut skipping = Fleet::new(cfg);
     skipping.run_until(end);
     let engine = skipping.engine_stats();
