@@ -28,6 +28,8 @@
 //! timed busy-bus point goes to `--out`. Exits nonzero when either gate
 //! misses.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_core::protocol::ProtocolKind;

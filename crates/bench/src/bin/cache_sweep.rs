@@ -12,6 +12,8 @@
 //! The six full-machine geometry points run in parallel on the
 //! experiment harness; pass `--json` for the harness run as JSON.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::report;
 use firefly_core::{CacheGeometry, ProtocolKind};
 use firefly_sim::harness::{run_experiments, ExperimentSpec};

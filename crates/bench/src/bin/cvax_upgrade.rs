@@ -4,6 +4,8 @@
 //! Firefly kept the on-chip cache I-only and retained the original MBus
 //! timing.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::report;
 use firefly_sim::FireflyBuilder;
 

@@ -24,6 +24,8 @@
 //! `BENCH_6.json`), `--json` (echo the document to stdout). Exits
 //! nonzero when the headline speedup misses the ≥10× target.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_core::protocol::ProtocolKind;

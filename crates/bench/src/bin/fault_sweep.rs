@@ -19,6 +19,8 @@
 //! run under the correctable plan — the fault-injected/recovered events
 //! land in the Chrome trace alongside the bus transactions they hit.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::{report, tracing};
 use firefly_core::fault::FaultConfig;

@@ -5,6 +5,8 @@
 //! Prints the Firefly table first, then the six baselines in protocol
 //! order.
 
+#![deny(unsafe_code)]
+
 use firefly_core::protocol::{transition_table, ProtocolKind};
 
 fn main() {

@@ -7,6 +7,8 @@
 //! experiment harness's worker pool, showing how each one schedules the
 //! identical request sequence on the bus.
 
+#![deny(unsafe_code)]
+
 use firefly_core::bus::{waveform, TransactionRecord};
 use firefly_core::config::SystemConfig;
 use firefly_core::events::bus_records;

@@ -2,6 +2,8 @@
 //! do read-ahead and write-behind." Read-ahead depth vs streaming
 //! throughput on the RQDX3 model.
 
+#![deny(unsafe_code)]
+
 use firefly_io::fileio::stream_read;
 use firefly_io::rqdx3::Rqdx3;
 

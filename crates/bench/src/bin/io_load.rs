@@ -2,6 +2,8 @@
 //! about 30% of the main memory bandwidth. The average I/O load is much
 //! lower." — and what that load does to the processors sharing the bus.
 
+#![deny(unsafe_code)]
+
 use firefly_core::Addr;
 use firefly_io::dma::{DmaEngine, DmaOp};
 use firefly_sim::FireflyBuilder;

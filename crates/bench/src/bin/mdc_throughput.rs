@@ -2,6 +2,8 @@
 //! the screen at 16 megapixels per second, and can paint approximately
 //! 20,000 10-point characters per second."
 
+#![deny(unsafe_code)]
+
 use firefly_bench::report;
 use firefly_core::config::SystemConfig;
 use firefly_core::system::{MemSystem, Request};

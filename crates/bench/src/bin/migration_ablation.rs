@@ -7,6 +7,8 @@
 //! cache until the data is displaced ... For this reason, the Topaz
 //! scheduler goes to some effort to avoid process migration."
 
+#![deny(unsafe_code)]
+
 use firefly_topaz::exerciser::{run_exerciser, ExerciserConfig};
 use firefly_topaz::MigrationPolicy;
 

@@ -36,6 +36,8 @@
 //! JSON document; `--smoke` is the CI gate — small closed spaces, all
 //! seven protocols, exits nonzero on any violation or surviving mutant.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::report;
 use firefly_core::protocol::ProtocolKind;
 use firefly_mc::explore::{counterexample, explore, McConfig};

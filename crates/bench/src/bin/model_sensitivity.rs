@@ -4,6 +4,8 @@
 //! The four sweeps are independent, so they evaluate on the experiment
 //! harness's worker pool and print in the paper's order.
 
+#![deny(unsafe_code)]
+
 use firefly_model::sensitivity::{
     knee_after_miss_rate, sweep_bus_speed, sweep_miss_rate, sweep_sharing,
 };

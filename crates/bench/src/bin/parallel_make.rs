@@ -3,6 +3,8 @@
 //! when possible" — the coarse-grained parallelism the machine was
 //! built for.
 
+#![deny(unsafe_code)]
+
 use firefly_topaz::workloads::parallel_make_speedup;
 
 fn main() {

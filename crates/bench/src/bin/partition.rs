@@ -31,6 +31,8 @@
 //! gate). Names each failed gate condition on stderr and exits nonzero
 //! if there is one.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_sim::fleet::{

@@ -7,6 +7,8 @@
 //! prefetching, which was not simulated. If the prefetching were
 //! perfect ... the reference rate would be 1014K references/sec."
 
+#![deny(unsafe_code)]
+
 use firefly_bench::report;
 use firefly_cpu::{CpuConfig, PrefetchConfig};
 use firefly_sim::FireflyBuilder;

@@ -16,6 +16,8 @@
 //! grids as JSON, `--smoke` for CI-sized grids, and `--trace <file>` to
 //! also capture one cycle-level Firefly run as Chrome trace-event JSON.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::{report, tracing};
 use firefly_core::protocol::ProtocolKind;
 use firefly_core::refsim::{CostModel, RefSim, RefSimStats};

@@ -9,6 +9,8 @@
 //! machine-readable document (config, sweep, the 3-thread claim check)
 //! instead of the tables.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::report;
 use firefly_sim::fleet::{run_rpc_transfer, FleetConfig, TransferOutcome};
 use firefly_sim::harness::run_jobs;

@@ -8,6 +8,8 @@
 //! as JSON, or `--trace <file>` to also capture one traced 8-CPU run
 //! as Chrome trace-event JSON.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::{report, tracing};
 use firefly_core::ProtocolKind;
 use firefly_model::{format_table1, Params};

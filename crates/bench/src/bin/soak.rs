@@ -32,6 +32,8 @@
 //! process exit nonzero. Flags: `--seed N`, `--smoke` (CI sizing),
 //! `--json`.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::cli::{self, BenchArgs};
 use firefly_bench::report;
 use firefly_core::check::CoherenceChecker;

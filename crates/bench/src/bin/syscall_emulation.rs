@@ -4,6 +4,8 @@
 //! context switch necessary because Taos runs as a user mode address
 //! space. Longer-running system services do not suffer as much."
 
+#![deny(unsafe_code)]
+
 use firefly_topaz::ultrix::syscall_comparison;
 use firefly_topaz::TopazConfig;
 

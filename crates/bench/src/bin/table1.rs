@@ -3,6 +3,8 @@
 //! The analytic model is exact: every cell must match the paper to
 //! table rounding (the model-crate tests pin this).
 
+#![deny(unsafe_code)]
+
 use firefly_model::{format_table1, Params};
 
 fn main() {

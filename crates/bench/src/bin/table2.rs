@@ -8,6 +8,8 @@
 //! heavy MShared write-through traffic, one-CPU miss rate above the
 //! trace-driven prediction, and few victim writes.
 
+#![deny(unsafe_code)]
+
 use firefly_bench::report;
 use firefly_sim::table2::paper;
 use firefly_sim::table2_report;

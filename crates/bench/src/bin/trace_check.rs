@@ -7,6 +7,8 @@
 //! ([`firefly_core::events::validate_json`]), so the check needs no
 //! external JSON tooling.
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn check(path: &str) -> Result<usize, String> {

@@ -32,6 +32,8 @@
 //! the simulator's own hot paths: protocol decision tables, the cycle
 //! engine, BitBlt, and the analytic model.
 
+#![deny(unsafe_code)]
+
 /// Shared output helpers for the experiment binaries.
 pub mod report {
     /// Prints a section header.

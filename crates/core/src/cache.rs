@@ -262,13 +262,13 @@ impl Cache {
     }
 
     /// The current occupant of the slot `line` maps to, if it is a valid
-    /// *different* line (i.e. the victim a fill of `line` would displace).
-    pub fn victim_of(&self, line: LineId) -> Option<(LineId, LineState, LineData)> {
+    /// *different* line (i.e. the victim a fill of `line` would displace),
+    /// and its state. [`line_data`](Cache::line_data) reads its data.
+    pub fn victim_of(&self, line: LineId) -> Option<(LineId, LineState)> {
         let idx = self.geometry.index_of(line);
         let (tag, state) = self.tags[idx];
         if state.is_valid() && tag != self.geometry.tag_of(line) {
-            let data = LineData::from_words(self.slot_words(idx));
-            Some((self.geometry.line_from(idx, tag), state, data))
+            Some((self.geometry.line_from(idx, tag), state))
         } else {
             None
         }
@@ -353,14 +353,17 @@ impl Cache {
     }
 
     /// The counters, then the slot count and one record per slot: state,
-    /// tag, data ([`LineData`]'s encoding), `wts`, `rts`.
+    /// tag, data ([`LineData`]'s encoding: the word count, then the
+    /// words), `wts`, `rts`. The data is written straight from the slot.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
         w.put(&self.stats);
         w.usize(self.tags.len());
+        let line_words = self.geometry.line_words() as u8;
         for (idx, &(tag, state)) in self.tags.iter().enumerate() {
             w.put(&state);
             w.put(&tag);
-            w.put(&LineData::from_words(self.slot_words(idx)));
+            w.u8(line_words);
+            w.u32_words(self.slot_words(idx));
             w.put(&self.ts[idx]);
         }
     }
@@ -377,19 +380,18 @@ impl Cache {
                 self.tags.len()
             )));
         }
+        let line_words = self.geometry.line_words();
         for idx in 0..n {
             let state = r.get()?;
             let tag = r.get()?;
-            let data: LineData = r.get()?;
-            if data.len() != self.geometry.line_words() {
+            let len = usize::from(r.u8()?);
+            if len != line_words {
                 return Err(Error::SnapshotCorrupt(format!(
-                    "snapshot line holds {} words, geometry wants {}",
-                    data.len(),
-                    self.geometry.line_words()
+                    "snapshot line holds {len} words, geometry wants {line_words}"
                 )));
             }
+            r.u32_words_into(self.slot_words_mut(idx))?;
             self.tags[idx] = (tag, state);
-            self.slot_words_mut(idx).copy_from_slice(data.as_slice());
             self.ts[idx] = r.get()?;
         }
         Ok(())
@@ -439,10 +441,10 @@ mod tests {
         let b = LineId::from_raw(3 + 16); // same index, different tag
         c.fill(a, LineData::from_word(1), LineState::DirtyExclusive);
         assert_eq!(c.state_of(b), LineState::Invalid);
-        let (victim, state, data) = c.victim_of(b).expect("dirty occupant is the victim");
+        let (victim, state) = c.victim_of(b).expect("dirty occupant is the victim");
         assert_eq!(victim, a);
         assert_eq!(state, LineState::DirtyExclusive);
-        assert_eq!(data.get(0), 1);
+        assert_eq!(c.line_data(victim).expect("victim is resident").get(0), 1);
         // The victim of the *same* line is nothing.
         assert!(c.victim_of(a).is_none());
     }

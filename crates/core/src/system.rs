@@ -1699,7 +1699,7 @@ impl MemSystem {
     /// victim write-back first; otherwise proceed with `then`.
     fn victim_or(&self, port: usize, line: LineId, then: OpPurpose) -> Option<OpPurpose> {
         match self.ports[port].cache.victim_of(line) {
-            Some((victim, vstate, _)) if vstate.is_owner() => {
+            Some((victim, vstate)) if vstate.is_owner() => {
                 Some(OpPurpose::VictimWriteBack { victim })
             }
             _ => Some(then),

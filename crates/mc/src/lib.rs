@@ -44,6 +44,7 @@
 //! the command line; `model_check --smoke` is the CI gate.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod explore;
 pub mod litmus;

@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 pub mod exerciser;
 pub mod ids;

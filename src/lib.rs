@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use firefly_core as core;
 pub use firefly_cpu as cpu;
