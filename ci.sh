@@ -3,7 +3,8 @@
 # order cheapest-to-diagnose first: formatting, lints, doc links, then
 # the tier-1 build-and-test gate from ROADMAP.md run over the whole
 # workspace (integration tests, doctests, every crate — a superset of the
-# root package's `cargo test -q`), then the benchmark package's own tests.
+# root package's `cargo test -q`), then the benchmark package's own tests
+# and its checkpoint workload.
 #
 # FIREFLY_JOBS controls the experiment harness's worker-pool width for
 # any sweeps the tests run; the results are bit-identical at any width.
@@ -81,6 +82,17 @@ step "benchmark: cargo test -q --manifest-path benchmark/Cargo.toml"
 # its public API (snapshot save/load included); its tests fail when that
 # API breaks.
 cargo test -q --manifest-path benchmark/Cargo.toml
+
+step "benchmark: checkpoint workload for 1 s (correct, 0 failed)"
+# The workload checks itself as it runs: a restored twin re-saves the
+# image byte for byte, every operation leaves the twins with the same
+# digest, and a restored fleet keeps at-most-once. Its last line is the
+# JSON summary; any failed check fails the step.
+ckpt="$(CARGO_TARGET_DIR=target bash benchmark/run.sh --workload checkpoint --seed 7 --seconds 1 --trace 0 | tail -n 1)"
+case "$ckpt" in
+    *'"correct":true'*'"failed":0'*) ;;
+    *) echo "the checkpoint workload failed its checks: $ckpt" >&2; exit 1 ;;
+esac
 
 step "fault_sweep --smoke"
 cargo run --release -p firefly-bench --bin fault_sweep -- --smoke

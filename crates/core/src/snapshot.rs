@@ -27,10 +27,12 @@
 //!
 //! A warm four-CPU machine image is about 2.75 MB, most of it the
 //! memory pages, and it nests the memory system's own image, with its
-//! own CRC trailer, inside one section. Each direction still checksums
-//! every byte once. On save, [`SnapshotBuilder::image`] hands the
-//! finished inner image to the outer builder, whose CRC steps over it
-//! by CRC-32 algebra instead of reading it again. On load,
+//! own CRC trailer, inside one section. A [`SnapshotBuilder`] writes
+//! every section, nested images included, in place into one buffer
+//! rather than copying finished payloads in. Each direction checksums
+//! every byte once. On save, [`SnapshotBuilder::image`] runs a child builder that
+//! seals its own trailer, and the outer CRC steps over the finished
+//! image by CRC-32 algebra instead of reading it again. On load,
 //! [`SnapshotFile::parse`] checks the outer CRC in one pass and keeps
 //! the register at both ends of the nested image's section, from which
 //! [`SnapshotFile::nested`] derives the inner image's CRC. The algebra
@@ -47,8 +49,7 @@
 //! slicing-by-16 over a 16 KB table set built at compile time, about
 //! 0.56 ns per byte, which also checksums the carry-less path's last
 //! 0–15 bytes. The path is chosen from the CPU and the input length
-//! alone. The writers fill their buffers in batches and
-//! [`SnapshotBuilder::finish`] allocates once, at the final length.
+//! alone.
 //!
 //! # One encoding per type
 //!
@@ -348,14 +349,15 @@ impl SnapWriter {
         v.save(self);
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// Appends a `u64` length and then what `save` writes, and patches
+    /// the length in afterwards.
+    fn length<R>(&mut self, save: impl FnOnce(&mut Self) -> R) -> R {
+        self.u64(0);
+        let at = self.buf.len();
+        let out = save(self);
+        let len = (self.buf.len() - at) as u64;
+        self.buf[at - 8..at].copy_from_slice(&len.to_le_bytes());
+        out
     }
 
     /// Consumes the writer, returning the payload.
@@ -492,89 +494,100 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Assembles a snapshot container out of named sections.
+/// Assembles a snapshot container out of named sections, in place in
+/// one buffer.
 ///
 /// # Examples
 ///
 /// ```
-/// use firefly_core::snapshot::{SnapWriter, SnapshotBuilder, SnapshotFile};
+/// use firefly_core::snapshot::{SnapshotBuilder, SnapshotFile};
 ///
-/// let mut payload = SnapWriter::new();
-/// payload.u64(42);
 /// let mut b = SnapshotBuilder::new();
-/// b.section("answer", payload.into_bytes());
+/// b.section("answer", |w| w.u64(42));
+/// b.image("inner", |b| b.section("word", |w| w.u32(7)));
 /// let bytes = b.finish();
 /// let file = SnapshotFile::parse(&bytes).unwrap();
 /// assert_eq!(file.section("answer").unwrap().u64().unwrap(), 42);
+/// assert_eq!(file.nested("inner").unwrap().section("word").unwrap().u32().unwrap(), 7);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SnapshotBuilder {
-    sections: Vec<Section>,
+    /// The outermost image so far; this one starts at `start`.
+    w: SnapWriter,
+    start: usize,
+    count: u32,
+    /// Where each image nested directly in this one lies in `w`.
+    images: Vec<Range<usize>>,
 }
 
-/// One section of a [`SnapshotBuilder`].
-#[derive(Debug)]
-struct Section {
-    name: String,
-    payload: Vec<u8>,
-    /// The payload is a complete snapshot image, written behind a `u64`
-    /// length as [`SnapWriter::bytes`] would.
-    image: bool,
+impl Default for SnapshotBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SnapshotBuilder {
-    /// Creates an empty builder.
+    /// Creates a builder holding only the header.
     pub fn new() -> Self {
-        SnapshotBuilder { sections: Vec::new() }
+        Self::within(SnapWriter::new())
     }
 
-    /// Appends a named section. Order is preserved and significant for
-    /// byte-identity (restored machines must re-save identically).
-    pub fn section(&mut self, name: &str, payload: Vec<u8>) {
-        self.sections.push(Section { name: name.to_string(), payload, image: false });
+    /// Starts an image's header at the end of `w`.
+    fn within(mut w: SnapWriter) -> Self {
+        let start = w.buf.len();
+        w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        w.u32(SNAPSHOT_VERSION);
+        w.u32(0); // the section count, patched by `seal`
+        SnapshotBuilder { w, start, count: 0, images: Vec::new() }
     }
 
-    /// Appends a named section holding `image`, a finished snapshot
-    /// from another builder, behind a `u64` length: the same bytes as
-    /// a section built with [`SnapWriter::bytes`], and read back with
-    /// [`SnapshotFile::nested`]. [`finish`](SnapshotBuilder::finish)
-    /// carries its checksum across the image without reading it, which
-    /// is only right for an image whose own trailer matches its body.
-    pub fn image(&mut self, name: &str, image: Vec<u8>) {
-        debug_assert_eq!(crc32_update(!0, &image), CRC_RESIDUE, "{name} is not a finished image");
-        self.sections.push(Section { name: name.to_string(), payload: image, image: true });
+    /// Appends a named section whose payload `save` writes in place,
+    /// and returns what `save` returns. Order is preserved and
+    /// significant for byte-identity (restored machines must re-save
+    /// identically).
+    pub fn section<R>(&mut self, name: &str, save: impl FnOnce(&mut SnapWriter) -> R) -> R {
+        self.count += 1;
+        self.w.str(name);
+        self.w.length(save)
     }
 
-    /// Serializes the container: magic, version, sections, CRC trailer.
-    /// The output is allocated once, at its final length, and
-    /// checksummed in one pass that steps over each nested image.
-    pub fn finish(self) -> Vec<u8> {
-        let prefix = |s: &Section| if s.image { 8 } else { 0 };
-        let sections: usize =
-            self.sections.iter().map(|s| 16 + s.name.len() + prefix(s) + s.payload.len()).sum();
-        let mut out = Vec::with_capacity(12 + sections + 4);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        // `reg` is the CRC register over `out[..read]`.
-        let (mut reg, mut read) = (!0, 0);
-        for s in &self.sections {
-            out.extend_from_slice(&(s.name.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.name.as_bytes());
-            out.extend_from_slice(&((prefix(s) + s.payload.len()) as u64).to_le_bytes());
-            if s.image {
-                out.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
-                reg = crc32_update(reg, &out[read..]);
-                reg = crc_skip_image(reg, s.payload.len());
-                out.extend_from_slice(&s.payload);
-                read = out.len();
-            } else {
-                out.extend_from_slice(&s.payload);
-            }
-        }
-        let crc = !crc32_update(reg, &out[read..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+    /// Appends a named section holding a complete snapshot image that
+    /// `save` builds in place through a child builder, behind a `u64`
+    /// length: the same bytes as [`SnapWriter::bytes`] of the child's
+    /// finished image, read back with [`SnapshotFile::nested`]. The
+    /// child seals its own trailer, so this builder's checksum steps
+    /// over the image without reading it.
+    pub fn image<R>(&mut self, name: &str, save: impl FnOnce(&mut SnapshotBuilder) -> R) -> R {
+        let (out, image) = self.section(name, |w| {
+            w.length(|w| {
+                let mut child = Self::within(std::mem::take(w));
+                let (out, start) = (save(&mut child), child.start);
+                *w = child.seal();
+                (out, start..w.buf.len())
+            })
+        });
+        self.images.push(image);
         out
+    }
+
+    /// Patches the count and appends the CRC trailer, from one pass
+    /// that steps over each nested image (sealed before this one).
+    fn seal(mut self) -> SnapWriter {
+        self.w.buf[self.start + 8..self.start + 12].copy_from_slice(&self.count.to_le_bytes());
+        let (mut reg, mut read) = (!0, self.start);
+        for image in &self.images {
+            reg = crc32_update(reg, &self.w.buf[read..image.start]);
+            reg = crc_skip_image(reg, image.len());
+            read = image.end;
+        }
+        let crc = !crc32_update(reg, &self.w.buf[read..]);
+        self.w.u32(crc);
+        self.w
+    }
+
+    /// The finished container: magic, version, sections, CRC trailer.
+    pub fn finish(self) -> Vec<u8> {
+        self.seal().into_bytes()
     }
 }
 
@@ -712,11 +725,6 @@ impl<'a> SnapshotFile<'a> {
     /// [`Error::SnapshotCorrupt`] when the section is absent.
     pub fn section(&self, name: &str) -> Result<SnapReader<'a>, Error> {
         self.find(name).map(|(_, payload)| SnapReader::new(payload))
-    }
-
-    /// Whether a section with this name is present.
-    pub fn has_section(&self, name: &str) -> bool {
-        self.sections.iter().any(|(n, _)| *n == name)
     }
 
     /// Iterates over `(name, payload length)` in file order — the hook
@@ -1079,14 +1087,13 @@ mod tests {
     #[test]
     fn container_roundtrip_and_order() {
         let mut b = SnapshotBuilder::new();
-        b.section("alpha", vec![1, 2, 3]);
-        b.section("beta", vec![]);
+        b.section("alpha", raw(&[1, 2, 3]));
+        b.section("beta", |_| ());
         let bytes = b.finish();
         let file = SnapshotFile::parse(&bytes).unwrap();
         let names: Vec<_> = file.sections().collect();
         assert_eq!(names, vec![("alpha", 3), ("beta", 0)]);
-        assert!(file.has_section("beta"));
-        assert!(!file.has_section("gamma"));
+        assert_eq!(file.section("beta").unwrap().remaining(), 0);
         assert!(matches!(file.section("gamma"), Err(Error::SnapshotCorrupt(_))));
     }
 
@@ -1120,7 +1127,7 @@ mod tests {
     #[test]
     fn bit_flip_fails_the_crc() {
         let mut b = SnapshotBuilder::new();
-        b.section("s", vec![0u8; 64]);
+        b.section("s", raw(&[0u8; 64]));
         let mut bytes = b.finish();
         bytes[20] ^= 0x10;
         assert!(matches!(SnapshotFile::parse(&bytes), Err(Error::SnapshotCorrupt(_))));
@@ -1340,10 +1347,20 @@ mod tests {
         }
     }
 
+    /// A section saver that writes `bytes` as they are.
+    fn raw(bytes: &[u8]) -> impl FnOnce(&mut SnapWriter) + '_ {
+        move |w| w.buf.extend_from_slice(bytes)
+    }
+
+    /// Fills `b` with one section of `n` payload bytes.
+    fn fill(b: &mut SnapshotBuilder, n: usize) {
+        b.section("data", raw(&seeded_bytes(n)));
+    }
+
     /// A finished image of `n` payload bytes in one section.
     fn image_of(n: usize) -> Vec<u8> {
         let mut b = SnapshotBuilder::new();
-        b.section("data", seeded_bytes(n));
+        fill(&mut b, n);
         b.finish()
     }
 
@@ -1363,15 +1380,13 @@ mod tests {
         for n in [0, 1, 15, 16, 17, 255, 4096, 100_003] {
             let (mut with_image, mut with_bytes) = (SnapshotBuilder::new(), SnapshotBuilder::new());
             for b in [&mut with_image, &mut with_bytes] {
-                b.section("before", vec![1, 2, 3]);
+                b.section("before", raw(&[1, 2, 3]));
             }
-            with_image.image("inner", image_of(n));
-            let mut w = SnapWriter::new();
-            w.bytes(&image_of(n));
-            with_bytes.section("inner", w.into_bytes());
+            with_image.image("inner", |b| fill(b, n));
+            with_bytes.section("inner", |w| w.bytes(&image_of(n)));
             for b in [&mut with_image, &mut with_bytes] {
-                b.image("second", image_of(3));
-                b.section("after", seeded_bytes(n % 37));
+                b.image("second", |b| fill(b, 3));
+                b.section("after", raw(&seeded_bytes(n % 37)));
             }
             let bytes = with_image.finish();
             assert_eq!(bytes, with_bytes.finish(), "{n}-byte payload");
@@ -1381,20 +1396,33 @@ mod tests {
 
     #[test]
     fn nested_reads_an_image_section() {
+        let outer_of = |b: &mut SnapshotBuilder| {
+            b.section("outer", |w| w.u8(9));
+            b.image("inner", |b| fill(b, 40));
+        };
         let mut b = SnapshotBuilder::new();
-        b.section("outer", vec![9]);
-        b.image("inner", image_of(40));
+        outer_of(&mut b);
         let bytes = b.finish();
         let file = SnapshotFile::parse(&bytes).unwrap();
         let inner = file.nested("inner").unwrap();
         assert_eq!(inner.sections().collect::<Vec<_>>(), vec![("data", 40)]);
         assert_eq!(inner.section("data").unwrap().remaining(), 40);
-        // An image reached without a recorded pass is parsed in full.
+        // A finished image written as bytes nests too; its own nested
+        // image is reached without a recorded pass and parsed in full.
         let mut b = SnapshotBuilder::new();
-        b.image("again", bytes.clone());
-        let twice = b.finish();
-        let outer = SnapshotFile::parse(&twice).unwrap();
+        b.section("again", |w| w.bytes(&bytes));
+        let by_bytes = b.finish();
+        let outer = SnapshotFile::parse(&by_bytes).unwrap();
         assert!(outer.nested("again").unwrap().nested("inner").is_ok());
+        // The same image built two deep through child builders, in one
+        // pass: byte-equal, so each level's trailer matches its body.
+        let mut b = SnapshotBuilder::new();
+        b.image("again", outer_of);
+        let in_place = b.finish();
+        assert_eq!(in_place, by_bytes);
+        let outer = SnapshotFile::parse(&in_place).unwrap();
+        let inner = outer.nested("again").unwrap().nested("inner").unwrap();
+        assert_eq!(inner.section("data").unwrap().remaining(), 40);
         assert!(matches!(file.nested("outer"), Err(Error::SnapshotCorrupt(_))));
         assert!(matches!(file.nested("absent"), Err(Error::SnapshotCorrupt(_))));
     }
@@ -1410,7 +1438,7 @@ mod tests {
     #[test]
     fn nested_rejects_a_damaged_image_under_a_valid_outer_crc() {
         let mut b = SnapshotBuilder::new();
-        b.image("inner", image_of(64));
+        b.image("inner", |b| fill(b, 64));
         let bytes = b.finish();
         // Header 12, name length 8, name 5, payload length 8, image
         // length 8: the image runs from byte 41 to the outer trailer.
@@ -1427,10 +1455,10 @@ mod tests {
         }
         // A length prefix that leaves bytes over is not one image.
         let mut b = SnapshotBuilder::new();
-        let mut w = SnapWriter::new();
-        w.bytes(&image_of(5));
-        w.u8(0);
-        b.section("inner", w.into_bytes());
+        b.section("inner", |w| {
+            w.bytes(&image_of(5));
+            w.u8(0);
+        });
         let bytes = b.finish();
         let file = SnapshotFile::parse(&bytes).unwrap();
         assert!(matches!(file.nested("inner"), Err(Error::SnapshotCorrupt(_))));
@@ -1439,9 +1467,9 @@ mod tests {
     #[test]
     fn repeated_section_names_are_corrupt() {
         let mut b = SnapshotBuilder::new();
-        b.section("cpu0", vec![1]);
-        b.section("cpu1", vec![2]);
-        b.section("cpu0", vec![3]);
+        b.section("cpu0", |w| w.u8(1));
+        b.section("cpu1", |w| w.u8(2));
+        b.section("cpu0", |w| w.u8(3));
         match SnapshotFile::parse(&b.finish()) {
             Err(Error::SnapshotCorrupt(msg)) => assert_eq!(msg, "repeated section \"cpu0\""),
             other => panic!("expected a repeated-section error, got {other:?}"),

@@ -1374,13 +1374,15 @@ impl MemSystem {
     /// yields byte-identical output.
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut b = SnapshotBuilder::new();
-        let section = |b: &mut SnapshotBuilder, name: &str, save: &dyn Fn(&mut SnapWriter)| {
-            let mut w = SnapWriter::new();
-            save(&mut w);
-            b.section(name, w.into_bytes());
-        };
-        section(&mut b, "config", &|w| w.put(&self.cfg));
-        section(&mut b, "system", &|w| {
+        self.save_sections(&mut b);
+        b.finish()
+    }
+
+    /// Writes [`save_snapshot`](MemSystem::save_snapshot)'s sections into
+    /// `b`, which may be a machine image's [`SnapshotBuilder::image`].
+    pub fn save_sections(&self, b: &mut SnapshotBuilder) {
+        b.section("config", |w| w.put(&self.cfg));
+        b.section("system", |w| {
             w.put(&(self.table.kind, self.cycle));
             w.put(&self.txns);
             w.put(&self.ipi_pending);
@@ -1397,28 +1399,27 @@ impl MemSystem {
             w.put(&self.pts);
             w.put(&self.mem_ts);
         });
-        section(&mut b, "ports", &|w| {
+        b.section("ports", |w| {
             w.usize(self.ports.len());
             for ctl in &self.ports {
                 ctl.cache.save(w);
                 w.put(&ctl.pending);
             }
         });
-        section(&mut b, "bus", &|w| self.bus.save(w));
-        section(&mut b, "memory", &|w| self.memory.save(w));
-        section(&mut b, "faults", &|w| {
+        b.section("bus", |w| self.bus.save(w));
+        b.section("memory", |w| self.memory.save(w));
+        b.section("faults", |w| {
             w.bool(self.faults.is_some());
             if let Some(f) = &self.faults {
                 f.save_state(w);
             }
         });
-        section(&mut b, "events", &|w| {
+        b.section("events", |w| {
             w.bool(self.events.is_some());
             if let Some(ring) = &self.events {
                 ring.save(w);
             }
         });
-        b.finish()
     }
 
     /// Reconstructs a memory system from a

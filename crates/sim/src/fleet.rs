@@ -47,7 +47,7 @@
 //! server, behind the `rpc_bandwidth` bin and the §6 claim test.
 
 use firefly_core::events::{Event, EventKind, EventRing};
-use firefly_core::snapshot::{SnapWriter, SnapshotBuilder, SnapshotFile};
+use firefly_core::snapshot::{SnapshotBuilder, SnapshotFile};
 use firefly_core::stats::Histogram;
 use firefly_core::Error;
 use firefly_net::rpc::{RetryPolicy, RpcClient, RpcClientStats, RpcServer, RpcServerStats};
@@ -1267,23 +1267,17 @@ impl Fleet {
     /// per-machine sections.
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut b = SnapshotBuilder::new();
-        let mut meta = SnapWriter::new();
-        meta.put(&(self.cfg.to_json(), self.cycle));
-        meta.put(&self.server_online);
-        self.events.save(&mut meta);
-        b.section("fleet/meta", meta.into_bytes());
-        let mut seg = SnapWriter::new();
-        self.segment.save(&mut seg);
-        b.section("fleet/segment", seg.into_bytes());
+        b.section("fleet/meta", |w| {
+            w.put(&(self.cfg.to_json(), self.cycle));
+            w.put(&self.server_online);
+            self.events.save(w);
+        });
+        b.section("fleet/segment", |w| self.segment.save(w));
         for (i, s) in self.servers.iter().enumerate() {
-            let mut w = SnapWriter::new();
-            s.save(&mut w);
-            b.section(&format!("fleet/server{i}"), w.into_bytes());
+            b.section(&format!("fleet/server{i}"), |w| s.save(w));
         }
         for (i, c) in self.clients.iter().enumerate() {
-            let mut w = SnapWriter::new();
-            w.put(c);
-            b.section(&format!("fleet/client{i}"), w.into_bytes());
+            b.section(&format!("fleet/client{i}"), |w| w.put(c));
         }
         b.finish()
     }
@@ -1989,7 +1983,7 @@ mod tests {
             } else {
                 file.section(section)?
             };
-            b.section(section, (0..r.remaining()).map(|_| r.u8()).collect::<Result<_, _>>()?);
+            b.section(section, |w| (0..r.remaining()).try_for_each(|_| r.u8().map(|x| w.u8(x))))?;
         }
         let mut fleet = Fleet::new(cfg);
         let loaded = fleet.load_snapshot(&b.finish());

@@ -2,7 +2,7 @@
 
 use firefly_core::config::SystemConfig;
 use firefly_core::fault::FaultConfig;
-use firefly_core::snapshot::{SnapWriter, SnapshotBuilder, SnapshotFile};
+use firefly_core::snapshot::{SnapshotBuilder, SnapshotFile};
 use firefly_core::stats::FaultStats;
 use firefly_core::system::MemSystem;
 use firefly_core::{
@@ -432,14 +432,10 @@ impl Firefly {
             return Err(Error::SnapshotUnsupported("io system state"));
         }
         let mut b = SnapshotBuilder::new();
-        let mut w = SnapWriter::new();
-        w.put(&self.processors.len());
-        b.section("machine", w.into_bytes());
-        b.image("memsys", self.sys.save_snapshot());
+        b.section("machine", |w| w.put(&self.processors.len()));
+        b.image("memsys", |b| self.sys.save_sections(b));
         for (i, p) in self.processors.iter().enumerate() {
-            let mut w = SnapWriter::new();
-            p.save_state(&mut w)?;
-            b.section(&format!("cpu{i}"), w.into_bytes());
+            b.section(&format!("cpu{i}"), |w| p.save_state(w))?;
         }
         Ok(b.finish())
     }

@@ -16,7 +16,7 @@
 use firefly::core::config::SystemConfig;
 use firefly::core::fault::FaultConfig;
 use firefly::core::protocol::ProtocolKind;
-use firefly::core::snapshot::{crc32, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use firefly::core::snapshot::{crc32, SnapshotFile, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use firefly::core::system::{MemSystem, Request};
 use firefly::core::{Addr, CacheGeometry, Error, PortId};
 use firefly::sim::FireflyBuilder;
@@ -388,4 +388,29 @@ fn dump_lists_the_nested_memory_system_under_memsys() {
             at(&format!("    section {inner}:")).unwrap_or_else(|| panic!("{inner}:\n{text}"));
         assert!(memsys < line && line < cpu0, "{inner} is not under memsys:\n{text}");
     }
+}
+
+/// The `memsys` section of a machine image is the memory system's own
+/// image behind a `u64` length, written in place by a child builder: a
+/// reader that takes it with `SnapReader::bytes` gets exactly what
+/// `MemSystem::save_snapshot` writes, and `MemSystem::restore` accepts
+/// it without going through `SnapshotFile::nested`.
+#[test]
+fn memsys_section_is_the_memory_systems_own_image() {
+    let mut m = FireflyBuilder::microvax(4)
+        .seed(5)
+        .trace_events(64)
+        .faults(FaultConfig::correctable(0x5eed_0031, 20_000))
+        .build();
+    m.run(30_000);
+    let image = m.save_snapshot().unwrap();
+    let file = SnapshotFile::parse(&image).unwrap();
+    let mut r = file.section("memsys").unwrap();
+    let inner = r.bytes().unwrap();
+    r.expect_end().unwrap();
+    let own = m.memory().save_snapshot();
+    assert!(own.len() > 100_000, "a warm image holds memory pages: {} bytes", own.len());
+    assert_eq!(inner, own.as_slice());
+    let sys = MemSystem::restore(inner).unwrap();
+    assert_eq!(sys.save_snapshot(), own, "restore then save is the identity");
 }

@@ -52,7 +52,7 @@ fn sections(image: &[u8]) -> Vec<(String, Vec<u8>)> {
 fn rebuild(sections: &[(String, Vec<u8>)]) -> Vec<u8> {
     let mut b = SnapshotBuilder::new();
     for (name, payload) in sections {
-        b.section(name, payload.clone());
+        b.section(name, |w| payload.iter().for_each(|&x| w.u8(x)));
     }
     b.finish()
 }
