@@ -178,6 +178,13 @@ step "protocol_compare determinism gate (bit-identical across widths)"
 # each replaying its stream under all seven protocols.
 same_across_widths protocol_compare
 
+step "scaling, cache_sweep determinism gates (bit-identical across widths)"
+# Table 1's processor-count sweep and footnote 4's cache geometries,
+# one machine per job. Neither bin has a smoke size and both ignore
+# `--smoke`, so these are full runs: about 1 s together at FIREFLY_JOBS=1.
+same_across_widths scaling
+same_across_widths cache_sweep
+
 step "trace examples: protocol_trace, trace_timeline"
 # Both render Figure 4 and the event timeline from the event ring; run
 # them so the rendering paths execute in CI, not just compile.

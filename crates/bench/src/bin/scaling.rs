@@ -4,7 +4,7 @@
 //!
 //! The simulation points run in parallel on the experiment harness
 //! (`FIREFLY_JOBS` controls the worker count); the numbers are
-//! bit-identical at any width. Pass `--json` for the full harness run
+//! bit-identical at any width. Pass `--json` for the simulated points
 //! as JSON, or `--trace <file>` to also capture one traced 8-CPU run
 //! as Chrome trace-event JSON.
 
@@ -13,8 +13,7 @@
 use firefly_bench::{report, tracing};
 use firefly_core::ProtocolKind;
 use firefly_model::{format_table1, Params};
-use firefly_sim::harness::worker_count;
-use firefly_sim::sweep::{format_sweep, scaling_sweep_on};
+use firefly_sim::sweep::{format_sweep, scaling_sweep};
 
 fn main() {
     let p = Params::microvax();
@@ -24,10 +23,9 @@ fn main() {
         tracing::capture(&opts, 8, ProtocolKind::Firefly, None, 50_000);
     }
 
-    let run =
-        scaling_sweep_on(worker_count(), &counts, ProtocolKind::Firefly, 42, 200_000, 400_000);
+    let points = scaling_sweep(&counts, ProtocolKind::Firefly, 42, 200_000, 400_000);
     if report::json_requested() {
-        report::emit_json(&run);
+        report::emit_json(&points);
         return;
     }
 
@@ -35,10 +33,10 @@ fn main() {
     println!("{}", format_table1(&p.estimates(counts.iter().copied())));
 
     println!("cycle-level simulation (same workload per CPU):\n");
-    println!("{}", format_sweep(&run.points));
+    println!("{}", format_sweep(&points));
 
     println!("bus load, side by side:");
-    for (&np, sim) in counts.iter().zip(&run.points) {
+    for (&np, sim) in counts.iter().zip(&points) {
         let est = p.estimate(np);
         println!(
             "  NP={np:<3} model L={:.2}  simulated L={:.2}   delta {:+.2}",
@@ -50,7 +48,6 @@ fn main() {
     println!(
         "\nthe simulation runs slightly ahead of the model because the real \
          (and simulated)\nexerciser produces fewer victim writes than the model's \
-         D=0.25 charge — write-throughs\nleave lines clean, exactly as §5.3 observes."
+         D=0.25 charge — write-throughs\nleave lines clean, exactly as §5.3 observes.\n"
     );
-    println!("\n{}", run.harness.summary());
 }

@@ -58,8 +58,7 @@ pub mod report {
 
     /// Prints `value` as one line of JSON on stdout. This is the shared
     /// result emitter for every experiment binary: the schema is
-    /// whatever the value's `Serialize` derive produces (for harness
-    /// runs, see the README's "Running the evaluation in parallel").
+    /// whatever the value's `Serialize` derive produces.
     pub fn emit_json<T: serde::Serialize + ?Sized>(value: &T) {
         println!("{}", value.to_json());
     }

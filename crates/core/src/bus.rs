@@ -335,11 +335,6 @@ impl Bus {
         self.mode
     }
 
-    /// The configured arbitration policy.
-    pub fn arbiter_kind(&self) -> ArbiterKind {
-        self.arbiter.kind()
-    }
-
     /// The policy's worst-case grant delay bound, if it gives one (see
     /// [`ArbiterKind::grant_bound`]).
     pub fn grant_bound(&self) -> Option<u64> {

@@ -346,53 +346,6 @@ impl FaultStats {
     }
 }
 
-counters! {
-    /// Host-side performance counters for one simulation job: how fast the
-    /// *simulator itself* ran, as opposed to what the simulated machine did.
-    ///
-    /// The experiment harness (`firefly-sim`'s `harness` module) fills one
-    /// of these per job so parallel sweeps can report their own speedup —
-    /// the ROADMAP's "fast as the hardware allows" made measurable.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use firefly_core::stats::HostCounters;
-    ///
-    /// let h = HostCounters { wall_ns: 2_000_000_000, instructions: 500_000, sim_cycles: 100_000 };
-    /// assert!((h.instructions_per_sec() - 250_000.0).abs() < 1e-9);
-    /// assert!((h.sim_cycles_per_sec() - 50_000.0).abs() < 1e-9);
-    /// ```
-    pub struct HostCounters {
-        /// Host wall-clock nanoseconds the job took.
-        pub wall_ns: u64,
-        /// Simulated instructions retired during the job (all CPUs).
-        pub instructions: u64,
-        /// Simulated bus cycles stepped during the job.
-        pub sim_cycles: u64,
-    }
-}
-
-impl HostCounters {
-    /// Simulated instructions per host second (0 before any time elapsed).
-    pub fn instructions_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / (self.wall_ns as f64 * 1e-9)
-        }
-    }
-
-    /// Simulated bus cycles per host second (0 before any time elapsed).
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.sim_cycles as f64 / (self.wall_ns as f64 * 1e-9)
-        }
-    }
-}
-
 /// Number of power-of-two buckets in a [`Histogram`].
 pub const HISTOGRAM_BUCKETS: usize = 32;
 
@@ -572,18 +525,6 @@ impl AddAssign for LatencyStats {
         self.bus_wait += o.bus_wait;
         self.dma_service += o.dma_service;
     }
-}
-
-/// One host-timing span within a harness job: which stage of the job
-/// ran, when it started relative to the job start, and how long it took.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct HostSpan {
-    /// Stage name (`build`, `warmup`, `window`, …).
-    pub name: String,
-    /// Host nanoseconds from job start to stage start.
-    pub start_ns: u64,
-    /// Host nanoseconds the stage took.
-    pub dur_ns: u64,
 }
 
 #[cfg(test)]
@@ -784,19 +725,5 @@ mod tests {
         w.put(&h);
         let bytes = w.into_bytes();
         assert_eq!(SnapReader::new(&bytes).get::<Histogram>().unwrap(), h);
-    }
-
-    #[test]
-    fn host_counters_rates_handle_zero() {
-        let h = HostCounters::default();
-        assert_eq!(h.instructions_per_sec(), 0.0);
-        assert_eq!(h.sim_cycles_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn host_counters_accumulate() {
-        let mut a = HostCounters { wall_ns: 10, instructions: 100, sim_cycles: 5 };
-        a += HostCounters { wall_ns: 30, instructions: 900, sim_cycles: 15 };
-        assert_eq!(a, HostCounters { wall_ns: 40, instructions: 1000, sim_cycles: 20 });
     }
 }

@@ -538,11 +538,6 @@ impl MemSystem {
         self.cycle
     }
 
-    /// Elapsed simulated time in nanoseconds.
-    pub fn time_ns(&self) -> u64 {
-        self.cycle * crate::BUS_CYCLE_NS
-    }
-
     /// Begins an access on `port`.
     ///
     /// # Errors

@@ -118,15 +118,6 @@ impl IoSystem {
         &self.extra_displays[i]
     }
 
-    /// Mutable access to an extra display controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn extra_display_mut(&mut self, i: usize) -> &mut Mdc {
-        &mut self.extra_displays[i]
-    }
-
     /// The QBus map registers.
     pub fn qbus(&mut self) -> &mut QBus {
         &mut self.qbus
@@ -135,12 +126,6 @@ impl IoSystem {
     /// The display controller.
     pub fn mdc(&self) -> &Mdc {
         &self.mdc
-    }
-
-    /// Mutable access to the display controller (enqueue work, move the
-    /// mouse).
-    pub fn mdc_mut(&mut self) -> &mut Mdc {
-        &mut self.mdc
     }
 
     /// The Ethernet controller.

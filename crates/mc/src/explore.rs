@@ -231,12 +231,6 @@ impl McConfig {
         self
     }
 
-    /// Sets the lease length for timestamped protocols.
-    pub fn with_ts_lease(mut self, lease: u64) -> Self {
-        self.lease = lease;
-        self
-    }
-
     /// The canonical table for this configuration: the protocol's,
     /// except that timestamped kinds take the configured lease. The
     /// mutation pass edits copies of *this* table, so the clean run and

@@ -143,10 +143,9 @@ impl NetFaultConfig {
 
 firefly_core::snap_struct!(PartitionPlan { from, until, boundary });
 
-/// The rates, then the partition field, which leads with a format tag
-/// byte: `2` (current) is followed by the list of windows. The retired
-/// single-window format wrote a bool here — `0`/`1`, then one window's
-/// fields — and still decodes.
+/// The rates, then the partition field: a format tag byte, always `2`,
+/// and the list of windows. Tags `0`/`1` were the single-window layout
+/// that snapshot version 4 retired; they are rejected like any other.
 impl Snap for NetFaultConfig {
     fn save(&self, w: &mut SnapWriter) {
         w.put(&(self.seed, self.drop_ppm, self.dup_ppm, self.reorder_ppm));
@@ -156,15 +155,11 @@ impl Snap for NetFaultConfig {
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, Error> {
         let (seed, drop_ppm, dup_ppm, reorder_ppm) = r.get()?;
-        let (reorder_window, corrupt_ppm, tag) = r.get()?;
-        let windows: Vec<PartitionPlan> = match tag {
-            0u8 => Vec::new(),
-            1 => vec![r.get()?],
-            2 => r.get()?,
-            tag => {
-                return Err(Error::SnapshotCorrupt(format!("unknown partition format tag {tag}")))
-            }
-        };
+        let (reorder_window, corrupt_ppm, tag): (u64, u32, u8) = r.get()?;
+        if tag != 2 {
+            return Err(Error::SnapshotCorrupt(format!("unknown partition format tag {tag}")));
+        }
+        let windows: Vec<PartitionPlan> = r.get()?;
         if windows.len() > MAX_PARTITION_WINDOWS {
             return Err(Error::SnapshotCorrupt(format!(
                 "{} partition windows exceeds the {MAX_PARTITION_WINDOWS} cap",
@@ -285,49 +280,19 @@ mod tests {
         r.expect_end().unwrap();
     }
 
-    /// Bytes exactly as the retired single-window `save` wrote them:
-    /// rates, then a bool tag (`0` = none, `1` = one window's fields).
-    fn legacy_bytes(window: Option<PartitionPlan>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.u64(9); // seed
-        w.u32(250); // drop_ppm
-        w.u32(250); // dup_ppm
-        w.u32(250); // reorder_ppm
-        w.u64(2_000); // reorder_window
-        w.u32(250); // corrupt_ppm
-        match window {
-            None => w.bool(false),
-            Some(p) => {
-                w.bool(true);
-                w.u64(p.from);
-                w.u64(p.until);
-                w.usize(p.boundary);
-            }
-        }
-        w.into_bytes()
-    }
-
-    #[test]
-    fn legacy_single_window_format_still_decodes() {
-        let plan = PartitionPlan { from: 40, until: 90, boundary: 2 };
-        let bytes = legacy_bytes(Some(plan));
-        let mut r = SnapReader::new(&bytes);
-        let cfg = r.get::<NetFaultConfig>().unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(cfg, NetFaultConfig::lossy(9, 250).with_partition(plan));
-
-        let bytes = legacy_bytes(None);
-        let mut r = SnapReader::new(&bytes);
-        let cfg = r.get::<NetFaultConfig>().unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(cfg, NetFaultConfig::lossy(9, 250));
-    }
-
     #[test]
     fn unknown_partition_tag_rejected() {
-        let mut bytes = legacy_bytes(None);
-        *bytes.last_mut().unwrap() = 7;
-        let mut r = SnapReader::new(&bytes);
-        assert!(r.get::<NetFaultConfig>().is_err());
+        let mut w = SnapWriter::new();
+        w.put(&NetFaultConfig::lossy(9, 250));
+        let mut bytes = w.into_bytes();
+        // The tag byte sits after the seed, three rates, the reorder
+        // window and the corrupt rate.
+        let tag = 8 + 3 * 4 + 8 + 4;
+        assert_eq!(bytes[tag], 2, "the current layout's tag");
+        for bad in [0u8, 1, 3, 7, 0xff] {
+            bytes[tag] = bad;
+            let err = SnapReader::new(&bytes).get::<NetFaultConfig>().unwrap_err();
+            assert!(matches!(err, Error::SnapshotCorrupt(_)), "tag {bad}: {err:?}");
+        }
     }
 }

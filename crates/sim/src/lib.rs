@@ -31,11 +31,8 @@ pub use fleet::{
     goodput_mbps, run_crash_failover, run_retry_storm, CrashOutcome, Fleet, FleetConfig,
     FleetEngineStats, FleetReport, SlowdownWindow, StormOutcome,
 };
-pub use harness::{
-    run_experiments, run_experiments_with, run_jobs, run_jobs_with, worker_count,
-    CompletedExperiment, ExperimentResult, ExperimentSpec, HarnessRun,
-};
+pub use harness::{run_jobs, run_jobs_with, worker_count};
 pub use machine::{EngineMode, Firefly, FireflyBuilder, Workload};
 pub use measure::Measurement;
-pub use sweep::{format_sweep, scaling_sweep, scaling_sweep_on, ScalingPoint, SweepRun};
+pub use sweep::{format_sweep, scaling_sweep, scaling_sweep_on, ScalingPoint};
 pub use table2::{table2_report, Table2};

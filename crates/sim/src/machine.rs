@@ -448,8 +448,9 @@ impl Firefly {
     ///
     /// Returns [`Error::SnapshotCorrupt`] / [`Error::SnapshotVersion`]
     /// for damaged or version-skewed images, and
-    /// [`Error::SnapshotCorrupt`] when the image's shape (CPU count,
-    /// cache geometry, memory size) does not match this machine.
+    /// [`Error::SnapshotCorrupt`] when the image's CPU count, protocol
+    /// or memory-system configuration (cache geometry, memory size, …)
+    /// does not match this machine.
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), Error> {
         if self.io.is_some() {
             return Err(Error::SnapshotUnsupported("io system state"));
@@ -465,9 +466,18 @@ impl Firefly {
         }
         r.expect_end()?;
         let sys = MemSystem::restore_file(&file.nested("memsys")?)?;
+        if sys.config() != self.sys.config() || sys.protocol_kind() != self.sys.protocol_kind() {
+            return Err(Error::SnapshotCorrupt(format!(
+                "snapshot memory system ({} {:?}) does not match the machine's ({} {:?})",
+                sys.protocol_kind(),
+                sys.config(),
+                self.sys.protocol_kind(),
+                self.sys.config()
+            )));
+        }
         // The memory system is fully validated above; processor loads
         // mutate in place, so on a processor-level error the machine
-        // must be discarded (rebuild and retry, as the harness does).
+        // must be discarded (rebuild it and load again).
         for (i, p) in self.processors.iter_mut().enumerate() {
             let mut r = file.section(&format!("cpu{i}"))?;
             p.load_state(&mut r)?;
@@ -697,6 +707,19 @@ mod tests {
         let snap = m2.save_snapshot().unwrap();
         let mut wrong = FireflyBuilder::microvax(3).build();
         assert!(matches!(wrong.load_snapshot(&snap), Err(Error::SnapshotCorrupt(_))));
+
+        // Same CPU count, another memory system: the image must not
+        // replace the machine's protocol, cache geometry or memory size.
+        let snap = FireflyBuilder::microvax(4).build().save_snapshot().unwrap();
+        for mut other in [
+            FireflyBuilder::microvax(4).protocol(ProtocolKind::Dragon).build(),
+            FireflyBuilder::microvax(4).cache(CacheGeometry::new(256, 1).unwrap()).build(),
+            FireflyBuilder::microvax(4).memory_mb(4).build(),
+        ] {
+            let before = (other.memory().protocol_kind(), other.memory().config().clone());
+            assert!(matches!(other.load_snapshot(&snap), Err(Error::SnapshotCorrupt(_))));
+            assert_eq!((other.memory().protocol_kind(), other.memory().config().clone()), before);
+        }
         assert!(matches!(
             FireflyBuilder::microvax(2).build().load_snapshot(b"junk"),
             Err(Error::SnapshotCorrupt(_))

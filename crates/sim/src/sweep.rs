@@ -4,9 +4,8 @@
 //! the parallel [`crate::harness`]; the emitted numbers are a pure
 //! function of the configuration and do not depend on the worker count.
 
-use crate::harness::{
-    run_experiments_with, worker_count, ExperimentResult, ExperimentSpec, HarnessRun,
-};
+use crate::harness::{run_jobs_with, worker_count};
+use crate::machine::FireflyBuilder;
 use crate::measure::Measurement;
 use firefly_core::ProtocolKind;
 use serde::{Deserialize, Serialize};
@@ -40,67 +39,6 @@ impl fmt::Display for ScalingPoint {
     }
 }
 
-/// A finished sweep: the Table-1 points plus the harness accounting of
-/// the run that produced them (worker count, wall time, speedup).
-#[derive(Clone, Debug, Serialize)]
-pub struct SweepRun {
-    /// The Table-1 rows, one per requested processor count.
-    pub points: Vec<ScalingPoint>,
-    /// How the harness executed the grid.
-    pub harness: HarnessRun,
-}
-
-/// The experiment grid behind a scaling sweep: one spec per processor
-/// count, identical otherwise.
-pub fn scaling_specs(
-    counts: &[usize],
-    protocol: ProtocolKind,
-    seed: u64,
-    warmup: u64,
-    window: u64,
-) -> Vec<ExperimentSpec> {
-    counts
-        .iter()
-        .map(|&cpus| {
-            ExperimentSpec::new(format!("NP={cpus}"), cpus)
-                .protocol(protocol)
-                .seed(seed)
-                .window(warmup, window)
-        })
-        .collect()
-}
-
-fn scaling_point(result: &ExperimentResult, base_instr_rate_k: f64) -> ScalingPoint {
-    let m = result.measurement;
-    let rp =
-        if base_instr_rate_k == 0.0 { 0.0 } else { m.instructions_per_cpu_k / base_instr_rate_k };
-    ScalingPoint {
-        cpus: result.cpus,
-        load: m.bus_load,
-        tpi: m.tpi,
-        relative_performance: rp,
-        total_performance: rp * result.cpus as f64,
-        measurement: m,
-    }
-}
-
-/// Runs a scaling sweep on `workers` harness workers, returning both the
-/// points and the harness accounting. The points are bit-identical for
-/// every `workers` value; only [`SweepRun::harness`] timing differs.
-pub fn scaling_sweep_run(
-    workers: usize,
-    counts: &[usize],
-    protocol: ProtocolKind,
-    seed: u64,
-    warmup: u64,
-    window: u64,
-    base_instr_rate_k: f64,
-) -> SweepRun {
-    let run = run_experiments_with(workers, scaling_specs(counts, protocol, seed, warmup, window));
-    let points = run.results().map(|r| scaling_point(r, base_instr_rate_k)).collect();
-    SweepRun { points, harness: run }
-}
-
 /// Sweeps processor count over `counts`, measuring each configuration
 /// with the same per-CPU workload — the simulated Table 1 — normalized
 /// against an ideal (zero-load) single processor: one CPU running the
@@ -114,13 +52,11 @@ pub fn scaling_sweep(
     warmup: u64,
     window: u64,
 ) -> Vec<ScalingPoint> {
-    scaling_sweep_on(worker_count(), counts, protocol, seed, warmup, window).points
+    scaling_sweep_on(worker_count(), counts, protocol, seed, warmup, window)
 }
 
-/// [`scaling_sweep`] with an explicit harness worker count, returning
-/// the harness accounting alongside the points (used by the `scaling`
-/// bin to report the harness's own speedup and by the determinism
-/// tests).
+/// [`scaling_sweep`] on an explicit number of harness workers. The
+/// points are bit-identical for every `workers` value.
 pub fn scaling_sweep_on(
     workers: usize,
     counts: &[usize],
@@ -128,15 +64,28 @@ pub fn scaling_sweep_on(
     seed: u64,
     warmup: u64,
     window: u64,
-) -> SweepRun {
+) -> Vec<ScalingPoint> {
+    let measure = |cpus| {
+        FireflyBuilder::microvax(cpus).protocol(protocol).seed(seed).build().measure(warmup, window)
+    };
     // Measure the 1-CPU machine, then correct its small self-induced bus
     // delay out to get the no-wait-state baseline rate.
-    let one = scaling_sweep_run(1, &[1], protocol, seed, warmup, window, 1.0);
-    let m1 = &one.points[0].measurement;
+    let m1 = measure(1);
     // instr_rate ∝ 1/TPI: scale measured rate up by TPI(measured)/base.
     let base_tpi = 11.9;
     let base_rate = m1.instructions_per_cpu_k * (m1.tpi / base_tpi);
-    scaling_sweep_run(workers, counts, protocol, seed, warmup, window, base_rate)
+    run_jobs_with(workers, counts, |&cpus| {
+        let m = measure(cpus);
+        let rp = if base_rate == 0.0 { 0.0 } else { m.instructions_per_cpu_k / base_rate };
+        ScalingPoint {
+            cpus,
+            load: m.bus_load,
+            tpi: m.tpi,
+            relative_performance: rp,
+            total_performance: rp * cpus as f64,
+            measurement: m,
+        }
+    })
 }
 
 /// Formats a sweep as a Table 1-shaped block.
@@ -202,7 +151,7 @@ mod tests {
     fn sweep_points_identical_across_worker_counts() {
         let serial = scaling_sweep_on(1, &[1, 2, 3], ProtocolKind::Firefly, 11, 20_000, 40_000);
         let parallel = scaling_sweep_on(4, &[1, 2, 3], ProtocolKind::Firefly, 11, 20_000, 40_000);
-        assert_eq!(serial.points, parallel.points);
-        assert_eq!(format_sweep(&serial.points), format_sweep(&parallel.points));
+        assert_eq!(serial, parallel);
+        assert_eq!(format_sweep(&serial), format_sweep(&parallel));
     }
 }

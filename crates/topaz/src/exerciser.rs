@@ -182,28 +182,7 @@ pub fn run_exerciser(
     // Per-CPU averages over the window.
     let mut d = CacheStats::default();
     for (p, before) in cache_before.iter().enumerate() {
-        // Subtract the warm-up portion field by field via the diff trick.
-        let mut after = *m.memory().cache_stats(PortId::new(p));
-        after.cpu_reads -= before.cpu_reads;
-        after.cpu_writes -= before.cpu_writes;
-        after.read_hits -= before.read_hits;
-        after.write_hits -= before.write_hits;
-        after.read_misses -= before.read_misses;
-        after.write_misses -= before.write_misses;
-        after.bus_reads -= before.bus_reads;
-        after.bus_read_owned -= before.bus_read_owned;
-        after.wt_shared -= before.wt_shared;
-        after.wt_unshared -= before.wt_unshared;
-        after.victim_writes -= before.victim_writes;
-        after.updates_sent -= before.updates_sent;
-        after.invalidates_sent -= before.invalidates_sent;
-        after.updates_absorbed -= before.updates_absorbed;
-        after.invalidations_taken -= before.invalidations_taken;
-        after.supplies -= before.supplies;
-        after.probe_stalls -= before.probe_stalls;
-        after.dma_reads -= before.dma_reads;
-        after.dma_writes -= before.dma_writes;
-        d += after;
+        d += m.memory().cache_stats(PortId::new(p)).delta(before);
     }
 
     let seconds = measure_cycles as f64 * firefly_core::BUS_CYCLE_NS as f64 * 1e-9;

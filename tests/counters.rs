@@ -4,7 +4,7 @@
 //! declaration order.
 
 use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
-use firefly_core::stats::{BusStats, CacheStats, FaultStats, HostCounters};
+use firefly_core::stats::{BusStats, CacheStats, FaultStats};
 use firefly_cpu::processor::EngineStats;
 use firefly_cpu::CpuStats;
 use firefly_io::deqna::DeqnaStats;
@@ -71,7 +71,6 @@ proptest! {
             CacheStats,
             BusStats,
             FaultStats,
-            HostCounters,
             DeqnaStats,
             CpuStats,
             EngineStats,

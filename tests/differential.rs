@@ -63,7 +63,7 @@ fn replay(
     cpus: usize,
     words: u32,
     accesses: &[Access],
-    checkpoint_every: usize,
+    check_every: usize,
     compare_refsim: bool,
 ) -> Vec<u32> {
     let mut sys = tiny_system(cpus, geometry, kind);
@@ -81,7 +81,7 @@ fn replay(
             reference.access(a.cpu, ProcOp::Read, addr);
         }
 
-        if (i + 1) % checkpoint_every == 0 || i + 1 == accesses.len() {
+        if (i + 1) % check_every == 0 || i + 1 == accesses.len() {
             // run_to_completion drains the bus, so the system is at a
             // quiescent point and the invariants must all hold.
             assert!(sys.is_quiescent(), "{kind:?}: not quiescent after access #{i}");

@@ -184,21 +184,3 @@ fn topaz_context_switches_share_the_event_clock() {
     validate_json(&json).expect("topaz trace validates");
     assert!(json.contains("dispatch t"), "context switches appear in the export");
 }
-
-/// Harness jobs carry their build/warmup/window host-timing spans.
-#[test]
-fn harness_jobs_carry_stage_spans() {
-    use firefly::sim::harness::{run_experiments_with, ExperimentSpec};
-    let run = run_experiments_with(
-        2,
-        vec![
-            ExperimentSpec::new("a", 1).seed(3).window(2_000, 4_000),
-            ExperimentSpec::new("b", 2).seed(3).window(2_000, 4_000),
-        ],
-    );
-    for job in &run.jobs {
-        let names: Vec<&str> = job.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["build", "warmup", "window"], "{}", job.result.label);
-        assert!(job.spans.iter().all(|s| s.start_ns.saturating_add(s.dur_ns) <= job.host.wall_ns));
-    }
-}

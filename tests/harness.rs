@@ -3,57 +3,48 @@
 //! ordering) at any worker-pool width.
 
 use firefly::core::{CacheGeometry, ProtocolKind};
-use firefly::sim::harness::{run_experiments_with, run_jobs_with, ExperimentSpec};
+use firefly::sim::harness::run_jobs_with;
 use firefly::sim::sweep::{format_sweep, scaling_sweep_on};
+use firefly::sim::{FireflyBuilder, Measurement};
 use serde::Serialize;
+use std::collections::HashSet;
 
 /// A mixed grid: varying CPU counts, protocols, geometries, and seeds.
-fn mixed_grid() -> Vec<ExperimentSpec> {
-    let mut specs = Vec::new();
+fn mixed_grid() -> Vec<FireflyBuilder> {
+    let mut grid = Vec::new();
     for cpus in [1usize, 2, 3] {
-        specs.push(ExperimentSpec::new(format!("np{cpus}"), cpus).seed(11).window(10_000, 20_000));
+        grid.push(FireflyBuilder::microvax(cpus).seed(11));
     }
     for kind in [ProtocolKind::Dragon, ProtocolKind::Illinois, ProtocolKind::WriteOnce] {
-        specs.push(
-            ExperimentSpec::new(format!("{kind:?}"), 2)
-                .protocol(kind)
-                .seed(23)
-                .window(10_000, 20_000),
-        );
+        grid.push(FireflyBuilder::microvax(2).protocol(kind).seed(23));
     }
-    specs.push(
-        ExperimentSpec::new("big-cache", 2)
-            .cache(CacheGeometry::new(16384, 1).unwrap())
-            .seed(31)
-            .window(10_000, 20_000),
-    );
-    specs
+    grid.push(FireflyBuilder::microvax(2).cache(CacheGeometry::new(16384, 1).unwrap()).seed(31));
+    grid
 }
 
-/// Bit-identical `ExperimentResult`s — including their order — at one
-/// worker versus many, and again on a repeated parallel run (no
-/// run-to-run scheduling sensitivity).
+/// Every point of the mixed grid, measured on `workers` workers.
+fn measure_grid(workers: usize) -> Vec<Measurement> {
+    run_jobs_with(workers, &mixed_grid(), |b| b.clone().build().measure(10_000, 20_000))
+}
+
+/// Bit-identical measurements — including their order — at one worker
+/// versus many, and again on a repeated parallel run (no run-to-run
+/// scheduling sensitivity).
 #[test]
 fn experiment_grid_is_bit_identical_across_worker_counts() {
-    let serial = run_experiments_with(1, mixed_grid());
-    let parallel = run_experiments_with(8, mixed_grid());
-    let parallel_again = run_experiments_with(3, mixed_grid());
+    let serial = measure_grid(1);
+    let parallel = measure_grid(8);
+    let parallel_again = measure_grid(3);
 
-    let a: Vec<_> = serial.results().collect();
-    let b: Vec<_> = parallel.results().collect();
-    let c: Vec<_> = parallel_again.results().collect();
-    assert_eq!(a, b, "1 worker vs 8 workers diverged");
-    assert_eq!(b, c, "8 workers vs 3 workers diverged");
+    assert_eq!(serial, parallel, "1 worker vs 8 workers diverged");
+    assert_eq!(parallel, parallel_again, "8 workers vs 3 workers diverged");
 
-    // The deterministic payload serializes identically too.
-    for (x, y) in serial.jobs.iter().zip(&parallel.jobs) {
-        assert_eq!(x.result.to_json(), y.result.to_json());
-    }
+    // The measurements serialize identically too.
+    assert_eq!(serial.to_json(), parallel.to_json());
 }
 
 /// The acceptance benchmark: a scaling sweep over 1..=8 CPUs renders a
-/// byte-identical Table-1 block at 1 worker and N workers, while the
-/// harness reports its own throughput counters.
+/// byte-identical Table-1 block at 1 worker and N workers.
 #[test]
 fn scaling_sweep_formats_identically_at_any_width() {
     let counts: Vec<usize> = (1..=8).collect();
@@ -61,26 +52,11 @@ fn scaling_sweep_formats_identically_at_any_width() {
     let parallel = scaling_sweep_on(8, &counts, ProtocolKind::Firefly, 42, 40_000, 80_000);
 
     assert_eq!(
-        format_sweep(&serial.points),
-        format_sweep(&parallel.points),
+        format_sweep(&serial),
+        format_sweep(&parallel),
         "formatted sweep must be byte-identical at 1 vs 8 workers"
     );
-
-    // The harness accounts for its own execution: wall time, per-job
-    // busy time, and the speedup it achieved.
-    for run in [&serial, &parallel] {
-        assert!(run.harness.wall_ns > 0);
-        assert!(run.harness.speedup > 0.0);
-        let total = run.harness.total_host();
-        assert!(total.instructions > 0, "jobs report instruction counts");
-        assert!(total.wall_ns >= run.harness.jobs.len() as u64, "jobs report wall time");
-        assert!(total.instructions_per_sec() > 0.0);
-    }
-    assert_eq!(serial.harness.workers, 1);
-    assert_eq!(parallel.harness.workers, 8);
-    // With a single worker the pool adds no concurrency: busy ≈ wall,
-    // so the measured speedup cannot meaningfully exceed 1.
-    assert!(serial.harness.speedup < 1.5, "serial speedup {:.2}", serial.harness.speedup);
+    assert_eq!(serial.to_json(), parallel.to_json());
 }
 
 /// The generic pool preserves submission order even when later jobs
@@ -102,17 +78,14 @@ fn job_order_is_submission_order_not_completion_order() {
 }
 
 /// `FIREFLY_JOBS` is read by `worker_count`, but an explicit width in
-/// `run_experiments_with` always wins — so tests pinning widths are
-/// immune to the environment.
+/// `run_jobs_with` always wins — so tests pinning widths are immune to
+/// the environment: one worker runs every job on the caller's thread,
+/// and two workers never run jobs on more than two threads.
 #[test]
 fn explicit_width_overrides_environment() {
-    let run = run_experiments_with(
-        2,
-        vec![
-            ExperimentSpec::new("w", 1).window(2_000, 4_000),
-            ExperimentSpec::new("x", 1).seed(5).window(2_000, 4_000),
-        ],
-    );
-    assert_eq!(run.workers, 2);
-    assert_eq!(run.jobs.len(), 2);
+    let jobs: Vec<u64> = (0..16).collect();
+    let threads = |workers| run_jobs_with(workers, &jobs, |_| std::thread::current().id());
+    assert!(threads(1).iter().all(|&id| id == std::thread::current().id()));
+    let distinct = threads(2).into_iter().collect::<HashSet<_>>().len();
+    assert!(distinct <= 2, "{distinct} threads ran jobs on a 2-worker pool");
 }
