@@ -185,10 +185,12 @@ step "scaling, cache_sweep determinism gates (bit-identical across widths)"
 same_across_widths scaling
 same_across_widths cache_sweep
 
-step "trace examples: protocol_trace, trace_timeline"
-# Both render Figure 4 and the event timeline from the event ring; run
-# them so the rendering paths execute in CI, not just compile.
-cargo run --release -q --example protocol_trace > /dev/null
-cargo run --release -q --example trace_timeline > /dev/null
+step "examples: all nine run to completion"
+# Run every example so its paths execute in CI, not just compile
+# (protocol_trace and trace_timeline render Figure 4 and the event
+# timeline from the event ring). About 1 s together.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "ci.sh: all checks passed"

@@ -28,7 +28,7 @@ use crate::addr::{LineId, PortId};
 use crate::arbiter::{Arbiter, ArbiterKind, BusMode};
 use crate::cache::LineData;
 use crate::error::Error;
-use crate::protocol::BusOp;
+use crate::protocol::{BusOp, SnoopResponse};
 use crate::snapshot::{Snap, SnapReader, SnapWriter};
 use crate::stats::BusStats;
 use serde::{Deserialize, Serialize};
@@ -99,7 +99,10 @@ impl Snap for DataSource {
     }
 }
 
-/// An in-flight bus transaction.
+/// An in-flight bus transaction: the whole four-cycle object of
+/// Figure 4, from its grant cycle through the probe responses and the
+/// `MShared` result to any fault that dooms it. Each bus slot carries
+/// its own context, so a slot without one cannot be represented.
 #[derive(Clone, Debug)]
 pub struct Transaction {
     /// The port that won arbitration.
@@ -114,9 +117,28 @@ pub struct Transaction {
     pub cycles_done: u8,
     /// The wired-OR `MShared` response (valid after cycle 3).
     pub mshared: bool,
+    /// The arbitration (address) cycle; stamps the event trace and the
+    /// Figure 4 log.
+    pub start: u64,
+    /// The other caches' responses from the cycle-2 tag probe:
+    /// `(port index, response)`.
+    pub snoop: Vec<(usize, SnoopResponse)>,
+    /// An `MShared` drop doomed the transaction; it aborts at the end of
+    /// its fourth cycle.
+    pub fault: bool,
 }
 
-crate::snap_struct!(Transaction { initiator, op, line, payload, cycles_done, mshared });
+crate::snap_struct!(Transaction {
+    initiator,
+    op,
+    line,
+    payload,
+    cycles_done,
+    mshared,
+    start,
+    snoop,
+    fault,
+});
 
 /// A completed transaction, as carried by a `BusCompleted` event (see
 /// [`crate::events::bus_records`]).
@@ -261,8 +283,9 @@ pub const SPLIT_OFFSET_CYCLES: u64 = 2;
 pub struct Bus {
     /// Per-port request lines; `Some(cycle)` holds the raise cycle.
     requests: Vec<Option<u64>>,
-    /// In-flight transactions, oldest first. At most one in
-    /// [`BusMode::Unified`], at most two in [`BusMode::Split`].
+    /// In-flight transactions, oldest first, each carrying its own
+    /// controller context (grant cycle, probe responses, fault flag). At
+    /// most one in [`BusMode::Unified`], at most two in [`BusMode::Split`].
     slots: Vec<Transaction>,
     mode: BusMode,
     arbiter: Arbiter,
@@ -325,6 +348,12 @@ impl Bus {
         &self.slots
     }
 
+    /// The in-flight transaction in `slot` (0 = oldest), for the
+    /// controller to record its probe responses and faults.
+    pub(crate) fn slot_mut(&mut self, slot: usize) -> &mut Transaction {
+        &mut self.slots[slot]
+    }
+
     /// How many transactions are on the wires.
     pub fn in_flight(&self) -> usize {
         self.slots.len()
@@ -355,14 +384,22 @@ impl Bus {
         self.arbiter.pick(&self.requests, now)
     }
 
-    /// Starts a transaction for `initiator`, clearing its request line.
+    /// Starts a transaction for `initiator`, granted in cycle `now`,
+    /// clearing its request line.
     ///
     /// # Panics
     ///
     /// Panics if the bus cannot accept a grant this cycle (unified: a
     /// transaction is already in flight; split: both slots occupied or
     /// the younger transaction has not cleared its address/data phases).
-    pub fn begin(&mut self, initiator: PortId, op: BusOp, line: LineId, payload: Payload) {
+    pub fn begin(
+        &mut self,
+        initiator: PortId,
+        op: BusOp,
+        line: LineId,
+        payload: Payload,
+        now: u64,
+    ) {
         assert!(self.can_grant(), "bus already busy");
         self.requests[initiator.index()] = None;
         self.arbiter.note_grant(initiator);
@@ -382,6 +419,9 @@ impl Bus {
             payload,
             cycles_done: 0,
             mshared: false,
+            start: now,
+            snoop: Vec::new(),
+            fault: false,
         });
     }
 
@@ -473,7 +513,10 @@ impl Bus {
     }
 
     /// Restores a bus saved with [`save`](Bus::save) into one built with
-    /// the same port count and mode.
+    /// the same port count and mode. Every initiator and probe response
+    /// must name one of those ports, and every slot must be a phase a
+    /// running bus reaches: short of its last cycle, and at least the
+    /// grant offset behind the transaction ahead of it.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
         let requests: Vec<Option<u64>> = r.get()?;
         if requests.len() != self.requests.len() {
@@ -492,6 +535,22 @@ impl Bus {
                 self.mode.name(),
                 self.mode.max_in_flight()
             )));
+        }
+        let ports = self.requests.len();
+        if let Some(t) = slots.iter().find(|t| t.initiator.index() >= ports) {
+            return Err(Error::SnapshotCorrupt(format!(
+                "transaction from bad port {}",
+                t.initiator
+            )));
+        }
+        if let Some((p, _)) = slots.iter().flat_map(|t| &t.snoop).find(|(p, _)| *p >= ports) {
+            return Err(Error::SnapshotCorrupt(format!("snoop response from bad port {p}")));
+        }
+        let phases: Vec<u64> = slots.iter().map(|t| u64::from(t.cycles_done)).collect();
+        if phases.iter().any(|&c| c >= crate::BUS_CYCLES_PER_OP)
+            || phases.windows(2).any(|w| w[0] < w[1] + SPLIT_OFFSET_CYCLES)
+        {
+            return Err(Error::SnapshotCorrupt(format!("in-flight phases {phases:?}")));
         }
         self.slots.clear();
         self.slots.extend(slots);
@@ -525,6 +584,31 @@ mod tests {
         assert_eq!(bus.arbitrate(3), Some(PortId::new(3)));
     }
 
+    /// A bus image whose slots no running bus reaches is corrupt: a
+    /// transaction past its last cycle would never complete, and two at
+    /// the same phase would complete together.
+    #[test]
+    fn unreachable_slot_phases_are_corrupt() {
+        let reload = |bus: &Bus| {
+            let mut w = SnapWriter::new();
+            bus.save(&mut w);
+            let bytes = w.into_bytes();
+            let mut twin = Bus::with_config(4, ArbiterKind::FixedPriority, BusMode::Split);
+            twin.load_state(&mut SnapReader::new(&bytes))
+        };
+        let mut bus = Bus::with_config(4, ArbiterKind::FixedPriority, BusMode::Split);
+        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None, 0);
+        bus.tick();
+        bus.tick();
+        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None, 2);
+        reload(&bus).expect("a pipelined pair loads");
+        bus.slots[1].cycles_done = 1;
+        assert!(matches!(reload(&bus), Err(Error::SnapshotCorrupt(_))), "offset of one cycle");
+        bus.slots.truncate(1);
+        bus.slots[0].cycles_done = 4;
+        assert!(matches!(reload(&bus), Err(Error::SnapshotCorrupt(_))), "past the last cycle");
+    }
+
     #[test]
     fn fcfs_bus_grants_oldest_request() {
         let mut bus = Bus::with_config(8, ArbiterKind::Fcfs, BusMode::Unified);
@@ -539,13 +623,13 @@ mod tests {
     #[test]
     fn split_mode_pipelines_at_two_cycle_offset() {
         let mut bus = Bus::with_config(4, ArbiterKind::FixedPriority, BusMode::Split);
-        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None);
+        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None, 0);
         assert!(!bus.can_grant(), "younger slot must wait out the address/data phases");
         assert!(bus.tick().is_none());
         assert!(!bus.can_grant());
         assert!(bus.tick().is_none());
         assert!(bus.can_grant(), "offset reached: a second transaction may start");
-        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None);
+        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None, 0);
         assert_eq!(bus.in_flight(), 2);
         assert!(!bus.can_grant(), "both slots occupied");
         assert!(bus.tick().is_none());
@@ -562,15 +646,15 @@ mod tests {
     #[should_panic(expected = "already busy")]
     fn split_mode_rejects_grant_before_offset() {
         let mut bus = Bus::with_config(4, ArbiterKind::FixedPriority, BusMode::Split);
-        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None);
+        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None, 0);
         bus.tick();
-        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None);
+        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None, 0);
     }
 
     #[test]
     fn transaction_takes_exactly_four_cycles() {
         let mut bus = Bus::new(2);
-        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(9), Payload::None);
+        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(9), Payload::None, 0);
         assert!(bus.tick().is_none());
         assert!(bus.tick().is_none());
         assert!(bus.tick().is_none());
@@ -583,8 +667,8 @@ mod tests {
     #[should_panic(expected = "already busy")]
     fn one_transaction_at_a_time() {
         let mut bus = Bus::new(2);
-        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None);
-        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None);
+        bus.begin(PortId::new(0), BusOp::Read, LineId::from_raw(1), Payload::None, 0);
+        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(2), Payload::None, 0);
     }
 
     #[test]
@@ -596,6 +680,7 @@ mod tests {
             BusOp::Write,
             LineId::from_raw(1),
             Payload::Word { offset: 0, value: 1 },
+            0,
         );
         assert!(!bus.has_requests());
     }
@@ -604,7 +689,7 @@ mod tests {
     fn stats_count_op_kinds() {
         let mut bus = Bus::new(2);
         for (op, _) in [(BusOp::Read, ()), (BusOp::Write, ()), (BusOp::WriteBack, ())] {
-            bus.begin(PortId::new(0), op, LineId::from_raw(1), Payload::None);
+            bus.begin(PortId::new(0), op, LineId::from_raw(1), Payload::None, 0);
             while bus.tick().is_none() {}
         }
         assert_eq!(bus.stats().reads, 1);
@@ -616,7 +701,7 @@ mod tests {
     #[test]
     fn timing_diagram_shows_a_cache_supplied_read() {
         let mut bus = Bus::new(2);
-        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(4), Payload::None);
+        bus.begin(PortId::new(1), BusOp::Read, LineId::from_raw(4), Payload::None, 0);
         bus.set_mshared(true);
         let mut txn = None;
         while txn.is_none() {

@@ -352,44 +352,27 @@ impl Cache {
         }
     }
 
-    /// The counters, then the slot count and one record per slot: state,
-    /// tag, data ([`LineData`]'s encoding: the word count, then the
-    /// words), `wts`, `rts`. The data is written straight from the slot.
+    /// The counters, then one record per slot: state, tag, the line's
+    /// words, `wts`, `rts`. The geometry fixes the slot count and line
+    /// length, so neither is written. The data is written straight from
+    /// the slot.
     pub(crate) fn save(&self, w: &mut SnapWriter) {
         w.put(&self.stats);
-        w.usize(self.tags.len());
-        let line_words = self.geometry.line_words() as u8;
         for (idx, &(tag, state)) in self.tags.iter().enumerate() {
             w.put(&state);
             w.put(&tag);
-            w.u8(line_words);
             w.u32_words(self.slot_words(idx));
             w.put(&self.ts[idx]);
         }
     }
 
     /// Restores a cache saved with [`save`](Cache::save) into one built
-    /// with the same geometry, which fixes the slot count and line
-    /// length.
+    /// with the same geometry.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
         self.stats = r.get()?;
-        let n: usize = r.get()?;
-        if n != self.tags.len() {
-            return Err(Error::SnapshotCorrupt(format!(
-                "snapshot has {n} cache slots, geometry has {}",
-                self.tags.len()
-            )));
-        }
-        let line_words = self.geometry.line_words();
-        for idx in 0..n {
+        for idx in 0..self.tags.len() {
             let state = r.get()?;
             let tag = r.get()?;
-            let len = usize::from(r.u8()?);
-            if len != line_words {
-                return Err(Error::SnapshotCorrupt(format!(
-                    "snapshot line holds {len} words, geometry wants {line_words}"
-                )));
-            }
             r.u32_words_into(self.slot_words_mut(idx))?;
             self.tags[idx] = (tag, state);
             self.ts[idx] = r.get()?;
@@ -560,7 +543,7 @@ mod tests {
         back.load_state(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(save(&back), bytes, "save -> load -> save is a fixed point");
         assert_eq!(back.resident_count(), c.resident_count());
-        assert_eq!(crate::snapshot::crc32(&bytes), 0xbb8f_4ed4, "multi-word cache bytes changed");
+        assert_eq!(crate::snapshot::crc32(&bytes), 0x7045_5418, "multi-word cache bytes changed");
     }
 
     #[test]

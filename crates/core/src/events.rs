@@ -297,9 +297,10 @@ impl EventRing {
         self.buf.push_back(event);
     }
 
-    /// Writes the capacity, the drop count and the held events.
+    /// Writes the drop count and the held events. The capacity comes
+    /// from the configuration the ring is restored into.
     pub fn save(&self, w: &mut SnapWriter) {
-        w.put(&(self.capacity, self.dropped));
+        w.put(&self.dropped);
         w.put(&self.buf);
     }
 
@@ -308,18 +309,12 @@ impl EventRing {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::SnapshotCorrupt`] if the saved capacity differs
-    /// from this ring's or the saved events overflow it.
+    /// Returns [`Error::SnapshotCorrupt`] if the saved events overflow
+    /// this ring's capacity.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let cap: usize = r.get()?;
-        if cap != self.capacity {
-            return Err(Error::SnapshotCorrupt(format!(
-                "event ring capacity {cap} does not match the configuration's {}",
-                self.capacity
-            )));
-        }
         self.dropped = r.get()?;
         let buf: VecDeque<Event> = r.get()?;
+        let cap = self.capacity;
         if buf.len() > cap {
             return Err(Error::SnapshotCorrupt(format!(
                 "event ring holds {} events but its capacity is {cap}",

@@ -266,7 +266,7 @@ impl Memory {
     }
 
     pub(crate) fn save(&self, w: &mut SnapWriter) {
-        w.put(&(self.bytes, self.module_bytes, self.reads, self.writes));
+        w.put(&(self.reads, self.writes));
         w.put(&self.module_traffic);
         // Sparse image, pages sorted by index so the encoding is canonical
         // (save → restore → save must be byte-identical). Each page is
@@ -287,14 +287,7 @@ impl Memory {
     /// Restores memory saved with [`save`](Memory::save) into one built
     /// with the same size, modules and ECC plan.
     pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
-        let (bytes, module_bytes, reads, writes): (u64, u64, u64, u64) = r.get()?;
-        if bytes != self.bytes || module_bytes != self.module_bytes {
-            return Err(Error::SnapshotCorrupt(format!(
-                "snapshot memory geometry {bytes}/{module_bytes} does not match \
-                 configured {}/{}",
-                self.bytes, self.module_bytes
-            )));
-        }
+        let (reads, writes) = r.get()?;
         let module_traffic: Vec<(u64, u64)> = r.get()?;
         if module_traffic.len() != self.module_traffic.len() {
             return Err(Error::SnapshotCorrupt(format!(
@@ -449,7 +442,7 @@ mod tests {
     /// the given order, page `k` filled with the word `k`.
     fn image(pages: &[u32]) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.put(&(1u64 << 20, 4u64 << 20, 0u64, 0u64));
+        w.put(&(0u64, 0u64));
         w.put(&vec![(0u64, 0u64)]);
         w.usize(pages.len());
         for &k in pages {

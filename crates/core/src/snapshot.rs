@@ -25,7 +25,7 @@
 //!
 //! # Cost
 //!
-//! A warm four-CPU machine image is about 2.75 MB, most of it the
+//! A warm four-CPU machine image is about 2.73 MB, most of it the
 //! memory pages, and it nests the memory system's own image, with its
 //! own CRC trailer, inside one section. A [`SnapshotBuilder`] writes
 //! every section, nested images included, in place into one buffer
@@ -66,12 +66,20 @@
 //! an `Option` a `bool` and then the value, a tuple or fixed array its
 //! elements in order with no prefix.
 //!
+//! Each fact is written once. A shape the `config` section fixes (the
+//! port count, a cache's slot count and line length, the memory size,
+//! an event ring's capacity) appears in no other section: the loader
+//! builds the machine from the config and reads each section into that
+//! shape. An in-flight bus transaction carries its own grant cycle,
+//! probe responses and fault flag, so no second queue has to agree
+//! with the bus.
+//!
 //! Only two kinds of impl are written by hand, each with its save and
 //! load side by side: loaders that check the image against the machine
-//! they restore into (cache and memory geometry, port counts, ring
-//! capacity, timestamp order), and enums whose variants carry data.
-//! Where a historical layout is not the generic encoding, the one impl
-//! that owns it says so.
+//! they restore into (per-port table lengths, probe responses naming a
+//! port, in-flight transaction count, timestamp order), and enums whose
+//! variants carry data. Where a historical layout is not the generic
+//! encoding, the one impl that owns it says so.
 //!
 //! # Why the RNG streams are serialized
 //!
@@ -110,7 +118,15 @@ mod clmul;
 /// detector, the retry policy its hedge delay and each pending call its
 /// first-send and hedge cycles; the system section lost the any-port-
 /// offline flag, which is derived from the offline list on load.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// Version 7 stores each fact once: every in-flight bus slot carries
+/// its own grant cycle, probe responses and fault flag, and the system
+/// section lost its separate transaction-context queue; the ports
+/// section lost its port count, each cache its slot count and per-slot
+/// line length, memory its size and module size, and every event ring
+/// its capacity, all of which the configuration fixes; the fleet's meta
+/// section lost its cycle and server-liveness list, which its segment
+/// holds.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// The four magic bytes at the start of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FFSN";

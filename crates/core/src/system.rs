@@ -27,8 +27,8 @@ use crate::events::{Event, EventKind, EventRing, FaultClass};
 use crate::fault::{site, EccInjector, FaultConfig, FaultSite};
 use crate::memory::Memory;
 use crate::protocol::{
-    BusOp, ExerciseLog, LineState, ProcOp, ProtocolKind, ProtocolTable, SnoopResponse, TsRules,
-    WriteHitEffect, WriteMissPolicy,
+    BusOp, ExerciseLog, LineState, ProcOp, ProtocolKind, ProtocolTable, TsRules, WriteHitEffect,
+    WriteMissPolicy,
 };
 use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotBuilder, SnapshotFile};
 use crate::stats::{BusStats, CacheStats, FaultStats, LatencyStats};
@@ -223,24 +223,6 @@ struct PortCtl {
     pending: Option<Pending>,
 }
 
-/// Controller-side context for one in-flight bus transaction. Kept in a
-/// queue aligned oldest-first with [`Bus::slots`]: in unified mode it
-/// holds at most one entry; in split mode, one per pipelined slot.
-#[derive(Clone, Debug)]
-struct TxnCtx {
-    /// The arbitration (address) cycle — stamps the event trace and the
-    /// Figure 4 log.
-    start: u64,
-    /// Snoop responses collected at the transaction's probe cycle:
-    /// `(port index, response)`.
-    snoop: Vec<(usize, SnoopResponse)>,
-    /// An `MShared` drop doomed the transaction; it aborts at the end of
-    /// its fourth cycle.
-    fault: bool,
-}
-
-crate::snap_struct!(TxnCtx { start, fault, snoop });
-
 /// The bus- and cache-side fault sites. Memory-side ECC lives inside
 /// [`Memory`]; device faults live in the I/O crate. Present only when
 /// the configured [`FaultConfig`] enables at least one class.
@@ -345,10 +327,6 @@ pub struct MemSystem {
     bus: Bus,
     memory: Memory,
     cycle: u64,
-    /// Per-transaction controller context, aligned oldest-first with the
-    /// bus's in-flight slots: start cycle, snoop responses collected at
-    /// the probe cycle, and whether a fault doomed the transaction.
-    txns: std::collections::VecDeque<TxnCtx>,
     /// One bit per port, set when the port's access enters its local
     /// completion countdown ([`Status::Finishing`]) or the port goes
     /// offline; drained by [`take_notified`](MemSystem::take_notified).
@@ -469,7 +447,6 @@ impl MemSystem {
             mem_ts: std::collections::BTreeMap::new(),
             cfg,
             cycle: 0,
-            txns: std::collections::VecDeque::new(),
             watchdog: None,
             wd_trips: 0,
         })
@@ -721,12 +698,7 @@ impl MemSystem {
                             .as_ref()
                             .map_or(0, |p| self.cycle.saturating_sub(p.requested));
                         self.lat.bus_wait.record(waited);
-                        self.bus.begin(port, op, line, payload);
-                        self.txns.push_back(TxnCtx {
-                            start: self.cycle,
-                            snoop: Vec::new(),
-                            fault: false,
-                        });
+                        self.bus.begin(port, op, line, payload, self.cycle);
                         emit_into(
                             &mut self.events,
                             self.cycle,
@@ -748,15 +720,14 @@ impl MemSystem {
             // Per-slot phase processing, oldest transaction first. In
             // unified mode exactly one slot is occupied and this matches
             // the historical single-transaction sequence cycle for cycle.
-            let in_flight = self.bus.in_flight();
-            debug_assert_eq!(in_flight, self.txns.len(), "slot/context queues out of step");
-            for slot in 0..in_flight {
+            for slot in 0..self.bus.in_flight() {
                 // Which cycle of this transaction is executing now?
                 let phase = self.bus.slots()[slot].cycles_done + 1;
                 if phase == 2 {
                     self.snoop_probe(slot);
                 } else if phase == 3 {
-                    let mut mshared = self.txns[slot].snoop.iter().any(|(_, r)| r.assert_shared);
+                    let mut mshared =
+                        self.bus.slots()[slot].snoop.iter().any(|(_, r)| r.assert_shared);
                     if let Some(f) = &mut self.faults {
                         if mshared && f.mshared.fires(f.cfg.mshared_drop_ppm) {
                             // The wired-OR lost an assertion. The asserting
@@ -765,7 +736,7 @@ impl MemSystem {
                             // must never reach a protocol decision (checker
                             // invariant 5 only tolerates stale-*true*).
                             self.fstats.mshared_drops += 1;
-                            self.txns[slot].fault = true;
+                            self.bus.slot_mut(slot).fault = true;
                             emit_into(
                                 &mut self.events,
                                 self.cycle,
@@ -796,8 +767,7 @@ impl MemSystem {
                 }
             }
             if let Some(txn) = self.bus.tick() {
-                let ctx = self.txns.pop_front().expect("completed transaction has a context");
-                let mut aborted = ctx.fault;
+                let mut aborted = txn.fault;
                 if let Some(f) = &mut self.faults {
                     let has_data = txn.op.carries_data() || txn.op.returns_data();
                     if has_data && f.parity.fires(f.cfg.bus_parity_ppm) {
@@ -815,9 +785,9 @@ impl MemSystem {
                     }
                 }
                 if aborted {
-                    self.retry_transaction(txn, ctx.start);
+                    self.retry_transaction(txn);
                 } else {
-                    self.complete_transaction(txn, ctx);
+                    self.complete_transaction(txn);
                 }
             }
         }
@@ -1020,7 +990,7 @@ impl MemSystem {
     /// drains any uncorrectable ECC events its data transfer tripped:
     /// they are logged as structured errors and — for a processor
     /// access — machine-check the initiating CPU off the bus.
-    fn complete_transaction(&mut self, txn: Transaction, ctx: TxnCtx) {
+    fn complete_transaction(&mut self, txn: Transaction) {
         let initiator = txn.initiator;
         let was_cpu = self.ports[initiator.index()]
             .pending
@@ -1030,7 +1000,7 @@ impl MemSystem {
         // finish_transaction attributes corrected events to this
         // transaction for the trace. Only sampled when tracing is on.
         let corrected_before = if self.events.is_some() { self.memory.ecc_corrected() } else { 0 };
-        self.finish_transaction(txn, ctx);
+        self.finish_transaction(txn);
         if self.events.is_some() {
             let corrected = self.memory.ecc_corrected().saturating_sub(corrected_before);
             for _ in 0..corrected {
@@ -1068,7 +1038,7 @@ impl MemSystem {
     /// exponential backoff. Past [`MAX_BUS_RETRIES`] the hard error is
     /// logged and the data is let through — the machine must degrade,
     /// never hang.
-    fn retry_transaction(&mut self, txn: Transaction, start: u64) {
+    fn retry_transaction(&mut self, mut txn: Transaction) {
         let port = txn.initiator;
         let retries = {
             let p = self.ports[port.index()]
@@ -1082,7 +1052,8 @@ impl MemSystem {
             self.fault_errors.push(Error::BusParity);
             // Let the data through with the snoop responses dropped —
             // the aborted probe's answers are not trustworthy.
-            self.complete_transaction(txn, TxnCtx { start, snoop: Vec::new(), fault: false });
+            txn.snoop.clear();
+            self.complete_transaction(txn);
             return;
         }
         self.fstats.bus_retries += 1;
@@ -1379,7 +1350,6 @@ impl MemSystem {
         b.section("config", |w| w.put(&self.cfg));
         b.section("system", |w| {
             w.put(&(self.table.kind, self.cycle));
-            w.put(&self.txns);
             w.put(&self.ipi_pending);
             w.put(&self.ipi_sent);
             w.put(&self.offline);
@@ -1395,7 +1365,6 @@ impl MemSystem {
             w.put(&self.mem_ts);
         });
         b.section("ports", |w| {
-            w.usize(self.ports.len());
             for ctl in &self.ports {
                 ctl.cache.save(w);
                 w.put(&ctl.pending);
@@ -1446,11 +1415,11 @@ impl MemSystem {
         let cfg: SystemConfig = r.get()?;
         r.expect_end()?;
         let ports = cfg.ports();
-        // Each cache slot takes at least 22 + 4·line_words bytes of the
-        // "ports" section (tag byte, tag, line length and data, two
-        // timestamps): refuse a geometry the image cannot hold before
-        // allocating the caches it describes.
-        let slot_bytes = 22 + 4 * cfg.cache().line_words();
+        // Each cache slot takes 21 + 4·line_words bytes of the "ports"
+        // section (state byte, tag, data, two timestamps): refuse a
+        // geometry the image cannot hold before allocating the caches it
+        // describes.
+        let slot_bytes = 21 + 4 * cfg.cache().line_words();
         let slots = ports.saturating_mul(cfg.cache().lines());
         if slots.saturating_mul(slot_bytes) > file.section("ports")?.remaining() {
             return Err(Error::SnapshotCorrupt(format!(
@@ -1462,13 +1431,6 @@ impl MemSystem {
         let (kind, cycle) = r.get()?;
         let mut sys = MemSystem::new(cfg, kind)?;
         sys.cycle = cycle;
-        sys.txns = r.get()?;
-        if sys.txns.len() > sys.cfg.bus_mode().max_in_flight() {
-            return Err(Error::SnapshotCorrupt(format!("{} transaction contexts", sys.txns.len())));
-        }
-        if let Some((p, _)) = sys.txns.iter().flat_map(|t| &t.snoop).find(|(p, _)| *p >= ports) {
-            return Err(Error::SnapshotCorrupt(format!("snoop response from bad port {p}")));
-        }
         sys.ipi_pending = sized(r.get()?, ports, "ipi")?;
         sys.ipi_sent = r.get()?;
         sys.offline = sized(r.get()?, ports, "offline")?;
@@ -1491,12 +1453,6 @@ impl MemSystem {
         r.expect_end()?;
 
         let mut r = file.section("ports")?;
-        let n: usize = r.get()?;
-        if n != ports {
-            return Err(Error::SnapshotCorrupt(format!(
-                "snapshot has {n} ports, configuration has {ports}"
-            )));
-        }
         for ctl in &mut sys.ports {
             ctl.cache.load_state(&mut r)?;
             ctl.pending = r.get()?;
@@ -1506,6 +1462,17 @@ impl MemSystem {
         let mut r = file.section("bus")?;
         sys.bus.load_state(&mut r)?;
         r.expect_end()?;
+        // Each in-flight transaction completes into its initiator's
+        // access, which waits on the bus until then.
+        let waits = |i: usize| {
+            matches!(sys.ports[i].pending, Some(Pending { status: Status::WaitBus(_), .. }))
+        };
+        if let Some(t) = sys.bus.slots().iter().find(|t| !waits(t.initiator.index())) {
+            return Err(Error::SnapshotCorrupt(format!(
+                "in-flight transaction from {} has no access waiting on it",
+                t.initiator
+            )));
+        }
 
         let mut r = file.section("memory")?;
         sys.memory.load_state(&mut r)?;
@@ -1790,16 +1757,16 @@ impl MemSystem {
                 }
             }
         }
-        self.txns[slot].snoop = snoop;
+        self.bus.slot_mut(slot).snoop = snoop;
     }
 
     /// Cycle 4: data transfer and all state updates.
-    fn finish_transaction(&mut self, txn: Transaction, ctx: TxnCtx) {
+    fn finish_transaction(&mut self, txn: Transaction) {
         let line = txn.line;
         let lw = self.cfg.cache().line_words();
 
         // Dirty snooped copies flush to memory first (Firefly, Illinois).
-        for &(p, resp) in &ctx.snoop {
+        for &(p, resp) in &txn.snoop {
             if resp.flush_to_memory {
                 let data = self.ports[p].cache.line_data(line).expect("flusher is resident");
                 self.memory.write_line(line, &data);
@@ -1807,7 +1774,7 @@ impl MemSystem {
         }
 
         // Read data: cache-to-cache supply inhibits memory.
-        let supplier = ctx.snoop.iter().find(|(_, r)| r.supply).map(|&(p, _)| p);
+        let supplier = txn.snoop.iter().find(|(_, r)| r.supply).map(|&(p, _)| p);
         let (read_data, source) = if txn.op.returns_data() {
             match supplier {
                 Some(p) => {
@@ -1824,7 +1791,7 @@ impl MemSystem {
         // four-cycle Figure 4 span.
         emit_into(
             &mut self.events,
-            ctx.start,
+            txn.start,
             EventKind::BusCompleted {
                 initiator: txn.initiator,
                 op: txn.op,
@@ -1847,8 +1814,8 @@ impl MemSystem {
 
         // Snooper state changes and absorbs.
         let invalidating = matches!(txn.op, BusOp::ReadOwned | BusOp::Invalidate | BusOp::Write);
-        for i in 0..ctx.snoop.len() {
-            let (p, resp) = ctx.snoop[i];
+        for i in 0..txn.snoop.len() {
+            let (p, resp) = txn.snoop[i];
             let ctl = &mut self.ports[p];
             if resp.absorb {
                 match txn.payload {

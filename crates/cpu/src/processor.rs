@@ -479,15 +479,18 @@ impl Clock {
 ///
 /// When no processor is due before a later cycle and the memory system
 /// is idle ([`MemSystem::is_idle`]), the driver jumps to the earliest
-/// wake-up in one [`MemSystem::advance_idle`]. A port not driven by
-/// `processors` (a DMA engine stepped by other host code, say) caps the
-/// jump at its local completion cycle, if that is still in the future,
-/// so an interleaved external driver observes it on time. A port that
-/// goes offline is settled at that cycle and frozen; every other
-/// processor is settled to the horizon when the call returns.
+/// wake-up in one [`MemSystem::advance_idle`]. A port that goes offline
+/// is settled at that cycle and frozen; every other processor is
+/// settled to the horizon when the call returns.
 ///
 /// Clocks are rebuilt from machine state on every call, so a checkpoint
 /// needs no scheduler section.
+///
+/// # Panics
+///
+/// Panics unless `processors` drives every port of `sys`: a port driven
+/// by other code (a DMA engine, say) would have its completions skipped
+/// past. Machines with I/O attached run on [`drive`].
 pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u64) -> EngineStats {
     let mut stats = EngineStats::default();
     let Some(end) = sys.cycle().checked_add(cycles) else {
@@ -497,15 +500,14 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
         return stats;
     };
     let start = sys.cycle();
-    // Slice position of each driven port; `usize::MAX` marks a foreign one.
+    // Slice position of each port's processor; `usize::MAX` marks none.
     let mut slot = vec![usize::MAX; sys.config().ports()];
     for (i, p) in processors.iter().enumerate() {
         if let Some(s) = slot.get_mut(p.port().index()) {
             *s = i;
         }
     }
-    let foreign: Vec<PortId> =
-        (0..slot.len()).filter(|&i| slot[i] == usize::MAX).map(PortId::new).collect();
+    assert!(!slot.contains(&usize::MAX), "drive_events needs a processor on every port");
     let mut clocks: Vec<Clock> = processors
         .iter()
         .map(|p| {
@@ -523,14 +525,7 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
     while sys.cycle() < end {
         let now = sys.cycle();
         if next > now && sys.is_idle() {
-            let mut to = next.min(end);
-            for &port in &foreign {
-                if let Some(at) = sys.completion_cycle(port) {
-                    if at > now {
-                        to = to.min(at);
-                    }
-                }
-            }
+            let to = next.min(end);
             sys.advance_idle(to - now);
             stats.idle_skips += 1;
             stats.cycles_skipped += to - now;
@@ -555,9 +550,6 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
         stats.ticked_iterations += 1;
         while let Some(port) = sys.take_notified() {
             let i = slot[port.index()];
-            if i == usize::MAX {
-                continue;
-            }
             let c = &mut clocks[i];
             if sys.is_online(port) {
                 c.wake = processors[i].wake(c.settled, sys);
@@ -813,90 +805,5 @@ mod tests {
         assert_eq!(s.board_reads(), 180);
         assert!((s.tpi(2) - 11.9).abs() < 1e-9);
         assert!((s.read_write_ratio() - 4.5).abs() < 1e-9);
-    }
-
-    /// Regression for the PR-8 skip-condition fix: a port *outside* the
-    /// driven `processors` slice (a DMA engine stepped by host code
-    /// between chunks) sits in a local `Finishing` countdown that the
-    /// wake-up scan can't see, and the instant it is polled and
-    /// re-armed its request line goes up — exactly the state where an
-    /// over-eager idle skip used to land `advance_idle` on a non-idle
-    /// system (tripping its debug assert) or jump the port's wake
-    /// cycle. With the skip capped at the earliest *future* foreign
-    /// completion, a chunked event-driven drive interleaved with
-    /// host-driven DMA must stay bit-identical to the ticked engine —
-    /// including every DMA completion cycle — and this test running
-    /// under `cfg(debug_assertions)` re-checks the assert on every
-    /// skip.
-    #[test]
-    fn foreign_dma_port_interleaved_with_chunked_drive_stays_bit_identical() {
-        use firefly_core::system::Request;
-        use firefly_core::Addr;
-
-        // Idle-heavy workload: big compute gaps make skips long enough
-        // to overrun the DMA completion without the foreign cap.
-        let params = LocalityParams {
-            instr_region_words: 512,
-            mean_body_words: 32.0,
-            mean_iterations: 1000.0,
-            hot_words: 256,
-            cold_words: 1,
-            hot_fraction: 1.0,
-            shared_fraction: 0.0,
-            ..LocalityParams::paper_calibrated()
-        };
-        let run = |event: bool| {
-            // 3 bus ports, but only ports 0-1 are driven processors;
-            // port 2 is the host-stepped DMA engine.
-            let sys_cfg = SystemConfig::microvax(3);
-            let mut sys = MemSystem::new(sys_cfg, ProtocolKind::Firefly).unwrap();
-            let fleet = SyntheticWorkload::fleet(2, params, 17);
-            let mut cpus: Vec<Processor> = fleet
-                .into_iter()
-                .enumerate()
-                .map(|(i, w)| {
-                    Processor::new(
-                        PortId::new(i),
-                        CpuConfig::microvax(),
-                        Box::new(w),
-                        100 + i as u64,
-                    )
-                })
-                .collect();
-            let dma = PortId::new(2);
-            let mut completions: Vec<(usize, u64, u32)> = Vec::new();
-            let mut next = 0u32;
-            let mut stats = EngineStats::default();
-            for chunk in 0..300usize {
-                if let Some(r) = sys.poll(dma) {
-                    completions.push((chunk, sys.cycle(), r.value));
-                }
-                if sys.completion_cycle(dma).is_none() && chunk % 3 == 0 {
-                    next += 1;
-                    sys.begin(dma, Request::dma_write(Addr::from_word_index(4_000), next))
-                        .expect("dma port free");
-                }
-                if event {
-                    stats += drive_events(&mut cpus, &mut sys, 1_000);
-                } else {
-                    drive(&mut cpus, &mut sys, 1_000);
-                }
-            }
-            let cpu_stats: Vec<CpuStats> = cpus.iter().map(|p| *p.stats()).collect();
-            (sys.cycle(), completions, sys.save_snapshot(), cpu_stats, stats)
-        };
-        let (t_cycle, t_compl, t_snap, t_cpu, _) = run(false);
-        let (e_cycle, e_compl, e_snap, e_cpu, es) = run(true);
-        assert_eq!(t_cycle, e_cycle);
-        assert_eq!(t_compl, e_compl, "every DMA completion observed at the same chunk and cycle");
-        assert_eq!(t_snap, e_snap, "full-system snapshots diverged");
-        assert_eq!(t_cpu, e_cpu);
-        assert!(!t_compl.is_empty(), "the DMA traffic actually flowed");
-        assert!(es.idle_skips > 0, "the event engine actually skipped");
-        assert_eq!(
-            es.cycles_skipped + es.ticked_iterations,
-            300 * 1_000,
-            "every driven cycle is either skipped or ticked, exactly once"
-        );
     }
 }

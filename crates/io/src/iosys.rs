@@ -58,10 +58,12 @@ pub struct IoSystem {
     extra_displays: Vec<Mdc>,
     /// Round-robin pointer over the devices.
     next_device: u8,
-    /// The I/O processor's port, whose interprocessor-interrupt service
-    /// routine starts the network controller (§3, footnote 2).
-    io_cpu_port: firefly_core::PortId,
 }
+
+/// The I/O processor's port index, whose interprocessor-interrupt
+/// service routine starts the network controller (§3, footnote 2):
+/// port 0, the primary processor wired to the QBus (Figure 1).
+const IO_CPU_PORT: usize = 0;
 
 impl IoSystem {
     /// A full complement of devices with default settings, DMA on port 0.
@@ -80,7 +82,6 @@ impl IoSystem {
             disk: Rqdx3::new(),
             extra_displays: Vec::new(),
             next_device: 0,
-            io_cpu_port: firefly_core::PortId::new(0),
         }
     }
 
@@ -191,7 +192,7 @@ impl IoSystem {
         // coded directly in the I/O processor's interprocessor interrupt
         // service routine" (§3, footnote 2). Any processor can
         // `post_interrupt` the I/O processor to start a transmit.
-        if sys.take_interrupt(self.io_cpu_port) {
+        if sys.take_interrupt(firefly_core::PortId::new(IO_CPU_PORT)) {
             self.deqna.kick();
         }
 

@@ -836,9 +836,7 @@ pub struct Fleet {
     cfg: FleetConfig,
     segment: EtherSegment,
     servers: Vec<RpcServer>,
-    server_online: Vec<bool>,
     clients: Vec<ClientHost>,
-    cycle: u64,
     events: EventRing,
     engine: FleetEngineStats,
 }
@@ -868,10 +866,8 @@ impl Fleet {
         Fleet {
             cfg,
             segment,
-            server_online: vec![true; cfg.servers],
             servers,
             clients,
-            cycle: 0,
             events: EventRing::new(EVENT_CAPACITY),
             engine: FleetEngineStats::default(),
         }
@@ -882,9 +878,9 @@ impl Fleet {
         &self.cfg
     }
 
-    /// Current fleet cycle.
+    /// Current fleet cycle: the segment's clock.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.segment.cycle()
     }
 
     /// Advances the fleet one cycle: wire first, then servers, then
@@ -893,9 +889,8 @@ impl Fleet {
     pub fn step(&mut self) {
         self.segment.tick();
         let now = self.segment.cycle();
-        self.cycle = now;
         for (i, s) in self.servers.iter_mut().enumerate() {
-            if self.server_online[i] {
+            if self.segment.is_online(i) {
                 s.tick(now, &mut self.segment);
             }
         }
@@ -907,7 +902,7 @@ impl Fleet {
 
     /// Runs `cycles` additional cycles.
     pub fn run(&mut self, cycles: u64) {
-        self.run_until(self.cycle + cycles);
+        self.run_until(self.cycle() + cycles);
     }
 
     /// Runs until the fleet cycle reaches `target` (no-op if already
@@ -935,15 +930,14 @@ impl Fleet {
     /// endpoint. Every wake is derived from state, none stored, so a
     /// snapshot needs no engine section.
     pub fn run_until(&mut self, target: u64) {
-        while self.cycle < target {
+        while self.cycle() < target {
             self.step_due();
             let idle_until = (self.next_event() - 1).min(target);
-            if idle_until > self.cycle {
+            if idle_until > self.cycle() {
+                self.engine.jumps += 1;
+                self.engine.cycles_jumped += idle_until - self.cycle();
                 self.sleep_until(idle_until);
                 self.segment.skip_to(idle_until);
-                self.engine.jumps += 1;
-                self.engine.cycles_jumped += idle_until - self.cycle;
-                self.cycle = idle_until;
             }
         }
     }
@@ -954,10 +948,12 @@ impl Fleet {
     fn step_due(&mut self) {
         self.segment.tick();
         let now = self.segment.cycle();
-        self.cycle = now;
         self.engine.steps += 1;
         let seg = &mut self.segment;
-        for (s, _) in self.servers.iter_mut().zip(&self.server_online).filter(|(_, &on)| on) {
+        for (i, s) in self.servers.iter_mut().enumerate() {
+            if !seg.is_online(i) {
+                continue;
+            }
             if s.next_event(now - 1, seg) <= now {
                 s.tick(now, seg);
             } else if s.ring_blocked(seg) {
@@ -982,10 +978,10 @@ impl Fleet {
     /// client is [`replay`](ClientHost::replay)ed. No other endpoint is
     /// due or blocked before the jump ends.
     fn sleep_until(&mut self, until: u64) {
-        let (now, seg) = (self.cycle, &mut self.segment);
+        let (now, seg) = (self.segment.cycle(), &mut self.segment);
         let cycles = until - now;
-        for (s, _) in self.servers.iter().zip(&self.server_online).filter(|(_, &on)| on) {
-            if s.ring_blocked(seg) {
+        for (i, s) in self.servers.iter().enumerate() {
+            if seg.is_online(i) && s.ring_blocked(seg) {
                 s.credit_refusals(cycles, seg);
                 self.engine.credited_refusals += cycles;
             }
@@ -1020,10 +1016,10 @@ impl Fleet {
     /// start, which are events already. Breakers are lazy in `now` and
     /// consulted only inside those actions.
     fn next_event(&self) -> u64 {
-        let (now, seg) = (self.cycle, &self.segment);
-        let servers = (self.servers.iter().zip(&self.server_online))
-            .filter(|(_, &on)| on)
-            .map(|(s, _)| s.next_event(now, seg));
+        let (now, seg) = (self.segment.cycle(), &self.segment);
+        let servers = (self.servers.iter().enumerate())
+            .filter(|&(i, _)| seg.is_online(i))
+            .map(|(_, s)| s.next_event(now, seg));
         let clients = (self.clients.iter())
             .filter(|c| !c.rpc.replayable(seg))
             .map(|c| c.next_event(now, seg));
@@ -1043,8 +1039,7 @@ impl Fleet {
     /// execution ledger is retained for the at-most-once oracle.
     pub fn kill_server(&mut self, i: usize) {
         assert!(i < self.cfg.servers, "no such server");
-        if self.server_online[i] {
-            self.server_online[i] = false;
+        if self.segment.is_online(i) {
             self.segment.set_online(i, false);
             self.emit(EventKind::ServerCrashed { server: i as u32 });
         }
@@ -1060,18 +1055,17 @@ impl Fleet {
     /// No-op if the server is already online.
     pub fn revive_server(&mut self, i: usize) {
         assert!(i < self.cfg.servers, "no such server");
-        if !self.server_online[i] {
+        if !self.segment.is_online(i) {
             self.servers[i].restart();
             self.segment.set_online(i, true);
-            self.server_online[i] = true;
             let epoch = self.servers[i].epoch();
             self.emit(EventKind::ServerRevived { server: i as u32, epoch });
         }
     }
 
-    /// True while server `i` is alive.
+    /// True while server `i` is alive: its NIC is on the segment.
     pub fn server_online(&self, i: usize) -> bool {
-        self.server_online[i]
+        self.segment.is_online(i)
     }
 
     /// Restart epoch of server `i` (0 = never restarted).
@@ -1109,11 +1103,11 @@ impl Fleet {
 
     /// Number of servers currently alive.
     pub fn online_servers(&self) -> usize {
-        self.server_online.iter().filter(|&&b| b).count()
+        (0..self.cfg.servers).filter(|&i| self.segment.is_online(i)).count()
     }
 
     fn emit(&mut self, kind: EventKind) {
-        self.events.emit(Event { cycle: self.cycle, kind });
+        self.events.emit(Event { cycle: self.cycle(), kind });
     }
 
     /// Retained events (server crashes and revivals), oldest first. The
@@ -1221,7 +1215,7 @@ impl Fleet {
         let seg = self.segment.stats();
         let lat = self.latency();
         FleetReport {
-            cycle: self.cycle,
+            cycle: self.cycle(),
             acked: c.acked,
             failed: c.failed,
             shed: c.shed,
@@ -1233,7 +1227,7 @@ impl Fleet {
             hedges: c.hedges,
             acked_payload_bytes: c.acked_payload_bytes,
             acked_timely: c.acked_timely,
-            goodput_mbps: goodput_mbps(c.acked_payload_bytes, self.cycle),
+            goodput_mbps: goodput_mbps(c.acked_payload_bytes, self.cycle()),
             p50: lat.quantile(0.50),
             p99: lat.quantile(0.99),
             p999: lat.quantile(0.999),
@@ -1247,10 +1241,10 @@ impl Fleet {
             frames_sent: seg.frames_sent,
             crc_rejects: seg.crc_rejects,
             fault_drops: seg.fault_drops,
-            wire_utilization: if self.cycle == 0 {
+            wire_utilization: if self.cycle() == 0 {
                 0.0
             } else {
-                seg.wire_busy_cycles as f64 / self.cycle as f64
+                seg.wire_busy_cycles as f64 / self.cycle() as f64
             },
             online_servers: self.online_servers(),
         }
@@ -1268,8 +1262,7 @@ impl Fleet {
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut b = SnapshotBuilder::new();
         b.section("fleet/meta", |w| {
-            w.put(&(self.cfg.to_json(), self.cycle));
-            w.put(&self.server_online);
+            w.str(&self.cfg.to_json());
             self.events.save(w);
         });
         b.section("fleet/segment", |w| self.segment.save(w));
@@ -1292,18 +1285,12 @@ impl Fleet {
     /// a section is missing or trailing, the embedded config does not
     /// match this fleet's, a nested section belongs to another fleet
     /// shape (segment config, server NIC or thread count, client NIC or
-    /// server list), or the meta section disagrees with the segment
-    /// (cycle, server liveness, an offline client NIC).
+    /// server list), or the segment has a client NIC offline.
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), Error> {
         let file = SnapshotFile::parse(bytes)?;
         let mut meta = file.section("fleet/meta")?;
         if meta.str()? != self.cfg.to_json() {
             return Err(Error::SnapshotCorrupt("fleet config mismatch".into()));
-        }
-        let cycle = meta.get()?;
-        let server_online: Vec<bool> = meta.get()?;
-        if server_online.len() != self.cfg.servers {
-            return Err(Error::SnapshotCorrupt("fleet server count mismatch".into()));
         }
         let mut events = EventRing::new(EVENT_CAPACITY);
         events.load_state(&mut meta)?;
@@ -1316,17 +1303,8 @@ impl Fleet {
         if *segment.config() != self.cfg.segment_config() {
             return Err(Error::SnapshotCorrupt("fleet segment config mismatch".into()));
         }
-        // Only `kill_server` and `revive_server` toggle a NIC, and they
-        // keep it in step with `server_online`: client NICs never go
-        // offline.
-        if cycle != segment.cycle() {
-            return Err(Error::SnapshotCorrupt("fleet cycle disagrees with its segment".into()));
-        }
-        if let Some(i) = (0..self.cfg.servers).find(|&i| server_online[i] != segment.is_online(i)) {
-            return Err(Error::SnapshotCorrupt(format!(
-                "fleet server{i} liveness disagrees with its NIC"
-            )));
-        }
+        // Only `kill_server` and `revive_server` toggle a NIC, and only a
+        // server's: client NICs never go offline.
         let mut client_nics = self.cfg.servers..self.cfg.servers + self.cfg.clients;
         if let Some(nic) = client_nics.find(|&nic| !segment.is_online(nic)) {
             return Err(Error::SnapshotCorrupt(format!("fleet client NIC {nic} is offline")));
@@ -1356,9 +1334,7 @@ impl Fleet {
         }
         self.segment = segment;
         self.servers = servers;
-        self.server_online = server_online;
         self.clients = clients;
-        self.cycle = cycle;
         self.events = events;
         Ok(())
     }
@@ -2039,37 +2015,15 @@ mod tests {
         ));
     }
 
-    /// A `serving(2, 6)` image saved after `tamper` breaks one of the
-    /// meta/segment invariants, loaded into a fresh `serving(2, 6)` fleet.
-    fn load_tampered(tamper: impl FnOnce(&mut Fleet)) -> Result<(), Error> {
+    #[test]
+    fn offline_client_nic_is_rejected() {
         let cfg = FleetConfig::serving(2, 6, 3);
         let mut host = Fleet::new(cfg);
         host.run(60_000);
-        tamper(&mut host);
+        host.segment.set_online(2, false);
         let mut fleet = Fleet::new(cfg);
-        let loaded = fleet.load_snapshot(&host.save_snapshot());
+        assert_corrupt(fleet.load_snapshot(&host.save_snapshot()));
         assert_eq!(fleet.cycle(), 0, "a rejected image must leave the fleet unchanged");
-        loaded
-    }
-
-    #[test]
-    fn meta_cycle_off_the_segment_clock_is_rejected() {
-        assert_corrupt(load_tampered(|f| f.cycle += 1));
-    }
-
-    #[test]
-    fn server_marked_dead_with_a_live_nic_is_rejected() {
-        assert_corrupt(load_tampered(|f| f.server_online[1] = false));
-    }
-
-    #[test]
-    fn server_marked_live_with_a_dead_nic_is_rejected() {
-        assert_corrupt(load_tampered(|f| f.segment.set_online(0, false)));
-    }
-
-    #[test]
-    fn offline_client_nic_is_rejected() {
-        assert_corrupt(load_tampered(|f| f.segment.set_online(2, false)));
     }
 
     #[test]
@@ -2155,6 +2109,31 @@ mod tests {
             println!("client {i}: {}", fleet.client_stats(i).to_json());
         }
         println!("seg: {}", fleet.segment_stats().to_json());
+    }
+
+    #[test]
+    fn snapshot_after_a_kill_reloads_the_server_dead() {
+        let cfg = FleetConfig::serving(3, 4, 17);
+        let mut original = Fleet::new(cfg);
+        original.run(120_000);
+        original.kill_server(1);
+        original.run(30_000);
+        let snap = original.save_snapshot();
+
+        let mut resumed = Fleet::new(cfg);
+        resumed.load_snapshot(&snap).expect("snapshot loads");
+        assert!(!resumed.server_online(1));
+        assert_eq!(resumed.online_servers(), 2);
+        for fleet in [&mut original, &mut resumed] {
+            fleet.run(100_000);
+            fleet.revive_server(1);
+            fleet.run(100_000);
+        }
+        assert!(resumed.server_online(1));
+        assert_eq!(resumed.server_epoch(1), 1, "the revival is a fresh epoch");
+        assert_eq!(original.stats_json(), resumed.stats_json());
+        assert_eq!(original.events(), resumed.events());
+        assert_eq!(original.save_snapshot(), resumed.save_snapshot());
     }
 
     #[test]

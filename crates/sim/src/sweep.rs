@@ -75,7 +75,8 @@ pub fn scaling_sweep_on(
     let base_tpi = 11.9;
     let base_rate = m1.instructions_per_cpu_k * (m1.tpi / base_tpi);
     run_jobs_with(workers, counts, |&cpus| {
-        let m = measure(cpus);
+        // The 1-CPU point is the baseline run: same seed, same result.
+        let m = if cpus == 1 { m1 } else { measure(cpus) };
         let rp = if base_rate == 0.0 { 0.0 } else { m.instructions_per_cpu_k / base_rate };
         ScalingPoint {
             cpus,

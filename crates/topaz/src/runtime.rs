@@ -302,7 +302,6 @@ pub struct TopazMachine {
     conds: Vec<Cond>,
     sems: Vec<Sem>,
     scripts: Vec<Script>,
-    cycle: u64,
     stats: TopazStats,
 }
 
@@ -340,7 +339,6 @@ impl TopazMachine {
             conds: Vec::new(),
             sems: Vec::new(),
             scripts: Vec::new(),
-            cycle: 0,
             stats: TopazStats::default(),
             cfg,
         }
@@ -434,15 +432,14 @@ impl TopazMachine {
         }
         hook(&mut self.sys);
         self.sys.step();
-        self.cycle += 1;
-        if self.cycle.is_multiple_of(64) {
+        if self.sys.cycle().is_multiple_of(64) {
             self.sweep_timeouts();
         }
     }
 
-    /// Elapsed bus cycles.
+    /// Elapsed bus cycles: the memory system's clock.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.sys.cycle()
     }
 
     /// Runtime counters.
@@ -556,7 +553,7 @@ impl TopazMachine {
                     return;
                 }
                 let req = if r.write {
-                    Request::write(r.addr, self.cycle as u32)
+                    Request::write(r.addr, self.sys.cycle() as u32)
                 } else {
                     Request::read(r.addr)
                 };
@@ -622,7 +619,7 @@ impl TopazMachine {
                         self.stats.lock_contentions += 1;
                         let th = &mut self.threads[t.index()];
                         th.status = Status::BlockedMutex(m);
-                        th.blocked_since = self.cycle;
+                        th.blocked_since = self.sys.cycle();
                         self.engines[cpu].current = None;
                         false
                     }
@@ -652,7 +649,7 @@ impl TopazMachine {
                 self.conds[c.index()].waiters.push_back(t);
                 let th = &mut self.threads[t.index()];
                 th.status = Status::BlockedCond(c);
-                th.blocked_since = self.cycle;
+                th.blocked_since = self.sys.cycle();
                 self.engines[cpu].current = None;
                 false
             }
@@ -693,7 +690,7 @@ impl TopazMachine {
                     sem.waiters.push_back(t);
                     let th = &mut self.threads[t.index()];
                     th.status = Status::BlockedSem(sm);
-                    th.blocked_since = self.cycle;
+                    th.blocked_since = self.sys.cycle();
                     self.engines[cpu].current = None;
                     false
                 }
@@ -746,7 +743,7 @@ impl TopazMachine {
                 } else {
                     let th = &mut self.threads[t.index()];
                     th.status = Status::Joining;
-                    th.blocked_since = self.cycle;
+                    th.blocked_since = self.sys.cycle();
                     self.engines[cpu].current = None;
                     false
                 }
@@ -938,7 +935,7 @@ impl TopazMachine {
         for cond in &mut self.conds {
             cond.waiters.retain(|&w| {
                 let th = &self.threads[w.index()];
-                if self.cycle.saturating_sub(th.blocked_since) >= deadline {
+                if self.sys.cycle().saturating_sub(th.blocked_since) >= deadline {
                     woken.push(w);
                     false
                 } else {
@@ -962,7 +959,7 @@ impl fmt::Debug for TopazMachine {
         f.debug_struct("TopazMachine")
             .field("cpus", &self.cfg.cpus)
             .field("threads", &self.threads.len())
-            .field("cycle", &self.cycle)
+            .field("cycle", &self.sys.cycle())
             .field("stats", &self.stats)
             .finish()
     }

@@ -10,9 +10,12 @@
 //! `Ok` or a structured [`Error`], never a panic and never an abort in
 //! the allocator.
 
+use firefly::core::config::SystemConfig;
 use firefly::core::fault::FaultConfig;
+use firefly::core::protocol::ProtocolKind;
 use firefly::core::snapshot::{SnapWriter, SnapshotBuilder, SnapshotFile, SNAPSHOT_MAGIC};
-use firefly::core::{CacheGeometry, Error};
+use firefly::core::system::{MemSystem, Request};
+use firefly::core::{Addr, CacheGeometry, Error, PortId};
 use firefly::net::{RetryPolicy, RpcClient};
 use firefly::sim::fleet::partition;
 use firefly::sim::{Firefly, FireflyBuilder, Fleet, FleetConfig};
@@ -306,4 +309,39 @@ fn a_repeated_section_name_is_corrupt() {
     }
     twin.load_snapshot(&image).expect("the original image loads");
     assert_eq!(twin.save_snapshot().unwrap(), image);
+}
+
+/// Each section of a memory-system image is well formed on its own, so
+/// one lifted from another image of the same machine passes every
+/// field check. The `system`, `ports` or `bus` section of an idle image
+/// spliced into an image cut two cycles into a read miss (and the
+/// reverse) must load and run, or be rejected, never panic: no section
+/// may hold state that only another section's agreement keeps
+/// consistent, unless the loader checks that agreement.
+#[test]
+fn sections_spliced_across_a_bus_transaction_load_and_run_or_are_corrupt() {
+    let mut sys = MemSystem::new(SystemConfig::microvax(2), ProtocolKind::Firefly).unwrap();
+    sys.run_to_completion(PortId::new(1), Request::write(Addr::new(0x40), 7)).unwrap();
+    let idle = sections(&sys.save_snapshot());
+    sys.begin(PortId::new(0), Request::read(Addr::new(0x8000))).unwrap();
+    sys.step();
+    sys.step();
+    assert!(!sys.is_quiescent(), "the cut must land mid-transaction");
+    let mid = sections(&sys.save_snapshot());
+    for name in ["system", "ports", "bus"] {
+        for (host, donor, way) in [(&mid, &idle, "idle into mid"), (&idle, &mid, "mid into idle")] {
+            let mut spliced = host.clone();
+            let section = donor.iter().find(|(n, _)| n == name).unwrap().1.clone();
+            spliced.iter_mut().find(|(n, _)| n == name).unwrap().1 = section;
+            match MemSystem::restore(&rebuild(&spliced)) {
+                Ok(mut sys) => {
+                    for _ in 0..1_000 {
+                        sys.step();
+                    }
+                }
+                Err(Error::SnapshotCorrupt(_)) => {}
+                Err(e) => panic!("{name} {way}: expected Ok or SnapshotCorrupt, got {e:?}"),
+            }
+        }
+    }
 }

@@ -27,17 +27,17 @@ use rand::{Rng, SeedableRng};
 /// the container stores in its own trailer; the CRC of a whole container
 /// is the same constant for every image.
 const GOLDEN: &[(&str, usize, u32)] = &[
-    ("memsys-Firefly", 14539, 0xb36da0c7),
-    ("memsys-WriteThrough", 14519, 0x05114d23),
-    ("memsys-WriteOnce", 14617, 0x2fc693b4),
-    ("memsys-Berkeley", 14631, 0x35031f05),
-    ("memsys-Illinois", 14624, 0x9243e91c),
-    ("memsys-Dragon", 14551, 0x821e7f6f),
-    ("memsys-Tardis", 15591, 0x1379efc8),
-    ("machine-microvax4", 925456, 0x421baf52),
-    ("machine-cvax4", 2370514, 0x5340edfe),
+    ("memsys-Firefly", 14339, 0x0694b441),
+    ("memsys-WriteThrough", 14319, 0xb2da4b1c),
+    ("memsys-WriteOnce", 14417, 0x873834dd),
+    ("memsys-Berkeley", 14431, 0x48971942),
+    ("memsys-Illinois", 14424, 0x1cd3d66f),
+    ("memsys-Dragon", 14351, 0xfeb4086a),
+    ("memsys-Tardis", 15391, 0x34754ffe),
+    ("machine-microvax4", 909008, 0x6a81012c),
+    ("machine-cvax4", 2304914, 0xe9754c62),
     ("topaz-scheduler", 112, 0xbe34dbbc),
-    ("fleet-partition-mid-split", 16789, 0x484abf55),
+    ("fleet-partition-mid-split", 16762, 0xbfe666af),
 ];
 
 /// A 4-port memory system under `kind` with a correctable fault plan and
@@ -101,7 +101,7 @@ fn images() -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn snapshot_bytes_match_the_recorded_goldens() {
-    assert_eq!(SNAPSHOT_VERSION, 6, "a format change re-records the goldens below");
+    assert_eq!(SNAPSHOT_VERSION, 7, "a format change re-records the goldens below");
     let actual: Vec<(String, usize, u32)> = images()
         .into_iter()
         .map(|(name, img)| {
