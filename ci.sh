@@ -152,17 +152,16 @@ cargo run --release -p firefly-bench --bin partition -- --smoke --out "$bench_di
 step "partition determinism gate (bit-identical across widths)"
 same_across_widths partition "$bench_dir/bench10"
 
-step "bench goldens: full fleet, partition == BENCH_7.json, BENCH_10.json (wall_ns masked)"
+step "bench goldens: full fleet, partition == BENCH_7.json, BENCH_10.json"
 # The committed root reports come from full runs at the default seed.
-# Everything in them but the host wall time is a function of the code,
-# so a full run must reproduce each byte for byte once `wall_ns` is
-# masked; a change that moves a figure regenerates the file.
+# Everything in them is a function of the code, so a full run must
+# reproduce each byte for byte; a change that moves a figure
+# regenerates the file.
 for bench in "fleet 7" "partition 10"; do
     read -r bin n <<< "$bench"
     cargo run --release -q -p firefly-bench --bin "$bin" -- --out "$bench_dir/BENCH_$n.full.json" > /dev/null
-    if ! diff <(sed -E 's/"wall_ns":[0-9]+,?//' "BENCH_$n.json") \
-        <(sed -E 's/"wall_ns":[0-9]+,?//' "$bench_dir/BENCH_$n.full.json") >&2; then
-        echo "a full $bin run differs from BENCH_$n.json beyond wall_ns" >&2
+    if ! diff "BENCH_$n.json" "$bench_dir/BENCH_$n.full.json" >&2; then
+        echo "a full $bin run differs from BENCH_$n.json" >&2
         exit 1
     fi
 done

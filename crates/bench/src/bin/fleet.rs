@@ -29,7 +29,6 @@ use firefly_sim::fleet::{
     FleetConfig, StormOutcome,
 };
 use serde::Serialize;
-use std::time::Instant;
 
 /// One offered-load cell of the saturation sweep.
 #[derive(Clone, Debug, Serialize)]
@@ -63,7 +62,6 @@ struct BenchReport {
     bench: String,
     seed: u64,
     smoke: bool,
-    wall_ns: u64,
     saturation: Vec<SaturationPoint>,
     storm_naive: StormOutcome,
     storm_budgeted: StormOutcome,
@@ -106,7 +104,6 @@ fn main() {
     let BenchArgs { smoke, seed, out } = cli::parse(0x000f_1ee7_u64);
     let out = out.unwrap_or_else(|| String::from("BENCH_7.json"));
 
-    let t0 = Instant::now();
     let sat_cycles: u64 = if smoke { 800_000 } else { 4_000_000 };
     let sat_rates: &[u64] = if smoke { &[10, 40] } else { &[5, 10, 20, 40, 80, 160] };
 
@@ -116,7 +113,6 @@ fn main() {
     let storm_naive = run_retry_storm(seed, true);
     let storm_budgeted = run_retry_storm(seed, false);
     let crash_outcome = run_crash_failover(seed);
-    let wall_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
 
     let gates = [
         ("storm", storm::gate(&storm_naive, &storm_budgeted)),
@@ -128,7 +124,6 @@ fn main() {
         bench: "BENCH_7".to_string(),
         seed,
         smoke,
-        wall_ns,
         saturation,
         storm_naive,
         storm_budgeted,

@@ -27,9 +27,8 @@
 //!
 //! Flags: `--smoke` (recorded; the grid is already CI-sized), `--seed
 //! N`, `--out PATH` (default `BENCH_10.json`), `--json` (prints the
-//! deterministic slice — no wall clock — for the jobs-width identity
-//! gate). Names each failed gate condition on stderr and exits nonzero
-//! if there is one.
+//! report, for the jobs-width identity gate). Names each failed gate
+//! condition on stderr and exits nonzero if there is one.
 
 #![deny(unsafe_code)]
 
@@ -41,7 +40,6 @@ use firefly_sim::fleet::{
 };
 use firefly_sim::harness::run_jobs;
 use serde::Serialize;
-use std::time::Instant;
 
 /// One scenario of the benchmark grid.
 #[derive(Copy, Clone, Debug)]
@@ -59,27 +57,12 @@ enum Out {
     Brownout(BrownoutOutcome),
 }
 
-/// The deterministic slice of the report — everything `--json` prints.
-#[derive(Debug, Serialize)]
-struct DeterministicReport {
-    bench: String,
-    seed: u64,
-    smoke: bool,
-    partition_resilient: PartitionOutcome,
-    partition_budgeted: PartitionOutcome,
-    flapping: PartitionOutcome,
-    rejoin: RejoinOutcome,
-    brownout_shed: BrownoutOutcome,
-    brownout_silent: BrownoutOutcome,
-}
-
-/// The full document written to `--out`.
+/// The document written to `--out` (and printed by `--json`).
 #[derive(Debug, Serialize)]
 struct BenchReport {
     bench: String,
     seed: u64,
     smoke: bool,
-    wall_ns: u64,
     partition_resilient: PartitionOutcome,
     partition_budgeted: PartitionOutcome,
     flapping: PartitionOutcome,
@@ -93,7 +76,6 @@ fn main() {
     let BenchArgs { smoke, seed, out } = cli::parse(0x000f_1ee7_u64);
     let out = out.unwrap_or_else(|| String::from("BENCH_10.json"));
 
-    let t0 = Instant::now();
     let jobs = [
         Job::Partition { resilient: true },
         Job::Partition { resilient: false },
@@ -108,7 +90,6 @@ fn main() {
         Job::Rejoin => Out::Rejoin(run_rejoin(seed)),
         Job::Brownout { shedding } => Out::Brownout(run_brownout(seed, shedding)),
     });
-    let wall_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
 
     // run_jobs preserves job order; unpack in reverse to move out.
     let brownout_silent = match outs.pop() {
@@ -144,7 +125,7 @@ fn main() {
     ];
     let pass = gates.iter().all(|(_, failures)| failures.is_empty());
 
-    let deterministic = DeterministicReport {
+    let doc = BenchReport {
         bench: "BENCH_10".to_string(),
         seed,
         smoke,
@@ -154,24 +135,12 @@ fn main() {
         rejoin,
         brownout_shed,
         brownout_silent,
-    };
-    let doc = BenchReport {
-        bench: deterministic.bench.clone(),
-        seed,
-        smoke,
-        wall_ns,
-        partition_resilient: deterministic.partition_resilient.clone(),
-        partition_budgeted: deterministic.partition_budgeted.clone(),
-        flapping: deterministic.flapping.clone(),
-        rejoin: deterministic.rejoin.clone(),
-        brownout_shed: deterministic.brownout_shed.clone(),
-        brownout_silent: deterministic.brownout_silent.clone(),
         pass,
     };
-    report::write(&out, &doc);
+    let json = report::write(&out, &doc);
 
     if report::json_requested() {
-        println!("{}", deterministic.to_json());
+        println!("{json}");
     } else {
         report::section(&format!(
             "partition bench: self-healing fleet under splits and overload (seed {seed:#x})"

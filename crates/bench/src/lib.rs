@@ -28,9 +28,8 @@
 //! | `fault_sweep` | §2 robustness — fault rate × protocol, recovery counters, N→N−1 degradation |
 //! | `model_check` | §3 coherence — exhaustive small-config state enumeration, litmus suite, mutation smoke |
 //!
-//! The Criterion microbenchmarks (`cargo bench -p firefly-bench`) cover
-//! the simulator's own hot paths: protocol decision tables, the cycle
-//! engine, BitBlt, and the analytic model.
+//! Host speed is measured elsewhere, by the `benchmark/` package at the
+//! repository root (`bash benchmark/run.sh`).
 
 #![deny(unsafe_code)]
 

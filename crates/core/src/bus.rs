@@ -326,6 +326,11 @@ impl Bus {
         self.requests[port.index()] = None;
     }
 
+    /// Whether `port`'s request line is raised.
+    pub(crate) fn is_requesting(&self, port: usize) -> bool {
+        self.requests[port].is_some()
+    }
+
     /// Whether any port is requesting.
     #[inline]
     pub fn has_requests(&self) -> bool {

@@ -15,10 +15,9 @@
 //! The bounded [`EventRing`] is the simulator's only trace mechanism,
 //! for the machine and the fleet alike. A machine holds one only when
 //! tracing is enabled: otherwise every emit point is a single branch on
-//! `Option::is_some`, so the hot path is unchanged (verified by
-//! `benches/machine.rs`). A fleet (`firefly_sim::Fleet`) always holds
-//! one and emits its server crashes and revivals into it, stamped on
-//! the same 100 ns cycle grid.
+//! `Option::is_some`, so the hot path is unchanged. A fleet
+//! (`firefly_sim::Fleet`) always holds one and emits its server
+//! crashes and revivals into it, stamped on the same 100 ns cycle grid.
 //!
 //! The Figure 4 timing diagrams come from the `BusCompleted` events:
 //! [`bus_records`] turns them back into [`TransactionRecord`]s. Two

@@ -7,10 +7,9 @@
 //! reference streams through tag-only caches, reads the same
 //! [`ProtocolTable`] as the cycle engine, and counts bus events. No
 //! data and no timing, so it suits wide protocol/sharing sweeps: one
-//! [`RefSim::access`] costs about 20 ns (median over the seven protocols
-//! of six runs, each the best of five passes; 4 CPUs, 16 KB caches,
-//! 300 k references of the paper-calibrated stream at S = 0.10 replayed
-//! from memory, release build on a 2-vCPU shared VM). Generating the
+//! [`RefSim::access`] costs about 20 ns: the median over the seven
+//! protocols in EXPERIMENTS.md, "Protocols as data", which gives the
+//! stream, the cache sizes, the host and the spread. Generating the
 //! synthetic reference costs over twice that, so a sweep replays one
 //! stream under every protocol rather than regenerating it per protocol.
 //!

@@ -1473,6 +1473,19 @@ impl MemSystem {
                 t.initiator
             )));
         }
+        // Conversely, an access waiting on the bus is served by a raised
+        // request line, a transaction of its own in flight or a deferred
+        // retry; with none of them it would wait forever.
+        let served = |i: usize| {
+            sys.bus.is_requesting(i)
+                || sys.bus.slots().iter().any(|t| t.initiator.index() == i)
+                || sys.deferred.iter().any(|&(_, p)| p.index() == i)
+        };
+        if let Some(i) = (0..ports).find(|&i| waits(i) && !served(i)) {
+            return Err(Error::SnapshotCorrupt(format!(
+                "port {i} waits on the bus with no request, transaction or retry"
+            )));
+        }
 
         let mut r = file.section("memory")?;
         sys.memory.load_state(&mut r)?;

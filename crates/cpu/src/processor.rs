@@ -369,13 +369,25 @@ impl Processor {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::SnapshotCorrupt`] for out-of-range payloads or an
-    /// on-chip-cache presence mismatch, and
+    /// Returns [`Error::SnapshotCorrupt`] for out-of-range payloads, a
+    /// pending reference outside the stream's regions or an on-chip-cache
+    /// presence mismatch, and
     /// [`Error::SnapshotUnsupported`] if the stream cannot restore.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Error> {
         self.rng = r.get()?;
         self.state = r.get()?;
         self.pending = r.get()?;
+        // A computing processor issues its pending reference next; a
+        // waiting one has none.
+        match (&self.state, self.pending) {
+            (State::Computing { .. }, Some(m)) if self.stream.holds(m.addr) => {}
+            (State::WaitingMem { .. }, None) => {}
+            (state, pending) => {
+                return Err(Error::SnapshotCorrupt(format!(
+                    "processor state {state:?} with pending reference {pending:?}"
+                )))
+            }
+        }
         (self.carry, self.refund, self.last_addr) = r.get()?;
         (self.instr_carry, self.ema_latency, self.stats) = r.get()?;
         match (&mut self.icache, r.get::<bool>()?) {

@@ -57,21 +57,6 @@ pub enum EngineMode {
     Ticked,
 }
 
-/// The `FIREFLY_ENGINE` environment override (`ticked` or `events`),
-/// letting any run — including the whole CI suite — be replayed on the
-/// reference engine without code changes.
-fn engine_override() -> Option<EngineMode> {
-    match std::env::var("FIREFLY_ENGINE") {
-        Ok(v) if v.eq_ignore_ascii_case("ticked") => Some(EngineMode::Ticked),
-        Ok(v) if v.eq_ignore_ascii_case("events") => Some(EngineMode::EventDriven),
-        Ok(v) => {
-            eprintln!("FIREFLY_ENGINE={v:?} is not \"ticked\" or \"events\"; ignoring");
-            None
-        }
-        Err(_) => None,
-    }
-}
-
 /// Builds [`Firefly`] machines.
 ///
 /// # Examples
@@ -197,8 +182,7 @@ impl FireflyBuilder {
         self
     }
 
-    /// Selects the simulation engine (overridden by the
-    /// `FIREFLY_ENGINE` environment variable when set). The default is
+    /// Selects the simulation engine. The default is
     /// [`EngineMode::EventDriven`]; pass [`EngineMode::Ticked`] to run
     /// on the cycle-by-cycle reference engine.
     pub fn engine(mut self, engine: EngineMode) -> Self {
@@ -290,8 +274,14 @@ impl FireflyBuilder {
         } else {
             None
         };
-        let engine = engine_override().unwrap_or(self.engine);
-        Firefly { sys, processors, io, cpu_cfg, engine, engine_stats: EngineStats::default() }
+        Firefly {
+            sys,
+            processors,
+            io,
+            cpu_cfg,
+            engine: self.engine,
+            engine_stats: EngineStats::default(),
+        }
     }
 }
 

@@ -22,10 +22,13 @@
 //!   the mechanism behind the elevated one-CPU miss rate of Table 2
 //!   ("possibly due to cold-start effects caused by rapid context
 //!   switching").
-//! * [`record`] — trace capture and replay with a compact text codec.
 //! * [`analyze`] — miss-ratio-curve measurement across cache geometries
 //!   (the instrument behind footnote 4's design discussion).
 //! * [`snapdump`] — a text debug form for binary machine snapshots.
+//!
+//! Streams are never written to files: the `protocol_compare` bin
+//! generates each stream once and replays it in memory under every
+//! protocol in lockstep, through `firefly_core::refsim`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,13 +36,11 @@
 
 pub mod analyze;
 pub mod multiprogram;
-pub mod record;
 pub mod refs;
 pub mod snapdump;
 pub mod synth;
 
 pub use analyze::{miss_ratio_curve, GeometryPoint};
 pub use multiprogram::MultiprogramWorkload;
-pub use record::Trace;
 pub use refs::{MemRef, RefKind, RefStream, VaxMix};
 pub use synth::{LocalityParams, SyntheticWorkload};

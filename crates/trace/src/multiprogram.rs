@@ -92,6 +92,10 @@ impl RefStream for MultiprogramWorkload {
         self.processes[self.current].next_ref()
     }
 
+    fn holds(&self, addr: Addr) -> bool {
+        self.processes.iter().any(|p| p.holds(addr))
+    }
+
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), Error> {
         w.usize(self.processes.len());
         for p in &self.processes {

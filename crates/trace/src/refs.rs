@@ -31,25 +31,6 @@ impl RefKind {
             _ => ProcOp::Read,
         }
     }
-
-    /// One-character code used by the trace codec.
-    pub const fn code(self) -> char {
-        match self {
-            RefKind::InstrRead => 'I',
-            RefKind::DataRead => 'R',
-            RefKind::DataWrite => 'W',
-        }
-    }
-
-    /// Parses the one-character code.
-    pub fn from_code(c: char) -> Option<Self> {
-        match c {
-            'I' => Some(RefKind::InstrRead),
-            'R' => Some(RefKind::DataRead),
-            'W' => Some(RefKind::DataWrite),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for RefKind {
@@ -113,6 +94,16 @@ pub trait RefStream {
         TakeRefs { stream: self, remaining: n }
     }
 
+    /// Whether `addr` lies in a region this stream can reference. A
+    /// restore checks every saved reference against it, so a corrupt
+    /// image cannot send a processor past installed memory. Streams
+    /// that restore state bound it by their constructor arguments; the
+    /// default, for streams that cannot, holds everywhere.
+    fn holds(&self, addr: Addr) -> bool {
+        let _ = addr;
+        true
+    }
+
     /// Serializes the stream's dynamic state for a machine checkpoint.
     ///
     /// A stream restored onto a freshly built twin (same constructor
@@ -122,9 +113,9 @@ pub trait RefStream {
     /// # Errors
     ///
     /// The default implementation returns [`Error::SnapshotUnsupported`]:
-    /// streams that cannot checkpoint (external trace files, ad-hoc test
-    /// streams) make the whole machine snapshot fail loudly instead of
-    /// resuming from silently wrong state.
+    /// streams that cannot checkpoint (ad-hoc test streams) make the
+    /// whole machine snapshot fail loudly instead of resuming from
+    /// silently wrong state.
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), Error> {
         let _ = w;
         Err(Error::SnapshotUnsupported("this reference stream"))
@@ -210,14 +201,6 @@ mod tests {
         let mix = VaxMix::default();
         assert!((mix.total() - 2.13).abs() < 1e-12);
         assert!((mix.read_write_ratio() - 4.325).abs() < 0.001);
-    }
-
-    #[test]
-    fn kind_codes_roundtrip() {
-        for k in [RefKind::InstrRead, RefKind::DataRead, RefKind::DataWrite] {
-            assert_eq!(RefKind::from_code(k.code()), Some(k));
-        }
-        assert_eq!(RefKind::from_code('x'), None);
     }
 
     #[test]

@@ -349,6 +349,19 @@ impl RefStream for SyntheticWorkload {
         }
     }
 
+    fn holds(&self, addr: Addr) -> bool {
+        let p = &self.params;
+        [
+            (self.instr_base, p.instr_region_words),
+            (self.hot_base, p.hot_words),
+            (self.warm_base, p.warm_words),
+            (self.cold_base, p.cold_words),
+            (self.shared_base, p.shared_words),
+        ]
+        .iter()
+        .any(|&(base, words)| (addr.byte().wrapping_sub(base.byte()) / 4) < words)
+    }
+
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), Error> {
         w.put(&self.rng);
         w.put(&(self.body_start, self.body_len, self.body_pos, self.iterations_left));
@@ -362,6 +375,18 @@ impl RefStream for SyntheticWorkload {
         (self.body_start, self.body_len, self.body_pos, self.iterations_left) = r.get()?;
         self.queue = r.get()?;
         self.instructions = r.get()?;
+        let (start, len, pos) = (self.body_start, self.body_len, self.body_pos);
+        let words = self.params.instr_region_words;
+        if start >= words || len > words || pos >= len {
+            return Err(Error::SnapshotCorrupt(format!(
+                "loop body {pos}/{len} at word {start} outside the {words}-word code region"
+            )));
+        }
+        if let Some(m) = self.queue.iter().find(|m| !self.holds(m.addr)) {
+            return Err(Error::SnapshotCorrupt(format!(
+                "queued reference {m} outside the stream's regions"
+            )));
+        }
         Ok(())
     }
 }

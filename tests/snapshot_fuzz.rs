@@ -38,8 +38,11 @@ impl Mix {
     }
 }
 
-/// The `(name, payload)` sections of a container, in file order.
-fn sections(image: &[u8]) -> Vec<(String, Vec<u8>)> {
+/// A container's `(name, payload)` sections, in file order.
+type Sections = Vec<(String, Vec<u8>)>;
+
+/// The sections of `image`.
+fn sections(image: &[u8]) -> Sections {
     let file = SnapshotFile::parse(image).expect("a valid image");
     let names: Vec<String> = file.sections().map(|(n, _)| n.to_string()).collect();
     names
@@ -241,7 +244,7 @@ fn a_huge_section_count_is_corrupt_not_an_abort() {
 
 /// The `memsys` section of a machine image, its index among the
 /// sections, and a freshly built twin to load damaged copies into.
-fn memsys_section() -> (Vec<(String, Vec<u8>)>, usize, Firefly) {
+fn memsys_section() -> (Sections, usize, Firefly) {
     let (image, twin) = machine(|| FireflyBuilder::microvax(2).seed(6), 6_000);
     let secs = sections(&image);
     assert_eq!(rebuild(&secs), image, "rebuilding an intact image is the identity");
@@ -294,6 +297,35 @@ fn single_bit_flips_across_the_nested_image_are_corrupt() {
     }
 }
 
+/// Byte 196 of the `cpu0` section below is the top byte of the address
+/// the processor's reference stream has queued next. Each flip moves
+/// that address past the 16 MB the stream layout fits in; such an
+/// image once loaded with `Ok`, and the processor's first issue of the
+/// reference panicked. The restore bounds every saved reference by the
+/// regions the stream was built with.
+#[test]
+fn a_queued_reference_past_installed_memory_is_corrupt() {
+    let (secs, _, _) = memsys_section();
+    let cpu0 = secs.iter().position(|(n, _)| n == "cpu0").unwrap();
+    assert_eq!(secs[cpu0].1[196], 0, "the top byte of a queued address below 16 MB");
+    for mask in [0x01, 0x10, 0x40, 0x80, 0xff] {
+        let mut patched = secs.clone();
+        patched[cpu0].1[196] ^= mask;
+        let mut twin = FireflyBuilder::microvax(2).seed(6).build();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let loaded = twin.load_snapshot(&rebuild(&patched));
+            if loaded.is_ok() {
+                twin.run(10_000);
+            }
+            loaded
+        }));
+        assert!(
+            matches!(result, Ok(Err(Error::SnapshotCorrupt(_)))),
+            "byte 196 ^ {mask:#04x}: {result:?}"
+        );
+    }
+}
+
 /// A machine image with a second `cpu0` section once loaded (the first
 /// copy won) and then re-saved to different bytes. A container that
 /// repeats a section name is corrupt.
@@ -311,6 +343,19 @@ fn a_repeated_section_name_is_corrupt() {
     assert_eq!(twin.save_snapshot().unwrap(), image);
 }
 
+/// The sections of a 2-CPU memory-system image at rest, and of the same
+/// system cut two cycles into port 0's read miss.
+fn idle_and_mid_transaction_images() -> (Sections, Sections) {
+    let mut sys = MemSystem::new(SystemConfig::microvax(2), ProtocolKind::Firefly).unwrap();
+    sys.run_to_completion(PortId::new(1), Request::write(Addr::new(0x40), 7)).unwrap();
+    let idle = sections(&sys.save_snapshot());
+    sys.begin(PortId::new(0), Request::read(Addr::new(0x8000))).unwrap();
+    sys.step();
+    sys.step();
+    assert!(!sys.is_quiescent(), "the cut must land mid-transaction");
+    (idle, sections(&sys.save_snapshot()))
+}
+
 /// Each section of a memory-system image is well formed on its own, so
 /// one lifted from another image of the same machine passes every
 /// field check. The `system`, `ports` or `bus` section of an idle image
@@ -320,14 +365,7 @@ fn a_repeated_section_name_is_corrupt() {
 /// consistent, unless the loader checks that agreement.
 #[test]
 fn sections_spliced_across_a_bus_transaction_load_and_run_or_are_corrupt() {
-    let mut sys = MemSystem::new(SystemConfig::microvax(2), ProtocolKind::Firefly).unwrap();
-    sys.run_to_completion(PortId::new(1), Request::write(Addr::new(0x40), 7)).unwrap();
-    let idle = sections(&sys.save_snapshot());
-    sys.begin(PortId::new(0), Request::read(Addr::new(0x8000))).unwrap();
-    sys.step();
-    sys.step();
-    assert!(!sys.is_quiescent(), "the cut must land mid-transaction");
-    let mid = sections(&sys.save_snapshot());
+    let (idle, mid) = idle_and_mid_transaction_images();
     for name in ["system", "ports", "bus"] {
         for (host, donor, way) in [(&mid, &idle, "idle into mid"), (&idle, &mid, "mid into idle")] {
             let mut spliced = host.clone();
@@ -343,5 +381,27 @@ fn sections_spliced_across_a_bus_transaction_load_and_run_or_are_corrupt() {
                 Err(e) => panic!("{name} {way}: expected Ok or SnapshotCorrupt, got {e:?}"),
             }
         }
+    }
+}
+
+/// The idle image's `bus` section in the mid-transaction image leaves
+/// port 0's read waiting on the bus with its request line down and no
+/// transaction of its own: it once loaded with `Ok` and never completed.
+#[test]
+fn an_access_waiting_on_a_bus_that_will_never_serve_it_is_corrupt() {
+    let (idle, mut spliced) = idle_and_mid_transaction_images();
+    let bus = idle.iter().find(|(n, _)| n == "bus").unwrap().1.clone();
+    spliced.iter_mut().find(|(n, _)| n == "bus").unwrap().1 = bus;
+    match MemSystem::restore(&rebuild(&spliced)) {
+        Err(Error::SnapshotCorrupt(msg)) => {
+            assert_eq!(msg, "port 0 waits on the bus with no request, transaction or retry")
+        }
+        Ok(mut sys) => {
+            for _ in 0..100_000 {
+                sys.step();
+            }
+            panic!("the image loaded; idle after 100,000 steps: {}", sys.is_idle());
+        }
+        Err(e) => panic!("expected SnapshotCorrupt, got {e:?}"),
     }
 }
