@@ -184,6 +184,20 @@ step "scaling, cache_sweep determinism gates (bit-identical across widths)"
 same_across_widths scaling
 same_across_widths cache_sweep
 
+step "paper bins: the 17 paper-regeneration bins' stdout == golden"
+# Every table and figure the paper regeneration prints, byte for byte at
+# FIREFLY_JOBS=1: a change that makes the simulator faster must not move
+# a single figure. About 3 s. A change that moves one on purpose
+# regenerates its file (`FIREFLY_JOBS=1 target/release/<bin> >
+# crates/bench/tests/golden/paper/<bin>.txt`).
+for golden in "$golden_dir"/paper/*.txt; do
+    bin="$(basename "$golden" .txt)"
+    if ! FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin "$bin" | diff "$golden" - >&2; then
+        echo "$bin's output differs from the golden $golden" >&2
+        exit 1
+    fi
+done
+
 step "examples: all nine run to completion"
 # Run every example so its paths execute in CI, not just compile
 # (protocol_trace and trace_timeline render Figure 4 and the event

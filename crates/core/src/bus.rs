@@ -283,6 +283,10 @@ pub const SPLIT_OFFSET_CYCLES: u64 = 2;
 pub struct Bus {
     /// Per-port request lines; `Some(cycle)` holds the raise cycle.
     requests: Vec<Option<u64>>,
+    /// Derived: bit `i` set exactly when `requests[i]` is raised, so
+    /// "anyone requesting?" is one test. Never snapshotted — rebuilt
+    /// from `requests` on load.
+    raised: u16,
     /// In-flight transactions, oldest first, each carrying its own
     /// controller context (grant cycle, probe responses, fault flag). At
     /// most one in [`BusMode::Unified`], at most two in [`BusMode::Split`].
@@ -301,9 +305,16 @@ impl Bus {
 
     /// Creates a bus with an explicit arbitration policy and transaction
     /// mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` exceeds 16, the most the MBus configurations
+    /// allow.
     pub fn with_config(ports: usize, arbiter: ArbiterKind, mode: BusMode) -> Self {
+        assert!(ports <= 16, "at most 16 bus ports, got {ports}");
         Bus {
             requests: vec![None; ports],
+            raised: 0,
             slots: Vec::with_capacity(mode.max_in_flight()),
             mode,
             arbiter: Arbiter::new(arbiter),
@@ -318,12 +329,14 @@ impl Bus {
         let slot = &mut self.requests[port.index()];
         if slot.is_none() {
             *slot = Some(now);
+            self.raised |= 1 << port.index();
         }
     }
 
     /// Drops `port`'s request line.
     pub fn cancel_request(&mut self, port: PortId) {
         self.requests[port.index()] = None;
+        self.raised &= !(1 << port.index());
     }
 
     /// Whether `port`'s request line is raised.
@@ -334,7 +347,7 @@ impl Bus {
     /// Whether any port is requesting.
     #[inline]
     pub fn has_requests(&self) -> bool {
-        self.requests.iter().any(Option::is_some)
+        self.raised != 0
     }
 
     /// Whether any transaction is in flight.
@@ -386,6 +399,9 @@ impl Bus {
     /// Picks the winning requester under the configured policy without
     /// starting a transaction. Returns `None` when nobody is requesting.
     pub fn arbitrate(&self, now: u64) -> Option<PortId> {
+        if self.raised == 0 {
+            return None;
+        }
         self.arbiter.pick(&self.requests, now)
     }
 
@@ -406,7 +422,7 @@ impl Bus {
         now: u64,
     ) {
         assert!(self.can_grant(), "bus already busy");
-        self.requests[initiator.index()] = None;
+        self.cancel_request(initiator);
         self.arbiter.note_grant(initiator);
         match op {
             BusOp::Read => self.stats.reads += 1,
@@ -531,6 +547,11 @@ impl Bus {
                 self.requests.len()
             )));
         }
+        self.raised = requests
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.is_some())
+            .fold(0, |mask, (i, _)| mask | 1 << i);
         self.requests = requests;
         let slots: Vec<Transaction> = r.get()?;
         if slots.len() > self.mode.max_in_flight() {
@@ -688,6 +709,49 @@ mod tests {
             0,
         );
         assert!(!bus.has_requests());
+    }
+
+    /// The raised-line mask is derived state: it must agree with the
+    /// request lines after every raise, re-raise, cancel and grant, in a
+    /// clone, and in a bus loaded from an image with lines raised.
+    #[test]
+    fn raised_mask_tracks_request_lines() {
+        let agrees = |bus: &Bus| {
+            let scan = (0..bus.requests.len())
+                .filter(|&i| bus.requests[i].is_some())
+                .fold(0u16, |mask, i| mask | 1 << i);
+            assert_eq!(bus.raised, scan, "mask {:#06x} vs lines {scan:#06x}", bus.raised);
+            assert_eq!(bus.has_requests(), scan != 0);
+        };
+        let mut bus = Bus::with_config(16, ArbiterKind::RoundRobin, BusMode::Unified);
+        agrees(&bus);
+        for (port, now) in [(15, 1), (0, 2), (7, 3), (7, 9), (3, 4)] {
+            bus.request(PortId::new(port), now);
+            agrees(&bus);
+        }
+        bus.cancel_request(PortId::new(3));
+        agrees(&bus);
+        bus.cancel_request(PortId::new(3));
+        agrees(&bus);
+        let winner = bus.arbitrate(10).expect("three lines raised");
+        bus.begin(winner, BusOp::Read, LineId::from_raw(1), Payload::None, 10);
+        agrees(&bus);
+        assert!(!bus.is_requesting(winner.index()));
+        agrees(&bus.clone());
+
+        let mut w = SnapWriter::new();
+        bus.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut loaded = Bus::with_config(16, ArbiterKind::RoundRobin, BusMode::Unified);
+        loaded.request(PortId::new(3), 0);
+        loaded.load_state(&mut SnapReader::new(&bytes)).expect("a saved bus loads");
+        agrees(&loaded);
+        assert_eq!(loaded.raised.count_ones(), 2, "two lines stay raised");
+        for port in 0..16 {
+            loaded.cancel_request(PortId::new(port));
+        }
+        agrees(&loaded);
+        assert_eq!(loaded.arbitrate(11), None);
     }
 
     #[test]

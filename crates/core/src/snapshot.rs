@@ -190,22 +190,39 @@ fn crc32_update(reg: u32, bytes: &[u8]) -> u32 {
 
 /// [`crc32_update`] by slicing-by-16, the portable path: each step XORs
 /// the register into the next sixteen bytes and looks every byte up in
-/// its own table, byte `j` in table `15 - j`, so the sixteen lookups
-/// are independent loads instead of a chain of one per byte. A tail of
-/// fewer than sixteen bytes takes the byte-at-a-time step.
+/// its own table, so the sixteen lookups are independent loads instead
+/// of a chain of one per byte. A tail of fewer than sixteen bytes takes
+/// one 8-byte and one 4-byte slicing step where it is long enough, and
+/// its last 0–3 bytes one at a time.
 fn crc32_slicing(mut c: u32, bytes: &[u8]) -> u32 {
-    let mut blocks = bytes.chunks_exact(16);
-    for block in &mut blocks {
-        let mut x: [u8; 16] = block.try_into().expect("16 bytes");
-        for (b, r) in x.iter_mut().zip(c.to_le_bytes()) {
-            *b ^= r;
-        }
-        c = x.iter().zip(CRC_TABLES.iter().rev()).fold(0, |acc, (&b, t)| acc ^ t[usize::from(b)]);
+    let (blocks, mut tail) = bytes.as_chunks::<16>();
+    for block in blocks {
+        c = crc32_slice(c, block);
     }
-    for &b in blocks.remainder() {
+    if let Some((block, rest)) = tail.split_first_chunk::<8>() {
+        c = crc32_slice(c, block);
+        tail = rest;
+    }
+    if let Some((block, rest)) = tail.split_first_chunk::<4>() {
+        c = crc32_slice(c, block);
+        tail = rest;
+    }
+    for &b in tail {
         c = CRC_TABLES[0][usize::from(c as u8 ^ b)] ^ (c >> 8);
     }
     c
+}
+
+/// One slicing step over the `N` bytes of `block` (`4 <= N <= 16`): the
+/// register XORed into its first four bytes, then byte `j` looked up in
+/// table `N - 1 - j`.
+#[inline]
+fn crc32_slice<const N: usize>(c: u32, block: &[u8; N]) -> u32 {
+    let mut x = *block;
+    for (b, r) in x.iter_mut().zip(c.to_le_bytes()) {
+        *b ^= r;
+    }
+    x.iter().zip(CRC_TABLES[..N].iter().rev()).fold(0, |acc, (&b, t)| acc ^ t[usize::from(b)])
 }
 
 /// `a · b mod P` over GF(2), in the reflected representation the

@@ -651,6 +651,13 @@ impl MemSystem {
     pub fn step(&mut self) {
         self.cycle += 1;
         self.bus.count_cycle();
+        // An idle cycle has nothing below to do: no retry to mature, no
+        // requester to arbitrate (so no arbiter fault draw), nothing on
+        // the wires, no purge, and no port waiting on the bus to reap or
+        // to time out.
+        if self.is_idle() {
+            return;
+        }
 
         // Aborted transactions whose backoff has elapsed re-raise their
         // bus request lines and compete in this cycle's arbitration.
@@ -809,7 +816,14 @@ impl MemSystem {
     /// Whether a [`step`](MemSystem::step) right now would do nothing but
     /// advance the cycle counters — no transaction on the wires, no bus
     /// request lines raised, no deferred retry maturing, no pending
-    /// coherence-domain purge, and no port waiting on the bus.
+    /// coherence-domain purge, and so no port waiting on the bus.
+    ///
+    /// Four flag tests, no scan. A port waiting on the bus always has a
+    /// raised request line, a transaction of its own in flight or a
+    /// deferred retry — every transition keeps that so, and
+    /// [`restore`](MemSystem::restore) refuses an image that breaks it —
+    /// so the bus and retry terms cover the waiting ports. Debug builds
+    /// check that implication on every call.
     ///
     /// This is the event-driven engine's skip predicate: while it holds,
     /// any number of steps can be replaced by one
@@ -820,14 +834,19 @@ impl MemSystem {
     /// how far the driver may jump.
     #[inline]
     pub fn is_idle(&self) -> bool {
-        !self.bus.is_busy()
+        let idle = !self.bus.is_busy()
             && !self.bus.has_requests()
             && self.deferred.is_empty()
-            && self.purge_queue.is_empty()
-            && self
-                .ports
-                .iter()
-                .all(|c| !matches!(c.pending, Some(Pending { status: Status::WaitBus(_), .. })))
+            && self.purge_queue.is_empty();
+        debug_assert!(
+            !idle
+                || self.ports.iter().all(|c| !matches!(
+                    c.pending,
+                    Some(Pending { status: Status::WaitBus(_), .. })
+                )),
+            "a port waits on the bus with no request, transaction or retry"
+        );
+        idle
     }
 
     /// Takes one port from the set of ports whose access entered its
@@ -851,6 +870,13 @@ impl MemSystem {
         None
     }
 
+    /// Whether `port` holds an access that has not been polled yet,
+    /// waiting on the bus or counting down its completion.
+    #[inline]
+    pub fn has_access(&self, port: PortId) -> bool {
+        self.ports[port.index()].pending.is_some()
+    }
+
     /// The cycle at which `port`'s pending access completes locally, if
     /// it is in the `Finishing` countdown. `None` while the
     /// access is still waiting on the bus (its completion cycle is not
@@ -866,29 +892,22 @@ impl MemSystem {
     /// Advances an idle system by `n` cycles in one jump: exactly the
     /// state change of `n` consecutive [`step`](MemSystem::step) calls
     /// while [`is_idle`](MemSystem::is_idle) holds — the cycle counter
-    /// and the bus's total-cycle counter move, nothing else.
+    /// and the bus's total-cycle counter move, nothing else. An idle
+    /// `step` returns after those same two counters, so the event engine
+    /// folds a quiet cycle's step and the idle span after it into one
+    /// call.
+    ///
+    /// No watchdog deadline can be jumped past: deadlines only exist for
+    /// ports waiting on the bus, and an idle system has none (debug
+    /// builds check this inside `is_idle`).
     ///
     /// # Panics
     ///
     /// Panics if the jump would overflow the cycle counter. Debug builds
-    /// additionally assert the system is idle and that no watchdog
-    /// deadline could be jumped past.
+    /// additionally assert the system is idle.
     #[inline]
     pub fn advance_idle(&mut self, n: u64) {
         debug_assert!(self.is_idle(), "advance_idle on a non-idle system");
-        // A skip must never jump past a pending watchdog deadline.
-        // Deadlines only exist for ports in `WaitBus` — which `is_idle`
-        // excludes — so assert that invariant directly: if a future
-        // change ever weakens the skip predicate, this trips instead of
-        // the watchdog silently firing late.
-        debug_assert!(
-            self.watchdog.is_none()
-                || self.ports.iter().all(|c| !matches!(
-                    c.pending,
-                    Some(Pending { status: Status::WaitBus(_), .. })
-                )),
-            "idle skip would jump past a pending watchdog deadline"
-        );
         self.cycle = self.cycle.checked_add(n).expect("cycle counter overflow");
         self.bus.add_idle_cycles(n);
     }

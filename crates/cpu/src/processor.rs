@@ -117,6 +117,22 @@ pub struct Processor {
     /// the prefetcher's view of how loaded the machine is.
     ema_latency: f64,
     stats: CpuStats,
+    /// Architectural instructions per fetch, `1/mix.instr_reads`: fixed
+    /// by the configuration, so divided out once.
+    instrs_per_fetch: f64,
+    /// Compute cycles per fetch: the per-instruction budget over
+    /// `mix.instr_reads`.
+    gap_per_fetch: f64,
+}
+
+/// `x.floor()` for a non-negative accumulator, without the libm call
+/// `f64::floor` is on baseline x86-64: the truncating cast rounds toward
+/// zero, which is the floor for `0 <= x < 2^64`, and both conversions are
+/// exact there.
+#[inline]
+fn floor_nonneg(x: f64) -> f64 {
+    debug_assert!((0.0..18_446_744_073_709_551_616.0).contains(&x), "floor of {x}");
+    (x as u64) as f64
 }
 
 impl Processor {
@@ -141,6 +157,8 @@ impl Processor {
             instr_carry: 0.0,
             ema_latency: cfg.variant.hit_cycles() as f64,
             stats: CpuStats::default(),
+            instrs_per_fetch: 1.0 / cfg.mix.instr_reads,
+            gap_per_fetch: cfg.compute_cycles_per_instruction() / cfg.mix.instr_reads,
         };
         p.schedule_next();
         p
@@ -176,17 +194,17 @@ impl Processor {
             // out exactly right), minus any prefetch-overlap refund.
             // Each fetch stands for 1/IR architectural instructions
             // (IR = 0.95 fetches per instruction).
-            self.instr_carry += 1.0 / self.cfg.mix.instr_reads;
-            let whole = self.instr_carry.floor();
+            self.instr_carry += self.instrs_per_fetch;
+            let whole = floor_nonneg(self.instr_carry);
             self.stats.instructions += whole as u64;
             self.instr_carry -= whole;
-            gap = self.cfg.compute_cycles_per_instruction() / self.cfg.mix.instr_reads;
+            gap = self.gap_per_fetch;
             let refund = self.refund.min(gap);
             gap -= refund;
             self.refund -= refund;
         }
         let total = gap + self.carry;
-        let cycles = total.floor();
+        let cycles = floor_nonneg(total);
         self.carry = total - cycles;
         self.pending = Some(r);
         self.state = State::Computing { cycles_left: cycles as u64 };
@@ -277,6 +295,12 @@ impl Processor {
                 }
             }
         }
+    }
+
+    /// Whether the processor waits on an access it issued to its port
+    /// (rather than computing towards its next reference).
+    pub fn waits_on_memory(&self) -> bool {
+        matches!(self.state, State::WaitingMem { .. })
     }
 
     /// The first cycle at or after `from` whose [`tick`](Processor::tick)
@@ -491,9 +515,14 @@ impl Clock {
 ///
 /// When no processor is due before a later cycle and the memory system
 /// is idle ([`MemSystem::is_idle`]), the driver jumps to the earliest
-/// wake-up in one [`MemSystem::advance_idle`]. A port that goes offline
-/// is settled at that cycle and frozen; every other processor is
-/// settled to the horizon when the call returns.
+/// wake-up in one [`MemSystem::advance_idle`]. A cycle whose due
+/// processors leave the memory system idle folds its own step into that
+/// jump: an idle step only moves the cycle counters, which the jump
+/// moves too. It is still counted as one stepped iteration plus, when
+/// the jump passes the next cycle, one idle skip, as if stepped and
+/// then skipped. A port that goes offline is settled at that cycle and
+/// frozen; every other processor is settled to the horizon when the call
+/// returns.
 ///
 /// Clocks are rebuilt from machine state on every call, so a checkpoint
 /// needs no scheduler section.
@@ -534,16 +563,21 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
     while sys.take_notified().is_some() {}
     let mut next = clocks.iter().map(|c| c.wake).min().unwrap_or(u64::MAX);
 
+    // Counts an idle skip over the cycles `from..to`.
+    let count_skip = |stats: &mut EngineStats, from: u64, to: u64| {
+        stats.idle_skips += 1;
+        stats.cycles_skipped += to - from;
+        if to < end {
+            stats.events_fired += 1;
+        }
+    };
+
     while sys.cycle() < end {
         let now = sys.cycle();
         if next > now && sys.is_idle() {
             let to = next.min(end);
             sys.advance_idle(to - now);
-            stats.idle_skips += 1;
-            stats.cycles_skipped += to - now;
-            if to < end {
-                stats.events_fired += 1;
-            }
+            count_skip(&mut stats, now, to);
             continue;
         }
         let mut changed = false;
@@ -558,8 +592,13 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
                 }
             }
         }
-        sys.step();
         stats.ticked_iterations += 1;
+        // An idle step would only move the cycle counters, which the jump
+        // below moves too, so such a cycle's step is folded into it.
+        let idle = sys.is_idle();
+        if !idle {
+            sys.step();
+        }
         while let Some(port) = sys.take_notified() {
             let i = slot[port.index()];
             let c = &mut clocks[i];
@@ -568,13 +607,21 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
             } else if c.settled != u64::MAX {
                 // Offline from the cycle just stepped on: its tick at the
                 // cycle before was the last.
-                processors[i].advance_idle(sys.cycle() - c.settled);
+                processors[i].advance_idle(now + 1 - c.settled);
                 *c = Clock::FROZEN;
             }
             changed = true;
         }
         if changed {
             next = clocks.iter().map(|c| c.wake).min().unwrap_or(u64::MAX);
+        }
+        if idle {
+            // This cycle's step and the idle span after it, in one jump.
+            let to = next.min(end).max(now + 1);
+            sys.advance_idle(to - now);
+            if to > now + 1 {
+                count_skip(&mut stats, now + 1, to);
+            }
         }
     }
     for (p, c) in processors.iter_mut().zip(&clocks) {
@@ -800,6 +847,34 @@ mod tests {
             .load_state(&mut firefly_core::snapshot::SnapReader::new(&bytes))
             .expect_err("presence mismatch");
         assert!(matches!(err, firefly_core::Error::SnapshotCorrupt(_)), "{err}");
+    }
+
+    /// The cast floor agrees with `f64::floor`, bit for bit, across its
+    /// domain's edges: zero, fractions, the last fractional doubles below
+    /// 2^52 and 2^53, and integers up to the largest double below 2^64.
+    #[test]
+    fn cast_floor_matches_libm_floor() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let edges = [
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.5,
+            below(1.0),
+            1.0,
+            1.5,
+            11.9,
+            below(2f64.powi(52)),
+            2f64.powi(52) + 0.5,
+            below(2f64.powi(53)),
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            below(2f64.powi(64)),
+        ];
+        for x in edges {
+            assert_eq!(floor_nonneg(x).to_bits(), x.floor().to_bits(), "floor({x:e})");
+        }
     }
 
     #[test]

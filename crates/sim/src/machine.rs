@@ -440,7 +440,8 @@ impl Firefly {
     /// for damaged or version-skewed images, and
     /// [`Error::SnapshotCorrupt`] when the image's CPU count, protocol
     /// or memory-system configuration (cache geometry, memory size, …)
-    /// does not match this machine.
+    /// does not match this machine, or when an online processor waits
+    /// on memory while its port holds no access (or the reverse).
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), Error> {
         if self.io.is_some() {
             return Err(Error::SnapshotUnsupported("io system state"));
@@ -472,6 +473,22 @@ impl Firefly {
             let mut r = file.section(&format!("cpu{i}"))?;
             p.load_state(&mut r)?;
             r.expect_end()?;
+        }
+        // A processor waits on memory exactly while its port holds the
+        // access: one waiting over an empty port would wait forever, and
+        // one computing over a busy port could never issue. An offline
+        // port's processor is frozen and may disagree.
+        if let Some(p) = self
+            .processors
+            .iter()
+            .find(|p| sys.is_online(p.port()) && p.waits_on_memory() != sys.has_access(p.port()))
+        {
+            return Err(Error::SnapshotCorrupt(format!(
+                "processor on {} {} memory, but its port {} an access",
+                p.port(),
+                if p.waits_on_memory() { "waits on" } else { "does not wait on" },
+                if sys.has_access(p.port()) { "holds" } else { "holds no" }
+            )));
         }
         self.sys = sys;
         Ok(())

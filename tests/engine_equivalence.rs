@@ -381,3 +381,42 @@ fn engines_bit_identical_with_offlining_in_small_chunks() {
     assert!(offlined > 0, "no CPU was offlined — the test misses the offlining path");
     assert!(starved > 0, "the watchdog offlined no CPU — the test misses a bus-waiting offline");
 }
+
+/// The event engine's own counters on two fixed runs of the paper mix,
+/// 200,000 cycles at 4 CPUs and at 1, pinned to the values the engine
+/// has always reported. A quiet cycle is folded into the idle jump that
+/// follows it, and must still count as the one stepped iteration plus
+/// the one skip it used to take, so `BENCH_6.json`'s and
+/// `BENCH_8.json`'s engine columns keep their meaning.
+#[test]
+fn engine_stats_are_pinned_on_the_paper_mix() {
+    use firefly::cpu::processor::EngineStats;
+    let run = |cpus: usize| {
+        let mut m = FireflyBuilder::microvax(cpus)
+            .workload(Workload::Synthetic(LocalityParams::paper_calibrated()))
+            .protocol(ProtocolKind::Firefly)
+            .seed(0x5eed ^ cpus as u64)
+            .engine(EngineMode::EventDriven)
+            .build();
+        m.run(200_000);
+        m.engine_stats()
+    };
+    assert_eq!(
+        run(4),
+        EngineStats {
+            events_fired: 32_181,
+            idle_skips: 32_181,
+            cycles_skipped: 64_743,
+            ticked_iterations: 135_257,
+        }
+    );
+    assert_eq!(
+        run(1),
+        EngineStats {
+            events_fired: 24_554,
+            idle_skips: 24_555,
+            cycles_skipped: 151_460,
+            ticked_iterations: 48_540,
+        }
+    );
+}

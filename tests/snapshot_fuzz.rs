@@ -405,3 +405,66 @@ fn an_access_waiting_on_a_bus_that_will_never_serve_it_is_corrupt() {
         Err(e) => panic!("expected SnapshotCorrupt, got {e:?}"),
     }
 }
+
+/// A `cpu<i>` section is well formed on its own, so one lifted from
+/// another image of the same run passes every field check. Spliced over
+/// a port that disagrees with it, a processor waiting on memory would
+/// wait forever on a port with no access, and a computing one would
+/// panic at its next issue on a port still holding one. Every ordered
+/// pair of images of a 2-CPU run, saved every 7 cycles, swaps one
+/// processor's section: the load must be `SnapshotCorrupt`, or the
+/// machine must run on with both processors issuing again.
+#[test]
+fn a_processor_spliced_over_a_port_that_disagrees_is_corrupt() {
+    let build = || FireflyBuilder::microvax(2).seed(6).build();
+    let mut m = build();
+    let images: Vec<Sections> = (0..24)
+        .map(|_| {
+            m.run(7);
+            sections(&m.save_snapshot().unwrap())
+        })
+        .collect();
+    let (mut rejected, mut ran) = (0, 0);
+    let mut twin = build();
+    for (h, host) in images.iter().enumerate() {
+        for (d, donor) in images.iter().enumerate().filter(|&(d, _)| d != h) {
+            let name = format!("cpu{}", (h + d) % 2);
+            let mut spliced = host.clone();
+            let section = donor.iter().find(|(n, _)| *n == name).unwrap().1.clone();
+            spliced.iter_mut().find(|(n, _)| *n == name).unwrap().1 = section;
+            let run =
+                catch_unwind(AssertUnwindSafe(|| match twin.load_snapshot(&rebuild(&spliced)) {
+                    Ok(()) => {
+                        let before: Vec<u64> =
+                            twin.processors().iter().map(|p| p.stats().board_refs()).collect();
+                        twin.run(2_000);
+                        let stuck = twin
+                            .processors()
+                            .iter()
+                            .zip(&before)
+                            .any(|(p, &b)| p.stats().board_refs() == b);
+                        Ok(stuck)
+                    }
+                    Err(e) => Err(e),
+                }));
+            match run {
+                Ok(Ok(false)) => ran += 1,
+                Ok(Ok(true)) => {
+                    panic!("{name} of image {d} into image {h}: a processor never issued again")
+                }
+                Ok(Err(Error::SnapshotCorrupt(_))) => {
+                    rejected += 1;
+                    // A failed load leaves the processors half restored.
+                    twin = build();
+                }
+                Ok(Err(e)) => panic!(
+                    "{name} of image {d} into image {h}: expected SnapshotCorrupt, got {e:?}"
+                ),
+                Err(_) => {
+                    panic!("{name} of image {d} into image {h}: the spliced machine panicked")
+                }
+            }
+        }
+    }
+    assert!(rejected > 0 && ran > 0, "{rejected} splices rejected, {ran} ran");
+}
