@@ -198,12 +198,19 @@ for golden in "$golden_dir"/paper/*.txt; do
     fi
 done
 
-step "examples: all nine run to completion"
+step "examples: all nine run to completion, stdout == golden"
 # Run every example so its paths execute in CI, not just compile
 # (protocol_trace and trace_timeline render Figure 4 and the event
-# timeline from the event ring). About 1 s together.
+# timeline from the event ring; io_system, window_system and
+# display_bitblt tick the I/O system's devices directly), and diff what
+# each prints against crates/bench/tests/golden/examples/<name>.txt.
+# About 1 s together.
 for example in examples/*.rs; do
-    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+    name="$(basename "$example" .rs)"
+    if ! cargo run --release -q --example "$name" | diff "$golden_dir/examples/$name.txt" - >&2; then
+        echo "example $name's output differs from $golden_dir/examples/$name.txt" >&2
+        exit 1
+    fi
 done
 
 echo "ci.sh: all checks passed"

@@ -34,6 +34,8 @@
 //! * [`system`] — the composition: N caches snooping one bus in front of
 //!   main memory, stepped one bus cycle at a time, with processor- and
 //!   DMA-side ports.
+//! * [`agent`] — what a driver needs of each owner of ports (a
+//!   processor, the I/O system, the Topaz CPU set) to advance it.
 //! * [`refsim`] — a fast reference-level (untimed) protocol simulator in the
 //!   style of Archibald & Baer, for wide protocol-comparison sweeps.
 //! * [`check`] — a coherence invariant checker used by the property tests.
@@ -84,6 +86,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod addr;
+pub mod agent;
 pub mod arbiter;
 pub mod bus;
 pub mod cache;

@@ -1313,6 +1313,11 @@ impl MemSystem {
         std::mem::take(&mut self.ipi_pending[port.index()])
     }
 
+    /// Whether `port` has an interprocessor interrupt waiting to be taken.
+    pub fn has_interrupt(&self, port: PortId) -> bool {
+        self.ipi_pending[port.index()]
+    }
+
     /// Interprocessor interrupts posted so far.
     pub fn interrupts_sent(&self) -> u64 {
         self.ipi_sent

@@ -13,7 +13,8 @@
 //! * [`processor`] — the cycle-driven processor: executes a reference
 //!   stream against a [`firefly_core::system::MemSystem`] port,
 //!   interleaving computed think-time so that the no-wait-state TPI
-//!   emerges exactly.
+//!   emerges exactly — and the two drivers, ticked and event-driven,
+//!   that advance every machine's [`Agent`]s.
 //! * [`prefetch`] — the instruction prefetcher, the mechanism §5.3 uses
 //!   to explain why the measured reference rate (1350 K/s) exceeded the
 //!   simulated expectation (850 K/s).
@@ -29,6 +30,7 @@ pub mod prefetch;
 pub mod processor;
 
 pub use config::CpuConfig;
+pub use firefly_core::agent::Agent;
 pub use icache::ICache;
 pub use prefetch::PrefetchConfig;
-pub use processor::{CpuStats, Processor};
+pub use processor::{CpuStats, EngineMode, Processor};

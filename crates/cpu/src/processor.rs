@@ -9,10 +9,12 @@
 //! it down exactly as the hardware would be slowed.
 //!
 //! The driver contract: call [`Processor::tick`] once, for every
-//! processor, per [`MemSystem::step`] — the [`drive`] helper does this.
+//! processor, per [`MemSystem::step`] — the [`drive`] helper does this
+//! for any set of [`Agent`]s.
 
 use crate::config::CpuConfig;
 use crate::icache::ICache;
+use firefly_core::agent::Agent;
 use firefly_core::snapshot::{Snap, SnapReader, SnapWriter};
 use firefly_core::system::{MemSystem, Request};
 use firefly_core::{Addr, Error, PortId};
@@ -20,6 +22,7 @@ use firefly_trace::{MemRef, RefKind, RefStream};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::ops::Range;
 
 firefly_core::counters! {
     /// Counters kept by each processor.
@@ -302,18 +305,33 @@ impl Processor {
     pub fn waits_on_memory(&self) -> bool {
         matches!(self.state, State::WaitingMem { .. })
     }
+}
 
-    /// The first cycle at or after `from` whose [`tick`](Processor::tick)
-    /// is more than counter bookkeeping (an issue, a poll that succeeds,
-    /// an RNG draw), for a processor whose counters are settled to `from`;
-    /// `u64::MAX` while the access waits on the bus, whose completion
-    /// cycle the memory system has not yet fixed.
-    ///
+/// A processor owns its one port and is frozen once that port is offline.
+/// The methods are `#[inline]` so that a driver instantiated in another
+/// crate inlines them as it did when the driver took processors only.
+impl Agent for Processor {
+    #[inline]
+    fn ports(&self) -> Range<usize> {
+        self.port.index()..self.port.index() + 1
+    }
+
+    #[inline]
+    fn frozen(&self, sys: &MemSystem) -> bool {
+        !sys.is_online(self.port)
+    }
+
+    #[inline]
+    fn tick(&mut self, sys: &mut MemSystem) {
+        Processor::tick(self, sys);
+    }
+
     /// Computing: every tick with `cycles_left > 0` only decrements, and
     /// the issue happens on the tick after it reaches zero. Waiting on
     /// memory: the first successful poll is at the access's local
     /// completion cycle. A probe stall can still move that completion
     /// later; a tick at the earlier cycle is then a pure wait tick.
+    #[inline]
     fn wake(&self, from: u64, sys: &MemSystem) -> u64 {
         match self.state {
             State::Computing { cycles_left } => from.saturating_add(cycles_left),
@@ -323,22 +341,8 @@ impl Processor {
         }
     }
 
-    /// How many consecutive [`tick`](Processor::tick)s from now are pure
-    /// bookkeeping — counter increments with no issue, no poll success,
-    /// no RNG draw. Zero while the access waits on the bus: its
-    /// completion cycle is not yet known.
-    pub fn idle_cycles(&self, sys: &MemSystem) -> u64 {
-        let now = sys.cycle();
-        match self.wake(now, sys) {
-            u64::MAX => 0,
-            wake => wake - now,
-        }
-    }
-
-    /// Credits `n` pure-bookkeeping [`tick`](Processor::tick)s in one add:
-    /// exactly their state change. `n` must not pass the processor's
-    /// [`wake`](Processor::wake) cycle.
-    fn advance_idle(&mut self, n: u64) {
+    #[inline]
+    fn advance_idle(&mut self, n: u64, _sys: &MemSystem) {
         self.stats.cycles += n;
         match &mut self.state {
             State::Computing { cycles_left } => *cycles_left -= n,
@@ -437,18 +441,49 @@ impl fmt::Debug for Processor {
     }
 }
 
-/// Runs `processors` against `sys` for `cycles` bus cycles.
+/// Which driver advances a machine. Both produce **bit-identical**
+/// results — statistics, event traces, latency histograms, snapshot
+/// bytes — on every protocol and for every kind of agent; the
+/// differential suite (`tests/engine_equivalence.rs`) holds them to it.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, serde::Serialize)]
+pub enum EngineMode {
+    /// The discrete-event engine ([`drive_events`]): each cycle ticks
+    /// only the agents with something to do, and idle spans are skipped
+    /// in one jump. The default.
+    #[default]
+    EventDriven,
+    /// The cycle-by-cycle engine ([`drive`]), kept as the reference
+    /// implementation the event engine is tested against.
+    Ticked,
+}
+
+impl EngineMode {
+    /// Runs `agents` against `sys` for `cycles` bus cycles on this
+    /// engine, returning the event engine's counters (all zero when
+    /// ticked).
+    pub fn run<A: Agent>(self, agents: &mut [A], sys: &mut MemSystem, cycles: u64) -> EngineStats {
+        match self {
+            EngineMode::EventDriven => drive_events(agents, sys, cycles),
+            EngineMode::Ticked => {
+                drive(agents, sys, cycles);
+                EngineStats::default()
+            }
+        }
+    }
+}
+
+/// Runs `agents` against `sys` for `cycles` bus cycles.
 ///
-/// The canonical driver loop and the reference engine: each processor
-/// ticks once, then the memory system steps once. Processors whose port
-/// has been machine-checked offline ([`MemSystem::offline_cpu`]) are
-/// frozen rather than ticked, so an N-CPU run degrades to N−1 instead of
-/// aborting.
-pub fn drive(processors: &mut [Processor], sys: &mut MemSystem, cycles: u64) {
+/// The canonical driver loop and the reference engine: each agent ticks
+/// once, in slice order, then the memory system steps once. Frozen agents
+/// (processors whose port has been machine-checked offline,
+/// [`MemSystem::offline_cpu`]) are skipped, so an N-CPU run degrades to
+/// N−1 instead of aborting.
+pub fn drive<A: Agent>(agents: &mut [A], sys: &mut MemSystem, cycles: u64) {
     for _ in 0..cycles {
-        for p in processors.iter_mut() {
-            if sys.is_online(p.port()) {
-                p.tick(sys);
+        for a in agents.iter_mut() {
+            if !a.frozen(sys) {
+                a.tick(sys);
             }
         }
         sys.step();
@@ -481,81 +516,77 @@ impl EngineStats {
     }
 }
 
-/// Where one driven processor's counters stand and when it next needs a
-/// real tick.
+/// Where one driven agent's counters stand and when it next needs a real
+/// tick.
 #[derive(Copy, Clone)]
 struct Clock {
     /// Every tick before this cycle has been applied or credited.
     settled: u64,
-    /// The processor's [`wake`](Processor::wake) cycle.
+    /// The agent's [`wake`](Agent::wake) cycle.
     wake: u64,
 }
 
 impl Clock {
-    /// A processor whose port is offline: never ticked, never credited.
+    /// A frozen agent: never ticked, never credited.
     const FROZEN: Clock = Clock { settled: u64::MAX, wake: u64::MAX };
 }
 
 /// The event-driven form of [`drive`]: bit-identical results (counters,
-/// traces, histograms, snapshots), but a cycle costs only the
-/// processors that do something in it.
+/// traces, histograms, snapshots), but a cycle costs only the agents
+/// that do something in it.
 ///
-/// Each driven processor has a clock: the cycle its counters are
-/// settled to, and its wake cycle — the first cycle whose tick is more
-/// than counter bookkeeping. A computing processor wakes when its
-/// compute gap ends, a processor with a known local completion wakes at
-/// that cycle, and a processor waiting on the bus sleeps until the
-/// memory system reports its completion ([`MemSystem::take_notified`],
-/// drained after every step). Each cycle the processors due in it tick,
+/// Each driven agent has a clock: the cycle its counters are settled to,
+/// and its wake cycle — the first cycle whose tick is more than
+/// bookkeeping. A computing processor wakes when its compute gap ends, an
+/// agent with a known local completion wakes at that cycle, and an agent
+/// waiting on the bus sleeps until the memory system reports its
+/// completion ([`MemSystem::take_notified`], drained after every step,
+/// naming a port the agent owns). Each cycle the agents due in it tick,
 /// in slice order, before the step; each is first credited its skipped
-/// pure ticks in one add. A tick changes only its own processor's wake
-/// cycle, and a step changes a sleeper's only through a notification or
-/// a probe stall, which moves a completion later: a processor woken
-/// early ticks a pure wait tick and sleeps again.
+/// pure ticks in one add. A tick changes only its own agent's wake cycle,
+/// and a step changes a sleeper's only through a notification or a probe
+/// stall, which moves a completion later: an agent woken early ticks a
+/// pure wait tick and sleeps again.
 ///
-/// When no processor is due before a later cycle and the memory system
-/// is idle ([`MemSystem::is_idle`]), the driver jumps to the earliest
-/// wake-up in one [`MemSystem::advance_idle`]. A cycle whose due
-/// processors leave the memory system idle folds its own step into that
-/// jump: an idle step only moves the cycle counters, which the jump
-/// moves too. It is still counted as one stepped iteration plus, when
-/// the jump passes the next cycle, one idle skip, as if stepped and
-/// then skipped. A port that goes offline is settled at that cycle and
-/// frozen; every other processor is settled to the horizon when the call
-/// returns.
+/// When no agent is due before a later cycle and the memory system is
+/// idle ([`MemSystem::is_idle`]), the driver jumps to the earliest
+/// wake-up in one [`MemSystem::advance_idle`]. A cycle whose due agents
+/// leave the memory system idle folds its own step into that jump: an
+/// idle step only moves the cycle counters, which the jump moves too. It
+/// is still counted as one stepped iteration plus, when the jump passes
+/// the next cycle, one idle skip, as if stepped and then skipped. A
+/// frozen agent is settled at the cycle its port went offline; every
+/// other agent is settled to the horizon when the call returns.
 ///
 /// Clocks are rebuilt from machine state on every call, so a checkpoint
-/// needs no scheduler section.
-///
-/// # Panics
-///
-/// Panics unless `processors` drives every port of `sys`: a port driven
-/// by other code (a DMA engine, say) would have its completions skipped
-/// past. Machines with I/O attached run on [`drive`].
-pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u64) -> EngineStats {
+/// needs no scheduler section, and agents may be changed between calls
+/// (threads spawned, devices handed work, interrupts posted).
+pub fn drive_events<A: Agent>(agents: &mut [A], sys: &mut MemSystem, cycles: u64) -> EngineStats {
     let mut stats = EngineStats::default();
     let Some(end) = sys.cycle().checked_add(cycles) else {
         // Absurd horizon (would overflow the cycle counter): the ticked
         // loop would panic on the wrap too, so just tick.
-        drive(processors, sys, cycles);
+        drive(agents, sys, cycles);
         return stats;
     };
     let start = sys.cycle();
-    // Slice position of each port's processor; `usize::MAX` marks none.
-    let mut slot = vec![usize::MAX; sys.config().ports()];
-    for (i, p) in processors.iter().enumerate() {
-        if let Some(s) = slot.get_mut(p.port().index()) {
-            *s = i;
+    // Slice position of each port's agent.
+    let mut slot = vec![None; sys.config().ports()];
+    for (i, a) in agents.iter().enumerate() {
+        for port in a.ports() {
+            if let Some(s) = slot.get_mut(port) {
+                debug_assert!(s.is_none(), "port {port} has two agents");
+                *s = Some(i);
+            }
         }
     }
-    assert!(!slot.contains(&usize::MAX), "drive_events needs a processor on every port");
-    let mut clocks: Vec<Clock> = processors
+    let mut clocks: Vec<Clock> = agents
         .iter()
-        .map(|p| {
-            if sys.is_online(p.port()) {
-                Clock { settled: start, wake: p.wake(start, sys) }
-            } else {
+        .map(|a| {
+            if a.frozen(sys) {
                 Clock::FROZEN
+            } else {
+                Clock { settled: start, wake: a.wake(start, sys) }
             }
         })
         .collect();
@@ -582,12 +613,12 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
         }
         let mut changed = false;
         if next <= now {
-            for (p, c) in processors.iter_mut().zip(&mut clocks) {
+            for (a, c) in agents.iter_mut().zip(&mut clocks) {
                 if c.wake <= now {
-                    p.advance_idle(now - c.settled);
-                    p.tick(sys);
+                    a.advance_idle(now - c.settled, sys);
+                    a.tick(sys);
                     c.settled = now + 1;
-                    c.wake = p.wake(now + 1, sys);
+                    c.wake = a.wake(now + 1, sys);
                     changed = true;
                 }
             }
@@ -600,14 +631,14 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
             sys.step();
         }
         while let Some(port) = sys.take_notified() {
-            let i = slot[port.index()];
+            let Some(i) = slot[port.index()] else { continue };
             let c = &mut clocks[i];
-            if sys.is_online(port) {
-                c.wake = processors[i].wake(c.settled, sys);
+            if !agents[i].frozen(sys) {
+                c.wake = agents[i].wake(c.settled, sys);
             } else if c.settled != u64::MAX {
                 // Offline from the cycle just stepped on: its tick at the
                 // cycle before was the last.
-                processors[i].advance_idle(now + 1 - c.settled);
+                agents[i].advance_idle(now + 1 - c.settled, sys);
                 *c = Clock::FROZEN;
             }
             changed = true;
@@ -624,9 +655,9 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
             }
         }
     }
-    for (p, c) in processors.iter_mut().zip(&clocks) {
+    for (a, c) in agents.iter_mut().zip(&clocks) {
         if c.settled < end {
-            p.advance_idle(end - c.settled);
+            a.advance_idle(end - c.settled, sys);
         }
     }
     stats

@@ -246,6 +246,26 @@ impl Deqna {
         }
     }
 
+    /// The first cycle from `from` on that its tick, or while the DMA
+    /// engine is `dma_idle` its [`wants_dma`](Deqna::wants_dma), acts.
+    pub(crate) fn wake(&self, from: u64, dma_idle: bool) -> u64 {
+        match (&self.rx, &self.tx) {
+            (RxState::Idle, _) if !self.rx_pending.is_empty() => from,
+            (RxState::Storing { .. }, _) if dma_idle => from,
+            (_, TxState::Sending { cycles, .. }) => from + cycles.saturating_sub(1),
+            (_, TxState::Idle) if dma_idle && self.started && !self.tx_queue.is_empty() => from,
+            (_, TxState::Fetching { .. }) if dma_idle => from,
+            _ => u64::MAX,
+        }
+    }
+
+    /// Credits `n` ticks before [`wake`](Deqna::wake).
+    pub(crate) fn advance_idle(&mut self, n: u64) {
+        if let TxState::Sending { cycles, .. } = &mut self.tx {
+            *cycles -= n;
+        }
+    }
+
     /// The next DMA word the controller wants, if any.
     pub fn wants_dma(&mut self) -> Option<DmaOp> {
         // Receive storing takes priority (the wire does not wait).
@@ -342,14 +362,7 @@ mod tests {
     fn run(d: &mut Deqna, mut mem: impl FnMut(&DmaOp) -> u32, cycles: u64) {
         for _ in 0..cycles {
             if let Some(op) = d.wants_dma() {
-                let value = mem(&op);
-                let done = match op {
-                    DmaOp::Read { addr, tag } => DmaCompletion { addr, value, was_read: true, tag },
-                    DmaOp::Write { addr, value, tag } => {
-                        DmaCompletion { addr, value, was_read: false, tag }
-                    }
-                };
-                d.on_completion(done);
+                d.on_completion(op.complete(mem(&op)));
             }
             d.tick();
         }
@@ -379,15 +392,7 @@ mod tests {
         let mut cycles = 0u64;
         while d.stats().tx_packets == 0 {
             if let Some(op) = d.wants_dma() {
-                let done = match op {
-                    DmaOp::Read { addr, tag } => {
-                        DmaCompletion { addr, value: 0, was_read: true, tag }
-                    }
-                    DmaOp::Write { addr, value, tag } => {
-                        DmaCompletion { addr, value, was_read: false, tag }
-                    }
-                };
-                d.on_completion(done);
+                d.on_completion(op.complete(0));
             }
             d.tick();
             cycles += 1;

@@ -61,6 +61,19 @@ pub enum DmaOp {
     },
 }
 
+impl DmaOp {
+    /// The operation's completion: a read returns `read`, a write its
+    /// own value.
+    pub fn complete(self, read: u32) -> DmaCompletion {
+        match self {
+            DmaOp::Read { addr, tag } => DmaCompletion { addr, value: read, was_read: true, tag },
+            DmaOp::Write { addr, value, tag } => {
+                DmaCompletion { addr, value, was_read: false, tag }
+            }
+        }
+    }
+}
+
 /// A completed DMA word operation.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct DmaCompletion {
@@ -81,7 +94,7 @@ pub struct DmaCompletion {
 /// (so they traverse the I/O processor's snoopy cache without
 /// allocating).
 pub struct DmaEngine {
-    port: PortId,
+    pub(crate) port: PortId,
     queue: VecDeque<DmaOp>,
     cycles_per_word: u64,
     countdown: u64,
@@ -265,17 +278,11 @@ impl DmaEngine {
                     self.in_flight = None;
                     self.age = 0;
                     self.wd_attempts = 0;
-                    let done = match op {
-                        DmaOp::Read { addr, tag } => {
-                            self.words_read += 1;
-                            DmaCompletion { addr, value: result.value, was_read: true, tag }
-                        }
-                        DmaOp::Write { addr, value, tag } => {
-                            self.words_written += 1;
-                            DmaCompletion { addr, value, was_read: false, tag }
-                        }
-                    };
-                    return Some(done);
+                    match op {
+                        DmaOp::Read { .. } => self.words_read += 1,
+                        DmaOp::Write { .. } => self.words_written += 1,
+                    }
+                    return Some(op.complete(result.value));
                 }
             }
             self.age += 1;
@@ -314,6 +321,36 @@ impl DmaEngine {
             self.countdown = self.cycles_per_word;
         }
         None
+    }
+
+    /// The first cycle from `from` on that its tick acts: a poll that
+    /// succeeds, a watchdog trip, or an issue once the pacing runs out.
+    pub(crate) fn wake(&self, from: u64, sys: &MemSystem) -> u64 {
+        let completion = sys.completion_cycle(self.port).map_or(u64::MAX, |at| at.max(from));
+        if self.discard {
+            return completion;
+        }
+        match self.in_flight {
+            Some(_) => {
+                let done = if self.wedged { u64::MAX } else { completion };
+                let trip = self.watchdog.map_or(u64::MAX, |budget| {
+                    from.saturating_add(
+                        (budget << self.wd_attempts.min(6)).saturating_sub(self.age),
+                    )
+                });
+                done.min(trip)
+            }
+            None if !self.queue.is_empty() => from + self.countdown.saturating_sub(1),
+            None => u64::MAX,
+        }
+    }
+
+    /// Credits `n` ticks before [`wake`](DmaEngine::wake).
+    pub(crate) fn advance_idle(&mut self, n: u64) {
+        self.countdown = self.countdown.saturating_sub(n);
+        if self.in_flight.is_some() {
+            self.age += n;
+        }
     }
 
     /// Fires the watchdog when the in-flight word has outlived its

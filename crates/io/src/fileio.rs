@@ -9,7 +9,6 @@
 //! drive streaming. Symmetrically, write-behind lets the writer run
 //! ahead of the medium until the buffer fills.
 
-use crate::dma::DmaCompletion;
 use crate::rqdx3::{DiskRequest, Rqdx3};
 use firefly_core::Addr;
 use serde::{Deserialize, Serialize};
@@ -73,15 +72,7 @@ pub fn stream_read(
 
         // Drive the disk (standalone DMA: complete words immediately).
         if let Some(op) = disk.wants_dma() {
-            let done = match op {
-                crate::dma::DmaOp::Read { addr, tag } => {
-                    DmaCompletion { addr, value: 0, was_read: true, tag }
-                }
-                crate::dma::DmaOp::Write { addr, value, tag } => {
-                    DmaCompletion { addr, value, was_read: false, tag }
-                }
-            };
-            disk.on_completion(done);
+            disk.on_completion(op.complete(0));
         }
         disk.tick();
         if disk.take_interrupt() {
@@ -195,7 +186,6 @@ impl fmt::Display for StreamRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dma::DmaOp;
 
     /// §6: read-ahead pays — deeper windows stream faster.
     #[test]
@@ -242,15 +232,7 @@ mod tests {
         while !buf.write(8) {
             buf.drain(&mut disk);
             if let Some(op) = disk.wants_dma() {
-                let done = match op {
-                    DmaOp::Read { addr, tag } => {
-                        DmaCompletion { addr, value: 7, was_read: true, tag }
-                    }
-                    DmaOp::Write { addr, value, tag } => {
-                        DmaCompletion { addr, value, was_read: false, tag }
-                    }
-                };
-                disk.on_completion(done);
+                disk.on_completion(op.complete(7));
             }
             disk.tick();
             cycles += 1;
@@ -262,15 +244,7 @@ mod tests {
         while buf.depth() > 0 || disk.is_busy() {
             buf.drain(&mut disk);
             if let Some(op) = disk.wants_dma() {
-                let done = match op {
-                    DmaOp::Read { addr, tag } => {
-                        DmaCompletion { addr, value: 7, was_read: true, tag }
-                    }
-                    DmaOp::Write { addr, value, tag } => {
-                        DmaCompletion { addr, value, was_read: false, tag }
-                    }
-                };
-                disk.on_completion(done);
+                disk.on_completion(op.complete(7));
             }
             disk.tick();
             cycles += 1;

@@ -12,11 +12,13 @@ use crate::dma::{DmaEngine, DmaOp};
 use crate::mdc::Mdc;
 use crate::qbus::QBus;
 use crate::rqdx3::Rqdx3;
+use firefly_core::agent::Agent;
 use firefly_core::fault::FaultConfig;
 use firefly_core::stats::FaultStats;
 use firefly_core::system::MemSystem;
-use firefly_core::Error;
+use firefly_core::{Error, PortId};
 use std::fmt;
+use std::ops::Range;
 
 /// Which device a tagged DMA word belongs to.
 const DEV_MDC: u32 = 1 << 28;
@@ -68,12 +70,12 @@ const IO_CPU_PORT: usize = 0;
 impl IoSystem {
     /// A full complement of devices with default settings, DMA on port 0.
     pub fn new() -> Self {
-        IoSystem::on_port(firefly_core::PortId::new(0))
+        IoSystem::on_port(PortId::new(0))
     }
 
     /// A full complement of devices with DMA on an explicit port (see
     /// [`DmaEngine::on_port`]).
-    pub fn on_port(port: firefly_core::PortId) -> Self {
+    pub fn on_port(port: PortId) -> Self {
         IoSystem {
             qbus: QBus::new(),
             dma: DmaEngine::on_port(port, crate::dma::DEFAULT_CYCLES_PER_WORD),
@@ -192,7 +194,7 @@ impl IoSystem {
         // coded directly in the I/O processor's interprocessor interrupt
         // service routine" (§3, footnote 2). Any processor can
         // `post_interrupt` the I/O processor to start a transmit.
-        if sys.take_interrupt(firefly_core::PortId::new(IO_CPU_PORT)) {
+        if sys.take_interrupt(PortId::new(IO_CPU_PORT)) {
             self.deqna.kick();
         }
 
@@ -242,6 +244,49 @@ impl IoSystem {
         self.disk.tick();
         for d in &mut self.extra_displays {
             d.tick();
+        }
+    }
+}
+
+/// The I/O system is the agent on its DMA port. Nothing freezes it: it
+/// keeps ticking whatever becomes of that port.
+impl Agent for IoSystem {
+    fn ports(&self) -> Range<usize> {
+        let port = self.dma.port.index();
+        port..port + 1
+    }
+
+    fn tick(&mut self, sys: &mut MemSystem) {
+        IoSystem::tick(self, sys);
+    }
+
+    /// The earliest of its parts' wakes. A device's wish for a DMA word
+    /// counts only while the engine is idle: a busy engine next takes one
+    /// on a tick that is its own wake.
+    fn wake(&self, from: u64, sys: &MemSystem) -> u64 {
+        if sys.has_interrupt(PortId::new(IO_CPU_PORT)) {
+            return from;
+        }
+        let idle = self.dma.is_idle();
+        let displays = std::iter::once(&self.mdc).chain(&self.extra_displays);
+        displays
+            .map(|d| d.wake(from, idle))
+            .chain([
+                self.dma.wake(from, sys),
+                self.deqna.wake(from, idle),
+                self.disk.wake(from, idle),
+            ])
+            .min()
+            .expect("the system has devices")
+    }
+
+    fn advance_idle(&mut self, n: u64, _sys: &MemSystem) {
+        self.dma.advance_idle(n);
+        self.mdc.advance_idle(n);
+        self.deqna.advance_idle(n);
+        self.disk.advance_idle(n);
+        for d in &mut self.extra_displays {
+            d.advance_idle(n);
         }
     }
 }

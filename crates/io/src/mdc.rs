@@ -241,6 +241,29 @@ impl Mdc {
         }
     }
 
+    /// The first cycle from `from` on that its tick, or while the DMA
+    /// engine is `dma_idle` its [`wants_dma`](Mdc::wants_dma), acts.
+    pub(crate) fn wake(&self, from: u64, dma_idle: bool) -> u64 {
+        let state = match self.state {
+            _ if dma_idle && !self.deposit_queue.is_empty() => from,
+            State::Idle { poll_in } if dma_idle => from + poll_in,
+            State::ReadingCmd { .. } | State::ReadingText { .. } if dma_idle => from,
+            State::Busy { cycles } => from + cycles.saturating_sub(1),
+            _ => u64::MAX,
+        };
+        state.min(from + self.deposit_in)
+    }
+
+    /// Credits `n` ticks before [`wake`](Mdc::wake).
+    pub(crate) fn advance_idle(&mut self, n: u64) {
+        self.deposit_in -= n;
+        match &mut self.state {
+            State::Idle { poll_in } => *poll_in = poll_in.saturating_sub(n),
+            State::Busy { cycles } => *cycles -= n,
+            _ => {}
+        }
+    }
+
     fn queue_deposit(&mut self) {
         self.stats.deposits += 1;
         let base = self.deposit_base;
@@ -434,14 +457,7 @@ mod tests {
     fn run_standalone(mdc: &mut Mdc, mut mem: impl FnMut(&DmaOp) -> u32, cycles: u64) {
         for _ in 0..cycles {
             if let Some(op) = mdc.wants_dma() {
-                let value = mem(&op);
-                let done = match op {
-                    DmaOp::Read { addr, tag } => DmaCompletion { addr, value, was_read: true, tag },
-                    DmaOp::Write { addr, value, tag } => {
-                        DmaCompletion { addr, value, was_read: false, tag }
-                    }
-                };
-                mdc.on_completion(done);
+                mdc.on_completion(op.complete(mem(&op)));
             }
             mdc.tick();
         }
@@ -539,14 +555,7 @@ mod tests {
         let mut cycles = 0u64;
         loop {
             if let Some(op) = mdc.wants_dma() {
-                let value = mem(&op);
-                let done = match op {
-                    DmaOp::Read { addr, tag } => DmaCompletion { addr, value, was_read: true, tag },
-                    DmaOp::Write { addr, value, tag } => {
-                        DmaCompletion { addr, value, was_read: false, tag }
-                    }
-                };
-                mdc.on_completion(done);
+                mdc.on_completion(op.complete(mem(&op)));
             }
             mdc.tick();
             cycles += 1;

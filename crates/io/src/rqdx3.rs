@@ -261,6 +261,24 @@ impl Rqdx3 {
         }
     }
 
+    /// The first cycle from `from` on that its tick, or while the DMA
+    /// engine is `dma_idle` its [`wants_dma`](Rqdx3::wants_dma), acts.
+    pub(crate) fn wake(&self, from: u64, dma_idle: bool) -> u64 {
+        match self.state {
+            DiskState::Idle if !self.queue.is_empty() => from,
+            DiskState::Seeking { cycles, .. } => from + cycles.saturating_sub(1),
+            DiskState::Transferring { .. } if dma_idle => from,
+            _ => u64::MAX,
+        }
+    }
+
+    /// Credits `n` ticks before [`wake`](Rqdx3::wake).
+    pub(crate) fn advance_idle(&mut self, n: u64) {
+        if let DiskState::Seeking { cycles, .. } = &mut self.state {
+            *cycles -= n;
+        }
+    }
+
     /// The next DMA word the controller wants, if any.
     pub fn wants_dma(&mut self) -> Option<DmaOp> {
         if let DiskState::Transferring { req, word, .. } = &self.state {
@@ -329,14 +347,7 @@ mod tests {
         let mut cycles = 0;
         for _ in 0..max {
             if let Some(op) = d.wants_dma() {
-                let value = mem(&op);
-                let done = match op {
-                    DmaOp::Read { addr, tag } => DmaCompletion { addr, value, was_read: true, tag },
-                    DmaOp::Write { addr, value, tag } => {
-                        DmaCompletion { addr, value, was_read: false, tag }
-                    }
-                };
-                d.on_completion(done);
+                d.on_completion(op.complete(mem(&op)));
             }
             d.tick();
             cycles += 1;

@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn redraw_paints_through_the_real_mdc() {
-        use crate::dma::{DmaCompletion, DmaOp};
+        use crate::dma::DmaOp;
         use crate::mdc::{Mdc, WQ_BASE};
 
         let mut t = Trestle::new();
@@ -452,14 +452,7 @@ mod tests {
         };
         for _ in 0..2_000_000 {
             if let Some(op) = mdc.wants_dma() {
-                let value = mem(&op);
-                let done = match op {
-                    DmaOp::Read { addr, tag } => DmaCompletion { addr, value, was_read: true, tag },
-                    DmaOp::Write { addr, value, tag } => {
-                        DmaCompletion { addr, value, was_read: false, tag }
-                    }
-                };
-                mdc.on_completion(done);
+                mdc.on_completion(op.complete(mem(&op)));
             }
             mdc.tick();
             if mdc.stats().commands >= total as u64 {

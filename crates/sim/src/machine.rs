@@ -8,8 +8,9 @@ use firefly_core::system::MemSystem;
 use firefly_core::{
     ArbiterKind, BusMode, CacheGeometry, Error, MachineVariant, PortId, ProtocolKind,
 };
-use firefly_cpu::processor::{drive, drive_events, EngineStats, Processor};
-use firefly_cpu::CpuConfig;
+use firefly_cpu::processor::{EngineStats, Processor};
+pub use firefly_cpu::EngineMode;
+use firefly_cpu::{Agent, CpuConfig};
 use firefly_io::IoSystem;
 use firefly_trace::{LocalityParams, MultiprogramWorkload, RefStream, SyntheticWorkload};
 use std::fmt;
@@ -37,24 +38,6 @@ impl Default for Workload {
     fn default() -> Self {
         Workload::Synthetic(LocalityParams::paper_calibrated())
     }
-}
-
-/// Which engine advances the machine. Both produce **bit-identical**
-/// results — statistics, event traces, latency histograms, snapshot
-/// bytes — on every protocol; the differential suite
-/// (`tests/engine_equivalence.rs`) holds them to it.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, serde::Serialize)]
-pub enum EngineMode {
-    /// The discrete-event engine
-    /// ([`firefly_cpu::processor::drive_events`]): each cycle ticks only
-    /// the processors with something to do, and idle spans are skipped
-    /// in one jump. The default.
-    #[default]
-    EventDriven,
-    /// The original cycle-by-cycle engine
-    /// ([`firefly_cpu::processor::drive`]), kept forever as the
-    /// reference implementation the event engine is tested against.
-    Ticked,
 }
 
 /// Builds [`Firefly`] machines.
@@ -338,40 +321,28 @@ impl Firefly {
 
     /// Accumulated host-side event-engine counters (wake-ups fired, idle
     /// spans skipped) across every [`run`](Self::run) so far. All zero
-    /// on the ticked engine or with I/O attached. These measure the
-    /// simulator, not the machine: they are excluded from snapshots and
-    /// never influence results.
+    /// on the ticked engine. These measure the simulator, not the
+    /// machine: they are excluded from snapshots and never influence
+    /// results.
     pub fn engine_stats(&self) -> EngineStats {
         self.engine_stats
     }
 
-    /// Runs the machine for `cycles` bus cycles. Processors whose port
-    /// has been machine-checked offline are frozen rather than ticked,
-    /// so a degraded machine keeps running on the survivors.
-    ///
-    /// With I/O attached the machine always runs cycle-by-cycle: the DMA
-    /// engine's pacing countdown and device watchdogs are per-cycle
-    /// state, so there are no skippable idle spans to exploit.
+    /// Runs the machine for `cycles` bus cycles on its engine. Processors
+    /// whose port has been machine-checked offline are frozen rather than
+    /// ticked, so a degraded machine keeps running on the survivors. An
+    /// attached I/O system is the last agent in each cycle, after the
+    /// processors.
     pub fn run(&mut self, cycles: u64) {
-        match &mut self.io {
-            None => match self.engine {
-                EngineMode::EventDriven => {
-                    self.engine_stats += drive_events(&mut self.processors, &mut self.sys, cycles);
-                }
-                EngineMode::Ticked => drive(&mut self.processors, &mut self.sys, cycles),
-            },
+        self.engine_stats += match &mut self.io {
+            None => self.engine.run(&mut self.processors, &mut self.sys, cycles),
             Some(io) => {
-                for _ in 0..cycles {
-                    for p in self.processors.iter_mut() {
-                        if self.sys.is_online(p.port()) {
-                            p.tick(&mut self.sys);
-                        }
-                    }
-                    io.tick(&mut self.sys);
-                    self.sys.step();
-                }
+                let mut agents: Vec<&mut dyn Agent> =
+                    self.processors.iter_mut().map(|p| p as &mut dyn Agent).collect();
+                agents.push(io);
+                self.engine.run(&mut agents, &mut self.sys, cycles)
             }
-        }
+        };
     }
 
     /// Combined fault-injection and recovery counters: the memory

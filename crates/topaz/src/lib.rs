@@ -41,5 +41,5 @@ pub mod workloads;
 pub use exerciser::{ExerciserConfig, ExerciserReport};
 pub use ids::{CondId, MutexId, SemId, ThreadId};
 pub use program::{Script, ScriptId, ThreadOp};
-pub use runtime::{TopazConfig, TopazMachine, TopazStats};
+pub use runtime::{NoIo, TopazConfig, TopazMachine, TopazStats};
 pub use sched::MigrationPolicy;

@@ -14,16 +14,30 @@ use crate::ids::{CondId, MutexId, SemId, ThreadId};
 use crate::layout;
 use crate::program::{Script, ScriptId, ThreadOp};
 use crate::sched::{MigrationPolicy, Scheduler};
+use firefly_core::agent::Agent;
 use firefly_core::config::SystemConfig;
 use firefly_core::events::{Event, EventKind};
 use firefly_core::system::{MemSystem, Request};
 use firefly_core::{Addr, MachineVariant, PortId, ProtocolKind};
-use firefly_cpu::CpuConfig;
+use firefly_cpu::processor::EngineStats;
+use firefly_cpu::{CpuConfig, EngineMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
+
+/// Idle cycles before an `AvoidMigration` CPU steals a foreign thread.
+pub const STEAL_PATIENCE_CYCLES: u64 = 200;
+/// Instructions charged to every context switch (Nub dispatch path).
+pub const CONTEXT_SWITCH_INSTRUCTIONS: u32 = 40;
+/// Condition waits time out after this many cycles (models Topaz alerts;
+/// keeps exercisers deadlock-free).
+pub const WAIT_TIMEOUT_CYCLES: u64 = 20_000;
+/// Expired condition waits are swept on cycles that are multiples of
+/// this.
+const TIMEOUT_SWEEP_CYCLES: u64 = 64;
 
 /// Configuration of a Topaz machine.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -36,19 +50,10 @@ pub struct TopazConfig {
     pub protocol: ProtocolKind,
     /// Scheduler migration policy.
     pub migration: MigrationPolicy,
-    /// Idle cycles before an `AvoidMigration` CPU steals a foreign thread.
-    pub steal_patience_cycles: u64,
-    /// Instructions charged to every context switch (Nub dispatch path).
-    pub context_switch_instructions: u32,
-    /// Condition waits time out after this many cycles (models Topaz
-    /// alerts; keeps exercisers deadlock-free).
-    pub wait_timeout_cycles: u64,
     /// Size of the shared data buffer in words.
     pub shared_buffer_words: u32,
-    /// Extra MBus ports beyond the processors (e.g. one for a DMA
-    /// engine when an I/O system shares the machine — see
-    /// [`TopazMachine::step_with`]).
-    pub extra_ports: usize,
+    /// The driver that runs the machine (see [`EngineMode`]).
+    pub engine: EngineMode,
     /// Event-trace ring capacity (0 disables tracing). When enabled the
     /// memory system records structured bus/coherence/fault events and
     /// the runtime adds scheduler context switches; drain them with
@@ -66,11 +71,8 @@ impl TopazConfig {
             cpu: CpuConfig::microvax(),
             protocol: ProtocolKind::Firefly,
             migration: MigrationPolicy::AvoidMigration,
-            steal_patience_cycles: 200,
-            context_switch_instructions: 40,
-            wait_timeout_cycles: 20_000,
             shared_buffer_words: 2048,
-            extra_ports: 0,
+            engine: EngineMode::default(),
             trace_events: 0,
             seed: 0xf1ef,
         }
@@ -259,8 +261,11 @@ enum Commit {
 
 #[derive(Debug)]
 enum EngineState {
-    Idle,
-    Computing { cycles_left: u64 },
+    /// Computing until cycle `until`: earlier ticks only wait, the tick
+    /// at `until` moves on.
+    Computing {
+        until: u64,
+    },
     WaitingMem,
 }
 
@@ -276,8 +281,20 @@ struct Engine {
     gap_carry: f64,
 }
 
+impl Engine {
+    /// Queues back-to-back references to `word`, one per entry of
+    /// `writes` (true for a write), and the commit that follows them.
+    fn touch(&mut self, word: Addr, writes: &[bool], commit: Commit) {
+        for &write in writes {
+            self.refq.push_back(QueuedRef { addr: word, write, gap_before: 0 });
+        }
+        self.commit = commit;
+    }
+}
+
 /// A Topaz machine: processors, scheduler, threads, and the memory
-/// system underneath.
+/// system underneath, and, if built [`with_io`](TopazMachine::with_io),
+/// an I/O system `I` on its bus.
 ///
 /// # Examples
 ///
@@ -292,9 +309,40 @@ struct Engine {
 /// m.run(100_000);
 /// assert_eq!(m.stats().thread_exits, 1);
 /// ```
-pub struct TopazMachine {
-    cfg: TopazConfig,
+pub struct TopazMachine<I = NoIo> {
     sys: MemSystem,
+    cpus: CpuSet,
+    io: Option<I>,
+}
+
+/// The I/O system of a machine built without one: there is none.
+#[derive(Debug)]
+pub enum NoIo {}
+
+impl Agent for NoIo {
+    fn ports(&self) -> Range<usize> {
+        match *self {}
+    }
+
+    fn tick(&mut self, _sys: &mut MemSystem) {
+        match *self {}
+    }
+
+    fn wake(&self, _from: u64, _sys: &MemSystem) -> u64 {
+        match *self {}
+    }
+
+    fn advance_idle(&mut self, _n: u64, _sys: &MemSystem) {
+        match *self {}
+    }
+}
+
+/// The processors with their shared scheduler and threads: one agent of
+/// the drivers, owning ports `0..cpus`, because an engine's commit can
+/// make a thread runnable for another engine in the same cycle.
+#[derive(Debug)]
+struct CpuSet {
+    cfg: TopazConfig,
     engines: Vec<Engine>,
     sched: Scheduler,
     threads: Vec<Thread>,
@@ -303,6 +351,20 @@ pub struct TopazMachine {
     sems: Vec<Sem>,
     scripts: Vec<Script>,
     stats: TopazStats,
+    /// The first cycle at which an idle engine may dispatch or a timeout
+    /// sweep wakes a waiter, as of the last change to the ready queue or
+    /// the waiters ([`refresh`](CpuSet::refresh)): the part of the wake
+    /// cycle that crediting idle ticks leaves in place.
+    ready_wake: u64,
+    /// Whether a dispatch or a commit in this tick may have moved
+    /// `ready_wake`.
+    stale: bool,
+    /// The earliest wake among engines running a thread, as of the last
+    /// tick, but for those waiting on an access whose completion cycle
+    /// the bus had not yet fixed: bit `cpu` of `unfixed` (at most 16
+    /// ports).
+    busy_wake: u64,
+    unfixed: u32,
 }
 
 impl TopazMachine {
@@ -312,7 +374,25 @@ impl TopazMachine {
     ///
     /// Panics if the configuration is rejected by the memory system.
     pub fn new(cfg: TopazConfig) -> Self {
-        let ports = cfg.cpus + cfg.extra_ports;
+        TopazMachine::assemble(cfg, None)
+    }
+}
+
+impl<I: Agent> TopazMachine<I> {
+    /// Builds an empty machine whose I/O system, made by `attach` for its
+    /// DMA port (one more port after the processors), ticks after the
+    /// processors in every cycle — for example
+    /// `TopazMachine::with_io(cfg, IoSystem::on_port)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is rejected by the memory system.
+    pub fn with_io(cfg: TopazConfig, attach: impl FnOnce(PortId) -> I) -> Self {
+        TopazMachine::assemble(cfg, Some(attach(PortId::new(cfg.cpus))))
+    }
+
+    fn assemble(cfg: TopazConfig, io: Option<I>) -> Self {
+        let ports = cfg.cpus + usize::from(io.is_some());
         let sys_cfg = match cfg.cpu.variant {
             MachineVariant::MicroVax => SystemConfig::microvax(ports),
             MachineVariant::CVax => SystemConfig::cvax(ports),
@@ -323,16 +403,15 @@ impl TopazMachine {
             .map(|i| Engine {
                 port: PortId::new(i),
                 current: None,
-                state: EngineState::Idle,
+                state: EngineState::Computing { until: 0 },
                 refq: VecDeque::new(),
                 commit: Commit::Advance,
                 compute_left: 0,
                 gap_carry: 0.0,
             })
             .collect();
-        TopazMachine {
-            sched: Scheduler::new(cfg.cpus, cfg.migration, cfg.steal_patience_cycles),
-            sys,
+        let cpus = CpuSet {
+            sched: Scheduler::new(cfg.cpus, cfg.migration, STEAL_PATIENCE_CYCLES),
             engines,
             threads: Vec::new(),
             mutexes: Vec::new(),
@@ -340,8 +419,13 @@ impl TopazMachine {
             sems: Vec::new(),
             scripts: Vec::new(),
             stats: TopazStats::default(),
+            ready_wake: u64::MAX,
+            stale: false,
+            busy_wake: u64::MAX,
+            unfixed: 0,
             cfg,
-        }
+        };
+        TopazMachine { sys, cpus, io }
     }
 
     /// Forks a new thread running `script`. Threads can be spawned before
@@ -351,89 +435,47 @@ impl TopazMachine {
     ///
     /// Panics if the layout's thread limit is exceeded.
     pub fn spawn(&mut self, script: Script) -> ThreadId {
-        assert!(
-            self.threads.len() < layout::MAX_THREADS,
-            "the address-space layout supports at most {} threads",
-            layout::MAX_THREADS
-        );
-        let t = ThreadId::new(self.threads.len() as u32);
-        self.threads.push(Thread {
-            script,
-            pc: 0,
-            status: Status::Ready,
-            last_cpu: None,
-            gen: ThreadGen::new(t, self.cfg.seed),
-            blocked_since: 0,
-            live_children: 0,
-            parent: None,
-        });
-        self.sched.enqueue(t, None);
+        let t = self.cpus.add_thread(script, None);
+        self.cpus.refresh(self.sys.cycle());
         t
     }
 
     /// Registers a script so running threads can [`ThreadOp::Fork`] it.
     pub fn register_script(&mut self, script: Script) -> ScriptId {
-        self.scripts.push(script);
-        ScriptId(self.scripts.len() as u32 - 1)
+        self.cpus.scripts.push(script);
+        ScriptId(self.cpus.scripts.len() as u32 - 1)
     }
 
     /// Creates a mutex.
     pub fn create_mutex(&mut self) -> MutexId {
-        self.mutexes.push(Mutex::default());
-        MutexId::new(self.mutexes.len() as u32 - 1)
+        self.cpus.mutexes.push(Mutex::default());
+        MutexId::new(self.cpus.mutexes.len() as u32 - 1)
     }
 
     /// Creates a condition variable.
     pub fn create_cond(&mut self) -> CondId {
-        self.conds.push(Cond::default());
-        CondId::new(self.conds.len() as u32 - 1)
+        self.cpus.conds.push(Cond::default());
+        CondId::new(self.cpus.conds.len() as u32 - 1)
     }
 
     /// Creates a counting semaphore with an initial count.
     pub fn create_sem(&mut self, initial: u32) -> SemId {
-        self.sems.push(Sem { count: initial, waiters: VecDeque::new() });
-        SemId::new(self.sems.len() as u32 - 1)
+        self.cpus.sems.push(Sem { count: initial, waiters: VecDeque::new() });
+        SemId::new(self.cpus.sems.len() as u32 - 1)
     }
 
-    /// Runs the machine for `cycles` bus cycles.
-    pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
-        }
-    }
-
-    /// Advances the machine one bus cycle.
-    pub fn step(&mut self) {
-        self.step_with(&mut |_| {});
-    }
-
-    /// Advances one cycle, giving `hook` a chance to drive the memory
-    /// system between the processors' ticks and the bus step — the
-    /// integration point for an I/O system sharing the machine
-    /// (configure [`TopazConfig::extra_ports`] for its DMA port):
-    ///
-    /// ```
-    /// use firefly_topaz::{TopazConfig, TopazMachine, Script, ThreadOp};
-    /// # use firefly_io::IoSystem;
-    /// # use firefly_core::PortId;
-    /// let mut cfg = TopazConfig::microvax(2);
-    /// cfg.extra_ports = 1; // DMA rides port 2
-    /// let mut m = TopazMachine::new(cfg);
-    /// m.spawn(Script::new(vec![ThreadOp::Compute { instructions: 100 }, ThreadOp::Exit]));
-    /// let mut io = IoSystem::on_port(PortId::new(2));
-    /// for _ in 0..10_000 {
-    ///     m.step_with(&mut |sys| io.tick(sys));
-    /// }
-    /// assert!(m.all_exited());
-    /// ```
-    pub fn step_with(&mut self, hook: &mut dyn FnMut(&mut MemSystem)) {
-        for cpu in 0..self.engines.len() {
-            self.tick_engine(cpu);
-        }
-        hook(&mut self.sys);
-        self.sys.step();
-        if self.sys.cycle().is_multiple_of(64) {
-            self.sweep_timeouts();
+    /// Runs the machine for `cycles` bus cycles on its
+    /// [`engine`](TopazConfig::engine), the CPU set before the I/O system
+    /// in each cycle, and returns the event engine's counters for the
+    /// run.
+    pub fn run(&mut self, cycles: u64) -> EngineStats {
+        let engine = self.cpus.cfg.engine;
+        match &mut self.io {
+            None => engine.run(std::slice::from_mut(&mut self.cpus), &mut self.sys, cycles),
+            Some(io) => {
+                let mut agents: [&mut dyn Agent; 2] = [&mut self.cpus, io];
+                engine.run(&mut agents, &mut self.sys, cycles)
+            }
         }
     }
 
@@ -444,7 +486,7 @@ impl TopazMachine {
 
     /// Runtime counters.
     pub fn stats(&self) -> &TopazStats {
-        &self.stats
+        &self.cpus.stats
     }
 
     /// The memory system (for its Table 2 counters).
@@ -452,19 +494,35 @@ impl TopazMachine {
         &self.sys
     }
 
+    /// Mutable access to the memory system (e.g. to post an
+    /// interprocessor interrupt between runs).
+    pub fn memory_mut(&mut self) -> &mut MemSystem {
+        &mut self.sys
+    }
+
+    /// The I/O system, if attached.
+    pub fn io(&self) -> Option<&I> {
+        self.io.as_ref()
+    }
+
+    /// Mutable access to the I/O system, if attached.
+    pub fn io_mut(&mut self) -> Option<&mut I> {
+        self.io.as_mut()
+    }
+
     /// Whether thread `t` has exited.
     pub fn is_exited(&self, t: ThreadId) -> bool {
-        matches!(self.threads[t.index()].status, Status::Exited)
+        matches!(self.cpus.threads[t.index()].status, Status::Exited)
     }
 
     /// Whether every spawned thread has exited (join-all).
     pub fn all_exited(&self) -> bool {
-        self.threads.iter().all(|t| matches!(t.status, Status::Exited))
+        self.cpus.threads.iter().all(|t| matches!(t.status, Status::Exited))
     }
 
     /// Scheduler dispatch/migration counts.
     pub fn migrations(&self) -> u64 {
-        self.sched.migrations()
+        self.cpus.sched.migrations()
     }
 
     /// The structured trace events captured so far — bus, coherence,
@@ -479,18 +537,94 @@ impl TopazMachine {
     pub fn take_events(&mut self) -> Vec<Event> {
         self.sys.take_events()
     }
+}
 
-    // ---- engine internals -----------------------------------------------
+/// The CPU set ticks every engine in a cycle where one is due: an engine
+/// that is not due ticks a pure bookkeeping tick, and an idle one finds
+/// out only at its turn whether an earlier engine's commit has made a
+/// thread runnable for it.
+impl Agent for CpuSet {
+    fn ports(&self) -> Range<usize> {
+        0..self.engines.len()
+    }
 
-    fn tick_engine(&mut self, cpu: usize) {
+    fn tick(&mut self, sys: &mut MemSystem) {
+        let from = sys.cycle() + 1;
+        (self.busy_wake, self.unfixed) = (u64::MAX, 0);
+        for cpu in 0..self.engines.len() {
+            self.tick_engine(cpu, sys);
+            let e = &self.engines[cpu];
+            let wake = match (e.current, &e.state) {
+                (None, _) => u64::MAX,
+                (Some(_), EngineState::Computing { until }) => *until,
+                (Some(_), EngineState::WaitingMem) => match sys.completion_cycle(e.port) {
+                    Some(at) => at.max(from),
+                    None => {
+                        self.unfixed |= 1 << cpu;
+                        u64::MAX
+                    }
+                },
+            };
+            self.busy_wake = self.busy_wake.min(wake);
+        }
+        // The sweep that follows this cycle's step.
+        if (from.is_multiple_of(TIMEOUT_SWEEP_CYCLES) && self.sweep_timeouts(from)) || self.stale {
+            self.refresh(from);
+        }
+    }
+
+    /// Crediting idle ticks moves no engine's wake cycle, so only the
+    /// unfixed completions are looked up again.
+    fn wake(&self, from: u64, sys: &MemSystem) -> u64 {
+        let unfixed =
+            self.engines.iter().enumerate().filter(|&(cpu, _)| self.unfixed >> cpu & 1 == 1);
+        let fixed = unfixed.filter_map(|(_, e)| sys.completion_cycle(e.port));
+        fixed.fold(self.busy_wake.min(self.ready_wake), u64::min).max(from)
+    }
+
+    /// Only idle engines count their ticks; the others keep deadlines.
+    fn advance_idle(&mut self, n: u64, sys: &MemSystem) {
+        if n == 0 {
+            return;
+        }
+        for (cpu, e) in self.engines.iter().enumerate() {
+            if e.current.is_none() {
+                self.sched.note_idle_cycles(cpu, n);
+                self.stats.idle_cycles += n;
+            }
+        }
+        let now = sys.cycle();
+        if now.is_multiple_of(TIMEOUT_SWEEP_CYCLES) && self.sweep_timeouts(now) {
+            self.refresh(now);
+        }
+    }
+}
+
+impl CpuSet {
+    /// Recomputes [`ready_wake`](CpuSet::ready_wake) for a set settled to
+    /// `from`. Each condition queue holds its waiters in blocking order.
+    fn refresh(&mut self, from: u64) {
+        let idle = self.engines.iter().enumerate().filter(|(_, e)| e.current.is_none());
+        let dispatch = idle.map(|(cpu, _)| self.sched.dispatch_cycle(cpu, from));
+        let oldest = self.conds.iter().filter_map(|c| c.waiters.front());
+        let sweep = oldest
+            .map(|w| self.threads[w.index()].blocked_since + WAIT_TIMEOUT_CYCLES)
+            .min()
+            .map_or(u64::MAX, |at| at.max(from + 1).next_multiple_of(TIMEOUT_SWEEP_CYCLES));
+        self.ready_wake = dispatch.fold(sweep, u64::min);
+        self.stale = false;
+    }
+
+    fn tick_engine(&mut self, cpu: usize, sys: &mut MemSystem) {
         // Dispatch if idle.
         if self.engines[cpu].current.is_none() {
             match self.sched.dispatch(cpu) {
                 Some((t, migrated)) => {
+                    self.stale = true;
                     self.stats.dispatches += 1;
                     self.stats.migrations = self.sched.migrations();
-                    if self.sys.events_enabled() {
-                        self.sys.emit_event(EventKind::ContextSwitch {
+                    if sys.events_enabled() {
+                        sys.emit_event(EventKind::ContextSwitch {
                             cpu: cpu as u32,
                             thread: t.index() as u32,
                             migrated,
@@ -512,9 +646,9 @@ impl TopazMachine {
                             gap_before: 0,
                         });
                     }
-                    e.compute_left = self.cfg.context_switch_instructions;
+                    e.compute_left = CONTEXT_SWITCH_INSTRUCTIONS;
                     e.commit = Commit::StartCurrent;
-                    e.state = EngineState::Computing { cycles_left: 0 };
+                    e.state = EngineState::Computing { until: sys.cycle() };
                 }
                 None => {
                     self.sched.note_idle(cpu);
@@ -524,43 +658,34 @@ impl TopazMachine {
             }
         }
 
-        match &mut self.engines[cpu].state {
-            EngineState::Idle => unreachable!("engine with a thread is never Idle"),
-            EngineState::Computing { cycles_left } => {
-                if *cycles_left > 0 {
-                    *cycles_left -= 1;
-                } else {
-                    self.advance_work(cpu);
-                }
-            }
-            EngineState::WaitingMem => {
-                if self.sys.poll(self.engines[cpu].port).is_some() {
-                    self.advance_work(cpu);
-                }
-            }
+        let acts = match self.engines[cpu].state {
+            EngineState::Computing { until } => until <= sys.cycle(),
+            EngineState::WaitingMem => sys.poll(self.engines[cpu].port).is_some(),
+        };
+        if acts {
+            self.advance_work(cpu, sys);
         }
     }
 
     /// Issues the next queued reference, refills the queue from the
     /// in-progress op, or applies the op's commit action.
-    fn advance_work(&mut self, cpu: usize) {
+    fn advance_work(&mut self, cpu: usize, sys: &mut MemSystem) {
         loop {
             // Issue the next reference if one is queued.
             if let Some(r) = self.engines[cpu].refq.pop_front() {
                 if r.gap_before > 0 {
                     self.engines[cpu].refq.push_front(QueuedRef { gap_before: 0, ..r });
-                    self.engines[cpu].state = EngineState::Computing { cycles_left: r.gap_before };
+                    let until = sys.cycle() + 1 + r.gap_before;
+                    self.engines[cpu].state = EngineState::Computing { until };
                     return;
                 }
                 let req = if r.write {
-                    Request::write(r.addr, self.sys.cycle() as u32)
+                    Request::write(r.addr, sys.cycle() as u32)
                 } else {
                     Request::read(r.addr)
                 };
                 let port = self.engines[cpu].port;
-                self.sys
-                    .begin(port, req)
-                    .unwrap_or_else(|e| panic!("CPU {cpu} reference failed: {e}"));
+                sys.begin(port, req).unwrap_or_else(|e| panic!("CPU {cpu} reference failed: {e}"));
                 self.engines[cpu].state = EngineState::WaitingMem;
                 return;
             }
@@ -584,7 +709,7 @@ impl TopazMachine {
             }
 
             // Op finished: apply its commit.
-            if self.apply_commit(cpu) {
+            if self.apply_commit(cpu, sys.cycle()) {
                 // Thread still on this CPU: start its next op.
                 self.start_op(cpu);
                 continue;
@@ -595,82 +720,51 @@ impl TopazMachine {
 
     /// Applies the pending commit. Returns whether the engine still has
     /// a running thread afterwards.
-    fn apply_commit(&mut self, cpu: usize) -> bool {
+    fn apply_commit(&mut self, cpu: usize, now: u64) -> bool {
         let t = self.engines[cpu].current.expect("commit with a thread");
         let commit = self.engines[cpu].commit;
+        self.stale = true;
         match commit {
-            Commit::Advance => {
-                self.threads[t.index()].pc += 1;
-                true
-            }
-            Commit::StartCurrent => true,
+            Commit::Advance => {}
+            Commit::StartCurrent => return true,
             Commit::LockAttempt(m) => {
                 let mx = &mut self.mutexes[m.index()];
                 match mx.holder {
                     None => {
                         mx.holder = Some(t);
                         self.stats.lock_acquires += 1;
-                        self.threads[t.index()].pc += 1;
-                        true
                     }
                     Some(h) => {
                         assert_ne!(h, t, "{t} relocked {m} it already holds");
                         mx.waiters.push_back(t);
                         self.stats.lock_contentions += 1;
-                        let th = &mut self.threads[t.index()];
-                        th.status = Status::BlockedMutex(m);
-                        th.blocked_since = self.sys.cycle();
-                        self.engines[cpu].current = None;
-                        false
+                        return self.block(cpu, Status::BlockedMutex(m), now);
                     }
                 }
             }
             Commit::Release(m) => {
                 let mx = &mut self.mutexes[m.index()];
                 assert_eq!(mx.holder, Some(t), "{t} released {m} it does not hold");
-                match mx.waiters.pop_front() {
-                    Some(w) => {
-                        // Direct hand-off: the waiter owns the mutex and
-                        // resumes past its Lock op.
-                        mx.holder = Some(w);
-                        self.stats.lock_acquires += 1;
-                        let wt = &mut self.threads[w.index()];
-                        wt.status = Status::Ready;
-                        wt.pc += 1;
-                        let last = wt.last_cpu;
-                        self.sched.enqueue(w, last);
-                    }
-                    None => mx.holder = None,
+                // Direct hand-off: the waiter owns the mutex and resumes
+                // past its Lock op.
+                mx.holder = mx.waiters.pop_front();
+                if let Some(w) = mx.holder {
+                    self.stats.lock_acquires += 1;
+                    self.resume(w);
                 }
-                self.threads[t.index()].pc += 1;
-                true
             }
             Commit::WaitBlock(c) => {
                 self.conds[c.index()].waiters.push_back(t);
-                let th = &mut self.threads[t.index()];
-                th.status = Status::BlockedCond(c);
-                th.blocked_since = self.sys.cycle();
-                self.engines[cpu].current = None;
-                false
+                return self.block(cpu, Status::BlockedCond(c), now);
             }
             Commit::SignalWake(c, broadcast) => {
                 self.stats.signals += 1;
                 let n = if broadcast { usize::MAX } else { 1 };
                 for _ in 0..n {
-                    match self.conds[c.index()].waiters.pop_front() {
-                        Some(w) => {
-                            self.stats.wakeups += 1;
-                            let wt = &mut self.threads[w.index()];
-                            wt.status = Status::Ready;
-                            wt.pc += 1;
-                            let last = wt.last_cpu;
-                            self.sched.enqueue(w, last);
-                        }
-                        None => break,
-                    }
+                    let Some(w) = self.conds[c.index()].waiters.pop_front() else { break };
+                    self.stats.wakeups += 1;
+                    self.resume(w);
                 }
-                self.threads[t.index()].pc += 1;
-                true
             }
             Commit::YieldNow => {
                 let th = &mut self.threads[t.index()];
@@ -678,74 +772,32 @@ impl TopazMachine {
                 th.status = Status::Ready;
                 self.sched.enqueue(t, Some(cpu));
                 self.engines[cpu].current = None;
-                false
+                return false;
             }
             Commit::SemDown(sm) => {
                 let sem = &mut self.sems[sm.index()];
-                if sem.count > 0 {
-                    sem.count -= 1;
-                    self.threads[t.index()].pc += 1;
-                    true
-                } else {
+                if sem.count == 0 {
                     sem.waiters.push_back(t);
-                    let th = &mut self.threads[t.index()];
-                    th.status = Status::BlockedSem(sm);
-                    th.blocked_since = self.sys.cycle();
-                    self.engines[cpu].current = None;
-                    false
+                    return self.block(cpu, Status::BlockedSem(sm), now);
                 }
+                sem.count -= 1;
             }
-            Commit::SemUp(sm) => {
-                let sem = &mut self.sems[sm.index()];
-                match sem.waiters.pop_front() {
-                    Some(w) => {
-                        // Direct hand-off: the waiter consumes the V.
-                        self.stats.wakeups += 1;
-                        let wt = &mut self.threads[w.index()];
-                        wt.status = Status::Ready;
-                        wt.pc += 1;
-                        let last = wt.last_cpu;
-                        self.sched.enqueue(w, last);
-                    }
-                    None => sem.count += 1,
+            Commit::SemUp(sm) => match self.sems[sm.index()].waiters.pop_front() {
+                // Direct hand-off: the waiter consumes the V.
+                Some(w) => {
+                    self.stats.wakeups += 1;
+                    self.resume(w);
                 }
-                self.threads[t.index()].pc += 1;
-                true
-            }
+                None => self.sems[sm.index()].count += 1,
+            },
             Commit::ForkChild(sid) => {
                 assert!(sid.index() < self.scripts.len(), "script {sid:?} not registered");
-                let script = self.scripts[sid.index()].clone();
-                assert!(
-                    self.threads.len() < layout::MAX_THREADS,
-                    "fork exceeded the {}-thread layout",
-                    layout::MAX_THREADS
-                );
-                let child = ThreadId::new(self.threads.len() as u32);
-                self.threads.push(Thread {
-                    script,
-                    pc: 0,
-                    status: Status::Ready,
-                    last_cpu: None,
-                    gen: ThreadGen::new(child, self.cfg.seed),
-                    blocked_since: 0,
-                    live_children: 0,
-                    parent: Some(t),
-                });
+                self.add_thread(self.scripts[sid.index()].clone(), Some(t));
                 self.threads[t.index()].live_children += 1;
-                self.sched.enqueue(child, None);
-                self.threads[t.index()].pc += 1;
-                true
             }
             Commit::JoinWait => {
-                if self.threads[t.index()].live_children == 0 {
-                    self.threads[t.index()].pc += 1;
-                    true
-                } else {
-                    let th = &mut self.threads[t.index()];
-                    th.status = Status::Joining;
-                    th.blocked_since = self.sys.cycle();
-                    self.engines[cpu].current = None;
-                    false
+                if self.threads[t.index()].live_children > 0 {
+                    return self.block(cpu, Status::Joining, now);
                 }
             }
             Commit::ExitNow => {
@@ -757,15 +809,55 @@ impl TopazMachine {
                     let pt = &mut self.threads[parent.index()];
                     pt.live_children -= 1;
                     if pt.live_children == 0 && matches!(pt.status, Status::Joining) {
-                        pt.status = Status::Ready;
-                        pt.pc += 1;
-                        let last = pt.last_cpu;
-                        self.sched.enqueue(parent, last);
+                        self.resume(parent);
                     }
                 }
-                false
+                return false;
             }
         }
+        self.threads[t.index()].pc += 1;
+        true
+    }
+
+    /// Adds a runnable thread running `script`, forked by `parent`.
+    fn add_thread(&mut self, script: Script, parent: Option<ThreadId>) -> ThreadId {
+        assert!(
+            self.threads.len() < layout::MAX_THREADS,
+            "the address-space layout supports at most {} threads",
+            layout::MAX_THREADS
+        );
+        let t = ThreadId::new(self.threads.len() as u32);
+        self.threads.push(Thread {
+            script,
+            pc: 0,
+            status: Status::Ready,
+            last_cpu: None,
+            gen: ThreadGen::new(t, self.cfg.seed),
+            blocked_since: 0,
+            live_children: 0,
+            parent,
+        });
+        self.sched.enqueue(t, None);
+        t
+    }
+
+    /// Makes blocked thread `w` runnable past the op it blocked in.
+    fn resume(&mut self, w: ThreadId) {
+        let th = &mut self.threads[w.index()];
+        th.status = Status::Ready;
+        th.pc += 1;
+        let last = th.last_cpu;
+        self.sched.enqueue(w, last);
+    }
+
+    /// Blocks `cpu`'s thread in `status` from cycle `now`, leaving the
+    /// engine idle; false, for [`apply_commit`](CpuSet::apply_commit).
+    fn block(&mut self, cpu: usize, status: Status, now: u64) -> bool {
+        let t = self.engines[cpu].current.take().expect("blocking a running thread");
+        let th = &mut self.threads[t.index()];
+        th.status = status;
+        th.blocked_since = now;
+        false
     }
 
     /// Loads the current thread's op at its pc into the engine.
@@ -797,117 +889,32 @@ impl TopazMachine {
                 }
                 e.commit = Commit::Advance;
             }
+            // Interlocked test-and-set traffic on the lock, condition or
+            // semaphore word: a read, then a write.
             ThreadOp::Lock(m) => {
-                // Interlocked test-and-set traffic on the lock word.
-                e.refq.push_back(QueuedRef {
-                    addr: layout::mutex_word(m),
-                    write: false,
-                    gap_before: 0,
-                });
-                e.refq.push_back(QueuedRef {
-                    addr: layout::mutex_word(m),
-                    write: true,
-                    gap_before: 0,
-                });
-                e.commit = Commit::LockAttempt(m);
+                e.touch(layout::mutex_word(m), &[false, true], Commit::LockAttempt(m))
             }
-            ThreadOp::Unlock(m) => {
-                e.refq.push_back(QueuedRef {
-                    addr: layout::mutex_word(m),
-                    write: true,
-                    gap_before: 0,
-                });
-                e.commit = Commit::Release(m);
-            }
+            ThreadOp::Unlock(m) => e.touch(layout::mutex_word(m), &[true], Commit::Release(m)),
             ThreadOp::Wait(c) => {
-                e.refq.push_back(QueuedRef {
-                    addr: layout::cond_word(c),
-                    write: false,
-                    gap_before: 0,
-                });
-                e.refq.push_back(QueuedRef {
-                    addr: layout::cond_word(c),
-                    write: true,
-                    gap_before: 0,
-                });
-                e.commit = Commit::WaitBlock(c);
+                e.touch(layout::cond_word(c), &[false, true], Commit::WaitBlock(c))
             }
             ThreadOp::Signal(c) => {
-                e.refq.push_back(QueuedRef {
-                    addr: layout::cond_word(c),
-                    write: false,
-                    gap_before: 0,
-                });
-                e.refq.push_back(QueuedRef {
-                    addr: layout::cond_word(c),
-                    write: true,
-                    gap_before: 0,
-                });
-                e.commit = Commit::SignalWake(c, false);
+                e.touch(layout::cond_word(c), &[false, true], Commit::SignalWake(c, false));
             }
             ThreadOp::Broadcast(c) => {
-                e.refq.push_back(QueuedRef {
-                    addr: layout::cond_word(c),
-                    write: false,
-                    gap_before: 0,
-                });
-                e.refq.push_back(QueuedRef {
-                    addr: layout::cond_word(c),
-                    write: true,
-                    gap_before: 0,
-                });
-                e.commit = Commit::SignalWake(c, true);
+                e.touch(layout::cond_word(c), &[false, true], Commit::SignalWake(c, true));
             }
-            ThreadOp::Yield => {
-                e.refq.push_back(QueuedRef {
-                    addr: layout::sched_word(cpu as u32),
-                    write: false,
-                    gap_before: 0,
-                });
-                e.commit = Commit::YieldNow;
-            }
+            ThreadOp::Yield => e.touch(layout::sched_word(cpu as u32), &[false], Commit::YieldNow),
             ThreadOp::SemP(sm) => {
-                e.refq.push_back(QueuedRef {
-                    addr: layout::sem_word(sm),
-                    write: false,
-                    gap_before: 0,
-                });
-                e.refq.push_back(QueuedRef {
-                    addr: layout::sem_word(sm),
-                    write: true,
-                    gap_before: 0,
-                });
-                e.commit = Commit::SemDown(sm);
+                e.touch(layout::sem_word(sm), &[false, true], Commit::SemDown(sm))
             }
-            ThreadOp::SemV(sm) => {
-                e.refq.push_back(QueuedRef {
-                    addr: layout::sem_word(sm),
-                    write: false,
-                    gap_before: 0,
-                });
-                e.refq.push_back(QueuedRef {
-                    addr: layout::sem_word(sm),
-                    write: true,
-                    gap_before: 0,
-                });
-                e.commit = Commit::SemUp(sm);
-            }
+            ThreadOp::SemV(sm) => e.touch(layout::sem_word(sm), &[false, true], Commit::SemUp(sm)),
+            // The Fork and Join paths touch the scheduler structures.
             ThreadOp::Fork(sid) => {
-                // The Fork path touches the scheduler structures.
-                e.refq.push_back(QueuedRef {
-                    addr: layout::sched_word(64 + cpu as u32),
-                    write: true,
-                    gap_before: 0,
-                });
-                e.commit = Commit::ForkChild(sid);
+                e.touch(layout::sched_word(64 + cpu as u32), &[true], Commit::ForkChild(sid));
             }
             ThreadOp::JoinChildren => {
-                e.refq.push_back(QueuedRef {
-                    addr: layout::sched_word(128 + cpu as u32),
-                    write: false,
-                    gap_before: 0,
-                });
-                e.commit = Commit::JoinWait;
+                e.touch(layout::sched_word(128 + cpu as u32), &[false], Commit::JoinWait);
             }
             ThreadOp::Exit => {
                 e.commit = Commit::ExitNow;
@@ -928,14 +935,15 @@ impl TopazMachine {
         }
     }
 
-    /// Wakes condition waiters whose timeout expired.
-    fn sweep_timeouts(&mut self) {
-        let deadline = self.cfg.wait_timeout_cycles;
+    /// Wakes condition waiters whose timeout expired, on a sweep cycle
+    /// (a multiple of [`TIMEOUT_SWEEP_CYCLES`]). Returns whether it woke
+    /// any.
+    fn sweep_timeouts(&mut self, now: u64) -> bool {
         let mut woken: Vec<ThreadId> = Vec::new();
         for cond in &mut self.conds {
             cond.waiters.retain(|&w| {
                 let th = &self.threads[w.index()];
-                if self.sys.cycle().saturating_sub(th.blocked_since) >= deadline {
+                if now.saturating_sub(th.blocked_since) >= WAIT_TIMEOUT_CYCLES {
                     woken.push(w);
                     false
                 } else {
@@ -943,24 +951,22 @@ impl TopazMachine {
                 }
             });
         }
-        for w in woken {
+        for &w in &woken {
             self.stats.timeouts += 1;
-            let th = &mut self.threads[w.index()];
-            th.status = Status::Ready;
-            th.pc += 1;
-            let last = th.last_cpu;
-            self.sched.enqueue(w, last);
+            self.resume(w);
         }
+        !woken.is_empty()
     }
 }
 
-impl fmt::Debug for TopazMachine {
+impl<I> fmt::Debug for TopazMachine<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TopazMachine")
-            .field("cpus", &self.cfg.cpus)
-            .field("threads", &self.threads.len())
+            .field("cpus", &self.cpus.cfg.cpus)
+            .field("threads", &self.cpus.threads.len())
             .field("cycle", &self.sys.cycle())
-            .field("stats", &self.stats)
+            .field("stats", &self.cpus.stats)
+            .field("io", &self.io.is_some())
             .finish()
     }
 }

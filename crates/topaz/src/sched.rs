@@ -85,6 +85,27 @@ impl Scheduler {
         self.idle[cpu] += 1;
     }
 
+    /// Records `cycles` idle cycles on `cpu` at once.
+    pub fn note_idle_cycles(&mut self, cpu: usize, cycles: u64) {
+        self.idle[cpu] += cycles;
+    }
+
+    /// The first cycle at or after `from` at which [`dispatch`] on an
+    /// idle `cpu`, noting one idle cycle per cycle, picks a thread if
+    /// nothing is enqueued meanwhile; `u64::MAX` if it never would.
+    ///
+    /// [`dispatch`]: Scheduler::dispatch
+    pub fn dispatch_cycle(&self, cpu: usize, from: u64) -> u64 {
+        let affine = |&(_, last): &(ThreadId, Option<usize>)| last.is_none() || last == Some(cpu);
+        match self.policy {
+            _ if self.ready.is_empty() => u64::MAX,
+            MigrationPolicy::AvoidMigration if !self.ready.iter().any(affine) => {
+                from + self.steal_patience.saturating_sub(self.idle[cpu])
+            }
+            _ => from,
+        }
+    }
+
     /// Picks the next thread for an idle `cpu`, or `None` if the policy
     /// prefers to keep waiting (or nothing is runnable).
     ///

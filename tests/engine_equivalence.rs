@@ -14,7 +14,18 @@
 
 use firefly::core::fault::FaultConfig;
 use firefly::core::protocol::ProtocolKind;
+use firefly::core::system::Request;
+use firefly::core::Addr;
+use firefly::cpu::processor::EngineStats;
+use firefly::cpu::Agent;
+use firefly::io::mdc::{encode_fill, WQ_BASE};
+use firefly::io::raster::RasterOp;
+use firefly::io::rqdx3::DiskRequest;
+use firefly::io::{IoSystem, Mdc};
 use firefly::sim::{EngineMode, Firefly, FireflyBuilder, Workload};
+use firefly::topaz::{
+    ExerciserConfig, MigrationPolicy, NoIo, Script, ThreadOp, TopazConfig, TopazMachine, TopazStats,
+};
 use firefly::trace::LocalityParams;
 use firefly_core::PortId;
 use serde::Serialize;
@@ -335,7 +346,6 @@ fn idle_heavy_single_cpu_run_is_identical() {
 /// cycle run.
 #[test]
 fn engines_bit_identical_with_offlining_in_small_chunks() {
-    const CHUNKS: [u64; 9] = [1, 2, 3, 5, 7, 11, 997, 5_000, 20_000];
     let build = |kind: ProtocolKind, seed: u64, engine| {
         let mut m = FireflyBuilder::microvax(4)
             .protocol(kind)
@@ -417,6 +427,292 @@ fn engine_stats_are_pinned_on_the_paper_mix() {
             idle_skips: 24_555,
             cycles_skipped: 151_460,
             ticked_iterations: 48_540,
+        }
+    );
+}
+
+/// The chunk sizes the offlining test cuts its runs into.
+const CHUNKS: [u64; 9] = [1, 2, 3, 5, 7, 11, 997, 5_000, 20_000];
+
+/// Every device counter of an I/O system, as one string.
+fn device_stats(io: &IoSystem) -> String {
+    format!(
+        "{:?} {:?} {:?} dma {} {} {:?}",
+        io.mdc().stats(),
+        io.deqna().stats(),
+        io.disk().stats(),
+        io.dma().words_read(),
+        io.dma().words_written(),
+        io.fault_stats()
+    )
+}
+
+/// Hands the I/O system work on every device: three disk reads, a
+/// transmit (started by an interprocessor interrupt the caller posts),
+/// and two received packets into posted buffers. The display controller
+/// polls its work queue throughout.
+fn give_io_work(io: &mut IoSystem) {
+    for lba in 0..3 {
+        io.disk_mut().submit(DiskRequest::Read { lba, addr: Addr::new(0x0050_0000 + lba * 512) });
+    }
+    io.deqna_mut().enqueue_tx(Addr::new(0x0052_0000), 256);
+    for i in 0..2 {
+        io.deqna_mut().post_rx_buffer(Addr::new(0x0070_0000 + i * 0x100), 64);
+        let mut pkt = firefly::io::deqna::Packet::zeroed(16);
+        pkt.words = vec![0xaa55_0000 + i, i, 7, 9];
+        io.deqna_mut().deliver(pkt);
+    }
+}
+
+/// A packet that arrives from the wire between chunk `i` and the next.
+fn hand_io_work_between_runs(i: usize, io: &mut IoSystem) {
+    if i == 7 {
+        io.deqna_mut().post_rx_buffer(Addr::new(0x0071_0000), 64);
+        io.deqna_mut().deliver(firefly::io::deqna::Packet::zeroed(24));
+    }
+}
+
+/// A Topaz machine's I/O system, as far as the tests look at it.
+trait TopazIo: Agent {
+    /// Its device counters, or nothing.
+    fn stats(&self) -> String;
+    /// Hands it the work that arrives between chunk `i` and the next.
+    fn between_runs(&mut self, _i: usize) {}
+}
+
+impl TopazIo for NoIo {
+    fn stats(&self) -> String {
+        match *self {}
+    }
+}
+
+impl TopazIo for IoSystem {
+    fn stats(&self) -> String {
+        device_stats(self)
+    }
+
+    fn between_runs(&mut self, i: usize) {
+        hand_io_work_between_runs(i, self);
+    }
+}
+
+/// Everything a Topaz run leaves behind that the engines must agree on.
+fn topaz_state<I: TopazIo>(
+    m: &TopazMachine<I>,
+) -> (u64, TopazStats, Vec<u8>, String, Option<String>) {
+    (
+        m.cycle(),
+        *m.stats(),
+        m.memory().save_snapshot(),
+        format!("{:?}", m.events()),
+        m.io().map(TopazIo::stats),
+    )
+}
+
+/// The Table 2 exerciser on four CPUs, plus one thread that waits on a
+/// condition nobody signals, so a timeout sweep must wake it.
+fn exerciser(policy: MigrationPolicy, engine: EngineMode) -> TopazMachine {
+    let mut m = TopazMachine::new(exerciser_config(policy, engine));
+    populate_exerciser(&mut m);
+    m
+}
+
+/// The exerciser's configuration on four CPUs.
+fn exerciser_config(policy: MigrationPolicy, engine: EngineMode) -> TopazConfig {
+    let mut cfg = ExerciserConfig::table2(4).topaz;
+    cfg.migration = policy;
+    cfg.engine = engine;
+    cfg.trace_events = 4096;
+    cfg
+}
+
+/// Creates the exerciser's threads and synchronization objects, and the
+/// thread that times out.
+fn populate_exerciser<I: Agent>(m: &mut TopazMachine<I>) {
+    let ex = ExerciserConfig::table2(4);
+    for _ in 0..ex.mutexes {
+        m.create_mutex();
+    }
+    for _ in 0..ex.conds {
+        m.create_cond();
+    }
+    let unsignalled = m.create_cond();
+    for i in 0..ex.threads {
+        m.spawn(ex.script(i));
+    }
+    m.spawn(Script::new(vec![ThreadOp::Wait(unsignalled), ThreadOp::Exit]));
+}
+
+/// Two CPUs that spend long stretches idle: two threads share CPU 0
+/// by yielding, a third exits early so that CPU 1 must steal (under
+/// `AvoidMigration`, once its patience runs out), and two waits on
+/// conditions nobody signals time out after everything else has exited.
+fn steals_and_timeouts(policy: MigrationPolicy, engine: EngineMode) -> TopazMachine {
+    let mut cfg = TopazConfig::microvax(2);
+    cfg.migration = policy;
+    cfg.engine = engine;
+    cfg.trace_events = 4096;
+    let mut m = TopazMachine::new(cfg);
+    let (c0, c1) = (m.create_cond(), m.create_cond());
+    let slice = ThreadOp::Compute { instructions: 150 };
+    let share =
+        Script::new(vec![slice, ThreadOp::Yield, slice, ThreadOp::Yield, slice, ThreadOp::Exit]);
+    m.spawn(share.clone());
+    m.spawn(Script::new(vec![ThreadOp::Compute { instructions: 300 }, ThreadOp::Exit]));
+    m.spawn(share);
+    m.spawn(Script::new(vec![ThreadOp::Wait(c0), ThreadOp::Exit]));
+    m.spawn(Script::new(vec![
+        ThreadOp::Compute { instructions: 40 },
+        ThreadOp::Wait(c1),
+        ThreadOp::Compute { instructions: 40 },
+        ThreadOp::Exit,
+    ]));
+    m
+}
+
+/// Runs both Topaz machines through the chunk sizes `rounds` times,
+/// comparing after every chunk, and returns the event engine's counters.
+fn topaz_lockstep<I: TopazIo>(
+    ticked: &mut TopazMachine<I>,
+    events: &mut TopazMachine<I>,
+    rounds: usize,
+    what: &str,
+) -> EngineStats {
+    let mut stats = EngineStats::default();
+    for (i, &chunk) in CHUNKS.iter().cycle().take(rounds * CHUNKS.len()).enumerate() {
+        for m in [&mut *ticked, &mut *events] {
+            if let Some(io) = m.io_mut() {
+                io.between_runs(i);
+            }
+            if i == 4 && m.io().is_some() {
+                // Footnote 2: a CPU starts the transmit with an interrupt.
+                m.memory_mut().post_interrupt(PortId::new(0)).unwrap();
+            }
+        }
+        assert_eq!(ticked.run(chunk), EngineStats::default(), "{what}: the ticked engine counts");
+        stats += events.run(chunk);
+        assert!(topaz_state(ticked) == topaz_state(events), "{what}: diverged in chunk {i}");
+    }
+    let cycles = rounds as u64 * CHUNKS.iter().sum::<u64>();
+    assert_eq!(stats.ticked_iterations + stats.cycles_skipped, cycles, "{what}");
+    stats
+}
+
+/// (a) The Topaz CPU set as one agent: the exerciser, and a mostly idle
+/// machine, under both migration policies, chunk by chunk, including
+/// condition waits that time out. Same-cycle hand-offs (an unlock
+/// dispatched by a later idle engine in the same cycle), stealing
+/// patience and the 64-cycle timeout sweep all have to land on the
+/// ticked engine's cycles.
+#[test]
+fn topaz_engines_bit_identical_in_small_chunks() {
+    for policy in [MigrationPolicy::AvoidMigration, MigrationPolicy::FreeMigration] {
+        let mut ticked = steals_and_timeouts(policy, EngineMode::Ticked);
+        let mut events = steals_and_timeouts(policy, EngineMode::EventDriven);
+        topaz_lockstep(&mut ticked, &mut events, 2, &format!("{policy:?}, idle"));
+        let s = ticked.stats();
+        assert!(ticked.all_exited() && s.timeouts == 2 && s.migrations > 0, "{policy:?}: {s:?}");
+
+        let mut ticked = exerciser(policy, EngineMode::Ticked);
+        let mut events = exerciser(policy, EngineMode::EventDriven);
+        let stats = topaz_lockstep(&mut ticked, &mut events, 2, &format!("{policy:?}"));
+        let s = ticked.stats();
+        assert!(s.timeouts > 0 && s.wakeups > 0, "{policy:?}: {s:?}");
+        if policy == MigrationPolicy::AvoidMigration {
+            assert_eq!(
+                stats,
+                EngineStats {
+                    events_fired: 6_937,
+                    idle_skips: 6_942,
+                    cycles_skipped: 12_043,
+                    ticked_iterations: 40_009,
+                }
+            );
+        }
+    }
+}
+
+/// (c) A Topaz machine with the I/O system attached: the CPU set and the
+/// DMA engine's port share the bus, and the I/O system ticks after the
+/// CPU set in every cycle.
+#[test]
+fn topaz_with_io_engines_bit_identical_in_small_chunks() {
+    let build = |engine| {
+        let cfg = exerciser_config(MigrationPolicy::AvoidMigration, engine);
+        let mut m = TopazMachine::with_io(cfg, IoSystem::on_port);
+        populate_exerciser(&mut m);
+        give_io_work(m.io_mut().unwrap());
+        m
+    };
+    let mut ticked = build(EngineMode::Ticked);
+    let mut events = build(EngineMode::EventDriven);
+    topaz_lockstep(&mut ticked, &mut events, 4, "Topaz with I/O");
+    let io = ticked.io().unwrap();
+    assert!(io.disk().stats().reads > 0, "{}", device_stats(io));
+    assert_eq!(io.deqna().stats().tx_packets, 1, "{}", device_stats(io));
+    assert_eq!(io.deqna().stats().rx_packets, 3, "{}", device_stats(io));
+}
+
+/// (b) An I/O machine: processors and the I/O system as agents of one
+/// driver, with the disk, the Ethernet controller and the display
+/// controller busy, under a double-bit ECC plan that machine-checks a
+/// processor off the bus.
+#[test]
+fn io_machine_engines_bit_identical_with_offlining_in_small_chunks() {
+    let build = |engine| {
+        let plan = FaultConfig { seed: 0xdead, ecc_double_ppm: 300, ..FaultConfig::default() };
+        let mut m = FireflyBuilder::microvax(3)
+            .with_io()
+            .seed(0x10)
+            .trace_events(2048)
+            .faults(plan)
+            .engine(engine)
+            .build();
+        // A fill command in the display's work queue keeps it painting.
+        let cmd = encode_fill(50, 60, 400, 300, RasterOp::Set);
+        let sys = m.memory_mut();
+        for (i, w) in cmd.iter().enumerate() {
+            sys.run_to_completion(PortId::new(1), Request::write(Mdc::slot_word(0, i as u32), *w))
+                .unwrap();
+        }
+        sys.run_to_completion(PortId::new(1), Request::write(WQ_BASE, 1)).unwrap();
+        give_io_work(m.io_mut().unwrap());
+        m
+    };
+    let state = |m: &Firefly| {
+        (stats_json(m), device_stats(m.io().unwrap()), m.memory().save_snapshot(), m.events())
+    };
+    let mut ticked = build(EngineMode::Ticked);
+    let mut events = build(EngineMode::EventDriven);
+    for round in 0..7 {
+        for (i, &chunk) in CHUNKS.iter().enumerate() {
+            for m in [&mut ticked, &mut events] {
+                hand_io_work_between_runs(i, m.io_mut().unwrap());
+                if round == 0 && i == 4 {
+                    m.memory_mut().post_interrupt(PortId::new(0)).unwrap();
+                }
+            }
+            ticked.run(chunk);
+            events.run(chunk);
+            assert!(state(&ticked) == state(&events), "round {round}: diverged in chunk {i}");
+        }
+    }
+    let io = ticked.io().unwrap();
+    assert!(ticked.fault_stats().cpus_offlined > 0, "no CPU went offline");
+    assert!(
+        io.mdc().stats().commands == 1 && io.mdc().stats().deposits > 0,
+        "{}",
+        device_stats(io)
+    );
+    assert!(io.disk().stats().reads > 0, "{}", device_stats(io));
+    assert_eq!(io.deqna().stats().tx_packets, 1, "{}", device_stats(io));
+    assert_eq!(
+        events.engine_stats(),
+        EngineStats {
+            events_fired: 30_117,
+            idle_skips: 30_140,
+            cycles_skipped: 97_900,
+            ticked_iterations: 84_282,
         }
     );
 }

@@ -223,15 +223,19 @@ fn scheduler_state_roundtrips_between_scheduled_events() {
     use firefly::sim::EngineMode;
 
     /// The next-interesting-cycle the event driver would rebuild: the
-    /// earliest wake-up across the online processors (`u64::MAX` when
-    /// the machine would tick cycle-by-cycle).
+    /// earliest wake-up across the online processors, the current cycle
+    /// while one waits on the bus (`u64::MAX` when all are offline).
     fn next_event_cycle(machine: &firefly::sim::Firefly) -> u64 {
+        use firefly::cpu::Agent;
         let sys = machine.memory();
         machine
             .processors()
             .iter()
             .filter(|p| sys.is_online(p.port()))
-            .map(|p| sys.cycle() + p.idle_cycles(sys))
+            .map(|p| match p.wake(sys.cycle(), sys) {
+                u64::MAX => sys.cycle(),
+                wake => wake,
+            })
             .min()
             .unwrap_or(u64::MAX)
     }

@@ -13,9 +13,7 @@ use firefly::topaz::{Script, ThreadOp, TopazConfig, TopazMachine};
 /// the memory system stays coherent.
 #[test]
 fn threads_and_devices_share_the_machine() {
-    let mut cfg = TopazConfig::microvax(2);
-    cfg.extra_ports = 1;
-    let mut m = TopazMachine::new(cfg);
+    let mut m = TopazMachine::with_io(TopazConfig::microvax(2), IoSystem::on_port);
     let mx = m.create_mutex();
     for _ in 0..4 {
         m.spawn(Script::new(vec![
@@ -27,24 +25,24 @@ fn threads_and_devices_share_the_machine() {
         ]));
     }
 
-    let mut io = IoSystem::on_port(PortId::new(2));
+    let io = m.io_mut().unwrap();
     for lba in 0..3 {
         io.disk_mut().submit(DiskRequest::Read { lba, addr: Addr::new(0x0050_0000 + lba * 512) });
     }
     io.deqna_mut().enqueue_tx(Addr::new(0x0052_0000), 256);
 
     for _ in 0..2_500_000 {
-        m.step_with(&mut |sys| {
-            // Footnote 2: a CPU kicks the I/O processor once, early.
-            if sys.cycle() == 1_000 {
-                sys.post_interrupt(PortId::new(0)).unwrap();
-            }
-            io.tick(sys);
-        });
+        // Footnote 2: a CPU kicks the I/O processor once, early.
+        if m.cycle() == 1_000 {
+            m.memory_mut().post_interrupt(PortId::new(0)).unwrap();
+        }
+        m.run(1);
+        let io = m.io().unwrap();
         if io.disk().stats().reads == 3 && io.deqna().stats().tx_packets == 1 {
             break;
         }
     }
+    let io = m.io().unwrap();
     assert_eq!(io.disk().stats().reads, 3, "disk streamed");
     assert_eq!(io.deqna().stats().tx_packets, 1, "network transmitted after the kick");
     assert!(io.mdc().stats().polls > 100, "display kept polling");
@@ -55,12 +53,10 @@ fn threads_and_devices_share_the_machine() {
 /// CPU-visible.
 #[test]
 fn dma_results_visible_to_threads_coherently() {
-    let mut cfg = TopazConfig::microvax(2);
-    cfg.extra_ports = 1;
-    let mut m = TopazMachine::new(cfg);
+    let mut m = TopazMachine::with_io(TopazConfig::microvax(2), IoSystem::on_port);
     m.spawn(Script::new(vec![ThreadOp::Compute { instructions: 3_000 }, ThreadOp::Exit]));
 
-    let mut io = IoSystem::on_port(PortId::new(2));
+    let io = m.io_mut().unwrap();
     let buf = Addr::new(0x0070_0000);
     io.deqna_mut().post_rx_buffer(buf, 16);
     let mut pkt = firefly::io::deqna::Packet::zeroed(8);
@@ -68,12 +64,12 @@ fn dma_results_visible_to_threads_coherently() {
     io.deqna_mut().deliver(pkt);
 
     for _ in 0..400_000 {
-        m.step_with(&mut |sys| io.tick(sys));
-        if m.all_exited() && io.deqna().stats().rx_packets == 1 {
+        m.run(1);
+        if m.all_exited() && m.io().unwrap().deqna().stats().rx_packets == 1 {
             break;
         }
     }
-    assert_eq!(io.deqna().stats().rx_packets, 1);
+    assert_eq!(m.io().unwrap().deqna().stats().rx_packets, 1);
     assert!(m.memory().is_quiescent());
     CoherenceChecker::new().check(m.memory()).unwrap();
     // The packet data reached coherent memory.
